@@ -30,8 +30,9 @@ from .errors import (InternalInvariantError, ReducedSolveError,
                      SecantFailureError, SingularShiftError)
 from .krylov import (AugmentedBasis, KrylovBasis, orth_augment, poly_expand,
                      rational_expand)
-from .model import ModelContext, model_curvature_min
-from .secular import (FactorizationCounter, factorize_shifted,
+from .model import (ModelContext, model_curvature_bound, model_curvature_min,
+                    symmetrize)
+from .secular import (FactorizationCounter, analyse_hessian, factorize_shifted,
                       solve_secular_full_secant, solve_secular_reduced)
 from .second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
@@ -64,6 +65,17 @@ class IterateState:
     refresh: bool = True
     basis: KrylovBasis | None = None
     step_kind_last: StepKind | None = None
+    sym_cache: tuple | None = field(default=None, repr=False)
+
+    def model_context(self) -> ModelContext:
+        """The cubic model here; H is symmetrized once per Hessian value.
+
+        sym_cache holds (H, symmetrize(H)) for the H it was made from.
+        """
+        if self.sym_cache is None or self.sym_cache[0] is not self.H:
+            self.sym_cache = (self.H, symmetrize(self.H))
+        return ModelContext._from_symmetric(self.f, self.g, self.sym_cache[1],
+                                            self.sigma)
 
 
 @dataclass
@@ -155,7 +167,7 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     H = state.H
     sigma = state.sigma
     so = isinstance(cfg, SecondOrderConfig)
-    ctx = ModelContext(state.f, g, H, sigma)
+    ctx = state.model_context() if so else None
     rational = cfg.space_kind == RATIONAL
     n_rat = 0
 
@@ -166,8 +178,9 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
         ok = _stationarity_ok(mgn, shat_norm, cfg.theta1)
         curv_ok = None
         if so and ok:
-            curv = model_curvature_min(ctx, step_full)
-            curv_ok = curv >= -cfg.theta2 * shat_norm
+            floor = -cfg.theta2 * shat_norm
+            curv_ok = (model_curvature_bound(ctx, step_full) >= floor
+                       or model_curvature_min(ctx, step_full) >= floor)
         return SubspaceResult(
             lambda_hat=sol.lam, s_hat=sol.step, W=W, H_r=H_r, g_r=g_r,
             basis=basis, step_full=step_full, hess_step=hess_step,
@@ -189,7 +202,9 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
         else:
             basis = KrylovBasis.fresh_polynomial(g, cfg.j_max, state.k)
         av_cols: list[np.ndarray] = []
-        if not rational:
+        if rational:
+            system = analyse_hessian(H)  # one analysis for every expansion
+        else:
             av_cols.append(np.asarray(H @ basis.V[:, 0], dtype=float).ravel())
 
         last = None
@@ -217,7 +232,7 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
             dim_before = basis.dim
             if rational:
                 interval = _ritz_interval(H_r, H)
-                rational_expand(H, basis, interval)
+                rational_expand(system, basis, interval)
                 if basis.dim > dim_before:
                     n_rat += 1
                     av_cols.append(np.asarray(H @ basis.V[:, -1], dtype=float).ravel())
@@ -480,13 +495,14 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
                         message = f"full-space secular solve failed: {exc}"
                         break
                     if second_order:
-                        ctx = ModelContext(state.f, state.g, state.H, state.sigma)
-                        curv = model_curvature_min(ctx, sol.step)
-                        snorm = float(np.linalg.norm(sol.step))
-                        if curv < -cfg.theta2 * snorm - 1.0e-8 * max(1.0, abs(curv)):
-                            status = Status.SOLVE_FAILURE
-                            message = "secant step failed the model-curvature test"
-                            break
+                        ctx = state.model_context()
+                        floor = -cfg.theta2 * float(np.linalg.norm(sol.step))
+                        if model_curvature_bound(ctx, sol.step) < floor:
+                            curv = model_curvature_min(ctx, sol.step)
+                            if curv < floor - 1.0e-8 * max(1.0, abs(curv)):
+                                status = Status.SOLVE_FAILURE
+                                message = "secant step failed the model-curvature test"
+                                break
                     step = sol.step
                     kind = StepKind.SECANT
                     lambda_hat = sol.lam
@@ -540,6 +556,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
                                      bool(accepted), float(rho)))
         if accepted:
             state.x = state.x + step
+            state.sym_cache = None  # not held through the oracle's memory peak
             f, g, H = problem.eval(state.x, 2)
             if not (np.isfinite(f) and np.all(np.isfinite(g))):
                 status = Status.SOLVE_FAILURE

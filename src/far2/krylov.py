@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapacityError, ShiftFailureError, SingularShiftError
-from .secular import factorize_shifted
+from .secular import analyse_hessian, factorize_shifted
 
 BREAKDOWN_RTOL = 1.0e-12
 _GRID_POINTS = 200
@@ -135,7 +135,9 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
 
     The source vector is the stored seed for an empty basis and the last
     column afterwards. A singular shift is perturbed by 1e-8*(1+|xi|) and
-    retried once before raising ShiftFailureError.
+    retried once before raising ShiftFailureError. H may be the
+    secular.ShiftedSystem of the matrix, so that a caller expanding one
+    basis many times analyses H once.
     """
     if basis.kind is not SpaceKind.RATIONAL:
         raise ValueError("rational_expand requires a rational basis")
@@ -146,10 +148,11 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
     source = basis.seed if basis.dim == 0 else basis.V[:, -1]
     xi = float(shift) if shift is not None else _next_shift(basis.shifts,
                                                             spectral_interval)
+    system = analyse_hessian(H)
     fac = None
     for attempt in range(2):
         try:
-            fac = factorize_shifted(H, xi)
+            fac = factorize_shifted(system, xi)
             break
         except SingularShiftError:
             if attempt == 1:

@@ -48,16 +48,22 @@ def gershgorin_interval(H) -> tuple[float, float]:
     return float(np.min(d - radii)), float(np.max(d + radii))
 
 
-def min_eig(H, want_vector: bool = False, maxiter: int = 10000):
+def min_eig(H, want_vector: bool = False, maxiter: int = 10000,
+            rank_one: tuple[float, np.ndarray] | None = None):
     """Smallest eigenvalue of symmetric H, optionally with a unit eigenvector.
 
     Dense symmetric eigendecomposition up to DENSE_EIG_CUTOFF; above that a
     shift-and-invert Lanczos iteration anchored below the Gershgorin bound.
-    Raises EigenSolveError if the iterative path does not converge.
+    rank_one = (c, u) with c >= 0 adds c u u^T to H; the iterative path
+    applies it without forming it, inverting the shifted sum by
+    Sherman-Morrison over a factorization of H alone. Raises
+    EigenSolveError if the iterative path does not converge.
     """
     n = H.shape[0]
     if n <= DENSE_EIG_CUTOFF:
         A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
+        if rank_one is not None:
+            A = A + rank_one[0] * np.outer(rank_one[1], rank_one[1])
         A = 0.5 * (A + A.T)
         if want_vector:
             w, v = sla.eigh(A)
@@ -65,13 +71,51 @@ def min_eig(H, want_vector: bool = False, maxiter: int = 10000):
         return float(sla.eigvalsh(A)[0]), None
 
     lo, hi = gershgorin_interval(H)
+    op, opinv = H, None
+    if rank_one is not None:
+        c, u = rank_one
+        hi += c * float(u @ u)
     anchor = lo - 1.0e-3 * max(1.0, abs(lo), abs(hi))
     try:
-        vals, vecs = spla.eigsh(H, k=1, sigma=anchor, which="LM", maxiter=maxiter)
+        if rank_one is not None:
+            op, opinv = _rank_one_operators(H, c, u, anchor)
+        vals, vecs = spla.eigsh(op, k=1, sigma=anchor, which="LM",
+                                OPinv=opinv, maxiter=maxiter)
     except Exception as exc:  # ArpackNoConvergence, factorization trouble
         raise EigenSolveError(f"smallest-eigenvalue iteration failed: {exc}") from exc
     v = vecs[:, 0]
     return float(vals[0]), v / np.linalg.norm(v)
+
+
+def _rank_one_operators(H, c: float, u: np.ndarray, anchor: float):
+    """H + c u u^T and the inverse of H + c u u^T - anchor I, as operators.
+
+    The anchor lies below the spectrum of H, so K = H - anchor I is positive
+    definite and 1 + c u^T K^{-1} u >= 1. K is factored once (sparse LU, or
+    dense LU for a dense H).
+    """
+    n = H.shape[0]
+    if sp.issparse(H):
+        solve = spla.factorized(sp.csc_matrix(H - anchor * sp.identity(n)))
+    else:
+        K = np.array(H, dtype=float)
+        K.flat[:: n + 1] -= anchor
+        lu = sla.lu_factor(K, overwrite_a=True)
+        solve = lambda b: sla.lu_solve(lu, b)  # noqa: E731
+    w = solve(u)
+    scale = c / (1.0 + c * float(u @ w))
+
+    def matvec(x):
+        x = np.ravel(x)
+        return np.ravel(H @ x) + (c * float(u @ x)) * u
+
+    def inv_matvec(x):
+        y = solve(np.ravel(x))
+        return y - (scale * float(u @ y)) * w
+
+    shape = (n, n)
+    return (spla.LinearOperator(shape, matvec=matvec, dtype=float),
+            spla.LinearOperator(shape, matvec=inv_matvec, dtype=float))
 
 
 def far2so_solve(problem, cfg: SecondOrderConfig):

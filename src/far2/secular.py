@@ -7,12 +7,14 @@ global minimizer of the cubic model: in the easy case the step is
 pseudoinverse solve with an eigenvector component whose weight restores
 ||s|| = lambda/sigma.
 
-Full-space solves go through a symmetric-indefinite LDL^T factorization
-wrapped in ShiftedFactorization so the run can count them; reduced (small,
-dense) solves use a spectral decomposition, after which each residual
-evaluation costs O(m). The full-space secant falls back to the same
-spectral treatment when its bracket collapses onto the spectrum edge (the
-hard and near-hard cases).
+Full-space solves go through ShiftedFactorization, the one place that
+factors H + lambda I, so the run can count them: tridiagonal H takes an
+O(n) path whose positive-definiteness test is LAPACK pttrf, anything else a
+symmetric-indefinite LDL^T. A caller that shifts one H many times analyses
+its structure once (analyse_hessian). Reduced (small, dense) solves use a
+spectral decomposition, after which each residual evaluation costs O(m).
+The full-space secant falls back to the same spectral treatment when its
+bracket collapses onto the spectrum edge (the hard and near-hard cases).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import _compute_lwork
+from scipy.linalg.lapack import _compute_lwork, dgttrf, dgttrs, dpttrf
 
 from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
 from .second_order import DENSE_EIG_CUTOFF, gershgorin_interval, min_eig
@@ -32,6 +34,22 @@ from .second_order import DENSE_EIG_CUTOFF, gershgorin_interval, min_eig
 # Pivot magnitudes below ZERO_PIVOT_RTOL * max|B_ii| count as zero.
 ZERO_PIVOT_RTOL = 1.0e-14
 MAX_ROOT_STEPS = 200
+# _settle_pivots sweeps vectorised while more than SCALAR_PIVOT_TAIL pivots
+# are left to redo, at most MAX_PIVOT_SWEEPS times, then goes pivot by pivot.
+# Its result is exact for any values; they only set its speed. Measured on
+# the 28,083 tridiagonal factorizations of one round of the registry-ar2
+# (n = 100, 500) and large-n (n = 5000, 20000) benchmark workloads:
+# starting from pttrf's pivots at most 6 sweeps leave 16 or fewer to redo;
+# only 2 calls, both after a failed pttrf at n = 500, reach the cap (one
+# would need over 400 sweeps). Caps of 4 to 64 and tails of 16 to 64 run
+# equally fast; a cap of 1 or 2 is 4x slower on large-n and a tail of 0 is
+# 1.7x slower on registry-ar2.
+MAX_PIVOT_SWEEPS = 8
+SCALAR_PIVOT_TAIL = 16
+
+# through get_lapack_funcs, which tags the lwork query with its integer type
+_sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
+    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
 
 
 class SecularCase(Enum):
@@ -59,113 +77,179 @@ class SecularSolution:
     n_factorizations: int = 0
 
 
+def _settle_pivots(d: np.ndarray, e2: np.ndarray, ztol: float,
+                   guess: np.ndarray) -> np.ndarray:
+    """Pivots of the recursion p_i = d_i - e2_{i-1} / p_{i-1}, from a guess.
+
+    The recursion is the unpivoted LDL^T of a tridiagonal matrix; a pivot
+    below ztol in magnitude continues as -ztol. Vectorised sweeps recompute
+    every pivot whose predecessor moved in the previous sweep (all of them
+    in the first), so a pivot left alone is the recursion's step from its
+    predecessor. Once few pivots are left to redo, or after
+    MAX_PIVOT_SWEEPS sweeps, a pass in index order redoes them, going on
+    from each one until a recomputed pivot stops moving: a pivot
+    recomputed after its predecessor is final. By induction from p_0 the
+    result is the recursion's own, bit for bit, however poor the guess; a
+    close guess leaves little to redo. Returns the pivots before the -ztol
+    replacement.
+    """
+    n = d.size
+    p = np.array(guess, dtype=float)
+    p[0] = -ztol if abs(d[0]) < ztol else d[0]
+    raw = d.copy()
+    idx = np.arange(1, n)
+    # a guessed pivot may be 0; the pivot after it is redone anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_PIVOT_SWEEPS):
+            if idx.size <= SCALAR_PIVOT_TAIL:
+                break
+            r = d[idx] - e2[idx - 1] / p[idx - 1]
+            new = np.where(np.abs(r) < ztol, -ztol, r)
+            redo = idx[new != p[idx]] + 1
+            raw[idx] = r
+            p[idx] = new
+            idx = redo[redo < n]
+    todo = idx.tolist() + [n]
+    k = 0
+    i = todo[0]
+    while i < n:
+        r = d[i] - e2[i - 1] / p[i - 1]
+        new = -ztol if abs(r) < ztol else r
+        raw[i] = r
+        moved = new != p[i]
+        p[i] = new
+        while todo[k] <= i:
+            k += 1
+        i = i + 1 if moved else todo[k]
+    return raw
+
+
 def _tridiag_inertia(d: np.ndarray, e: np.ndarray, ztol: float):
     """Sturm-sequence inertia of a symmetric tridiagonal matrix.
 
-    Runs the unpivoted LDL recursion p_i = d_i - e_{i-1}^2 / p_{i-1} and
-    counts pivot signs (Sylvester); a pivot below ztol in magnitude counts
-    as zero.
+    Counts the signs of the unpivoted LDL^T pivots (Sylvester); a pivot
+    below ztol in magnitude counts as zero. LAPACK pttrf is the
+    positive-definiteness test: it runs the same recursion compiled, but
+    rounds e^2/p as (e/p)*e and stops at the first nonpositive pivot. Its
+    pivots are the guess that _settle_pivots corrects to the recursion's
+    values, so the counts do not depend on how pttrf rounds; that takes a
+    few vector sweeps whether pttrf succeeded or failed (an indefinite
+    shift, the rare lower-bracket case), see MAX_PIVOT_SWEEPS.
     """
-    pos = neg = zero = 0
-    p_prev = None
-    for i in range(d.size):
-        p = d[i] if i == 0 else d[i] - e[i - 1] * e[i - 1] / p_prev
-        if abs(p) < ztol:
-            zero += 1
-            p = -ztol  # continue the recursion past a (near-)singular pivot
-        elif p > 0.0:
-            pos += 1
-        else:
-            neg += 1
-        p_prev = p
-    return pos, neg, zero
+    guess = dpttrf(d, e)[0]
+    raw = _settle_pivots(d, e * e, ztol, guess)
+    zero = np.abs(raw) < ztol
+    n_zero = int(np.count_nonzero(zero))
+    n_pos = int(np.count_nonzero(raw[~zero] > 0.0))
+    return n_pos, d.size - n_pos - n_zero, n_zero
+
+
+def _block_inertia(ldu: np.ndarray, ipiv: np.ndarray,
+                   ztol: float) -> tuple[int, int, int]:
+    """Inertia of the block-diagonal D of a Bunch-Kaufman LDL^T (sytrf).
+
+    A 2x2 block spans rows (i, i+1) with negative ipiv at both; scanning
+    from the top, blocks start at every other index of each run of negative
+    entries. Its eigenvalues are mid -+ hypot(half difference, off-diagonal);
+    math.hypot is kept because numpy's hypot rounds differently in the last
+    bit. Eigenvalues below ztol in magnitude count as zero.
+    """
+    n = ipiv.size
+    diag = np.diagonal(ldu)
+    neg = ipiv < 0
+    rows = np.arange(n)
+    run_start = np.maximum.accumulate(
+        np.where(neg & ~np.r_[False, neg[:-1]], rows, 0))
+    first = np.flatnonzero(neg & ((rows - run_start) % 2 == 0))
+    a, c, b = diag[first], diag[first + 1], ldu[first + 1, first]
+    mid = 0.5 * (a + c)
+    rad = np.array([math.hypot(h, o) for h, o in
+                    zip((0.5 * (a - c)).tolist(), b.tolist())], dtype=float)
+    eigs = np.concatenate((diag[~neg], mid - rad, mid + rad))
+    zero = np.abs(eigs) < ztol
+    n_zero = int(np.count_nonzero(zero))
+    n_pos = int(np.count_nonzero(eigs[~zero] > 0.0))
+    return n_pos, n - n_pos - n_zero, n_zero
+
+
+@dataclass(frozen=True)
+class ShiftedSystem:
+    """H analysed once for factorizations at many shifts.
+
+    `bands` holds (diagonal, subdiagonal) when H is tridiagonal with n >= 3;
+    otherwise `dense` holds H as a float array (a sparse H densified once).
+    Build it with analyse_hessian.
+    """
+
+    bands: tuple[np.ndarray, np.ndarray] | None = None
+    dense: np.ndarray | None = None
+
+
+def analyse_hessian(H) -> ShiftedSystem:
+    """The ShiftedSystem of H; a ShiftedSystem is returned unchanged."""
+    if isinstance(H, ShiftedSystem):
+        return H
+    bands = _tridiag_bands(H)
+    if bands is not None:
+        return ShiftedSystem(bands=bands)
+    return ShiftedSystem(
+        dense=H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float))
 
 
 class ShiftedFactorization:
     """Factor handle for B = H + lambda*I with solve() and inertia.
 
-    Dense symmetric-indefinite Bunch-Kaufman (LAPACK sytrf/sytrs) in
-    general; tridiagonal inputs take an O(n) path (gttrf/gttrs with
-    Sturm-sequence inertia). Inertia is (positive, negative, zero) pivot
-    counts; construction raises SingularShiftError on a zero pivot. Sparse
-    inputs are densified unless tridiagonal.
+    H is a matrix or the ShiftedSystem of one; callers that factor one H at
+    many shifts analyse it once with analyse_hessian. Tridiagonal H takes an
+    O(n) path: LAPACK pttrf tests positive definiteness and seeds the
+    Sturm-sequence inertia (see _tridiag_inertia), gttrf/gttrs solve.
+    Anything else is factored densely by Bunch-Kaufman (sytrf/sytrs), whose
+    block pivots give the inertia. Inertia is (positive, negative, zero)
+    pivot counts; construction raises SingularShiftError on a zero pivot.
+    Every construction is one counted factorization.
     """
 
     def __init__(self, H, lam: float, counter: FactorizationCounter | None = None):
         if not np.isfinite(lam):
             raise ValueError("shift must be finite")
-        tri = _tridiag_bands(H)
-        if tri is not None:
-            d, e = tri
-            self._init_tridiagonal(d + lam, e, lam)
+        system = analyse_hessian(H)
+        if system.bands is not None:
+            d, e = system.bands
+            self._init_tridiagonal(d + lam, e)
         else:
-            A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-            self._init_dense(A, lam)
+            self._init_dense(system.dense, lam)
         if counter is not None:
             counter.bump()
         if self._exact_singular or self.inertia[2] > 0:
             raise SingularShiftError(
                 f"H + {lam!r} I is numerically singular (zero pivot)")
 
-    # -- dense path --
-
     def _init_dense(self, A: np.ndarray, lam: float) -> None:
         n = A.shape[0]
-        B = A + lam * np.eye(n)
-        sytrf, sytrf_lwork, sytrs = sla.get_lapack_funcs(
-            ("sytrf", "sytrf_lwork", "sytrs"), (B,))
-        lwork = _compute_lwork(sytrf_lwork, n, lower=1)
-        ldu, ipiv, info = sytrf(B, lower=1, lwork=lwork)
+        # A + lam*I without an identity matrix. Off the diagonal that sum
+        # adds lam*0.0, a signed zero that can flip a -0.0 entry; adding the
+        # same zero keeps B bit-identical to it.
+        B = A + lam * 0.0
+        np.fill_diagonal(B, np.diagonal(A) + lam)
+        lwork = _compute_lwork(_sytrf_lwork, n, lower=1)
+        ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork)
         if info < 0:
             raise ValueError(f"sytrf: illegal argument {-info}")
         self._ldu = ldu
         self._ipiv = ipiv
-        self._sytrs = sytrs
         self._tri = None
         self._exact_singular = info > 0
         self.n = n
-        maxdiag = max(float(np.max(np.abs(np.diag(B)))), 1.0e-300)
+        maxdiag = max(float(np.max(np.abs(np.diagonal(B)))), 1.0e-300)
         self._ztol = ZERO_PIVOT_RTOL * maxdiag
-        self.inertia = self._block_inertia()
+        self.inertia = _block_inertia(ldu, ipiv, self._ztol)
 
-    def _block_eigs(self):
-        # ipiv[i] < 0 marks a 2x2 pivot block spanning rows (i, i+1)
-        eigs = []
-        i = 0
-        while i < self.n:
-            if self._ipiv[i] < 0:
-                a = self._ldu[i, i]
-                c = self._ldu[i + 1, i + 1]
-                b = self._ldu[i + 1, i]
-                mid = 0.5 * (a + c)
-                rad = math.hypot(0.5 * (a - c), b)
-                eigs.extend((mid - rad, mid + rad))
-                i += 2
-            else:
-                eigs.append(self._ldu[i, i])
-                i += 1
-        return eigs
-
-    def _block_inertia(self) -> tuple[int, int, int]:
-        pos = neg = zero = 0
-        for e in self._block_eigs():
-            if abs(e) < self._ztol:
-                zero += 1
-            elif e > 0.0:
-                pos += 1
-            else:
-                neg += 1
-        return pos, neg, zero
-
-    # -- tridiagonal path --
-
-    def _init_tridiagonal(self, d: np.ndarray, e: np.ndarray, lam: float) -> None:
-        from scipy.linalg.lapack import dgttrf
+    def _init_tridiagonal(self, d: np.ndarray, e: np.ndarray) -> None:
         self.n = d.size
         maxdiag = max(float(np.max(np.abs(d))), 1.0e-300)
         self._ztol = ZERO_PIVOT_RTOL * maxdiag
         self.inertia = _tridiag_inertia(d, e, self._ztol)
-        dl_f, d_f, du_f, du2_f, ipiv, info = dgttrf(e.copy(), d.copy(), e.copy())
+        dl_f, d_f, du_f, du2_f, ipiv, info = dgttrf(e, d, e)
         if info < 0:
             raise ValueError(f"gttrf: illegal argument {-info}")
         self._tri = (dl_f, d_f, du_f, du2_f, ipiv)
@@ -176,11 +260,9 @@ class ShiftedFactorization:
         """Solve (H + lambda I) x = rhs through the stored factors."""
         rhs = np.asarray(rhs, dtype=float)
         if self._tri is not None:
-            from scipy.linalg.lapack import dgttrs
-            dl_f, d_f, du_f, du2_f, ipiv = self._tri
-            x, info = dgttrs(dl_f, d_f, du_f, du2_f, ipiv, rhs)
+            x, info = dgttrs(*self._tri, rhs)
         else:
-            x, info = self._sytrs(self._ldu, self._ipiv, rhs, lower=1)
+            x, info = _sytrs(self._ldu, self._ipiv, rhs, lower=1)
         if info != 0:
             raise SingularShiftError("back-substitution failed on stored factors")
         return x
@@ -372,14 +454,15 @@ class _NeedSpectrum(Exception):
     """Internal: the shifted iteration cannot finish; use eigenvalues."""
 
 
-def _spectral_fallback(g, H, sigma, counter, nfact_so_far, theta_eig,
+def _spectral_fallback(g, H, system, sigma, counter, nfact_so_far, theta_eig,
                        scale) -> SecularSolution:
     """Resolve the subproblem once the bracket hugs the spectrum edge.
 
     Up to DENSE_EIG_CUTOFF variables this is an exact spectral solve (hard,
     near-hard and pessimistic-Gershgorin cases alike), counted as the final
     solve. Above the cutoff a single-vector deflated solve handles the hard
-    case; anything else at that scale is reported as a failure.
+    case, factoring through `system`, the secant's ShiftedSystem of H;
+    anything else at that scale is reported as a failure.
     """
     n = g.size
     if n <= DENSE_EIG_CUTOFF:
@@ -402,7 +485,7 @@ def _spectral_fallback(g, H, sigma, counter, nfact_so_far, theta_eig,
     g1 = float(v1 @ g)
     g_perp = g - g1 * v1
     delta = max(1.0e-10 * max(scale, abs(lam1)), 1.0e-300)
-    fac = factorize_shifted(H, lam_S + delta, counter)
+    fac = factorize_shifted(system, lam_S + delta, counter)
     p = -fac.solve(g_perp)
     p -= float(v1 @ p) * v1
     pnorm = float(np.linalg.norm(p))
@@ -442,18 +525,20 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
     glo, ghi = gershgorin_interval(H)
     floor = max(0.0, -glo)
     scale = max(1.0, abs(glo), abs(ghi))
+    system = analyse_hessian(H)
     nfact = 0
 
     if gnorm == 0.0:
         try:
-            fac = factorize_shifted(H, 0.0, counter)
+            fac = factorize_shifted(system, 0.0, counter)
             nfact += 1
             if fac.inertia[1] == 0:
                 return SecularSolution(0.0, np.zeros(g.size), 0.0,
                                        SecularCase.EASY, n_factorizations=nfact)
         except SingularShiftError:
             pass
-        return _spectral_fallback(g, H, sigma, counter, nfact, theta_eig, scale)
+        return _spectral_fallback(g, H, system, sigma, counter, nfact,
+                                  theta_eig, scale)
 
     eps = float(np.finfo(float).eps)
 
@@ -465,7 +550,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
         # which shares the root with phi and is close to linear; brackets
         # and the stopping test use phi itself.
         nonlocal nfact
-        fac = factorize_shifted(H, lam, counter)
+        fac = factorize_shifted(system, lam, counter)
         nfact += 1
         if fac.inertia[1] > 0:
             return None, None
@@ -555,10 +640,11 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
             smallest = min(smallest, cand)
             classify(cand, p_new, q_new)
     except _NeedSpectrum:
-        return _spectral_fallback(g, H, sigma, counter, nfact, theta_eig, scale)
+        return _spectral_fallback(g, H, system, sigma, counter, nfact,
+                                  theta_eig, scale)
 
     lam_acc, p_acc = best
-    fac = factorize_shifted(H, lam_acc, counter)
+    fac = factorize_shifted(system, lam_acc, counter)
     nfact += 1
     step = -fac.solve(g)
     return SecularSolution(lam_acc, step, abs(p_acc), SecularCase.EASY,

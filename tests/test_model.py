@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far2.model import (ModelContext, evaluate_model, model_curvature_min,
-                        model_gradient, quad_reg_value)
+from far2.model import (ModelContext, evaluate_model, model_curvature_bound,
+                        model_curvature_min, model_gradient, quad_reg_value,
+                        symmetrize)
+from far2.second_order import min_eig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -104,6 +108,86 @@ class TestModelCurvatureMin:
         for _ in range(100):
             d = rng.standard_normal(n)
             assert d @ M @ d >= lam * (d @ d) - 1e-9 * max(1.0, abs(lam))
+
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_matches_the_formed_matrix_bitwise(self, rng, storage):
+        # up to DENSE_EIG_CUTOFF min_eig forms H + sigma ||s|| I + c s s^T
+        # exactly as the matrix written out here, signed zeros included
+        n = 40
+        A = rng.standard_normal((n, n))
+        A[rng.random((n, n)) < 0.5] = -0.0
+        H = 0.5 * (A + A.T)
+        s = rng.standard_normal(n)
+        snorm = float(np.linalg.norm(s))
+        M = H + 1.3 * snorm * np.eye(n) + (1.3 / snorm) * np.outer(s, s)
+        ctx = ModelContext(0.0, np.ones(n),
+                           sp.csr_matrix(H) if storage == "sparse" else H, 1.3)
+        assert model_curvature_min(ctx, s) == min_eig(M)[0]
+
+
+def _dense_curvature(H, s, sigma):
+    """Smallest eigenvalue of the dense cubic-model Hessian, by eigvalsh."""
+    snorm = float(np.linalg.norm(s))
+    M = H + sigma * snorm * np.eye(s.size) + (sigma / snorm) * np.outer(s, s)
+    return float(np.linalg.eigvalsh(M)[0])
+
+
+class TestCurvatureCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           tight=st.booleans(), sigma=st.floats(1e-6, 1e3),
+           step=st.floats(1e-6, 1e3))
+    def test_never_accepts_what_the_dense_test_rejects(self, seed, n, tight,
+                                                       sigma, step):
+        # accepting means bound >= floor, so for every floor the bound must
+        # not exceed the dense smallest eigenvalue
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(n)
+        if tight:
+            # diagonal H with s orthogonal to its smallest axis: the
+            # Gershgorin bound plus sigma ||s|| is the exact eigenvalue
+            d = rng.standard_normal(n) * rng.uniform(0.1, 100.0)
+            H = np.diag(d)
+            s[int(np.argmin(d))] = 0.0
+            if not s.any():
+                return
+        else:
+            A = rng.standard_normal((n, n)) * rng.uniform(0.1, 100.0)
+            H = 0.5 * (A + A.T)
+        s *= step / np.linalg.norm(s)
+        ctx = ModelContext(0.0, rng.standard_normal(n), H, sigma)
+        bound = model_curvature_bound(ctx, s)
+        exact = _dense_curvature(ctx.H, s, sigma)
+        assert bound <= exact
+        if tight:
+            assert exact - bound <= 1.0e-6 * max(1.0, abs(exact))
+
+    def test_sparse_fallback_matches_dense_without_dense_memory(self, rng):
+        n = 2500
+        d = rng.standard_normal(n) * 2.0
+        e = rng.standard_normal(n - 1)
+        H = sp.diags([e, d, e], [-1, 0, 1], format="csr")
+        s = rng.standard_normal(n) * 0.02
+        ctx = ModelContext(0.0, rng.standard_normal(n), H, 0.7)
+        tracemalloc.start()
+        try:
+            lam = model_curvature_min(ctx, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        exact = _dense_curvature(H.toarray(), s, 0.7)
+        assert exact < 0.0  # the indefinite case, not the sigma ||s|| shift
+        assert lam == pytest.approx(exact, abs=1e-8)
+        assert peak < n * n * 8
+        assert model_curvature_bound(ctx, s) <= lam
+
+    def test_symmetric_context_keeps_h(self, rng):
+        A = rng.standard_normal((4, 4))
+        H = symmetrize(A)
+        np.testing.assert_array_equal(
+            ModelContext(0.0, np.ones(4), A, 1.0).H, H)
+        assert ModelContext._from_symmetric(0.0, np.ones(4), H, 1.0).H is H
 
 
 class TestQuadRegValue:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_symmetric
 from far2.config import SolverConfig
@@ -40,6 +41,28 @@ class TestMinEig:
         w, V = np.linalg.eigh(H)
         assert lam == pytest.approx(w[0], rel=1e-8, abs=1e-10)
         assert abs(abs(v @ V[:, 0]) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("n,storage", [(30, "dense"), (2100, "dense"),
+                                           (2100, "sparse")])
+    def test_rank_one_term(self, rng, n, storage):
+        # D + c u u^T with u on two coordinates: the spectrum is D's outside
+        # them plus a 2x2 block's, so the reference costs nothing at any n;
+        # above DENSE_EIG_CUTOFF the term is applied without forming it
+        d = rng.uniform(-3.0, 3.0, n)
+        i, j = np.argsort(d)[:2]
+        u = np.zeros(n)
+        u[[i, j]] = [0.8, -0.6]
+        c = 2.5
+        D = sp.diags(d, format="csr")
+        lam, v = min_eig(D if storage == "sparse" else D.toarray(),
+                         rank_one=(c, u))
+        block = np.diag(d[[i, j]]) + c * np.outer(u[[i, j]], u[[i, j]])
+        rest = np.delete(d, [i, j])
+        assert lam == pytest.approx(min(rest.min(), np.linalg.eigvalsh(block)[0]),
+                                    abs=1e-9)
+        if v is not None:
+            Mv = d * v + c * (u @ v) * u
+            assert np.linalg.norm(Mv - lam * v) < 1e-7
 
     def test_gershgorin_contains_spectrum(self, rng):
         H = random_symmetric(rng, 12)
