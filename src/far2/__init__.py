@@ -2,16 +2,16 @@
 
 from .config import POLYNOMIAL, RATIONAL, SolverConfig
 from .driver import (IterateState, RunReport, Status, ar2_solve, far2_solve,
-                     subspace_minimize)
+                     far2so_solve, subspace_minimize)
 from .harness import (ProblemSpec, SuiteConfig, performance_profile,
                       run_suite)
 from .model import ModelContext, evaluate_model, model_gradient, quad_reg_value
 from .problems import (ClassificationData, ObjectiveProblem, get_problem,
                        load_libsvm, logistic_objective, registry_names,
                        sigmoid_objective, synth_classification)
-from .secular import (SecularCase, SecularSolution, phi_R, phi_T,
+from .secular import (SecularCase, SecularSolution, phi_R,
                       solve_secular_full_secant, solve_secular_reduced)
-from .second_order import SecondOrderConfig, far2so_solve, min_eig
+from .second_order import SecondOrderConfig, min_eig
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,7 @@ __all__ = [
     "model_gradient", "quad_reg_value", "ClassificationData",
     "ObjectiveProblem", "get_problem", "load_libsvm", "logistic_objective",
     "registry_names", "sigmoid_objective", "synth_classification",
-    "SecularCase", "SecularSolution", "phi_R", "phi_T",
+    "SecularCase", "SecularSolution", "phi_R",
     "solve_secular_full_secant", "solve_secular_reduced", "min_eig",
     "__version__",
 ]

@@ -20,7 +20,6 @@ from .errors import ConfigError
 def _add_common(p):
     p.add_argument("--config", default=None, help="suite config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--metric", choices=("fact", "nli"), default="fact")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
@@ -35,8 +34,6 @@ def cmd_run(args) -> int:
     cfg = harness.parse_config(args.config)
     if args.out is not None:
         cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
     if args.seed is not None:
         cfg.seed = args.seed
     if args.jobs is not None:
@@ -49,12 +46,8 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(cfg.out, "reports.csv")
     harness.write_reports_csv(reports, csv_path, timing=cfg.timing)
     json_path = os.path.join(cfg.out, "reports.json")
-    if cfg.format == "json":
-        harness.write_reports_json(reports, json_path)
-        print(f"wrote {csv_path} and {json_path}")
-    else:
-        harness.write_reports_json(reports, json_path)
-        print(f"wrote {csv_path} (and {json_path} for round-tripping)")
+    harness.write_reports_json(reports, json_path)
+    print(f"wrote {csv_path} and {json_path}")
     return 0
 
 

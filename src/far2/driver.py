@@ -1,11 +1,15 @@
 """Nonlinear solvers.
 
-ar2_solve computes every trial step from the full-space secular equation;
-far2_solve minimizes the cubic model over a low-dimensional subspace that is
-frozen across iterations, falls back to a regularized Newton corrector with
-the multiplier inherited from the subspace solve, refreshes the subspace
-when both fail, and only then resorts to a full secant solve. Both share
-the acceptance ratio and regularization-parameter update.
+One adaptive-regularization loop serves every solver. Its trial step comes
+from a fixed chain of fallbacks: the minimizer of the cubic model over a
+low-dimensional subspace that is frozen across iterations, then a
+regularized Newton corrector with the multiplier inherited from the
+subspace solve, then a full-space secant solve (only on an iteration that
+rebuilt the subspace), and otherwise a rejection that rebuilds the subspace
+next time. ar2_solve is the chain without its first two links, so every
+step comes from the secant; far2_solve runs the whole chain; under a
+SecondOrderConfig (far2so_solve) the loop also demands positive curvature
+of every step and of the final Hessian.
 
 Every run records per-iteration traces, the cost counters (nonlinear
 iterations, full-space factorizations, refreshes, average projected
@@ -28,12 +32,12 @@ import scipy.linalg as sla
 from .config import RATIONAL, SolverConfig
 from .errors import (InternalInvariantError, ReducedSolveError,
                      SecantFailureError, SingularShiftError)
-from .krylov import (AugmentedBasis, KrylovBasis, orth_augment, poly_expand,
-                     rational_expand)
+from .krylov import KrylovBasis, orth_augment, poly_expand, rational_expand
 from .model import (ModelContext, model_curvature_bound, model_curvature_min,
                     symmetrize)
-from .secular import (FactorizationCounter, analyse_hessian, factorize_shifted,
-                      solve_secular_full_secant, solve_secular_reduced)
+from .secular import (FactorizationCounter, ShiftedFactorization,
+                      analyse_hessian, solve_secular_full_secant,
+                      solve_secular_reduced)
 from .second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
 
@@ -64,7 +68,6 @@ class IterateState:
     sigma: float
     refresh: bool = True
     basis: KrylovBasis | None = None
-    step_kind_last: StepKind | None = None
     sym_cache: tuple | None = field(default=None, repr=False)
 
     def model_context(self) -> ModelContext:
@@ -124,7 +127,6 @@ class SubspaceResult:
 
     lambda_hat: float
     s_hat: np.ndarray
-    W: AugmentedBasis | None
     H_r: np.ndarray | None
     g_r: np.ndarray | None
     basis: KrylovBasis | None
@@ -182,15 +184,15 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
             curv_ok = (model_curvature_bound(ctx, step_full) >= floor
                        or model_curvature_min(ctx, step_full) >= floor)
         return SubspaceResult(
-            lambda_hat=sol.lam, s_hat=sol.step, W=W, H_r=H_r, g_r=g_r,
+            lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r, g_r=g_r,
             basis=basis, step_full=step_full, hess_step=hess_step,
             model_grad_norm=mgn, meets_stationarity=ok,
             meets_curvature=curv_ok, refreshed=refreshed,
-            dim=W.dim, n_rational_solves=n_rat)
+            dim=W.shape[1], n_rational_solves=n_rat)
 
     def failed_result(basis, refreshed, dim):
         return SubspaceResult(
-            lambda_hat=math.nan, s_hat=np.zeros(0), W=None, H_r=None, g_r=None,
+            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None, g_r=None,
             basis=basis, step_full=np.zeros_like(g), hess_step=np.zeros_like(g),
             model_grad_norm=math.inf, meets_stationarity=False,
             meets_curvature=False if so else None, refreshed=refreshed,
@@ -198,9 +200,9 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
 
     if state.refresh:
         if rational:
-            basis = KrylovBasis.fresh_rational(g, cfg.j_max, state.k)
+            basis = KrylovBasis.fresh_rational(g, cfg.j_max)
         else:
-            basis = KrylovBasis.fresh_polynomial(g, cfg.j_max, state.k)
+            basis = KrylovBasis.fresh_polynomial(g, cfg.j_max)
         av_cols: list[np.ndarray] = []
         if rational:
             system = analyse_hessian(H)  # one analysis for every expansion
@@ -210,20 +212,20 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
         last = None
         for _ in range(max(1, cfg.j_max - 1)):
             W = orth_augment(basis, g)
-            if W.dim == basis.dim:
+            if W.shape[1] == basis.dim:
                 HW = np.column_stack(av_cols)
             else:
-                extra = np.asarray(H @ W.W[:, -1], dtype=float).ravel()
+                extra = np.asarray(H @ W[:, -1], dtype=float).ravel()
                 HW = (np.column_stack(av_cols + [extra]) if av_cols
                       else extra.reshape(-1, 1))
-            H_r = W.W.T @ HW
+            H_r = W.T @ HW
             H_r = 0.5 * (H_r + H_r.T)
-            g_r = W.W.T @ g
+            g_r = W.T @ g
             try:
                 sol = solve_secular_reduced(g_r, H_r, sigma)
             except ReducedSolveError:
-                return failed_result(basis, True, W.dim)
-            step_full = W.W @ sol.step
+                return failed_result(basis, True, W.shape[1])
+            step_full = W @ sol.step
             hess_step = HW @ sol.step
             last = (sol, W, H_r, g_r, step_full, hess_step)
             res = finish(sol, W, H_r, g_r, basis, step_full, hess_step, True)
@@ -248,15 +250,15 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     # frozen branch: one augmentation, one projection, one reduced solve
     basis = state.basis
     W = orth_augment(basis, g)
-    HW = np.asarray(H @ W.W)
-    H_r = W.W.T @ HW
+    HW = np.asarray(H @ W)
+    H_r = W.T @ HW
     H_r = 0.5 * (H_r + H_r.T)
-    g_r = W.W.T @ g
+    g_r = W.T @ g
     try:
         sol = solve_secular_reduced(g_r, H_r, sigma)
     except ReducedSolveError:
-        return failed_result(basis, False, W.dim)
-    step_full = W.W @ sol.step
+        return failed_result(basis, False, W.shape[1])
+    step_full = W @ sol.step
     hess_step = HW @ sol.step
     return finish(sol, W, H_r, g_r, basis, step_full, hess_step, False)
 
@@ -274,7 +276,7 @@ def regularized_newton_step(state: IterateState, lambda_hat: float,
     if lambda_hat < 0.0 or not np.isfinite(lambda_hat):
         raise ValueError("lambda_hat must be finite and nonnegative")
     try:
-        fac = factorize_shifted(state.H, lambda_hat, counter)
+        fac = ShiftedFactorization(state.H, lambda_hat, counter)
     except SingularShiftError:
         return np.zeros_like(state.g), False
     s = -fac.solve(state.g)
@@ -302,7 +304,8 @@ def acceptance_and_sigma_update(state: IterateState, s: np.ndarray,
     rho = (f - f_trial) / (T(0) - T(s)); accepted iff rho >= eta1. The next
     sigma is max(sigma_min, gamma1*sigma) when rho >= eta2, unchanged on
     [eta1, eta2), and gamma2*sigma otherwise. A nonpositive Taylor decrease
-    contradicts the decrease guarantee and aborts.
+    contradicts the decrease guarantee and aborts. Returns (accepted,
+    sigma_next, rho, Taylor decrease).
     """
     if Hs is None:
         Hs = np.asarray(state.H @ s).ravel()
@@ -318,11 +321,7 @@ def acceptance_and_sigma_update(state: IterateState, s: np.ndarray,
         sigma_next = state.sigma
     else:
         sigma_next = cfg.gamma2 * state.sigma
-    return accepted, sigma_next, rho
-
-
-def _taylor_decrease(g, Hs, s) -> float:
-    return -(float(s @ g) + 0.5 * float(s @ Hs))
+    return accepted, sigma_next, rho, t_dec
 
 
 class _Monitors:
@@ -375,10 +374,10 @@ class _Monitors:
 
 def _trivial_subspace(g: np.ndarray) -> SubspaceResult:
     # Zero-gradient entry (second-order mode only): the projected problem is
-    # empty; hand the engine a zero reduced step so control flows to the
-    # corrector and, from there, to the full-space hard-case solve.
+    # empty; a zero reduced step passes neither the subspace nor the corrector
+    # link, so control flows to the full-space hard-case solve.
     z = np.zeros_like(g)
-    return SubspaceResult(lambda_hat=0.0, s_hat=np.zeros(1), W=None, H_r=None,
+    return SubspaceResult(lambda_hat=0.0, s_hat=np.zeros(1), H_r=None,
                           g_r=None, basis=None, step_full=z, hess_step=z,
                           model_grad_norm=0.0, meets_stationarity=True,
                           meets_curvature=False, refreshed=False, dim=0)
@@ -395,9 +394,35 @@ def _warm_start(sigma, prev_step_norm, prev_lambda, prev_accepted):
     return None
 
 
-def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
-              second_order: bool = False) -> RunReport:
+def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
+               counter: FactorizationCounter, so: bool) -> np.ndarray | None:
+    """The regularized Newton step at the subspace multiplier, if it passes.
+
+    It must pass the curvature gate (strict positive definiteness in
+    second-order mode) and the step-ratio test against s_hat.
+    """
+    if not (np.isfinite(sub.lambda_hat) and sub.lambda_hat >= 0.0):
+        return None
+    s, ok = regularized_newton_step(state, sub.lambda_hat, counter,
+                                    require_positive_definite=so)
+    return s if ok and step_ratio_ok(s, sub.s_hat, cfg) else None
+
+
+def _curvature_ok(state: IterateState, s: np.ndarray,
+                  cfg: SecondOrderConfig) -> bool:
+    """Second-order mode's model-curvature test of a secant step."""
+    ctx = state.model_context()
+    floor = -cfg.theta2 * float(np.linalg.norm(s))
+    if model_curvature_bound(ctx, s) >= floor:
+        return True
+    curv = model_curvature_min(ctx, s)
+    return curv >= floor - 1.0e-8 * max(1.0, abs(curv))
+
+
+def _minimize(problem, cfg: SolverConfig, solver_label: str,
+              frozen: bool) -> RunReport:
     t0 = time.perf_counter()
+    so = isinstance(cfg, SecondOrderConfig)
     counter = FactorizationCounter()
     x = np.array(problem.x0, dtype=float)
     f, g, H = problem.eval(x, 2)
@@ -423,14 +448,9 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
 
     while True:
         gnorm = float(np.linalg.norm(state.g))
-        if gnorm <= eps:
-            if not second_order:
-                status = Status.FIRST_ORDER
-                break
-            lam1, _ = min_eig(state.H)
-            if lam1 >= -cfg.eps_H:
-                status = Status.SECOND_ORDER
-                break
+        if gnorm <= eps and (not so or min_eig(state.H)[0] >= -cfg.eps_H):
+            status = Status.SECOND_ORDER if so else Status.FIRST_ORDER
+            break
         if state.k >= cfg.max_iters:
             status = Status.ITER_LIMIT
             break
@@ -438,13 +458,9 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
             status = Status.TIME_LIMIT
             break
 
-        step = None
-        kind = None
-        lambda_hat = None
-        shat_norm = None
-        hess_step = None
         sub = None
-
+        hess_step = None
+        usable = False
         if frozen:
             if gnorm == 0.0:
                 sub = _trivial_subspace(state.g)
@@ -453,75 +469,23 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
                     # nothing stored to freeze (zero-gradient start escape)
                     state.refresh = True
                 sub = subspace_minimize(state, cfg)
-            if sub.refreshed:
-                n_refresh += 1
+            n_refresh += sub.refreshed
             n_rat += sub.n_rational_solves
             dims.append(sub.dim)
-            state.basis = sub.basis if sub.basis is not None else state.basis
-            shat_norm_sub = float(np.linalg.norm(sub.s_hat))
-            take_subspace = (not sub.failed and sub.meets_stationarity
-                             and (not second_order or sub.meets_curvature)
-                             and shat_norm_sub > 0.0)
-            if take_subspace:
-                step = sub.step_full
-                hess_step = sub.hess_step
-                kind = StepKind.SUBSPACE
-                lambda_hat = sub.lambda_hat
-                shat_norm = shat_norm_sub
-                n_sub += 1
-            else:
-                newton_ok = False
-                s_newton = None
-                if (not sub.failed and shat_norm_sub > 0.0
-                        and np.isfinite(sub.lambda_hat) and sub.lambda_hat >= 0.0):
-                    s_newton, curv_ok = regularized_newton_step(
-                        state, sub.lambda_hat, counter,
-                        require_positive_definite=second_order)
-                    newton_ok = curv_ok and step_ratio_ok(s_newton, sub.s_hat, cfg)
-                if newton_ok:
-                    step = s_newton
-                    kind = StepKind.REG_NEWTON
-                    lambda_hat = sub.lambda_hat
-                    shat_norm = shat_norm_sub
-                elif state.refresh:
-                    warm = _warm_start(state.sigma, prev_step_norm,
-                                       prev_lambda, prev_accepted)
-                    try:
-                        sol = solve_secular_full_secant(
-                            state.g, state.H, state.sigma, cfg.theta1, counter,
-                            warm_lambda=warm)
-                    except (SecantFailureError, SingularShiftError) as exc:
-                        status = Status.SOLVE_FAILURE
-                        message = f"full-space secular solve failed: {exc}"
-                        break
-                    if second_order:
-                        ctx = state.model_context()
-                        floor = -cfg.theta2 * float(np.linalg.norm(sol.step))
-                        if model_curvature_bound(ctx, sol.step) < floor:
-                            curv = model_curvature_min(ctx, sol.step)
-                            if curv < floor - 1.0e-8 * max(1.0, abs(curv)):
-                                status = Status.SOLVE_FAILURE
-                                message = "secant step failed the model-curvature test"
-                                break
-                    step = sol.step
-                    kind = StepKind.SECANT
-                    lambda_hat = sol.lam
-                    shat_norm = float(np.linalg.norm(sol.step))
-                    n_sec += 1
-                else:
-                    # curvature/ratio rejection on a frozen space: discard it,
-                    # keep sigma, and rebuild next iteration
-                    n_club += 1
-                    trace.append(IterationRecord(
-                        state.k, state.f, gnorm, state.sigma,
-                        StepKind.REJECTED.value, sub.dim, False, math.nan))
-                    state.refresh = True
-                    state.k += 1
-                    state.step_kind_last = StepKind.REJECTED
-                    continue
-        else:
+            if sub.basis is not None:
+                state.basis = sub.basis
+            shat_norm = float(np.linalg.norm(sub.s_hat))
+            usable = not sub.failed and shat_norm > 0.0
+
+        if usable and sub.meets_stationarity and (not so or sub.meets_curvature):
+            kind, step, lambda_hat = StepKind.SUBSPACE, sub.step_full, sub.lambda_hat
+            hess_step = sub.hess_step
+            n_sub += 1
+        elif usable and (step := _corrector(state, sub, cfg, counter, so)) is not None:
+            kind, lambda_hat = StepKind.REG_NEWTON, sub.lambda_hat
+        elif not frozen or state.refresh:
             warm = _warm_start(state.sigma, prev_step_norm,
-                                prev_lambda, prev_accepted)
+                               prev_lambda, prev_accepted)
             try:
                 sol = solve_secular_full_secant(
                     state.g, state.H, state.sigma, cfg.theta1, counter,
@@ -530,18 +494,29 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
                 status = Status.SOLVE_FAILURE
                 message = f"full-space secular solve failed: {exc}"
                 break
-            step = sol.step
-            kind = StepKind.SECANT
-            lambda_hat = sol.lam
+            if so and not _curvature_ok(state, sol.step, cfg):
+                status = Status.SOLVE_FAILURE
+                message = "secant step failed the model-curvature test"
+                break
+            kind, step, lambda_hat = StepKind.SECANT, sol.step, sol.lam
             shat_norm = float(np.linalg.norm(sol.step))
             n_sec += 1
+        else:
+            # curvature/ratio rejection on a frozen space: discard it, keep
+            # sigma, and rebuild next iteration
+            n_club += 1
+            trace.append(IterationRecord(
+                state.k, state.f, gnorm, state.sigma,
+                StepKind.REJECTED.value, sub.dim, False, math.nan))
+            state.refresh = True
+            state.k += 1
+            continue
 
         if hess_step is None:
             hess_step = np.asarray(state.H @ step).ravel()
         f_trial = problem.eval(state.x + step, 0)[0]
-        accepted, sigma_next, rho = acceptance_and_sigma_update(
+        accepted, sigma_next, rho, t_dec = acceptance_and_sigma_update(
             state, step, cfg, f_trial, Hs=hess_step)
-        t_dec = _taylor_decrease(state.g, hess_step, step)
         s_norm = float(np.linalg.norm(step))
         mon.check_step(state.k, kind, state.sigma, cfg.sigma_min, s_norm,
                        shat_norm, lambda_hat, t_dec, state.f, f_trial,
@@ -573,11 +548,8 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
         state.sigma = sigma_next
         state.k += 1
         state.refresh = False
-        state.step_kind_last = kind
 
     wall = time.perf_counter() - t0
-    if status is None:  # pragma: no cover - defensive
-        status = Status.SOLVE_FAILURE
     return RunReport(
         solver=solver_label, problem=problem.name, n=problem.n,
         status=status.value, x_final=[float(v) for v in state.x],
@@ -591,10 +563,27 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str, frozen: bool,
 
 
 def far2_solve(problem, cfg: SolverConfig | None = None) -> RunReport:
-    """Frozen-subspace adaptive regularization run."""
+    """Frozen-subspace adaptive regularization run.
+
+    A SecondOrderConfig makes it the second-order run of far2so_solve.
+    """
     cfg = cfg or SolverConfig()
     label = "FAR2-RK" if cfg.space_kind == RATIONAL else "FAR2-PK"
     return _minimize(problem, cfg, solver_label=label, frozen=True)
+
+
+def far2so_solve(problem, cfg: SecondOrderConfig) -> RunReport:
+    """Frozen-subspace run targeting a second-order point.
+
+    Terminates only when both the gradient tolerance and
+    lambda_min(H) >= -eps_H hold; every accepted step additionally passes the
+    model-curvature test with constant theta2, and the regularized Newton
+    corrector is accepted only when the shifted Hessian is strictly positive
+    definite (verified from the factorization inertia).
+    """
+    if not isinstance(cfg, SecondOrderConfig):
+        raise TypeError("far2so_solve requires a SecondOrderConfig")
+    return _minimize(problem, cfg, solver_label="FAR2-SO", frozen=True)
 
 
 def ar2_solve(problem, cfg: SolverConfig | None = None) -> RunReport:

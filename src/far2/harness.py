@@ -20,12 +20,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import POLYNOMIAL, RATIONAL, SolverConfig
-from .driver import IterationRecord, RunReport, ar2_solve, far2_solve
-from .errors import ConfigError, ProfileError, SolverError
+from .driver import (IterationRecord, RunReport, ar2_solve, far2_solve,
+                     far2so_solve)
+from .errors import ConfigError, InternalInvariantError, ProfileError
 from .problems import (get_problem, load_libsvm, logistic_objective,
                        registry_names, remap_labels, sigmoid_objective,
                        synth_classification)
-from .second_order import SecondOrderConfig, far2so_solve
+from .second_order import SecondOrderConfig
 
 SOLVER_NAMES = ("AR2", "FAR2-PK", "FAR2-RK", "FAR2-SO")
 CSV_COLUMNS = ("problem", "n", "solver", "status", "n_nli", "n_fact",
@@ -62,7 +63,6 @@ class SuiteConfig:
     overrides: dict = field(default_factory=dict)
     solver_overrides: dict = field(default_factory=dict)
     out: str = "."
-    format: str = "csv"
     seed: int = 0
     jobs: int = 1
     timing: bool = False
@@ -72,8 +72,6 @@ class SuiteConfig:
             raise ConfigError("need at least one solver and one problem")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
         for s in self.solvers:
             if s not in SOLVER_NAMES:
                 raise ConfigError(f"unknown solver {s!r}; choose from {SOLVER_NAMES}")
@@ -130,10 +128,13 @@ def _run_one(task) -> RunReport:
             report = far2so_solve(problem, cfg)
         else:
             report = far2_solve(problem, cfg)
-    except SolverError as exc:
+    except Exception as exc:  # one failed run must not end the suite
+        message = f"{type(exc).__name__}: {exc}"
         report = RunReport(solver, problem.name, problem.n, "solve_failure",
                            [float(v) for v in problem.x0], math.nan, math.nan,
-                           message=str(exc))
+                           message=message)
+        if isinstance(exc, InternalInvariantError):
+            report.violations.append(message)
     report.problem = spec.label
     return report
 
@@ -262,7 +263,7 @@ def write_profile_series(table: ProfileTable, outdir) -> list[str]:
 
 # --- config file ------------------------------------------------------------
 
-_SUITE_KEYS = {"out", "format", "seed", "jobs", "timing"}
+_SUITE_KEYS = {"out", "seed", "jobs", "timing"}
 _FLOAT_KEYS = {"eta1", "eta2", "gamma1", "gamma2", "theta1", "theta2",
                "sigma0", "sigma_min", "c_low", "c_up", "eps_rel",
                "time_limit", "eps_h"}
@@ -295,8 +296,15 @@ def parse_config(path) -> SuiteConfig:
                 raise ConfigError("[solver] section without a name")
             solvers.append(name)
             if current:
-                params = {("eps_H" if k == "eps_h" else k): _convert(k, v)
-                          for k, v in current.items()}
+                # building the config checks each key and value now, not
+                # once the suite is running
+                try:
+                    params = {("eps_H" if k == "eps_h" else k): _convert(k, v)
+                              for k, v in current.items()}
+                    (SecondOrderConfig if name == "FAR2-SO"
+                     else SolverConfig)(**params)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"[solver] {name}: {exc}") from exc
                 solver_overrides[name] = params
         elif section == "problem":
             kind = current.pop("kind", "registry")
@@ -311,6 +319,9 @@ def parse_config(path) -> SuiteConfig:
                 raise ConfigError(f"unknown problem keys: {sorted(current)}")
             problems.append(spec)
         elif section == "suite":
+            unknown = set(current) - _SUITE_KEYS
+            if unknown:
+                raise ConfigError(f"unknown [suite] keys: {sorted(unknown)}")
             suite.update(current)
         current = {}
 
@@ -338,7 +349,6 @@ def parse_config(path) -> SuiteConfig:
         problems=problems,
         solver_overrides=solver_overrides,
         out=suite.get("out", "."),
-        format=suite.get("format", "csv"),
         seed=int(suite.get("seed", 0)),
         jobs=int(suite.get("jobs", 1)),
         timing=str(suite.get("timing", "off")).lower() in ("1", "on", "true", "yes"))

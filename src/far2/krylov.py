@@ -2,28 +2,22 @@
 
 A basis is built once (seeded by the gradient), expanded one direction at a
 time with full reorthogonalization, then reused across nonlinear iterations:
-each reuse augments the stored columns with the current gradient and
-projects the problem onto the augmented space.
+each reuse augments the stored columns with the current gradient, and the
+solver projects the problem onto the augmented space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
+from .config import POLYNOMIAL, RATIONAL
 from .errors import CapacityError, ShiftFailureError, SingularShiftError
-from .secular import analyse_hessian, factorize_shifted
+from .secular import ShiftedFactorization, analyse_hessian
 
 BREAKDOWN_RTOL = 1.0e-12
 _GRID_POINTS = 200
-
-
-class SpaceKind(Enum):
-    POLYNOMIAL = "polynomial"
-    RATIONAL = "rational"
 
 
 def _reorthogonalize(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -45,10 +39,9 @@ class KrylovBasis:
     """
 
     V: np.ndarray
-    kind: SpaceKind
+    kind: str
     j_max: int = 50
     shifts: list[float] = field(default_factory=list)
-    generator_iteration: int = 0
     seed_norm: float = 0.0
     seed: np.ndarray | None = None
     invariant: bool = False
@@ -59,23 +52,22 @@ class KrylovBasis:
         return self.V.shape[1]
 
     @classmethod
-    def fresh_polynomial(cls, g, j_max: int = 50, iteration: int = 0) -> "KrylovBasis":
+    def fresh_polynomial(cls, g, j_max: int = 50) -> "KrylovBasis":
         g = np.asarray(g, dtype=float)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise ValueError("cannot seed a Krylov space with a zero vector")
-        return cls(V=(g / nrm).reshape(-1, 1), kind=SpaceKind.POLYNOMIAL,
-                   j_max=j_max, seed_norm=nrm, generator_iteration=iteration)
+        return cls(V=(g / nrm).reshape(-1, 1), kind=POLYNOMIAL,
+                   j_max=j_max, seed_norm=nrm)
 
     @classmethod
-    def fresh_rational(cls, g, j_max: int = 50, iteration: int = 0) -> "KrylovBasis":
+    def fresh_rational(cls, g, j_max: int = 50) -> "KrylovBasis":
         g = np.asarray(g, dtype=float)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise ValueError("cannot seed a Krylov space with a zero vector")
-        return cls(V=np.empty((g.size, 0)), kind=SpaceKind.RATIONAL,
-                   j_max=j_max, seed_norm=nrm, seed=g.copy(),
-                   generator_iteration=iteration)
+        return cls(V=np.empty((g.size, 0)), kind=RATIONAL,
+                   j_max=j_max, seed_norm=nrm, seed=g.copy())
 
 
 def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
@@ -85,7 +77,7 @@ def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
     tolerance) the basis is returned unchanged with `invariant` set. Pass a
     precomputed hv = H @ V[:, -1] to reuse a product the caller already has.
     """
-    if basis.kind is not SpaceKind.POLYNOMIAL:
+    if basis.kind != POLYNOMIAL:
         raise ValueError("poly_expand requires a polynomial basis")
     if basis.invariant:
         return basis
@@ -139,7 +131,7 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
     secular.ShiftedSystem of the matrix, so that a caller expanding one
     basis many times analyses H once.
     """
-    if basis.kind is not SpaceKind.RATIONAL:
+    if basis.kind != RATIONAL:
         raise ValueError("rational_expand requires a rational basis")
     if basis.invariant:
         return basis
@@ -152,7 +144,7 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
     fac = None
     for attempt in range(2):
         try:
-            fac = factorize_shifted(system, xi)
+            fac = ShiftedFactorization(system, xi)
             break
         except SingularShiftError:
             if attempt == 1:
@@ -169,20 +161,8 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
     return basis
 
 
-@dataclass
-class AugmentedBasis:
-    """Orthonormal basis whose range contains the current gradient."""
-
-    W: np.ndarray
-    contains_gradient: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.W.shape[1]
-
-
-def orth_augment(basis: KrylovBasis, g) -> AugmentedBasis:
-    """W = orth([V, g]); W = V when the gradient is already represented."""
+def orth_augment(basis: KrylovBasis, g) -> np.ndarray:
+    """W = orth([V, g]), whose range contains g (a copy of V if V's does)."""
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
@@ -190,21 +170,8 @@ def orth_augment(basis: KrylovBasis, g) -> AugmentedBasis:
     V = basis.V
     w, nrm = _reorthogonalize(V, g)
     if nrm <= 1.0e-12 * gnorm:
-        return AugmentedBasis(W=V.copy(), contains_gradient=True)
-    W = np.hstack([V, (w / nrm).reshape(-1, 1)])
-    return AugmentedBasis(W=W, contains_gradient=True)
-
-
-def project(H, g, W: AugmentedBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Projected pair (W^T H W symmetrized, W^T g)."""
-    M = W.W
-    HM = H @ M
-    if sp.issparse(HM):
-        HM = HM.toarray()
-    H_r = M.T @ HM
-    H_r = 0.5 * (H_r + H_r.T)
-    g_r = M.T @ np.asarray(g, dtype=float)
-    return H_r, g_r
+        return V.copy()
+    return np.hstack([V, (w / nrm).reshape(-1, 1)])
 
 
 def orthonormality_defect(V: np.ndarray) -> float:

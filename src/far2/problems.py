@@ -59,8 +59,11 @@ class ObjectiveProblem:
 def _tridiag(main, lower, n):
     if n > SPARSE_CUTOFF:
         return sp.diags([lower, main, lower], [-1, 0, 1], format="csr")
-    H = np.diag(main)
-    H += np.diag(lower, -1) + np.diag(lower, 1)
+    # written in place; "+ 0.0" turns -0.0 into 0.0 as summing into zeros did
+    H = np.zeros((n, n))
+    H.flat[:: n + 1] = main + 0.0
+    H.flat[1:: n + 1] = lower + 0.0
+    H.flat[n:: n + 1] = lower + 0.0
     return H
 
 

@@ -1,11 +1,9 @@
 """Second-order optimality support.
 
 Holds the smallest-eigenvalue routine used for the curvature tests and the
-hard case, the spectral interval estimate, the extended configuration with
-the curvature constant theta2 and the Hessian tolerance eps_H, and the
-solver variant that certifies an approximate second-order point by gating
-the regularized Newton step on strict positive definiteness and by testing
-the curvature of the regularized model at every accepted step.
+hard case, the spectral interval estimate, and the extended configuration
+with the curvature constant theta2 and the Hessian tolerance eps_H that
+puts the nonlinear loop (driver.far2so_solve) in second-order mode.
 """
 
 from __future__ import annotations
@@ -117,20 +115,3 @@ def _rank_one_operators(H, c: float, u: np.ndarray, anchor: float):
     return (spla.LinearOperator(shape, matvec=matvec, dtype=float),
             spla.LinearOperator(shape, matvec=inv_matvec, dtype=float))
 
-
-def far2so_solve(problem, cfg: SecondOrderConfig):
-    """Frozen-subspace run targeting a second-order point.
-
-    Terminates only when both the gradient tolerance and
-    lambda_min(H) >= -eps_H hold; every accepted step additionally passes the
-    model-curvature test with constant theta2, and the regularized Newton
-    corrector is accepted only when the shifted Hessian is strictly positive
-    definite (verified from the factorization inertia).
-    """
-    if not isinstance(cfg, SecondOrderConfig):
-        raise TypeError("far2so_solve requires a SecondOrderConfig")
-    # Imported here: driver depends on this module's eigenvalue routine.
-    from .driver import _minimize
-
-    return _minimize(problem, cfg, solver_label="FAR2-SO", frozen=True,
-                     second_order=True)

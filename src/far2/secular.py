@@ -74,7 +74,6 @@ class SecularSolution:
     residual: float
     case: SecularCase
     alpha: float | None = None
-    n_factorizations: int = 0
 
 
 def _settle_pivots(d: np.ndarray, e2: np.ndarray, ztol: float,
@@ -298,28 +297,13 @@ def _tridiag_bands(H):
     return d.astype(float).copy(), lo.astype(float).copy()
 
 
-def factorize_shifted(H, lam: float,
-                      counter: FactorizationCounter | None = None) -> ShiftedFactorization:
-    """Factor H + lambda*I; bumps `counter` iff one is supplied."""
-    return ShiftedFactorization(H, lam, counter)
-
-
 def phi_R(lam: float, g, H, sigma: float,
           counter: FactorizationCounter | None = None) -> float:
     """Residual ||(H + lambda I)^{-1} g|| - lambda/sigma (one factorization)."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    fac = factorize_shifted(H, lam, counter)
+    fac = ShiftedFactorization(H, lam, counter)
     return float(np.linalg.norm(fac.solve(np.asarray(g, dtype=float)))) - lam / sigma
-
-
-def phi_T(lam: float, g, H, delta: float,
-          counter: FactorizationCounter | None = None) -> float:
-    """Trust-region variant ||(H + lambda I)^{-1} g|| - delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    fac = factorize_shifted(H, lam, counter)
-    return float(np.linalg.norm(fac.solve(np.asarray(g, dtype=float)))) - delta
 
 
 def _spectrum_root(eigs: np.ndarray, c: np.ndarray, sigma: float,
@@ -454,7 +438,7 @@ class _NeedSpectrum(Exception):
     """Internal: the shifted iteration cannot finish; use eigenvalues."""
 
 
-def _spectral_fallback(g, H, system, sigma, counter, nfact_so_far, theta_eig,
+def _spectral_fallback(g, H, system, sigma, counter, theta_eig,
                        scale) -> SecularSolution:
     """Resolve the subproblem once the bracket hugs the spectrum edge.
 
@@ -476,7 +460,6 @@ def _spectral_fallback(g, H, system, sigma, counter, nfact_so_far, theta_eig,
             raise SecantFailureError(f"spectral fallback failed: {exc}") from exc
         if counter is not None:
             counter.bump()
-        sol.n_factorizations = nfact_so_far + 1
         return sol
 
     lam1, v1 = min_eig(H, want_vector=True)
@@ -485,7 +468,7 @@ def _spectral_fallback(g, H, system, sigma, counter, nfact_so_far, theta_eig,
     g1 = float(v1 @ g)
     g_perp = g - g1 * v1
     delta = max(1.0e-10 * max(scale, abs(lam1)), 1.0e-300)
-    fac = factorize_shifted(system, lam_S + delta, counter)
+    fac = ShiftedFactorization(system, lam_S + delta, counter)
     p = -fac.solve(g_perp)
     p -= float(v1 @ p) * v1
     pnorm = float(np.linalg.norm(p))
@@ -495,7 +478,7 @@ def _spectral_fallback(g, H, system, sigma, counter, nfact_so_far, theta_eig,
         step = p + alpha * v1
         resid = abs(float(np.linalg.norm(step)) - radius)
         return SecularSolution(lam_S, step, resid, SecularCase.HARD,
-                               alpha=alpha, n_factorizations=nfact_so_far + 1)
+                               alpha=alpha)
     raise SecantFailureError(
         "secular bracket collapsed at the spectrum edge beyond the dense "
         "eigendecomposition cutoff")
@@ -512,10 +495,10 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
     updates on the equivalent reciprocal residual, bisection safeguards on
     the bracket) from the Gershgorin-safeguarded start lambda_0, then
     performs one final factorization at the accepted multiplier to form the
-    step: n_factorizations equals the number of phi evaluations plus the
-    final solve. The residual is driven to ~1e-10 of the step norm, which
-    makes the returned step satisfy both the model decrease and the
-    (theta1/2)||s||^2 stationarity bound. Hard and near-hard instances are
+    step: `counter` gains one per phi evaluation plus the final solve (or
+    the spectral fallback). The residual is driven to ~1e-10 of the step
+    norm, which makes the returned step satisfy both the model decrease and
+    the (theta1/2)||s||^2 stationarity bound. Hard and near-hard instances are
     detected through bracket collapse and resolved spectrally.
     """
     if sigma <= 0.0:
@@ -526,19 +509,16 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
     floor = max(0.0, -glo)
     scale = max(1.0, abs(glo), abs(ghi))
     system = analyse_hessian(H)
-    nfact = 0
 
     if gnorm == 0.0:
         try:
-            fac = factorize_shifted(system, 0.0, counter)
-            nfact += 1
-            if fac.inertia[1] == 0:
+            if ShiftedFactorization(system, 0.0, counter).inertia[1] == 0:
                 return SecularSolution(0.0, np.zeros(g.size), 0.0,
-                                       SecularCase.EASY, n_factorizations=nfact)
+                                       SecularCase.EASY)
         except SingularShiftError:
             pass
-        return _spectral_fallback(g, H, system, sigma, counter, nfact,
-                                  theta_eig, scale)
+        return _spectral_fallback(g, H, system, sigma, counter, theta_eig,
+                                  scale)
 
     eps = float(np.finfo(float).eps)
 
@@ -549,9 +529,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
         # secant iterates on the reciprocal form psi = 1/||s|| - sigma/lam,
         # which shares the root with phi and is close to linear; brackets
         # and the stopping test use phi itself.
-        nonlocal nfact
-        fac = factorize_shifted(system, lam, counter)
-        nfact += 1
+        fac = ShiftedFactorization(system, lam, counter)
         if fac.inertia[1] > 0:
             return None, None
         snorm = float(np.linalg.norm(fac.solve(g)))
@@ -640,12 +618,9 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
             smallest = min(smallest, cand)
             classify(cand, p_new, q_new)
     except _NeedSpectrum:
-        return _spectral_fallback(g, H, system, sigma, counter, nfact,
-                                  theta_eig, scale)
+        return _spectral_fallback(g, H, system, sigma, counter, theta_eig,
+                                  scale)
 
     lam_acc, p_acc = best
-    fac = factorize_shifted(system, lam_acc, counter)
-    nfact += 1
-    step = -fac.solve(g)
-    return SecularSolution(lam_acc, step, abs(p_acc), SecularCase.EASY,
-                           n_factorizations=nfact)
+    step = -ShiftedFactorization(system, lam_acc, counter).solve(g)
+    return SecularSolution(lam_acc, step, abs(p_acc), SecularCase.EASY)

@@ -1,6 +1,14 @@
-import numpy as np
-import pytest
-from scipy.optimize import minimize
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads: threaded BLAS reductions
+# round differently, and iteration and factorization counts (criterion 1,
+# test_counts) would otherwise depend on the machine's core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.optimize import minimize  # noqa: E402
 
 ACCEPTANCE_LINES = []
 

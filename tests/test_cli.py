@@ -5,9 +5,6 @@ import pytest
 from far2.cli import main
 
 SUITE = """
-[suite]
-format = csv
-
 [solver]
 name = FAR2-PK
 

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from far2.config import RATIONAL, SolverConfig
+from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
 from far2.driver import (IterateState, StepKind, acceptance_and_sigma_update,
-                         ar2_solve, far2_solve, regularized_newton_step,
-                         step_ratio_ok, subspace_minimize)
+                         ar2_solve, far2_solve, far2so_solve,
+                         regularized_newton_step, step_ratio_ok,
+                         subspace_minimize)
 from far2.errors import InternalInvariantError
 from far2.krylov import KrylovBasis
 from far2.problems import ObjectiveProblem, get_problem
+from far2.second_order import SecondOrderConfig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,7 +65,7 @@ class TestAcceptanceAndSigmaUpdate:
         state = make_state(g, H, sigma=0.5, f=0.5 * float(x @ H @ x))
         s = -np.linalg.solve(H + 0.1 * np.eye(2), g)
         f_trial = 0.5 * float((x + s) @ H @ (x + s))
-        accepted, sigma_next, rho = acceptance_and_sigma_update(
+        accepted, sigma_next, rho, _ = acceptance_and_sigma_update(
             state, s, SolverConfig(sigma0=0.5), f_trial)
         assert rho == pytest.approx(1.0, rel=1e-12)
         assert accepted
@@ -75,8 +77,9 @@ class TestAcceptanceAndSigmaUpdate:
         s = np.array([-1.0])
         t_dec = 1.0
         f_trial = state.f - 0.5 * t_dec
-        accepted, sigma_next, rho = acceptance_and_sigma_update(
+        accepted, sigma_next, rho, t_dec_out = acceptance_and_sigma_update(
             state, s, SolverConfig(), f_trial)
+        assert t_dec_out == t_dec
         assert rho == pytest.approx(0.5)
         assert accepted
         assert sigma_next == 2.0
@@ -85,7 +88,7 @@ class TestAcceptanceAndSigmaUpdate:
         state = make_state(np.array([1.0]), np.array([[0.0]]), sigma=3.0, f=1.0)
         s = np.array([-1.0])
         f_trial = state.f - 0.05
-        accepted, sigma_next, rho = acceptance_and_sigma_update(
+        accepted, sigma_next, rho, _ = acceptance_and_sigma_update(
             state, s, SolverConfig(), f_trial)
         assert rho == pytest.approx(0.05)
         assert not accepted
@@ -161,6 +164,19 @@ class TestSubspaceMinimize:
             shat = np.linalg.norm(res.s_hat)
             assert res.lambda_hat == pytest.approx(state.sigma * shat,
                                                    rel=1e-8, abs=1e-12)
+
+    def test_rayleigh_ritz_containment(self, rng):
+        A = rng.standard_normal((8, 8))
+        H = 0.5 * (A + A.T)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        state = make_state(rng.standard_normal(8), H, refresh=False,
+                           basis=KrylovBasis(V=Q, kind=POLYNOMIAL))
+        res = subspace_minimize(state, SolverConfig())
+        assert res.dim == 4
+        inner = np.linalg.eigvalsh(res.H_r)
+        outer = np.linalg.eigvalsh(H)
+        assert inner[0] >= outer[0] - 1e-10
+        assert inner[-1] <= outer[-1] + 1e-10
 
 
 class TestFar2Solve:
@@ -260,6 +276,17 @@ class TestFar2Solve:
         assert rep2.converged
 
 
+    def test_second_order_config_is_far2so(self):
+        # the curvature tests of the subspace solve and of the loop go together
+        cfg = SecondOrderConfig()
+        rep = far2_solve(get_problem("INDEF", 30), cfg)
+        ref = far2so_solve(get_problem("INDEF", 30), cfg)
+        assert (rep.status, rep.n_nli, rep.n_fact) == (ref.status, ref.n_nli,
+                                                        ref.n_fact)
+        assert rep.status == "second_order_point"
+        assert rep.solver == "FAR2-PK" and ref.solver == "FAR2-SO"
+
+
 class TestAr2Solve:
     def test_factorizations_dominate_iterations(self):
         rep = ar2_solve(quadratic_problem(np.arange(1.0, 6.0)), SolverConfig())
@@ -295,7 +322,6 @@ class TestSymmetrizeOnce:
 
     def test_once_per_hessian_value_and_only_under_far2so(self, monkeypatch):
         import far2.driver as driver
-        from far2.second_order import SecondOrderConfig, far2so_solve
 
         calls = []
         symmetrize = driver.symmetrize

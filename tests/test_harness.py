@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import far2.driver as driver
+import far2.harness as harness
 from far2.driver import RunReport
-from far2.errors import ConfigError, ProfileError
+from far2.errors import ConfigError, InternalInvariantError, ProfileError
 from far2.harness import (CSV_COLUMNS, ProblemSpec, SuiteConfig, parse_config,
                           performance_profile, read_reports_json, reports_equal,
                           run_suite, write_reports_csv, write_reports_json)
@@ -56,6 +58,29 @@ class TestRunSuite:
         reports = run_suite(cfg)
         assert reports[0].status == "iter_limit"
         assert reports[1].converged
+
+    @pytest.mark.parametrize("exc", [InternalInvariantError("monitor broke"),
+                                     np.linalg.LinAlgError("singular matrix")],
+                             ids=["invariant", "linalg"])
+    def test_exception_stays_in_its_run(self, monkeypatch, exc):
+        def far2_solve(problem, cfg):
+            if problem.name == "ROSENBR":
+                raise exc
+            return driver.far2_solve(problem, cfg)
+
+        monkeypatch.setattr(harness, "far2_solve", far2_solve)
+        cfg = SuiteConfig(solvers=["AR2", "FAR2-PK"],
+                          problems=[spec("ROSENBR", 2), spec("QUAD", 4)])
+        reports = run_suite(cfg)
+        failed = [r for r in reports if not r.converged]
+        assert len(reports) == 4 and len(failed) == 1
+        [bad] = failed
+        text = f"{type(exc).__name__}: {exc}"
+        assert (bad.solver, bad.problem, bad.status) == ("FAR2-PK", "ROSENBR",
+                                                         "solve_failure")
+        assert bad.message == text
+        invariant = isinstance(exc, InternalInvariantError)
+        assert bad.violations == ([text] if invariant else [])
 
     def test_libsvm_sourced_problem(self, tmp_path):
         path = tmp_path / "tiny.libsvm"
@@ -164,7 +189,6 @@ class TestParseConfig:
 # benchmark suite
 [suite]
 out = results
-format = json
 seed = 5
 jobs = 2
 
@@ -191,7 +215,6 @@ seed = 9
         cfg = parse_config(path)
         assert cfg.solvers == ["FAR2-PK", "AR2"]
         assert cfg.out == "results"
-        assert cfg.format == "json"
         assert cfg.seed == 5 and cfg.jobs == 2
         assert cfg.solver_overrides["FAR2-PK"]["sigma0"] == 2.0
         assert cfg.problems[0] == ProblemSpec(kind="registry", name="ROSENBR", n=2)
@@ -209,3 +232,29 @@ seed = 9
         path.write_text("x = 1\n")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    def test_unknown_suite_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[suite]\ntimng = on\n[solver]\nname = AR2\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        with pytest.raises(ConfigError, match="timng"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("solver,line", [("AR2", "sigmaa0 = 2.0"),
+                                             ("FAR2-PK", "theta2 = 0.2"),
+                                             ("FAR2-SO", "eps = 0.1"),
+                                             ("AR2", "sigma0 = -1.0"),
+                                             ("AR2", "j_max = ten")])
+    def test_bad_solver_key_or_value(self, tmp_path, solver, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[solver]\nname = {solver}\n{line}\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        with pytest.raises(ConfigError, match=solver):
+            parse_config(path)
+
+    def test_second_order_solver_keys(self, tmp_path):
+        path = tmp_path / "so.cfg"
+        path.write_text("[solver]\nname = FAR2-SO\ntheta2 = 0.2\neps_h = 1e-3\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        cfg = parse_config(path)
+        assert cfg.solver_overrides["FAR2-SO"] == {"theta2": 0.2, "eps_H": 1e-3}

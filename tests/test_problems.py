@@ -204,3 +204,20 @@ def test_fd_helpers_consistent_on_quadratic():
     np.testing.assert_allclose(g_fd, g, rtol=1e-7, atol=1e-9)
     H_fd = fd_hessian(p, x)
     np.testing.assert_allclose(H_fd, np.asarray(H), rtol=1e-6, atol=1e-7)
+
+
+class TestTridiagAssembly:
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 500, 1999])
+    def test_bytes_match_summed_diagonals(self, n):
+        from far2.problems import _tridiag
+        rng = np.random.default_rng(n)
+        main = rng.standard_normal(n)
+        lower = rng.standard_normal(n - 1)
+        main[::3] = -0.0
+        lower[::4] = -0.0
+        lower[1::5] = 0.0
+        expected = np.diag(main)
+        expected += np.diag(lower, -1) + np.diag(lower, 1)
+        H = _tridiag(main, lower, n)
+        assert H.dtype == expected.dtype and H.shape == expected.shape
+        assert H.tobytes() == expected.tobytes()

@@ -6,7 +6,8 @@ from conftest import random_symmetric
 from far2.config import SolverConfig
 from far2.driver import far2_solve
 from far2.problems import ObjectiveProblem, logistic_objective, synth_classification
-from far2.second_order import SecondOrderConfig, far2so_solve, gershgorin_interval, min_eig
+from far2 import far2so_solve
+from far2.second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
 
 def quadratic_oracle(D, x0, name):

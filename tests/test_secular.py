@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_cubic_min, cubic_model_value, random_symmetric
 from far2.errors import SingularShiftError
-from far2.secular import (FactorizationCounter, SecularCase, factorize_shifted,
-                          phi_R, phi_T, solve_secular_full_secant,
-                          solve_secular_reduced)
+from far2.secular import (FactorizationCounter, SecularCase,
+                          ShiftedFactorization, phi_R,
+                          solve_secular_full_secant, solve_secular_reduced)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,30 +44,19 @@ class TestPhiR:
         assert phi_R(l2, g, H, sigma) < phi_R(l1, g, H, sigma)
 
 
-class TestPhiT:
-    def test_unit_radius(self):
-        assert phi_T(0.0, np.eye(3)[:, 0], np.eye(3), 1.0) == pytest.approx(0.0)
-
-    def test_half_radius(self):
-        assert phi_T(1.0, np.eye(3)[:, 0], np.eye(3), 0.5) == pytest.approx(0.0)
-
-    def test_scalar(self):
-        assert phi_T(2.0, np.array([4.0]), np.array([[2.0]]), 1.0) == pytest.approx(0.0)
-
-
 class TestFactorizeShifted:
     def test_positive_definite(self):
-        fac = factorize_shifted(np.diag([1.0, 2.0]), 0.0)
+        fac = ShiftedFactorization(np.diag([1.0, 2.0]), 0.0)
         assert fac.inertia == (2, 0, 0)
         np.testing.assert_allclose(fac.solve(np.array([1.0, 0.0])),
                                    np.array([1.0, 0.0]))
 
     def test_indefinite(self):
-        assert factorize_shifted(np.diag([-1.0, 1.0]), 0.0).inertia == (1, 1, 0)
+        assert ShiftedFactorization(np.diag([-1.0, 1.0]), 0.0).inertia == (1, 1, 0)
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularShiftError):
-            factorize_shifted(np.diag([-1.0, 1.0]), 1.0)
+            ShiftedFactorization(np.diag([-1.0, 1.0]), 1.0)
 
     def test_tridiagonal_path_matches_dense(self, rng):
         n = 40
@@ -75,7 +64,7 @@ class TestFactorizeShifted:
         e = rng.standard_normal(n - 1)
         T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
         b = rng.standard_normal(n)
-        fac = factorize_shifted(T, 1.3)
+        fac = ShiftedFactorization(T, 1.3)
         x = fac.solve(b)
         np.testing.assert_allclose((T + 1.3 * np.eye(n)) @ x, b, atol=1e-9)
         w = np.linalg.eigvalsh(T + 1.3 * np.eye(n))
@@ -83,9 +72,9 @@ class TestFactorizeShifted:
 
     def test_counter_only_when_supplied(self):
         c = FactorizationCounter()
-        factorize_shifted(np.eye(4), 0.0)
+        ShiftedFactorization(np.eye(4), 0.0)
         assert c.count == 0
-        factorize_shifted(np.eye(4), 0.0, counter=c)
+        ShiftedFactorization(np.eye(4), 0.0, counter=c)
         assert c.count == 1
 
 
@@ -179,16 +168,14 @@ class TestSolveSecularFullSecant:
         sol = solve_secular_full_secant(np.zeros(4), np.eye(4), 1.0, 0.1, counter=c)
         assert sol.lam == 0.0
         assert np.linalg.norm(sol.step) == 0.0
-        assert sol.n_factorizations == 1
         assert c.count == 1
 
     def test_counter_matches_reported(self):
         c = FactorizationCounter()
         g = np.ones(6)
         H = np.diag(np.arange(1.0, 7.0)) + 0.1
-        sol = solve_secular_full_secant(g, H, 2.0, 0.1, counter=c)
-        assert sol.n_factorizations == c.count
-        assert sol.n_factorizations >= 2  # at least one evaluation plus the final solve
+        solve_secular_full_secant(g, H, 2.0, 0.1, counter=c)
+        assert c.count >= 2  # at least one evaluation plus the final solve
 
     def test_hard_case_full_space(self):
         H = np.diag([-1.0, 1.0, 2.0, 3.0])
@@ -220,7 +207,9 @@ class TestSolveSecularFullSecant:
     def test_warm_start_converges(self):
         H = np.diag([2.0, 3.0, 10.0])
         g = np.array([1.0, -2.0, 0.5])
-        cold = solve_secular_full_secant(g, H, 1.0, 0.1)
-        warm = solve_secular_full_secant(g, H, 1.0, 0.1, warm_lambda=cold.lam)
+        c_cold, c_warm = FactorizationCounter(), FactorizationCounter()
+        cold = solve_secular_full_secant(g, H, 1.0, 0.1, counter=c_cold)
+        warm = solve_secular_full_secant(g, H, 1.0, 0.1, counter=c_warm,
+                                         warm_lambda=cold.lam)
         assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
-        assert warm.n_factorizations <= cold.n_factorizations
+        assert c_warm.count <= c_cold.count
