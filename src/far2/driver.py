@@ -99,7 +99,7 @@ class RunReport:
     problem: str
     n: int
     status: str
-    x_final: list[float]
+    x_final: np.ndarray
     f_final: float
     gnorm_final: float
     n_nli: int = 0
@@ -270,21 +270,22 @@ def regularized_newton_step(state: IterateState, lambda_hat: float,
 
     The curvature flag is s^T (H + lambda_hat I) s > 0, evaluated as
     s^T g < 0 (identical for the solved system, no extra product). Under
-    require_positive_definite the flag instead demands zero negative inertia.
-    A singular shift reports curvature_ok = False.
+    require_positive_definite the flag instead demands a successful
+    Cholesky factorization, and a shift that is not positive definite is
+    not solved. A singular shift reports curvature_ok = False.
     """
     if lambda_hat < 0.0 or not np.isfinite(lambda_hat):
         raise ValueError("lambda_hat must be finite and nonnegative")
+    fac = ShiftedFactorization(state.H, lambda_hat, counter)
+    if require_positive_definite:
+        if not fac.positive_definite:
+            return np.zeros_like(state.g), False
+        return -fac.solve(state.g), True
     try:
-        fac = ShiftedFactorization(state.H, lambda_hat, counter)
+        s = -fac.solve(state.g)
     except SingularShiftError:
         return np.zeros_like(state.g), False
-    s = -fac.solve(state.g)
-    if require_positive_definite:
-        ok = fac.inertia[1] == 0 and fac.inertia[2] == 0
-    else:
-        ok = float(s @ state.g) < 0.0
-    return s, ok
+    return s, float(s @ state.g) < 0.0
 
 
 def step_ratio_ok(s: np.ndarray, s_hat: np.ndarray, cfg: SolverConfig) -> bool:
@@ -428,7 +429,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     f, g, H = problem.eval(x, 2)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         return RunReport(solver_label, problem.name, problem.n,
-                         Status.SOLVE_FAILURE.value, list(x), float(f),
+                         Status.SOLVE_FAILURE.value, x, float(f),
                          float(np.linalg.norm(g)),
                          message="non-finite oracle values at the start")
     f0 = float(f)
@@ -552,7 +553,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     wall = time.perf_counter() - t0
     return RunReport(
         solver=solver_label, problem=problem.name, n=problem.n,
-        status=status.value, x_final=[float(v) for v in state.x],
+        status=status.value, x_final=state.x,
         f_final=float(state.f), gnorm_final=float(np.linalg.norm(state.g)),
         n_nli=state.k, n_fact=counter.count, n_refresh=n_refresh,
         ave_subspace_dim=float(np.mean(dims)) if dims else 0.0,
@@ -579,7 +580,7 @@ def far2so_solve(problem, cfg: SecondOrderConfig) -> RunReport:
     lambda_min(H) >= -eps_H hold; every accepted step additionally passes the
     model-curvature test with constant theta2, and the regularized Newton
     corrector is accepted only when the shifted Hessian is strictly positive
-    definite (verified from the factorization inertia).
+    definite (verified by a Cholesky factorization).
     """
     if not isinstance(cfg, SecondOrderConfig):
         raise TypeError("far2so_solve requires a SecondOrderConfig")

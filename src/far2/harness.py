@@ -19,6 +19,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import POLYNOMIAL, RATIONAL, SolverConfig
 from .driver import (IterationRecord, RunReport, ar2_solve, far2_solve,
                      far2so_solve)
@@ -119,9 +121,10 @@ def build_solver_config(solver: str, spec: ProblemSpec, overrides: dict,
 
 def _run_one(task) -> RunReport:
     solver, spec, overrides, solver_overrides, base_seed = task
-    problem = build_problem(spec, base_seed)
-    cfg = build_solver_config(solver, spec, overrides, solver_overrides)
+    problem = None
     try:
+        problem = build_problem(spec, base_seed)
+        cfg = build_solver_config(solver, spec, overrides, solver_overrides)
         if solver == "AR2":
             report = ar2_solve(problem, cfg)
         elif solver == "FAR2-SO":
@@ -130,8 +133,10 @@ def _run_one(task) -> RunReport:
             report = far2_solve(problem, cfg)
     except Exception as exc:  # one failed run must not end the suite
         message = f"{type(exc).__name__}: {exc}"
-        report = RunReport(solver, problem.name, problem.n, "solve_failure",
-                           [float(v) for v in problem.x0], math.nan, math.nan,
+        x0 = np.zeros(0) if problem is None else problem.x0.copy()
+        report = RunReport(solver, spec.label,
+                           spec.n if problem is None else problem.n,
+                           "solve_failure", x0, math.nan, math.nan,
                            message=message)
         if isinstance(exc, InternalInvariantError):
             report.violations.append(message)
@@ -230,8 +235,14 @@ def write_reports_csv(reports: list[RunReport], path, timing: bool = False) -> N
             fh.write(_csv_row(r, timing) + "\n")
 
 
+def _jsonable(r: RunReport) -> dict:
+    d = dataclasses.asdict(r)
+    d["x_final"] = [float(v) for v in d["x_final"]]
+    return d
+
+
 def write_reports_json(reports: list[RunReport], path) -> None:
-    payload = {"reports": [dataclasses.asdict(r) for r in reports]}
+    payload = {"reports": [_jsonable(r) for r in reports]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -244,6 +255,7 @@ def read_reports_json(path) -> list[RunReport]:
     for d in payload["reports"]:
         d = dict(d)
         d["trace"] = [IterationRecord(**t) for t in d.get("trace", [])]
+        d["x_final"] = np.asarray(d["x_final"], dtype=float)
         out.append(RunReport(**d))
     return out
 
@@ -279,6 +291,13 @@ def _convert(key: str, value: str):
     return value
 
 
+def _int(where: str, key: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{where} {key}: not an integer: {value!r}") from None
+
+
 def parse_config(path) -> SuiteConfig:
     """Flat sectioned key=value format: [suite], repeated [solver]/[problem]."""
     solvers: list[str] = []
@@ -311,9 +330,10 @@ def parse_config(path) -> SuiteConfig:
             spec = ProblemSpec(
                 kind=kind,
                 name=current.pop("name", "").upper(),
-                n=int(current.pop("n", 0) or 0),
-                N=int(current.pop("N", current.pop("samples", 0)) or 0),
-                seed=int(current.pop("seed", 0) or 0),
+                n=_int("[problem]", "n", current.pop("n", 0) or 0),
+                N=_int("[problem]", "N",
+                       current.pop("N", current.pop("samples", 0)) or 0),
+                seed=_int("[problem]", "seed", current.pop("seed", 0) or 0),
                 source=current.pop("source", "synth"))
             if current:
                 raise ConfigError(f"unknown problem keys: {sorted(current)}")
@@ -349,16 +369,16 @@ def parse_config(path) -> SuiteConfig:
         problems=problems,
         solver_overrides=solver_overrides,
         out=suite.get("out", "."),
-        seed=int(suite.get("seed", 0)),
-        jobs=int(suite.get("jobs", 1)),
+        seed=_int("[suite]", "seed", suite.get("seed", 0)),
+        jobs=_int("[suite]", "jobs", suite.get("jobs", 1)),
         timing=str(suite.get("timing", "off")).lower() in ("1", "on", "true", "yes"))
 
 
 def reports_equal(a: RunReport, b: RunReport) -> bool:
     # serialized comparison: NaN-valued fields (e.g. rho on subspace-rejection
     # records) compare equal through their textual form
-    da = json.dumps(dataclasses.asdict(a), sort_keys=True)
-    db = json.dumps(dataclasses.asdict(b), sort_keys=True)
+    da = json.dumps(_jsonable(a), sort_keys=True)
+    db = json.dumps(_jsonable(b), sort_keys=True)
     return da == db
 
 

@@ -141,16 +141,14 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
     xi = float(shift) if shift is not None else _next_shift(basis.shifts,
                                                             spectral_interval)
     system = analyse_hessian(H)
-    fac = None
     for attempt in range(2):
         try:
-            fac = ShiftedFactorization(system, xi)
+            x = ShiftedFactorization(system, xi).solve(source)
             break
         except SingularShiftError:
             if attempt == 1:
                 raise ShiftFailureError(f"shift {xi!r} remained singular")
             xi = xi + 1.0e-8 * (1.0 + abs(xi))
-    x = fac.solve(source)
     basis.n_solves += 1
     w, nrm = _reorthogonalize(basis.V, x)
     if nrm < BREAKDOWN_RTOL * basis.seed_norm:

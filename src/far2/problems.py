@@ -389,17 +389,21 @@ def _eg2(n):
 
 
 def _hilbert(n):
-    """Quadratic 0.5 x^T A x on the Hilbert matrix; start at -3."""
+    """Quadratic 0.5 x^T A x on the Hilbert matrix; start at -3.
+
+    A is formed at each evaluation, so an instance between evaluations
+    holds O(n) memory, not O(n^2).
+    """
     i = np.arange(1, n + 1)
-    A = 1.0 / (i[:, None] + i[None, :] - 1.0)
     def ev(x, order):
+        A = 1.0 / (i[:, None] + i[None, :] - 1.0)
         Ax = A @ x
         f = 0.5 * float(x @ Ax)
         if order == 0:
             return f, None, None
         if order == 1:
             return f, Ax, None
-        return f, Ax, A.copy()
+        return f, Ax, A
     return -3.0 * np.ones(n), ev
 
 

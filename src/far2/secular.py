@@ -8,12 +8,14 @@ pseudoinverse solve with an eigenvector component whose weight restores
 ||s|| = lambda/sigma.
 
 Full-space solves go through ShiftedFactorization, the one place that
-factors H + lambda I, so the run can count them: tridiagonal H takes an
-O(n) path whose positive-definiteness test is LAPACK pttrf, anything else a
-symmetric-indefinite LDL^T. A caller that shifts one H many times analyses
-its structure once (analyse_hessian). Reduced (small, dense) solves use a
-spectral decomposition, after which each residual evaluation costs O(m).
-The full-space secant falls back to the same spectral treatment when its
+factors H + lambda I, so the run can count them. It tests positive
+definiteness by Cholesky in the storage H's structure allows (tridiagonal,
+banded or dense), solves with that factor, and builds a pivoted indefinite
+factorization only when asked to solve at a shift that is not positive
+definite. A caller that shifts one H many times analyses its structure once
+(analyse_hessian). Reduced (small, dense) solves use a spectral
+decomposition, after which each residual evaluation costs O(m). The
+full-space secant falls back to the same spectral treatment when its
 bracket collapses onto the spectrum edge (the hard and near-hard cases).
 """
 
@@ -22,30 +24,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import _compute_lwork, dgttrf, dgttrs, dpttrf
+from scipy.linalg.lapack import (_compute_lwork, dgbtrf, dgbtrs, dgttrf,
+                                 dgttrs, dpbtrf, dpbtrs, dpotrf, dpotrs,
+                                 dpttrf, dpttrs)
 
 from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
 from .second_order import DENSE_EIG_CUTOFF, gershgorin_interval, min_eig
 
-# Pivot magnitudes below ZERO_PIVOT_RTOL * max|B_ii| count as zero.
-ZERO_PIVOT_RTOL = 1.0e-14
 MAX_ROOT_STEPS = 200
-# _settle_pivots sweeps vectorised while more than SCALAR_PIVOT_TAIL pivots
-# are left to redo, at most MAX_PIVOT_SWEEPS times, then goes pivot by pivot.
-# Its result is exact for any values; they only set its speed. Measured on
-# the 28,083 tridiagonal factorizations of one round of the registry-ar2
-# (n = 100, 500) and large-n (n = 5000, 20000) benchmark workloads:
-# starting from pttrf's pivots at most 6 sweeps leave 16 or fewer to redo;
-# only 2 calls, both after a failed pttrf at n = 500, reach the cap (one
-# would need over 400 sweeps). Caps of 4 to 64 and tails of 16 to 64 run
-# equally fast; a cap of 1 or 2 is 4x slower on large-n and a tail of 0 is
-# 1.7x slower on registry-ar2.
-MAX_PIVOT_SWEEPS = 8
-SCALAR_PIVOT_TAIL = 16
+# Largest half-bandwidth kept in band storage; a wider H is factored dense.
+# Measured on a 2-core Intel Xeon with one BLAS thread, band Cholesky plus
+# solve (pbtrf/pbtrs) against dense (potrf/potrs) at n = 100 is 5.5x faster
+# at kd = 2, 2.0x at kd = 16, 1.2x at kd = 32 and 0.8x at kd = 64; at
+# n = 500 and 2000 band storage wins by 8x and 50x even at kd = 64. The
+# registry's block Hessians (WOODS, POWELLSG, BDARWHD) have kd = 2 or 3.
+MAX_BAND_KD = 32
 
 # through get_lapack_funcs, which tags the lwork query with its integer type
 _sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
@@ -76,225 +74,151 @@ class SecularSolution:
     alpha: float | None = None
 
 
-def _settle_pivots(d: np.ndarray, e2: np.ndarray, ztol: float,
-                   guess: np.ndarray) -> np.ndarray:
-    """Pivots of the recursion p_i = d_i - e2_{i-1} / p_{i-1}, from a guess.
-
-    The recursion is the unpivoted LDL^T of a tridiagonal matrix; a pivot
-    below ztol in magnitude continues as -ztol. Vectorised sweeps recompute
-    every pivot whose predecessor moved in the previous sweep (all of them
-    in the first), so a pivot left alone is the recursion's step from its
-    predecessor. Once few pivots are left to redo, or after
-    MAX_PIVOT_SWEEPS sweeps, a pass in index order redoes them, going on
-    from each one until a recomputed pivot stops moving: a pivot
-    recomputed after its predecessor is final. By induction from p_0 the
-    result is the recursion's own, bit for bit, however poor the guess; a
-    close guess leaves little to redo. Returns the pivots before the -ztol
-    replacement.
-    """
-    n = d.size
-    p = np.array(guess, dtype=float)
-    p[0] = -ztol if abs(d[0]) < ztol else d[0]
-    raw = d.copy()
-    idx = np.arange(1, n)
-    # a guessed pivot may be 0; the pivot after it is redone anyway
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_PIVOT_SWEEPS):
-            if idx.size <= SCALAR_PIVOT_TAIL:
-                break
-            r = d[idx] - e2[idx - 1] / p[idx - 1]
-            new = np.where(np.abs(r) < ztol, -ztol, r)
-            redo = idx[new != p[idx]] + 1
-            raw[idx] = r
-            p[idx] = new
-            idx = redo[redo < n]
-    todo = idx.tolist() + [n]
-    k = 0
-    i = todo[0]
-    while i < n:
-        r = d[i] - e2[i - 1] / p[i - 1]
-        new = -ztol if abs(r) < ztol else r
-        raw[i] = r
-        moved = new != p[i]
-        p[i] = new
-        while todo[k] <= i:
-            k += 1
-        i = i + 1 if moved else todo[k]
-    return raw
-
-
-def _tridiag_inertia(d: np.ndarray, e: np.ndarray, ztol: float):
-    """Sturm-sequence inertia of a symmetric tridiagonal matrix.
-
-    Counts the signs of the unpivoted LDL^T pivots (Sylvester); a pivot
-    below ztol in magnitude counts as zero. LAPACK pttrf is the
-    positive-definiteness test: it runs the same recursion compiled, but
-    rounds e^2/p as (e/p)*e and stops at the first nonpositive pivot. Its
-    pivots are the guess that _settle_pivots corrects to the recursion's
-    values, so the counts do not depend on how pttrf rounds; that takes a
-    few vector sweeps whether pttrf succeeded or failed (an indefinite
-    shift, the rare lower-bracket case), see MAX_PIVOT_SWEEPS.
-    """
-    guess = dpttrf(d, e)[0]
-    raw = _settle_pivots(d, e * e, ztol, guess)
-    zero = np.abs(raw) < ztol
-    n_zero = int(np.count_nonzero(zero))
-    n_pos = int(np.count_nonzero(raw[~zero] > 0.0))
-    return n_pos, d.size - n_pos - n_zero, n_zero
-
-
-def _block_inertia(ldu: np.ndarray, ipiv: np.ndarray,
-                   ztol: float) -> tuple[int, int, int]:
-    """Inertia of the block-diagonal D of a Bunch-Kaufman LDL^T (sytrf).
-
-    A 2x2 block spans rows (i, i+1) with negative ipiv at both; scanning
-    from the top, blocks start at every other index of each run of negative
-    entries. Its eigenvalues are mid -+ hypot(half difference, off-diagonal);
-    math.hypot is kept because numpy's hypot rounds differently in the last
-    bit. Eigenvalues below ztol in magnitude count as zero.
-    """
-    n = ipiv.size
-    diag = np.diagonal(ldu)
-    neg = ipiv < 0
-    rows = np.arange(n)
-    run_start = np.maximum.accumulate(
-        np.where(neg & ~np.r_[False, neg[:-1]], rows, 0))
-    first = np.flatnonzero(neg & ((rows - run_start) % 2 == 0))
-    a, c, b = diag[first], diag[first + 1], ldu[first + 1, first]
-    mid = 0.5 * (a + c)
-    rad = np.array([math.hypot(h, o) for h, o in
-                    zip((0.5 * (a - c)).tolist(), b.tolist())], dtype=float)
-    eigs = np.concatenate((diag[~neg], mid - rad, mid + rad))
-    zero = np.abs(eigs) < ztol
-    n_zero = int(np.count_nonzero(zero))
-    n_pos = int(np.count_nonzero(eigs[~zero] > 0.0))
-    return n_pos, n - n_pos - n_zero, n_zero
-
-
 @dataclass(frozen=True)
 class ShiftedSystem:
     """H analysed once for factorizations at many shifts.
 
-    `bands` holds (diagonal, subdiagonal) when H is tridiagonal with n >= 3;
-    otherwise `dense` holds H as a float array (a sparse H densified once).
-    Build it with analyse_hessian.
+    `band` holds H's lower band in LAPACK storage, row k the k-th
+    subdiagonal (two rows, the diagonal and the subdiagonal, when H is
+    tridiagonal or diagonal), when H's half-bandwidth is at most
+    MAX_BAND_KD; otherwise `dense` holds H as a float array (a sparse H
+    densified once). Build it with analyse_hessian.
     """
 
-    bands: tuple[np.ndarray, np.ndarray] | None = None
+    band: np.ndarray | None = None
     dense: np.ndarray | None = None
+
+
+def _lower_band(H) -> np.ndarray | None:
+    """H's lower band storage, or None if its half-bandwidth > MAX_BAND_KD.
+
+    The half-bandwidth comes from a sparse H's pattern, or from one count
+    of a dense H's nonzeros matched against those of its first diagonals.
+    An H with n < 3 is left dense (scipy's gttrf wrapper needs n >= 3).
+    """
+    n = H.shape[0]
+    if n < 3:
+        return None
+    if sp.issparse(H):
+        coo = H.tocoo()
+        kd = int(np.max(np.abs(coo.row - coo.col), initial=0))
+        if kd > MAX_BAND_KD:
+            return None
+        diagonal = H.diagonal
+    else:
+        A = np.asarray(H)
+        total = np.count_nonzero(A)
+        found = 0
+        for kd in range(min(MAX_BAND_KD, n - 1) + 1):
+            found += np.count_nonzero(np.diagonal(A, kd))
+            if kd:
+                found += np.count_nonzero(np.diagonal(A, -kd))
+            if found == total:
+                break
+        else:
+            return None
+        diagonal = partial(np.diagonal, A)
+    ab = np.zeros((max(kd, 1) + 1, n))
+    for k in range(kd + 1):
+        ab[k, : n - k] = diagonal(-k)
+    return ab
 
 
 def analyse_hessian(H) -> ShiftedSystem:
     """The ShiftedSystem of H; a ShiftedSystem is returned unchanged."""
     if isinstance(H, ShiftedSystem):
         return H
-    bands = _tridiag_bands(H)
-    if bands is not None:
-        return ShiftedSystem(bands=bands)
+    band = _lower_band(H)
+    if band is not None:
+        return ShiftedSystem(band=band)
     return ShiftedSystem(
         dense=H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float))
 
 
+def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
+    """A + lam*I as a new Fortran-ordered array, for LAPACK to overwrite."""
+    B = A.copy(order="F")
+    B.flat[:: B.shape[0] + 1] += lam
+    return B
+
+
 class ShiftedFactorization:
-    """Factor handle for B = H + lambda*I with solve() and inertia.
+    """Cholesky factorization of B = H + lambda*I, with solve().
 
     H is a matrix or the ShiftedSystem of one; callers that factor one H at
-    many shifts analyse it once with analyse_hessian. Tridiagonal H takes an
-    O(n) path: LAPACK pttrf tests positive definiteness and seeds the
-    Sturm-sequence inertia (see _tridiag_inertia), gttrf/gttrs solve.
-    Anything else is factored densely by Bunch-Kaufman (sytrf/sytrs), whose
-    block pivots give the inertia. Inertia is (positive, negative, zero)
-    pivot counts; construction raises SingularShiftError on a zero pivot.
-    Every construction is one counted factorization.
+    many shifts analyse it once with analyse_hessian. B is factored by
+    Cholesky in H's storage: pttrf for tridiagonal, pbtrf for banded and
+    potrf for dense H. `positive_definite` is that factorization's success,
+    and solve() uses its factor (pttrs, pbtrs, potrs). If B is not positive
+    definite, the first solve() builds a pivoted indefinite factorization
+    (gttrf, gbtrf or sytrf), raising SingularShiftError on an exact zero
+    pivot. Every construction is one counted factorization.
     """
 
     def __init__(self, H, lam: float, counter: FactorizationCounter | None = None):
         if not np.isfinite(lam):
             raise ValueError("shift must be finite")
         system = analyse_hessian(H)
-        if system.bands is not None:
-            d, e = system.bands
-            self._init_tridiagonal(d + lam, e)
+        self._system = system
+        self._lam = lam
+        ab = system.band
+        if ab is None:
+            c, info = dpotrf(_shifted_dense(system.dense, lam), lower=1,
+                             clean=0, overwrite_a=1)
+            solve = partial(dpotrs, c, lower=1)
+        elif ab.shape[0] == 2:
+            d, e, info = dpttrf(ab[0] + lam, ab[1, :-1])
+            solve = partial(dpttrs, d, e)
         else:
-            self._init_dense(system.dense, lam)
+            B = ab.copy(order="F")
+            B[0] += lam
+            c, info = dpbtrf(B, lower=1, overwrite_ab=1)
+            solve = partial(dpbtrs, c, lower=1)
+        if info < 0:
+            raise ValueError(f"Cholesky: illegal argument {-info}")
+        self.positive_definite = info == 0
+        # a failed Cholesky leaves no usable factor: solve() builds one
+        self._solve = solve if self.positive_definite else None
         if counter is not None:
             counter.bump()
-        if self._exact_singular or self.inertia[2] > 0:
+
+    def _indefinite_solver(self):
+        """Solver from a pivoted factorization of B, for a non-PD shift."""
+        ab, lam = self._system.band, self._lam
+        if ab is None:
+            B = _shifted_dense(self._system.dense, lam)
+            lwork = _compute_lwork(_sytrf_lwork, B.shape[0], lower=1)
+            ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork, overwrite_a=1)
+            solve = partial(_sytrs, ldu, ipiv, lower=1)
+        elif ab.shape[0] == 2:
+            e = ab[1, :-1]
+            *lu, info = dgttrf(e, ab[0] + lam, e)
+            solve = partial(dgttrs, *lu)
+        else:
+            # general band storage: row 2 kd + i - j holds B[i, j]
+            kd, n = ab.shape[0] - 1, ab.shape[1]
+            G = np.zeros((3 * kd + 1, n), order="F")
+            for k in range(kd + 1):
+                G[2 * kd + k, : n - k] = ab[k, : n - k]
+                G[2 * kd - k, k:] = ab[k, : n - k]
+            G[2 * kd] += lam
+            lu, ipiv, info = dgbtrf(G, kd, kd, overwrite_ab=1)
+            solve = partial(dgbtrs, lu, kd, kd, ipiv=ipiv)
+        if info < 0:
+            raise ValueError(f"indefinite factorization: illegal argument {-info}")
+        if info > 0:
             raise SingularShiftError(
-                f"H + {lam!r} I is numerically singular (zero pivot)")
-
-    def _init_dense(self, A: np.ndarray, lam: float) -> None:
-        n = A.shape[0]
-        # A + lam*I without an identity matrix. Off the diagonal that sum
-        # adds lam*0.0, a signed zero that can flip a -0.0 entry; adding the
-        # same zero keeps B bit-identical to it.
-        B = A + lam * 0.0
-        np.fill_diagonal(B, np.diagonal(A) + lam)
-        lwork = _compute_lwork(_sytrf_lwork, n, lower=1)
-        ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork)
-        if info < 0:
-            raise ValueError(f"sytrf: illegal argument {-info}")
-        self._ldu = ldu
-        self._ipiv = ipiv
-        self._tri = None
-        self._exact_singular = info > 0
-        self.n = n
-        maxdiag = max(float(np.max(np.abs(np.diagonal(B)))), 1.0e-300)
-        self._ztol = ZERO_PIVOT_RTOL * maxdiag
-        self.inertia = _block_inertia(ldu, ipiv, self._ztol)
-
-    def _init_tridiagonal(self, d: np.ndarray, e: np.ndarray) -> None:
-        self.n = d.size
-        maxdiag = max(float(np.max(np.abs(d))), 1.0e-300)
-        self._ztol = ZERO_PIVOT_RTOL * maxdiag
-        self.inertia = _tridiag_inertia(d, e, self._ztol)
-        dl_f, d_f, du_f, du2_f, ipiv, info = dgttrf(e, d, e)
-        if info < 0:
-            raise ValueError(f"gttrf: illegal argument {-info}")
-        self._tri = (dl_f, d_f, du_f, du2_f, ipiv)
-        self._exact_singular = info > 0
-        self._ldu = None
+                f"H + {lam!r} I is singular (exact zero pivot)")
+        return solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (H + lambda I) x = rhs through the stored factors."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self._tri is not None:
-            x, info = dgttrs(*self._tri, rhs)
-        else:
-            x, info = _sytrs(self._ldu, self._ipiv, rhs, lower=1)
+        if self._solve is None:
+            self._solve = self._indefinite_solver()
+        x, info = self._solve(np.asarray(rhs, dtype=float))
         if info != 0:
             raise SingularShiftError("back-substitution failed on stored factors")
         return x
-
-
-def _tridiag_bands(H):
-    """(diagonal, subdiagonal) if H is tridiagonal, else None."""
-    if sp.issparse(H):
-        n = H.shape[0]
-        if n < 3:
-            return None
-        coo = H.tocoo()
-        if np.any(np.abs(coo.row - coo.col) > 1):
-            return None
-        A = H.todia()
-        d = A.diagonal(0).copy()
-        e = np.zeros(n - 1)
-        sub = A.diagonal(-1)
-        e[: sub.size] = sub
-        return d, e
-    A = np.asarray(H)
-    n = A.shape[0]
-    if n < 3:
-        return None
-    # one-pass scan (no temporaries) relative to any factorization cost
-    d = np.diag(A)
-    lo = np.diag(A, -1)
-    up = np.diag(A, 1)
-    band_nnz = (np.count_nonzero(d) + np.count_nonzero(lo)
-                + np.count_nonzero(up))
-    if np.count_nonzero(A) != band_nnz:
-        return None
-    return d.astype(float).copy(), lo.astype(float).copy()
 
 
 def phi_R(lam: float, g, H, sigma: float,
@@ -387,7 +311,7 @@ def _solve_from_spectrum(eigs: np.ndarray, Q: np.ndarray, c: np.ndarray,
         comp = ~cluster
         coeff = np.zeros(m)
         coeff[comp] = c[comp] / (eigs[comp] + lam)
-        p = -Q @ coeff
+        p = -(Q @ coeff)
         pnorm = float(np.linalg.norm(p))
         radius = lam / sigma
         if pnorm > radius:
@@ -408,7 +332,7 @@ def _solve_from_spectrum(eigs: np.ndarray, Q: np.ndarray, c: np.ndarray,
         sol = boundary_solution(lam)
         if sol is not None:
             return sol
-    step = -Q @ (c / (eigs + lam))
+    step = -(Q @ (c / (eigs + lam)))
     return SecularSolution(lam, step, resid, SecularCase.EASY)
 
 
@@ -438,8 +362,8 @@ class _NeedSpectrum(Exception):
     """Internal: the shifted iteration cannot finish; use eigenvalues."""
 
 
-def _spectral_fallback(g, H, system, sigma, counter, theta_eig,
-                       scale) -> SecularSolution:
+def _spectral_fallback(g, H, system, sigma, counter,
+                       theta_eig) -> SecularSolution:
     """Resolve the subproblem once the bracket hugs the spectrum edge.
 
     Up to DENSE_EIG_CUTOFF variables this is an exact spectral solve (hard,
@@ -451,8 +375,11 @@ def _spectral_fallback(g, H, system, sigma, counter, theta_eig,
     n = g.size
     if n <= DENSE_EIG_CUTOFF:
         A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        A = 0.5 * (A + A.T)
-        eigs, Q = sla.eigh(A)
+        A = A + A.T
+        A *= 0.5
+        # A is exactly symmetric: its transpose is the Fortran-ordered copy
+        # eigh would otherwise make, so eigh may overwrite it in place
+        eigs, Q = sla.eigh(A.T, overwrite_a=True)
         c = Q.T @ g
         try:
             sol = _solve_from_spectrum(eigs, Q, c, sigma, theta_eig)
@@ -467,6 +394,8 @@ def _spectral_fallback(g, H, system, sigma, counter, theta_eig,
     gnorm = float(np.linalg.norm(g))
     g1 = float(v1 @ g)
     g_perp = g - g1 * v1
+    glo, ghi = gershgorin_interval(H)
+    scale = max(1.0, abs(glo), abs(ghi))
     delta = max(1.0e-10 * max(scale, abs(lam1)), 1.0e-300)
     fac = ShiftedFactorization(system, lam_S + delta, counter)
     p = -fac.solve(g_perp)
@@ -493,68 +422,52 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
 
     The iteration evaluates phi (one factorization per evaluation, secant
     updates on the equivalent reciprocal residual, bisection safeguards on
-    the bracket) from the Gershgorin-safeguarded start lambda_0, then
-    performs one final factorization at the accepted multiplier to form the
-    step: `counter` gains one per phi evaluation plus the final solve (or
-    the spectral fallback). The residual is driven to ~1e-10 of the step
-    norm, which makes the returned step satisfy both the model decrease and
-    the (theta1/2)||s||^2 stationarity bound. Hard and near-hard instances are
+    the bracket) from the warm start or the Gershgorin-safeguarded
+    lambda_0, and returns the step it solved for at the accepted
+    multiplier: `counter` gains one per phi evaluation (plus one for the
+    spectral fallback). The residual is driven to ~1e-10 of the step norm,
+    which makes the returned step satisfy both the model decrease and the
+    (theta1/2)||s||^2 stationarity bound. Hard and near-hard instances are
     detected through bracket collapse and resolved spectrally.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
-    glo, ghi = gershgorin_interval(H)
-    floor = max(0.0, -glo)
-    scale = max(1.0, abs(glo), abs(ghi))
     system = analyse_hessian(H)
 
     if gnorm == 0.0:
-        try:
-            if ShiftedFactorization(system, 0.0, counter).inertia[1] == 0:
-                return SecularSolution(0.0, np.zeros(g.size), 0.0,
-                                       SecularCase.EASY)
-        except SingularShiftError:
-            pass
-        return _spectral_fallback(g, H, system, sigma, counter, theta_eig,
-                                  scale)
+        if ShiftedFactorization(system, 0.0, counter).positive_definite:
+            return SecularSolution(0.0, np.zeros(g.size), 0.0,
+                                   SecularCase.EASY)
+        return _spectral_fallback(g, H, system, sigma, counter, theta_eig)
 
     eps = float(np.finfo(float).eps)
 
     def phi_eval(lam):
-        # Returns (phi, psi) when H + lam*I is positive definite, else
-        # (None, None): negative inertia marks lam as below the spectrum
-        # edge, a lower-bracket signal in the Moré-Sorensen sense. The
-        # secant iterates on the reciprocal form psi = 1/||s|| - sigma/lam,
-        # which shares the root with phi and is close to linear; brackets
-        # and the stopping test use phi itself.
+        # Returns (phi, psi, solution) when H + lam*I is positive definite,
+        # else (None, None, None): a failed Cholesky marks lam as at or
+        # below the spectrum edge, a lower-bracket signal in the
+        # Moré-Sorensen sense. The secant iterates on the reciprocal form
+        # psi = 1/||s|| - sigma/lam, which shares the root with phi and is
+        # close to linear; brackets and the stopping test use phi itself.
         fac = ShiftedFactorization(system, lam, counter)
-        if fac.inertia[1] > 0:
-            return None, None
-        snorm = float(np.linalg.norm(fac.solve(g)))
+        if not fac.positive_definite:
+            return None, None, None
+        x = fac.solve(g)
+        snorm = float(np.linalg.norm(x))
         phi = snorm - lam / sigma
         psi = 1.0 / snorm - sigma / lam if snorm > 0.0 and lam > 0.0 else -phi
-        return phi, psi
-
-    def phi_guarded(lam, lo_lim, hi_lim):
-        for _ in range(3):
-            try:
-                phi, psi = phi_eval(lam)
-                return lam, phi, psi
-            except SingularShiftError:
-                lam = lam + 1.0e-8 * (1.0 + abs(lam))
-                if hi_lim is not None and lam >= hi_lim:
-                    lam = 0.5 * (max(lo_lim, 0.0) + hi_lim)
-        raise _NeedSpectrum
+        return phi, psi, x
 
     lo = None          # largest lambda known to sit at or below the root
     hi = None          # smallest lambda with a valid phi < 0
     valid = []         # (lam, psi) pairs usable for secant updates
-    best = None        # (lam, phi) with the smallest |phi| so far
+    best = None        # (lam, phi, solution) with the smallest |phi| so far
 
-    def classify(lam, phi, psi):
+    def classify(lam):
         nonlocal lo, hi, best
+        phi, psi, x = phi_eval(lam)
         if phi is None or phi > 0.0:
             lo = lam if lo is None else max(lo, lam)
         else:
@@ -562,22 +475,21 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
         if phi is not None:
             valid.append((lam, psi))
             if best is None or abs(phi) < abs(best[1]):
-                best = (lam, phi)
+                best = (lam, phi, x)
 
     try:
-        lam0 = floor + sigma * math.sqrt(gnorm)
         if warm_lambda is not None and warm_lambda > 0.0:
             lam0 = warm_lambda
-        lam0, p0, q0 = phi_guarded(lam0, 0.0, None)
-        classify(lam0, p0, q0)
-        lam1, p1, q1 = phi_guarded(lam0 + 1.0, 0.0, None)
-        classify(lam1, p1, q1)
-        smallest = min(lam0, lam1)
+        else:
+            lam0 = max(0.0, -gershgorin_interval(H)[0]) + sigma * math.sqrt(gnorm)
+        classify(lam0)
+        classify(lam0 + 1.0)
+        smallest = lam0
 
         steps = 0
         while True:
             if best is not None:
-                lam_c, p_c = best
+                lam_c, p_c, _ = best
                 snorm = p_c + lam_c / sigma
                 tol = min(0.5 * theta1 / sigma, 1.0e-9) * max(snorm, 1.0e-300)
                 if snorm > 0.0 and abs(p_c) <= tol:
@@ -613,14 +525,10 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
                 cand = sec_cand
                 if not np.isfinite(cand) or not (lo < cand < hi):
                     cand = lo + 0.5 * (hi - lo)
-            cand, p_new, q_new = phi_guarded(
-                cand, lo if lo is not None else 0.0, hi)
             smallest = min(smallest, cand)
-            classify(cand, p_new, q_new)
+            classify(cand)
     except _NeedSpectrum:
-        return _spectral_fallback(g, H, system, sigma, counter, theta_eig,
-                                  scale)
+        return _spectral_fallback(g, H, system, sigma, counter, theta_eig)
 
-    lam_acc, p_acc = best
-    step = -ShiftedFactorization(system, lam_acc, counter).solve(g)
-    return SecularSolution(lam_acc, step, abs(p_acc), SecularCase.EASY)
+    lam_acc, p_acc, x_acc = best
+    return SecularSolution(lam_acc, -x_acc, abs(p_acc), SecularCase.EASY)

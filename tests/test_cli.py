@@ -46,6 +46,15 @@ def test_run_requires_config(capsys):
     assert main(["run"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["[suite]\njobs = two\n",
+                                 "[problem]\nname = QUAD\nn = ten\n"])
+def test_run_reports_bad_integer(tmp_path, capsys, bad):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE + bad)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_profile_without_reports(tmp_path):
     assert main(["profile", "--out", str(tmp_path)]) == 2
 

@@ -93,6 +93,15 @@ class TestRunSuite:
         assert reports[0].converged
         assert reports[0].n == 3
 
+    def test_missing_libsvm_file_stays_in_its_run(self, tmp_path):
+        missing = ProblemSpec(kind="logistic", source=str(tmp_path / "no.libsvm"))
+        cfg = SuiteConfig(solvers=["FAR2-PK"], problems=[missing, spec("QUAD", 4)])
+        bad, good = run_suite(cfg)
+        assert bad.status == "solve_failure"
+        assert bad.message.startswith("FileNotFoundError")
+        assert bad.problem == missing.label and bad.x_final.size == 0
+        assert good.converged
+
     def test_parallel_matches_serial(self):
         problems = [spec("QUAD", 5), spec("TRIDIA", 5)]
         serial = run_suite(SuiteConfig(solvers=["FAR2-PK"], problems=problems))
@@ -250,6 +259,20 @@ seed = 9
         path.write_text(f"[solver]\nname = {solver}\n{line}\n"
                         "[problem]\nname = QUAD\nn = 4\n")
         with pytest.raises(ConfigError, match=solver):
+            parse_config(path)
+
+    @pytest.mark.parametrize("text,key", [
+        ("[suite]\njobs = two\n", "jobs"),
+        ("[suite]\nseed = 1.5\n", "seed"),
+        ("[problem]\nname = QUAD\nn = ten\n", "n"),
+        ("[problem]\nkind = logistic\nN = many\n", "N"),
+        ("[problem]\nname = QUAD\nn = 4\nseed = x\n", "seed"),
+    ])
+    def test_bad_integer(self, tmp_path, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[solver]\nname = AR2\n[problem]\nname = QUAD\n"
+                        "n = 4\n" + text)
+        with pytest.raises(ConfigError, match=f"{key}: not an integer"):
             parse_config(path)
 
     def test_second_order_solver_keys(self, tmp_path):

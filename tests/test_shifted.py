@@ -1,225 +1,220 @@
-"""ShiftedFactorization against a reference copy of its earlier form.
+"""ShiftedFactorization against independent dense references.
 
-The reference below factors exactly as the class did before it analysed H
-once, tested positive definiteness with pttrf and counted block pivots
-vectorised: a fresh tridiagonal scan per shift, a Python Sturm loop, dense
-B = A + lam * eye(n) and a Python loop over the Bunch-Kaufman blocks. The
-class must give the same inertia, raise SingularShiftError in the same
-cases and return bit-identical solutions; away from the spectrum the
-inertia must also match eigvalsh's sign counts.
+For every storage H's structure selects (diagonal and tridiagonal, banded
+with kd = 2-4, 4x4 blocks, dense; H given dense or sparse),
+`positive_definite` must agree with eigvalsh on H + lam I for shifts at
+least 1e-8 ||H|| from the spectrum, and solve() must match
+numpy.linalg.solve to a relative residual of 1e-10, at positive definite
+and indefinite shifts alike. H is analysed once per secant call, and a
+shift that is not positive definite is factored a second time only when a
+caller solves with it.
 """
 
-import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import _compute_lwork, dgttrf, dgttrs, dpttrf
 
+import far2.secular as secular
 from far2.errors import SingularShiftError
-from far2.secular import (ZERO_PIVOT_RTOL, FactorizationCounter,
+from far2.secular import (MAX_BAND_KD, FactorizationCounter,
                           ShiftedFactorization, ShiftedSystem, analyse_hessian,
                           solve_secular_full_secant)
-import far2.secular as secular
+
+GAP = 1.0e-8        # shifts at least GAP * ||H|| from the spectrum
+RESIDUAL = 1.0e-10  # relative residual of solve()
 
 
-def _ref_sturm(d, e, ztol):
-    pos = neg = zero = 0
-    p_prev = None
-    for i in range(d.size):
-        p = d[i] if i == 0 else d[i] - e[i - 1] * e[i - 1] / p_prev
-        if abs(p) < ztol:
-            zero += 1
-            p = -ztol
-        elif p > 0.0:
-            pos += 1
-        else:
-            neg += 1
-        p_prev = p
-    return pos, neg, zero
-
-
-def _ref_raw_pivots(d, e, ztol):
-    """The Sturm loop's pivots before the -ztol replacement."""
-    raw = np.empty(d.size)
-    p_prev = None
-    for i in range(d.size):
-        p = d[i] if i == 0 else d[i] - e[i - 1] * e[i - 1] / p_prev
-        raw[i] = p
-        p_prev = -ztol if abs(p) < ztol else p
-    return raw
-
-
-def _ref_block_eigs(ldu, ipiv):
-    eigs = []
-    i = 0
-    while i < ipiv.size:
-        if ipiv[i] < 0:
-            a, c, b = ldu[i, i], ldu[i + 1, i + 1], ldu[i + 1, i]
-            mid = 0.5 * (a + c)
-            rad = math.hypot(0.5 * (a - c), b)
-            eigs.extend((mid - rad, mid + rad))
-            i += 2
-        else:
-            eigs.append(ldu[i, i])
-            i += 1
-    return eigs
-
-
-def _ref_bands(H):
-    if sp.issparse(H):
-        n = H.shape[0]
-        coo = H.tocoo()
-        if n < 3 or np.any(np.abs(coo.row - coo.col) > 1):
-            return None
-        A = H.todia()
-        e = np.zeros(n - 1)
-        sub = A.diagonal(-1)
-        e[: sub.size] = sub
-        return A.diagonal(0).copy(), e
-    A = np.asarray(H)
-    if A.shape[0] < 3:
-        return None
-    d, lo, up = np.diag(A), np.diag(A, -1), np.diag(A, 1)
-    if np.count_nonzero(A) != (np.count_nonzero(d) + np.count_nonzero(lo)
-                               + np.count_nonzero(up)):
-        return None
-    return d.astype(float).copy(), lo.astype(float).copy()
-
-
-def _ref_factor(H, lam):
-    """(inertia, solve) of the earlier ShiftedFactorization; raises alike."""
-    bands = _ref_bands(H)
-    if bands is not None:
-        d, e = bands
-        d = d + lam
-        ztol = ZERO_PIVOT_RTOL * max(float(np.max(np.abs(d))), 1.0e-300)
-        inertia = _ref_sturm(d, e, ztol)
-        dl, df, du, du2, ipiv, info = dgttrf(e.copy(), d.copy(), e.copy())
-
-        def solve(rhs):
-            return dgttrs(dl, df, du, du2, ipiv, rhs)[0]
-    else:
-        A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        n = A.shape[0]
-        B = A + lam * np.eye(n)
-        sytrf, sytrf_lwork, sytrs = sla.get_lapack_funcs(
-            ("sytrf", "sytrf_lwork", "sytrs"), (B,))
-        ldu, ipiv, info = sytrf(B, lower=1,
-                                lwork=_compute_lwork(sytrf_lwork, n, lower=1))
-        ztol = ZERO_PIVOT_RTOL * max(float(np.max(np.abs(np.diag(B)))), 1.0e-300)
-        counts = [0, 0, 0]
-        for ev in _ref_block_eigs(ldu, ipiv):
-            counts[2 if abs(ev) < ztol else 0 if ev > 0.0 else 1] += 1
-        inertia = tuple(counts)
-
-        def solve(rhs):
-            return sytrs(ldu, ipiv, rhs, lower=1)[0]
-    if info > 0 or inertia[2] > 0:
-        raise SingularShiftError("reference: zero pivot")
-    return inertia, solve
-
-
-def _shifts(rng, w, kind):
-    """A shift of the given kind against the spectrum w of H."""
-    j = int(rng.integers(w.size))
-    if kind == "random":
-        return float(rng.uniform(w[0] - 1.0, w[-1] + 1.0))
-    lam = -float(w[j])
-    if kind == "eigen":
-        return lam
-    for _ in range(int(rng.integers(1, 4))):  # a few ulps either side
-        lam = float(np.nextafter(lam, np.inf if kind == "above" else -np.inf))
-    return lam
-
-
-def _assert_same(H, lam, rhs):
-    try:
-        ref = _ref_factor(H, lam)
-    except SingularShiftError:
-        with pytest.raises(SingularShiftError):
-            ShiftedFactorization(H, lam)
-        return None
-    fac = ShiftedFactorization(H, lam)
-    assert fac.inertia == ref[0]
-    assert fac.solve(rhs).tobytes() == ref[1](rhs).tobytes()
-    return fac
+def _banded(rng, n, kd):
+    """Random symmetric H with half-bandwidth exactly kd."""
+    H = np.diag(rng.standard_normal(n) * 3.0)
+    for k in range(1, kd + 1):
+        v = rng.standard_normal(n - k)
+        if k < kd:
+            v[rng.random(n - k) < 0.1] = 0.0
+        H += np.diag(v, -k) + np.diag(v, k)
+    return H
 
 
 def _tridiagonal(rng, n, kind):
     if kind == "laplacian":  # long chains of near-unit pivot amplification
         d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+    elif kind == "diagonal":
+        d, e = rng.standard_normal(n) * 3.0, np.zeros(n - 1)
     else:
         d, e = rng.standard_normal(n) * 3.0, rng.standard_normal(n - 1)
         e[rng.random(n - 1) < 0.1] = 0.0
     return d, e
 
 
-SHIFT_KINDS = st.sampled_from(["random", "eigen", "above", "below"])
+def _blocks(rng, n):
+    """Random symmetric 4x4 blocks on the diagonal (half-bandwidth 3)."""
+    H = np.zeros((n, n))
+    for o in range(0, n, 4):
+        A = rng.standard_normal((4, 4))
+        H[o:o + 4, o:o + 4] = A + A.T
+    return H
+
+
+def _shift(rng, w, kind):
+    """A shift of the given kind against the spectrum w of H."""
+    scale = max(float(np.max(np.abs(w))), 1.0)
+    if kind == "random":
+        return float(rng.uniform(w[0] - 1.0, w[-1] + 1.0))
+    # within a few GAP of an eigenvalue, on either side
+    side = 1.0 if kind == "above" else -1.0
+    return -float(w[int(rng.integers(w.size))]) + side * GAP * scale * (
+        1.0 + 3.0 * float(rng.random()))
+
+
+def _far(w, lam):
+    """True iff lam is at least GAP * ||H|| from the spectrum w of H."""
+    return np.min(np.abs(w + lam)) >= GAP * max(float(np.max(np.abs(w))), 1.0)
+
+
+def _check(H, lam, rhs, rows=None):
+    """positive_definite and solve() of H + lam I against dense references.
+
+    rows is the number of band-storage rows H's analysis must choose,
+    "dense" for dense storage, or None to leave the storage unchecked.
+    """
+    T = H.toarray() if sp.issparse(H) else np.asarray(H)
+    w = np.linalg.eigvalsh(T)
+    assert _far(w, lam)
+    system = analyse_hessian(H)
+    if rows == "dense":
+        assert system.band is None
+    elif rows is not None:
+        assert system.band.shape[0] == rows
+    B = T + lam * np.eye(T.shape[0])
+    fac = ShiftedFactorization(system, lam)
+    assert fac.positive_definite == bool(w[0] + lam > 0.0)
+    x, ref = fac.solve(rhs), np.linalg.solve(B, rhs)
+    norm_B = float(np.max(np.abs(w + lam)))
+    for y in (x, ref):
+        residual = np.linalg.norm(B @ y - rhs)
+        assert residual <= RESIDUAL * (norm_B * np.linalg.norm(y)
+                                       + np.linalg.norm(rhs))
+    # backward-stable solutions agree to the condition number
+    cond = norm_B / float(np.min(np.abs(w + lam)))
+    assert np.linalg.norm(x - ref) <= RESIDUAL * cond * np.linalg.norm(ref)
+    return fac
+
+
+SHIFT_KINDS = st.sampled_from(["random", "above", "below"])
+STORAGE = st.sampled_from(["dense", "sparse"])
+
+
+def _stored(T, storage):
+    return sp.csr_matrix(T) if storage == "sparse" else T
 
 
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
-           kind=st.sampled_from(["random", "laplacian"]),
-           storage=st.sampled_from(["dense", "sparse"]), shift=SHIFT_KINDS)
+           kind=st.sampled_from(["random", "laplacian", "diagonal"]),
+           storage=STORAGE, shift=SHIFT_KINDS)
     def test_tridiagonal(self, seed, n, kind, storage, shift):
         rng = np.random.default_rng(seed)
         d, e = _tridiagonal(rng, n, kind)
         T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
-        H = sp.csr_matrix(T) if storage == "sparse" else T
         w = np.linalg.eigvalsh(T)
-        _assert_same(H, _shifts(rng, w, shift), rng.standard_normal(n))
+        lam = _shift(rng, w, shift)
+        assume(_far(w, lam))
+        _check(_stored(T, storage), lam, rng.standard_normal(n), rows=2)
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
-           zeros=st.booleans(), asym=st.booleans(), shift=SHIFT_KINDS)
-    def test_dense(self, seed, n, zeros, asym, shift):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60),
+           kd=st.integers(2, 4), storage=STORAGE, shift=SHIFT_KINDS)
+    def test_banded(self, seed, n, kd, storage, shift):
+        rng = np.random.default_rng(seed)
+        T = _banded(rng, n, kd)
+        w = np.linalg.eigvalsh(T)
+        lam = _shift(rng, w, shift)
+        assume(_far(w, lam))
+        _check(_stored(T, storage), lam, rng.standard_normal(n), rows=kd + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 15),
+           storage=STORAGE, shift=SHIFT_KINDS)
+    def test_block_diagonal(self, seed, blocks, storage, shift):
+        rng = np.random.default_rng(seed)
+        n = 4 * blocks
+        T = _blocks(rng, n)
+        w = np.linalg.eigvalsh(T)
+        lam = _shift(rng, w, shift)
+        assume(_far(w, lam))
+        _check(_stored(T, storage), lam, rng.standard_normal(n), rows=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           zeros=st.booleans(), asym=st.booleans(), storage=STORAGE,
+           shift=SHIFT_KINDS)
+    def test_dense(self, seed, n, zeros, asym, storage, shift):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
         rhs = rng.standard_normal(n)
         if zeros:
-            # two blocks coupled by -0.0 and a right-hand side that vanishes
-            # on one: the solution's zeros there keep the signs B gives them
+            # two decoupled blocks and a right-hand side that vanishes on one
             k = int(rng.integers(0, n + 1))
             H[k:, :k] = H[:k, k:] = 0.0
-            H = -H
             rhs[:k] = 0.0
-        w = np.linalg.eigvalsh(0.5 * (H + H.T))
+        w = np.linalg.eigvalsh(H)
+        lam = _shift(rng, w, shift)
+        assume(_far(w, lam))
+        # n <= MAX_BAND_KD + 1 fits band storage; n < 3 stays dense
+        rows = "dense" if n < 3 or n > MAX_BAND_KD + 1 else n
         if asym and not zeros:
             # oracle round-off: the factorization reads the lower half
-            H = H + 1.0e-14 * rng.standard_normal((n, n))
-        _assert_same(H, _shifts(rng, w, shift), rhs)
+            E = 1.0e-14 * rng.standard_normal((n, n))
+            fac = ShiftedFactorization(H + np.tril(E, -1).T, lam)
+            ref = ShiftedFactorization(H, lam)
+            assert fac.positive_definite == ref.positive_definite
+            np.testing.assert_array_equal(fac.solve(rhs), ref.solve(rhs))
+            return
+        _check(_stored(H, storage), lam, rhs, rows=None if zeros else rows)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, -0.5])
     def test_signed_zero_couplings(self, lam):
-        # A + lam * I turns the -0.0 couplings into +0.0 for lam >= 0, and
-        # the solution's zeros in the first block show it
+        # -0.0 couplings decouple the last variable (half-bandwidth 2); all
+        # three shifts are indefinite, so the pivoted band factorization
+        # solves
         H = np.array([[-2.0, -3.5, -1.0, -0.0], [-3.5, 1.5, -1.0, -0.0],
                       [-1.0, -1.0, 5.0, -0.0], [-0.0, -0.0, -0.0, 2.0]])
-        _assert_same(H, lam, np.array([0.0, 0.0, 0.0, 1.0]))
+        fac = _check(H, lam, np.array([0.0, 0.0, 0.0, 1.0]), rows=3)
+        assert not fac.positive_definite
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["random", "laplacian"]), shift=SHIFT_KINDS)
     def test_long_tridiagonal(self, seed, kind, shift):
-        # n = 3000: indefinite shifts fail pttrf early and near-singular ones
-        # leave long chains of moving pivots for the in-order pass
+        # n = 3000, sparse: indefinite shifts fail pttrf early and solve
+        # through gttrf
         rng = np.random.default_rng(seed)
         n = 3000
         d, e = _tridiagonal(rng, n, kind)
         H = sp.diags([e, d, e], [-1, 0, 1], format="csr")
         w = sla.eigvalsh_tridiagonal(d, e)
-        _assert_same(H, _shifts(rng, w, shift), rng.standard_normal(n))
+        lam = _shift(rng, w, shift)
+        assume(_far(w, lam))
+        fac = ShiftedFactorization(H, lam)
+        assert fac.positive_definite == bool(w[0] + lam > 0.0)
+        rhs = rng.standard_normal(n)
+        x = fac.solve(rhs)
+        residual = np.linalg.norm(H @ x + lam * x - rhs)
+        norm_B = float(np.max(np.abs(w + lam)))
+        assert residual <= RESIDUAL * (norm_B * np.linalg.norm(x)
+                                       + np.linalg.norm(rhs))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            tri=st.booleans())
-    def test_inertia_matches_eigenvalue_counts(self, seed, n, tri):
+    def test_positive_definite_matches_eigenvalues(self, seed, n, tri):
         rng = np.random.default_rng(seed)
         if tri and n >= 3:
             d, e = _tridiagonal(rng, n, "random")
@@ -229,60 +224,96 @@ class TestAgainstReference:
             H = 0.5 * (A + A.T)
         w = np.linalg.eigvalsh(H)
         lam = float(rng.uniform(w[0] - 1.0, w[-1] + 1.0))
-        if np.min(np.abs(w + lam)) < 1.0e-6:
-            return
+        assume(_far(w, lam))
         fac = ShiftedFactorization(H, lam)
-        assert fac.inertia == (int((w + lam > 0).sum()),
-                               int((w + lam < 0).sum()), 0)
+        assert fac.positive_definite == bool(np.all(w + lam > 0.0))
 
 
-class TestSettlePivots:
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
-           kind=st.sampled_from(["random", "laplacian"]), shift=SHIFT_KINDS,
-           guess=st.sampled_from(["pttrf", "diagonal", "noise", "zeros"]))
-    def test_bitwise_from_any_guess(self, seed, n, kind, shift, guess):
-        rng = np.random.default_rng(seed)
-        d, e = _tridiagonal(rng, n, kind)
-        w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1) + np.diag(e, 1))
-        d = d + _shifts(rng, w, shift)
-        ztol = ZERO_PIVOT_RTOL * max(float(np.max(np.abs(d))), 1.0e-300)
-        start = {"pttrf": lambda: dpttrf(d, e)[0], "diagonal": lambda: d,
-                 "noise": lambda: rng.standard_normal(n),
-                 "zeros": lambda: np.zeros(n)}[guess]()
-        raw = secular._settle_pivots(d, e * e, ztol, start)
-        assert raw.tobytes() == _ref_raw_pivots(d, e, ztol).tobytes()
+class TestIndefiniteSolve:
+    @pytest.mark.parametrize("exact", [False, True], ids=["computed", "exact"])
+    def test_zero_pivot_regression(self, exact):
+        # tridiag(-1, 2, -1) at n = 3 has eigenvalues 2 - sqrt(2), 2 and
+        # 2 + sqrt(2), shifted by minus the middle one as eigvalsh computes
+        # it (1.9999999999999998 in IEEE double) and by exactly -2
+        T = np.diag([2.0] * 3) + np.diag([-1.0] * 2, -1) + np.diag([-1.0] * 2, 1)
+        lam = -2.0 if exact else -float(np.linalg.eigvalsh(T)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac = ShiftedFactorization(T, lam)
+            assert not fac.positive_definite
+            try:
+                x = fac.solve(np.ones(3))
+            except SingularShiftError:
+                return
+        assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("H", [
+        np.diag([-1.0, 2.0, 3.0, 4.0]),
+        np.diag([-1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.5], 2)
+        + np.diag([1.0, 0.5], -2),
+        np.diag(np.arange(-1.0, 39.0)) + 0.1,
+    ], ids=["tridiagonal", "banded", "dense"])
+    def test_indefinite_factor_only_when_solved(self, H, monkeypatch):
+        built = []
+
+        def counted(factor):
+            return lambda *a, **k: built.append(1) or factor(*a, **k)
+
+        for name in ("dgttrf", "dgbtrf", "_sytrf"):
+            monkeypatch.setattr(secular, name, counted(getattr(secular, name)))
+        counter = FactorizationCounter()
+        fac = ShiftedFactorization(H, 0.0, counter)
+        assert not fac.positive_definite and built == []
+        rhs = np.ones(H.shape[0])
+        x = fac.solve(rhs)
+        fac.solve(rhs)
+        assert built == [1] and counter.count == 1
+        np.testing.assert_allclose(H @ x, rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("H", [np.diag([1.0, 0.0, 2.0]),
+                                   np.ones((40, 40))],
+                             ids=["tridiagonal", "dense"])
+    def test_singular_shift_raises_on_solve(self, H):
+        fac = ShiftedFactorization(H, 0.0)
+        assert not fac.positive_definite
+        with pytest.raises(SingularShiftError):
+            fac.solve(np.ones(H.shape[0]))
 
 
 class TestAnalyseOnce:
     def test_system_gives_same_factorization(self, rng):
         n = 30
-        d, e = _tridiagonal(rng, n, "random")
-        T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
-        system = analyse_hessian(sp.csr_matrix(T))
-        assert isinstance(system, ShiftedSystem) and system.bands is not None
-        assert analyse_hessian(system) is system
-        b = rng.standard_normal(n)
-        for lam in (0.5, 3.0, 7.0):
-            a, c = ShiftedFactorization(system, lam), ShiftedFactorization(T, lam)
-            assert a.inertia == c.inertia
-            assert a.solve(b).tobytes() == c.solve(b).tobytes()
+        for T in (np.diag(rng.standard_normal(n)) + np.diag(np.ones(n - 1), 1)
+                  + np.diag(np.ones(n - 1), -1), _banded(rng, n, 3)):
+            system = analyse_hessian(sp.csr_matrix(T))
+            assert isinstance(system, ShiftedSystem) and system.band is not None
+            assert analyse_hessian(system) is system
+            np.testing.assert_array_equal(system.band, analyse_hessian(T).band)
+            b = rng.standard_normal(n)
+            for lam in (0.5, 3.0, 7.0):
+                a, c = ShiftedFactorization(system, lam), ShiftedFactorization(T, lam)
+                assert a.positive_definite == c.positive_definite
+                assert a.solve(b).tobytes() == c.solve(b).tobytes()
 
     def test_non_tridiagonal_sparse_densified_once(self):
-        H = sp.random(20, 20, density=0.3, random_state=1) + 5 * sp.eye(20)
+        H = sp.random(40, 40, density=0.3, random_state=1) + 5 * sp.eye(40)
         system = analyse_hessian(H + H.T)
-        assert system.bands is None
+        assert system.band is None
         np.testing.assert_array_equal(system.dense, (H + H.T).toarray())
 
     def test_secant_scans_h_once(self, monkeypatch, rng):
         calls = []
-        scan = secular._tridiag_bands
-        monkeypatch.setattr(secular, "_tridiag_bands",
+        scan = secular._lower_band
+        monkeypatch.setattr(secular, "_lower_band",
                             lambda H: calls.append(1) or scan(H))
         n = 50
         d, e = _tridiagonal(rng, n, "random")
-        H = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
-        counter = FactorizationCounter()
-        solve_secular_full_secant(rng.standard_normal(n), H, 1.0, 0.1, counter)
-        assert counter.count >= 3
-        assert len(calls) == 1
+        A = rng.standard_normal((n, n))
+        for H in (np.diag(d) + np.diag(e, -1) + np.diag(e, 1),
+                  _banded(rng, n, 3), A + A.T):
+            calls.clear()
+            counter = FactorizationCounter()
+            solve_secular_full_secant(rng.standard_normal(n), H, 1.0, 0.1,
+                                      counter)
+            assert counter.count >= 3
+            assert len(calls) == 1
