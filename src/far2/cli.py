@@ -17,27 +17,14 @@ from . import harness, krylov, problems, secular
 from .errors import ConfigError
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="suite config file")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--metric", choices=("fact", "nli"), default="fact")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--timing", action="store_true",
-                   help="write measured wall time into the CSV")
-
-
 def cmd_run(args) -> int:
     if not args.config:
         print("run: --config is required", file=sys.stderr)
         return 2
     cfg = harness.parse_config(args.config)
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
+    for key in ("out", "seed", "jobs"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if args.timing:
         cfg.timing = True
     os.makedirs(cfg.out, exist_ok=True)
@@ -131,11 +118,21 @@ def main(argv=None) -> int:
         description="Adaptive cubic-regularization solvers with frozen "
                     "Krylov subspaces, plus a benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("profile", cmd_profile),
-                     ("list", cmd_list), ("check", cmd_check)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    # each subcommand takes only the options it reads
+    run = sub.add_parser("run")
+    run.add_argument("--config", default=None, help="suite config file")
+    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--jobs", type=int, default=None)
+    run.add_argument("--timing", action="store_true",
+                     help="write measured wall time into the CSV")
+    run.set_defaults(fn=cmd_run)
+    profile = sub.add_parser("profile")
+    profile.add_argument("--out", default=None, help="directory of stored reports")
+    profile.add_argument("--metric", choices=("fact", "nli"), default="fact")
+    profile.set_defaults(fn=cmd_profile)
+    sub.add_parser("list").set_defaults(fn=cmd_list)
+    sub.add_parser("check").set_defaults(fn=cmd_check)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

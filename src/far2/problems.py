@@ -5,8 +5,10 @@ algebraic definitions (CUTEst-style names and starting points), logistic and
 sigmoid classification losses, synthetic data generation, LIBSVM-format
 ingestion, and a finite-difference derivative checker.
 
-Hessians are assembled densely up to SPARSE_CUTOFF variables; beyond that
-the structurally sparse problems return scipy.sparse matrices.
+The banded registry problems (tridiagonal, diagonal or 4 x 4 blocks) return
+a scipy.sparse CSR Hessian at every n; the others (HILBERT, the hub-coupled
+ARWHEAD, NONDIA, EG2 and INDEF) and the classification losses return dense
+arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import LibsvmParseError
-
-SPARSE_CUTOFF = 2000
 
 
 class ObjectiveProblem:
@@ -56,15 +56,42 @@ class ObjectiveProblem:
         return f"ObjectiveProblem({self.name!r}, n={self.n})"
 
 
-def _tridiag(main, lower, n):
-    if n > SPARSE_CUTOFF:
-        return sp.diags([lower, main, lower], [-1, 0, 1], format="csr")
-    # written in place; "+ 0.0" turns -0.0 into 0.0 as summing into zeros did
-    H = np.zeros((n, n))
-    H.flat[:: n + 1] = main + 0.0
-    H.flat[1:: n + 1] = lower + 0.0
-    H.flat[n:: n + 1] = lower + 0.0
-    return H
+def _diagonal(d):
+    i = np.arange(d.size + 1, dtype=np.int32)
+    return sp.csr_matrix((np.array(d, dtype=float), i[:-1], i), shape=(d.size, d.size))
+
+
+def _tridiag(main, lower):
+    """Symmetric tridiagonal CSR matrix with diagonals main and lower.
+
+    Row i holds H[i, i-1:i+2] in data[3i-1:3i+2], clipped at both ends.
+    """
+    n = main.size
+    m = 3 * n - 2
+    data = np.empty(m)
+    data[0::3], data[1::3], data[2::3] = main, lower, lower
+    i = np.arange(n, dtype=np.int32)
+    indices = np.empty(m, dtype=np.int32)
+    indices[0::3], indices[1::3], indices[2::3] = i, i[1:], i[:-1]
+    indptr = np.clip(np.arange(-1, m + 2, 3, dtype=np.int32), 0, m)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _block_diag4(blocks: int, entries: dict):
+    """Block-diagonal CSR matrix of `blocks` symmetric 4 x 4 blocks B.
+
+    entries maps (i, j), i <= j, to B[i, j] = B[j, i]: one value per block or
+    one for all. Entries not named are structural zeros.
+    """
+    pattern = sorted(set(entries) | {(j, i) for i, j in entries})
+    data = np.empty((blocks, len(pattern)))
+    for k, (i, j) in enumerate(pattern):
+        data[:, k] = entries[min(i, j), max(i, j)]
+    rows, cols = np.array(pattern, dtype=np.int32).T
+    indptr = np.zeros(4 * blocks + 1, dtype=np.int32)
+    np.cumsum(np.tile(np.bincount(rows, minlength=4), blocks), out=indptr[1:])
+    indices = (4 * np.arange(blocks, dtype=np.int32)[:, None] + cols).ravel()
+    return sp.csr_matrix((data.ravel(), indices, indptr), shape=(4 * blocks,) * 2)
 
 
 # --- registry problems ----------------------------------------------------
@@ -86,7 +113,7 @@ def _rosenbr(n):
         main[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         main[1:] += 200.0
         lower = -400.0 * x[:-1]
-        return f, g, _tridiag(main, lower, n)
+        return f, g, _tridiag(main, lower)
     x0 = np.where(np.arange(n) % 2 == 0, -1.2, 1.0)
     return x0, ev
 
@@ -101,8 +128,7 @@ def _quad(n):
         g = diag * x
         if order == 1:
             return f, g, None
-        H = sp.diags(diag, format="csr") if n > SPARSE_CUTOFF else np.diag(diag)
-        return f, g, H
+        return f, g, _diagonal(diag)
     return np.ones(n), ev
 
 
@@ -143,15 +169,11 @@ def _bdarwhd(n):
         g = G.ravel()
         if order == 1:
             return f, g, None
-        H = np.zeros((n, n))
-        for b in range(n // 4):
-            o = 4 * b
-            tb = t[b]
-            for j in range(3):
-                H[o + j, o + j] = 4.0 * tb[j] + 8.0 * y[b, j] ** 2
-                H[o + j, o + 3] = H[o + 3, o + j] = 8.0 * y[b, j] * y[b, 3]
-            H[o + 3, o + 3] = float((4.0 * tb + 8.0 * y[b, 3] ** 2).sum())
-        return f, g, H
+        entries = {(j, 3): 8.0 * y[:, j] * y[:, 3] for j in range(3)}
+        entries.update({(j, j): 4.0 * t[:, j] + 8.0 * y[:, j] ** 2
+                        for j in range(3)})
+        entries[3, 3] = (4.0 * t + 8.0 * hub ** 2).sum(axis=1)
+        return f, g, _block_diag4(n // 4, entries)
     return np.ones(n), ev
 
 
@@ -166,9 +188,7 @@ def _dqrtic(n):
         g = 4.0 * r ** 3
         if order == 1:
             return f, g, None
-        d = 12.0 * r ** 2
-        H = sp.diags(d, format="csr") if n > SPARSE_CUTOFF else np.diag(d)
-        return f, g, H
+        return f, g, _diagonal(12.0 * r ** 2)
     return 2.0 * np.ones(n), ev
 
 
@@ -191,7 +211,7 @@ def _tridia(n):
         main[1:] += 8.0 * w
         main[:-1] += 2.0 * w
         lower = -4.0 * w
-        return f, g, _tridiag(main, lower, n)
+        return f, g, _tridiag(main, lower)
     return np.ones(n), ev
 
 
@@ -211,7 +231,7 @@ def _engval1(n):
         main[:-1] += 4.0 * t + 8.0 * x[:-1] ** 2
         main[1:] += 4.0 * t + 8.0 * x[1:] ** 2
         lower = 8.0 * x[:-1] * x[1:]
-        return f, g, _tridiag(main, lower, n)
+        return f, g, _tridiag(main, lower)
     return 2.0 * np.ones(n), ev
 
 
@@ -257,17 +277,11 @@ def _woods(n):
         g = G.ravel()
         if order == 1:
             return f, g, None
-        H = np.zeros((n, n))
-        for k in range(n // 4):
-            o = 4 * k
-            H[o, o] = 1200.0 * x1[k] ** 2 - 400.0 * x2[k] + 2.0
-            H[o, o + 1] = H[o + 1, o] = -400.0 * x1[k]
-            H[o + 1, o + 1] = 220.2
-            H[o + 1, o + 3] = H[o + 3, o + 1] = 19.8
-            H[o + 2, o + 2] = 1080.0 * x3[k] ** 2 - 360.0 * x4[k] + 2.0
-            H[o + 2, o + 3] = H[o + 3, o + 2] = -360.0 * x3[k]
-            H[o + 3, o + 3] = 200.2
-        return f, g, H
+        return f, g, _block_diag4(n // 4, {
+            (0, 0): 1200.0 * x1 ** 2 - 400.0 * x2 + 2.0, (0, 1): -400.0 * x1,
+            (1, 1): 220.2, (1, 3): 19.8,
+            (2, 2): 1080.0 * x3 ** 2 - 360.0 * x4 + 2.0, (2, 3): -360.0 * x3,
+            (3, 3): 200.2})
     return np.tile([-3.0, -1.0, -3.0, -1.0], n // 4), ev
 
 
@@ -291,20 +305,12 @@ def _powellsg(n):
         g = G.ravel()
         if order == 1:
             return f, g, None
-        H = np.zeros((n, n))
-        for k in range(n // 4):
-            o = 4 * k
-            dd = 120.0 * d[k] ** 2
-            cc = 12.0 * c[k] ** 2
-            H[o, o] = 2.0 + dd
-            H[o, o + 1] = H[o + 1, o] = 20.0
-            H[o, o + 3] = H[o + 3, o] = -dd
-            H[o + 1, o + 1] = 200.0 + cc
-            H[o + 1, o + 2] = H[o + 2, o + 1] = -2.0 * cc
-            H[o + 2, o + 2] = 10.0 + 4.0 * cc
-            H[o + 2, o + 3] = H[o + 3, o + 2] = -10.0
-            H[o + 3, o + 3] = 10.0 + dd
-        return f, g, H
+        dd = 120.0 * d ** 2
+        cc = 12.0 * c ** 2
+        return f, g, _block_diag4(n // 4, {
+            (0, 0): 2.0 + dd, (0, 1): 20.0, (0, 3): -dd,
+            (1, 1): 200.0 + cc, (1, 2): -2.0 * cc,
+            (2, 2): 10.0 + 4.0 * cc, (2, 3): -10.0, (3, 3): 10.0 + dd})
     return np.tile([3.0, -1.0, 0.0, 1.0], n // 4), ev
 
 
@@ -326,7 +332,7 @@ def _edensch(n):
         main[:-1] += 12.0 * a ** 2 + 2.0 * x[1:] ** 2
         main[1:] += 2.0 * a ** 2 + 2.0
         lower = 4.0 * a * x[1:]
-        return f, g, _tridiag(main, lower, n)
+        return f, g, _tridiag(main, lower)
     return np.zeros(n), ev
 
 
@@ -348,7 +354,7 @@ def _cube(n):
         main[1:] += 200.0
         main[:-1] += -1200.0 * x[:-1] * r + 1800.0 * x[:-1] ** 4
         lower = -600.0 * x[:-1] ** 2
-        return f, g, _tridiag(main, lower, n)
+        return f, g, _tridiag(main, lower)
     x0 = np.where(np.arange(n) % 2 == 0, -1.2, 1.0)
     return x0, ev
 
@@ -703,8 +709,7 @@ def check_derivatives(problem: ObjectiveProblem, n_points: int = 5,
     worst_g = worst_h = 0.0
     for x in points:
         _, g, H = problem.eval(x, 2)
-        if sp.issparse(H):
-            H = H.toarray()
+        H = H.toarray() if sp.issparse(H) else H
         gfd = fd_gradient(problem, x)
         worst_g = max(worst_g, float(np.linalg.norm(g - gfd))
                       / (1.0 + float(np.linalg.norm(g))))

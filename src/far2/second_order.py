@@ -35,14 +35,9 @@ class SecondOrderConfig(SolverConfig):
 
 
 def gershgorin_interval(H) -> tuple[float, float]:
-    """Gershgorin disc bounds (lower, upper) on the spectrum of symmetric H."""
-    if sp.issparse(H):
-        d = H.diagonal()
-        radii = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
-    else:
-        A = np.asarray(H, dtype=float)
-        d = np.diag(A)
-        radii = np.abs(A).sum(axis=1) - np.abs(d)
+    """Gershgorin bounds (lower, upper) on the spectrum of symmetric H, any storage."""
+    d = H.diagonal()
+    radii = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))
 
 

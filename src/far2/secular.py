@@ -106,6 +106,8 @@ def _lower_band(H) -> np.ndarray | None:
             return None
         diagonal = H.diagonal
     else:
+        # the scan stays for the dense oracles: EG2's arrowhead H is
+        # diagonal at its iterates, and scanning finds that band
         A = np.asarray(H)
         total = np.count_nonzero(A)
         found = 0

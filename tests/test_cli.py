@@ -62,3 +62,14 @@ def test_profile_without_reports(tmp_path):
 @pytest.mark.slow
 def test_check_self_test():
     assert main(["check"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["list", "--seed", "3"],
+                                  ["check", "--out", "x"],
+                                  ["run", "--metric", "nli"],
+                                  ["profile", "--jobs", "2"]])
+def test_subcommand_rejects_options_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

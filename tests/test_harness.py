@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +282,20 @@ seed = 9
                         "[problem]\nname = QUAD\nn = 4\n")
         cfg = parse_config(path)
         assert cfg.solver_overrides["FAR2-SO"] == {"theta2": 0.2, "eps_H": 1e-3}
+
+
+EXPERIMENTS = sorted(
+    (Path(__file__).resolve().parent.parent / "experiments").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", EXPERIMENTS, ids=[p.name for p in EXPERIMENTS])
+def test_shipped_experiment_configs_parse(path):
+    cfg = parse_config(path)
+    assert cfg.solvers and set(cfg.solvers) <= set(harness.SOLVER_NAMES)
+    assert cfg.problems
+    for spec in cfg.problems:
+        assert harness.build_problem(spec).n == spec.n
+
+
+def test_experiment_configs_shipped():
+    assert {p.name for p in EXPERIMENTS} >= {"registry-100.cfg", "classify.cfg"}

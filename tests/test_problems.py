@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from far2.errors import LibsvmParseError
 from far2.problems import (REGISTRY, ClassificationData, check_derivatives,
@@ -39,7 +40,7 @@ class TestRegistry:
         for _ in range(3):
             x = p.x0 + rng.standard_normal(6)
             _, _, H = p.eval(x, 2)
-            H = np.asarray(H)
+            H = H.toarray()
             off = H - np.diag(np.diag(H)) - np.diag(np.diag(H, 1), 1) - np.diag(np.diag(H, -1), -1)
             assert np.max(np.abs(off)) == 0.0
             assert np.linalg.eigvalsh(H)[0] > 0.0
@@ -47,7 +48,7 @@ class TestRegistry:
     def test_dqrtic_hessian_diagonal(self):
         p = get_problem("DQRTIC", 5)
         _, _, H = p.eval(p.x0, 2)
-        H = np.asarray(H)
+        H = H.toarray()
         assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
 
     def test_counters_track_orders(self):
@@ -57,6 +58,23 @@ class TestRegistry:
         p.eval(p.x0, 1)
         p.eval(p.x0, 2)
         assert (p.n_f, p.n_g, p.n_H) == (2, 1, 1)
+
+    @pytest.mark.parametrize("n", [8, 500])
+    def test_hessian_storage(self, n):
+        # the oracle decides the storage, the same at every n
+        banded = {"ROSENBR", "TRIDIA", "ENGVAL1", "EDENSCH", "CUBE", "QUAD",
+                  "DQRTIC", "WOODS", "POWELLSG", "BDARWHD"}
+        for name in registry_names():
+            entry = REGISTRY[name]
+            m = max(n, entry.min_n)
+            m += (-m) % entry.multiple_of
+            p = get_problem(name, m)
+            _, _, H = p.eval(p.x0, 2)
+            if name in banded:
+                assert sp.issparse(H) and H.format == "csr", name
+            else:
+                assert isinstance(H, np.ndarray), name
+            assert H.shape == (m, m)
 
     @pytest.mark.parametrize("name", ["ROSENBR", "EG2", "INDEF", "CUBE", "NONDIA"])
     def test_quick_derivative_check(self, name):
@@ -203,21 +221,33 @@ def test_fd_helpers_consistent_on_quadratic():
     _, g, H = p.eval(x, 2)
     np.testing.assert_allclose(g_fd, g, rtol=1e-7, atol=1e-9)
     H_fd = fd_hessian(p, x)
-    np.testing.assert_allclose(H_fd, np.asarray(H), rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(H_fd, H.toarray(), rtol=1e-6, atol=1e-7)
 
 
-class TestTridiagAssembly:
-    @pytest.mark.parametrize("n", [1, 2, 3, 100, 500, 1999])
-    def test_bytes_match_summed_diagonals(self, n):
+
+class TestBandedAssembly:
+    @pytest.mark.parametrize("n", [1, 2, 3, 500])
+    def test_tridiag_matches_summed_diagonals(self, n):
         from far2.problems import _tridiag
         rng = np.random.default_rng(n)
         main = rng.standard_normal(n)
         lower = rng.standard_normal(n - 1)
-        main[::3] = -0.0
-        lower[::4] = -0.0
-        lower[1::5] = 0.0
-        expected = np.diag(main)
-        expected += np.diag(lower, -1) + np.diag(lower, 1)
-        H = _tridiag(main, lower, n)
-        assert H.dtype == expected.dtype and H.shape == expected.shape
-        assert H.tobytes() == expected.tobytes()
+        H = _tridiag(main, lower)
+        H.check_format(full_check=True)
+        expected = np.diag(main) + np.diag(lower, -1) + np.diag(lower, 1)
+        np.testing.assert_array_equal(H.toarray(), expected)
+
+    def test_block_diag4_matches_per_block_fill(self):
+        from far2.problems import _block_diag4
+        rng = np.random.default_rng(4)
+        entries = {(0, 0): rng.standard_normal(3), (0, 3): rng.standard_normal(3),
+                   (1, 2): 19.8, (2, 2): rng.standard_normal(3)}
+        H = _block_diag4(3, entries)
+        H.check_format(full_check=True)
+        expected = np.zeros((12, 12))
+        for b in range(3):
+            for (i, j), v in entries.items():
+                expected[4 * b + i, 4 * b + j] = expected[4 * b + j, 4 * b + i] = (
+                    v if np.isscalar(v) else v[b])
+        np.testing.assert_array_equal(H.toarray(), expected)
+        assert H.nnz == 3 * 6  # only the named entries and their mirrors
