@@ -148,119 +148,105 @@ def _ritz_interval(H_r: np.ndarray, H) -> tuple[float, float]:
     return gershgorin_interval(H)
 
 
-def _stationarity_ok(grad_norm: float, shat_norm: float, theta1: float) -> bool:
-    return grad_norm <= 0.5 * theta1 * shat_norm ** 2
+def _append_product(HV: np.ndarray, H, v: np.ndarray) -> np.ndarray:
+    """[HV, H v]: HV with one more column of products with H."""
+    return np.hstack([HV, np.asarray(H @ v, dtype=float).reshape(-1, 1)])
+
+
+def _project(state: IterateState, cfg: SolverConfig, ctx, basis, n_rat: int,
+             W: np.ndarray, HW: np.ndarray) -> SubspaceResult:
+    """Minimize the cubic model over range(W), given HW = H @ W; ctx is the
+    model context in second-order mode, else None."""
+    g, sigma = state.g, state.sigma
+    H_r = W.T @ HW
+    H_r = 0.5 * (H_r + H_r.T)
+    g_r = W.T @ g
+    common = dict(basis=basis, refreshed=state.refresh, dim=W.shape[1],
+                  n_rational_solves=n_rat)
+    try:
+        sol = solve_secular_reduced(g_r, H_r, sigma)
+    except ReducedSolveError:
+        z = np.zeros_like(g)
+        return SubspaceResult(
+            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None, g_r=None,
+            step_full=z, hess_step=z, model_grad_norm=math.inf,
+            meets_stationarity=False,
+            meets_curvature=False if ctx is not None else None,
+            failed=True, **common)
+    step_full = W @ sol.step
+    hess_step = HW @ sol.step
+    shat_norm = float(np.linalg.norm(sol.step))
+    mgn = float(np.linalg.norm(g + hess_step + sigma * shat_norm * step_full))
+    ok = mgn <= 0.5 * cfg.theta1 * shat_norm ** 2  # stationarity test
+    curv_ok = None
+    if ctx is not None and ok:
+        floor = -cfg.theta2 * shat_norm
+        curv_ok = (model_curvature_bound(ctx, step_full) >= floor
+                   or model_curvature_min(ctx, step_full) >= floor)
+    return SubspaceResult(
+        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r, g_r=g_r,
+        step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
+        meets_stationarity=ok, meets_curvature=curv_ok, **common)
 
 
 def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     """One pass of the projected-minimization routine.
 
-    Refreshing: rebuilds the space from scratch (seeded by the gradient),
-    solving the projected secular equation at every inner dimension and
-    returning as soon as the lifted step passes the stationarity test (plus
-    the model-curvature test under a SecondOrderConfig); at most j_max - 1
-    expansions. Frozen: a single gradient augmentation, projection and
-    reduced solve against the stored basis, which is carried over unchanged.
+    Refreshing: rebuilds the space from the gradient and solves the
+    projected secular equation at every inner dimension, returning once the
+    lifted step passes the stationarity test (plus the model-curvature test
+    under a SecondOrderConfig); at most j_max - 1 expansions, none past
+    j_max columns. V and H @ V grow by one column, one H·v, per expansion:
+    the polynomial space holds g and is never re-augmented, the rational
+    space is augmented with g (one more H·v) before each projection.
+    Frozen: one augmentation, projection and reduced solve against the
+    stored basis, which is carried over unchanged.
     """
     g = state.g
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
+    if float(np.linalg.norm(g)) == 0.0:
         raise ValueError("subspace_minimize requires a nonzero gradient")
     H = state.H
-    sigma = state.sigma
     so = isinstance(cfg, SecondOrderConfig)
     ctx = state.model_context() if so else None
+
+    if not state.refresh:
+        basis = state.basis
+        W = orth_augment(basis, g)
+        return _project(state, cfg, ctx, basis, 0, W, np.asarray(H @ W))
+
     rational = cfg.space_kind == RATIONAL
+    HV = np.empty((g.size, 0))
+    if rational:
+        basis = KrylovBasis.fresh_rational(g, cfg.j_max)
+        system = analyse_hessian(H)  # one analysis for every expansion
+    else:
+        basis = KrylovBasis.fresh_polynomial(g, cfg.j_max)
+        HV = _append_product(HV, H, basis.V[:, 0])
     n_rat = 0
-
-    def finish(sol, W, H_r, g_r, basis, step_full, hess_step, refreshed):
-        grad_m = g + hess_step + sigma * float(np.linalg.norm(sol.step)) * step_full
-        mgn = float(np.linalg.norm(grad_m))
-        shat_norm = float(np.linalg.norm(sol.step))
-        ok = _stationarity_ok(mgn, shat_norm, cfg.theta1)
-        curv_ok = None
-        if so and ok:
-            floor = -cfg.theta2 * shat_norm
-            curv_ok = (model_curvature_bound(ctx, step_full) >= floor
-                       or model_curvature_min(ctx, step_full) >= floor)
-        return SubspaceResult(
-            lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r, g_r=g_r,
-            basis=basis, step_full=step_full, hess_step=hess_step,
-            model_grad_norm=mgn, meets_stationarity=ok,
-            meets_curvature=curv_ok, refreshed=refreshed,
-            dim=W.shape[1], n_rational_solves=n_rat)
-
-    def failed_result(basis, refreshed, dim):
-        return SubspaceResult(
-            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None, g_r=None,
-            basis=basis, step_full=np.zeros_like(g), hess_step=np.zeros_like(g),
-            model_grad_norm=math.inf, meets_stationarity=False,
-            meets_curvature=False if so else None, refreshed=refreshed,
-            dim=dim, n_rational_solves=n_rat, failed=True)
-
-    if state.refresh:
+    for _ in range(max(1, cfg.j_max - 1)):
         if rational:
-            basis = KrylovBasis.fresh_rational(g, cfg.j_max)
-        else:
-            basis = KrylovBasis.fresh_polynomial(g, cfg.j_max)
-        av_cols: list[np.ndarray] = []
-        if rational:
-            system = analyse_hessian(H)  # one analysis for every expansion
-        else:
-            av_cols.append(np.asarray(H @ basis.V[:, 0], dtype=float).ravel())
-
-        last = None
-        for _ in range(max(1, cfg.j_max - 1)):
             W = orth_augment(basis, g)
-            if W.shape[1] == basis.dim:
-                HW = np.column_stack(av_cols)
-            else:
-                extra = np.asarray(H @ W[:, -1], dtype=float).ravel()
-                HW = (np.column_stack(av_cols + [extra]) if av_cols
-                      else extra.reshape(-1, 1))
-            H_r = W.T @ HW
-            H_r = 0.5 * (H_r + H_r.T)
-            g_r = W.T @ g
-            try:
-                sol = solve_secular_reduced(g_r, H_r, sigma)
-            except ReducedSolveError:
-                return failed_result(basis, True, W.shape[1])
-            step_full = W @ sol.step
-            hess_step = HW @ sol.step
-            last = (sol, W, H_r, g_r, step_full, hess_step)
-            res = finish(sol, W, H_r, g_r, basis, step_full, hess_step, True)
-            if res.meets_stationarity and (not so or res.meets_curvature):
-                return res
-            dim_before = basis.dim
-            if rational:
-                interval = _ritz_interval(H_r, H)
-                rational_expand(system, basis, interval)
-                if basis.dim > dim_before:
-                    n_rat += 1
-                    av_cols.append(np.asarray(H @ basis.V[:, -1], dtype=float).ravel())
-            else:
-                poly_expand(H, basis, hv=av_cols[-1] if av_cols else None)
-                if basis.dim > dim_before:
-                    av_cols.append(np.asarray(H @ basis.V[:, -1], dtype=float).ravel())
-            if basis.invariant or basis.dim == dim_before:
-                break
-        sol, W, H_r, g_r, step_full, hess_step = last
-        return finish(sol, W, H_r, g_r, basis, step_full, hess_step, True)
-
-    # frozen branch: one augmentation, one projection, one reduced solve
-    basis = state.basis
-    W = orth_augment(basis, g)
-    HW = np.asarray(H @ W)
-    H_r = W.T @ HW
-    H_r = 0.5 * (H_r + H_r.T)
-    g_r = W.T @ g
-    try:
-        sol = solve_secular_reduced(g_r, H_r, sigma)
-    except ReducedSolveError:
-        return failed_result(basis, False, W.shape[1])
-    step_full = W @ sol.step
-    hess_step = HW @ sol.step
-    return finish(sol, W, H_r, g_r, basis, step_full, hess_step, False)
+            HW = HV if W.shape[1] == basis.dim else _append_product(HV, H, W[:, -1])
+        else:
+            W, HW = basis.V, HV  # g is V's first direction
+        res = _project(state, cfg, ctx, basis, n_rat, W, HW)
+        del W, HW  # hold no extra n x j array across the expansion
+        if res.failed or (res.meets_stationarity
+                          and (not so or res.meets_curvature)):
+            return res
+        dim_before = basis.dim
+        if dim_before >= cfg.j_max:
+            break
+        if rational:
+            rational_expand(system, basis, _ritz_interval(res.H_r, H))
+            n_rat += basis.dim > dim_before
+        else:
+            poly_expand(H, basis, hv=HV[:, -1])
+        if basis.invariant or basis.dim == dim_before:
+            break
+        HV = _append_product(HV, H, basis.V[:, -1])
+    res.n_rational_solves = n_rat  # counts the last, unprojected expansion
+    return res
 
 
 def regularized_newton_step(state: IterateState, lambda_hat: float,

@@ -45,7 +45,6 @@ class KrylovBasis:
     seed_norm: float = 0.0
     seed: np.ndarray | None = None
     invariant: bool = False
-    n_solves: int = 0
 
     @property
     def dim(self) -> int:
@@ -111,7 +110,6 @@ def _next_shift(prev_shifts: list[float], interval: tuple[float, float]) -> floa
         m_lo = max(1.0e-6 * scale, -a * (1.0 + 1.0e-6) if a < 0.0 else 0.0)
     else:
         m_lo = max(1.0e-6 * scale, b * (1.0 + 1.0e-6) if b > 0.0 else 0.0)
-    m_lo = max(m_lo, 1.0e-6 * scale)
     m_hi = max(scale, 2.0 * m_lo)
     grid = np.linspace(m_lo, m_hi, _GRID_POINTS)
     mags = np.abs(np.asarray(prev_shifts))
@@ -149,7 +147,6 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
             if attempt == 1:
                 raise ShiftFailureError(f"shift {xi!r} remained singular")
             xi = xi + 1.0e-8 * (1.0 + abs(xi))
-    basis.n_solves += 1
     w, nrm = _reorthogonalize(basis.V, x)
     if nrm < BREAKDOWN_RTOL * basis.seed_norm:
         basis.invariant = True
@@ -160,7 +157,8 @@ def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float
 
 
 def orth_augment(basis: KrylovBasis, g) -> np.ndarray:
-    """W = orth([V, g]), whose range contains g (a copy of V if V's does)."""
+    """W = orth([V, g]), whose range contains g; V itself (which callers
+    must not write into) when V's range already does."""
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
@@ -168,7 +166,7 @@ def orth_augment(basis: KrylovBasis, g) -> np.ndarray:
     V = basis.V
     w, nrm = _reorthogonalize(V, g)
     if nrm <= 1.0e-12 * gnorm:
-        return V.copy()
+        return V
     return np.hstack([V, (w / nrm).reshape(-1, 1)])
 
 

@@ -41,7 +41,7 @@ def gershgorin_interval(H) -> tuple[float, float]:
     return float(np.min(d - radii)), float(np.max(d + radii))
 
 
-def min_eig(H, want_vector: bool = False, maxiter: int = 10000,
+def min_eig(H, want_vector: bool = False,
             rank_one: tuple[float, np.ndarray] | None = None):
     """Smallest eigenvalue of symmetric H, optionally with a unit eigenvector.
 
@@ -73,7 +73,7 @@ def min_eig(H, want_vector: bool = False, maxiter: int = 10000,
         if rank_one is not None:
             op, opinv = _rank_one_operators(H, c, u, anchor)
         vals, vecs = spla.eigsh(op, k=1, sigma=anchor, which="LM",
-                                OPinv=opinv, maxiter=maxiter)
+                                OPinv=opinv, maxiter=10000)
     except Exception as exc:  # ArpackNoConvergence, factorization trouble
         raise EigenSolveError(f"smallest-eigenvalue iteration failed: {exc}") from exc
     v = vecs[:, 0]

@@ -37,6 +37,9 @@ from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
 from .second_order import DENSE_EIG_CUTOFF, gershgorin_interval, min_eig
 
 MAX_ROOT_STEPS = 200
+# hard-case thresholds on g's relative weight in the leftmost eigenspace
+REDUCED_HARD_RTOL = 1.0e-12  # reduced (projected) solves
+FULL_HARD_RTOL = 1.0e-10     # the full-space secant's spectral fallback
 # Largest half-bandwidth kept in band storage; a wider H is factored dense.
 # Measured on a 2-core Intel Xeon with one BLAS thread, band Cholesky plus
 # solve (pbtrf/pbtrs) against dense (potrf/potrs) at n = 100 is 5.5x faster
@@ -232,8 +235,8 @@ def phi_R(lam: float, g, H, sigma: float,
     return float(np.linalg.norm(fac.solve(np.asarray(g, dtype=float)))) - lam / sigma
 
 
-def _spectrum_root(eigs: np.ndarray, c: np.ndarray, sigma: float,
-                   bracket_width: float = 1000.0) -> tuple[float, float, bool]:
+def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
+                   sigma: float) -> tuple[float, float, bool]:
     """Safeguarded Newton for the spectral form of phi on (lam_S, inf).
 
     Returns (lambda, |phi(lambda)|, converged). The residual is driven to
@@ -256,7 +259,7 @@ def _spectrum_root(eigs: np.ndarray, c: np.ndarray, sigma: float,
             return r - lam / sigma, dr - 1.0 / sigma, r
 
     lo = lam_S
-    hi = lam_S + bracket_width
+    hi = lam_S + 1000.0
     steps = 0
     val_hi, _, _ = phi_terms(hi)
     while val_hi > 0.0:
@@ -338,13 +341,12 @@ def _solve_from_spectrum(eigs: np.ndarray, Q: np.ndarray, c: np.ndarray,
     return SecularSolution(lam, step, resid, SecularCase.EASY)
 
 
-def solve_secular_reduced(g_r, H_r, sigma: float,
-                          theta_eig: float = 1.0e-12) -> SecularSolution:
+def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     """Solve the projected secular equation on a small dense matrix.
 
     Easy case: the positive root and step -(H_r + lam I)^{-1} g_r. Hard case
     (leftmost eigenvalue negative, gradient orthogonal to its eigenspace to
-    relative tolerance theta_eig, and the limit residual negative):
+    relative tolerance REDUCED_HARD_RTOL, and the limit residual negative):
     lam = -lambda_1 with the positive-root eigenvector weight restoring
     ||s|| = lam/sigma. No full-space factorizations.
     """
@@ -357,15 +359,14 @@ def solve_secular_reduced(g_r, H_r, sigma: float,
     H_r = 0.5 * (H_r + H_r.T)
     eigs, Q = sla.eigh(H_r)
     c = Q.T @ g_r
-    return _solve_from_spectrum(eigs, Q, c, sigma, theta_eig)
+    return _solve_from_spectrum(eigs, Q, c, sigma, REDUCED_HARD_RTOL)
 
 
 class _NeedSpectrum(Exception):
     """Internal: the shifted iteration cannot finish; use eigenvalues."""
 
 
-def _spectral_fallback(g, H, system, sigma, counter,
-                       theta_eig) -> SecularSolution:
+def _spectral_fallback(g, H, system, sigma, counter) -> SecularSolution:
     """Resolve the subproblem once the bracket hugs the spectrum edge.
 
     Up to DENSE_EIG_CUTOFF variables this is an exact spectral solve (hard,
@@ -384,7 +385,7 @@ def _spectral_fallback(g, H, system, sigma, counter,
         eigs, Q = sla.eigh(A.T, overwrite_a=True)
         c = Q.T @ g
         try:
-            sol = _solve_from_spectrum(eigs, Q, c, sigma, theta_eig)
+            sol = _solve_from_spectrum(eigs, Q, c, sigma, FULL_HARD_RTOL)
         except ReducedSolveError as exc:
             raise SecantFailureError(f"spectral fallback failed: {exc}") from exc
         if counter is not None:
@@ -404,7 +405,8 @@ def _spectral_fallback(g, H, system, sigma, counter,
     p -= float(v1 @ p) * v1
     pnorm = float(np.linalg.norm(p))
     radius = lam_S / sigma
-    if lam1 < 0.0 and abs(g1) <= theta_eig * max(gnorm, 1.0e-300) and pnorm <= radius:
+    if (lam1 < 0.0 and abs(g1) <= FULL_HARD_RTOL * max(gnorm, 1.0e-300)
+            and pnorm <= radius):
         alpha = math.sqrt(max(radius * radius - pnorm * pnorm, 0.0))
         step = p + alpha * v1
         resid = abs(float(np.linalg.norm(step)) - radius)
@@ -417,9 +419,7 @@ def _spectral_fallback(g, H, system, sigma, counter,
 
 def solve_secular_full_secant(g, H, sigma: float, theta1: float,
                               counter: FactorizationCounter | None = None,
-                              warm_lambda: float | None = None,
-                              theta_eig: float = 1.0e-10,
-                              max_steps: int = MAX_ROOT_STEPS) -> SecularSolution:
+                              warm_lambda: float | None = None) -> SecularSolution:
     """Secant iteration on phi for the full-space cubic subproblem.
 
     The iteration evaluates phi (one factorization per evaluation, secant
@@ -442,7 +442,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
         if ShiftedFactorization(system, 0.0, counter).positive_definite:
             return SecularSolution(0.0, np.zeros(g.size), 0.0,
                                    SecularCase.EASY)
-        return _spectral_fallback(g, H, system, sigma, counter, theta_eig)
+        return _spectral_fallback(g, H, system, sigma, counter)
 
     eps = float(np.finfo(float).eps)
 
@@ -497,9 +497,9 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
                 if snorm > 0.0 and abs(p_c) <= tol:
                     break
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_ROOT_STEPS:
                 raise SecantFailureError(
-                    f"secant iteration exceeded {max_steps} safeguarded steps")
+                    f"secant iteration exceeded {MAX_ROOT_STEPS} safeguarded steps")
 
             sec_cand = math.nan
             if len(valid) >= 2:
@@ -530,7 +530,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
             smallest = min(smallest, cand)
             classify(cand)
     except _NeedSpectrum:
-        return _spectral_fallback(g, H, system, sigma, counter, theta_eig)
+        return _spectral_fallback(g, H, system, sigma, counter)
 
     lam_acc, p_acc, x_acc = best
     return SecularSolution(lam_acc, -x_acc, abs(p_acc), SecularCase.EASY)

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
-from far2.driver import (IterateState, StepKind, acceptance_and_sigma_update,
-                         ar2_solve, far2_solve, far2so_solve,
-                         regularized_newton_step, step_ratio_ok,
+from far2.driver import (IterateState, Status, StepKind,
+                         acceptance_and_sigma_update, ar2_solve, far2_solve,
+                         far2so_solve, regularized_newton_step, step_ratio_ok,
                          subspace_minimize)
 from far2.errors import InternalInvariantError
 from far2.krylov import KrylovBasis
@@ -178,6 +179,24 @@ class TestSubspaceMinimize:
         assert inner[0] >= outer[0] - 1e-10
         assert inner[-1] <= outer[-1] + 1e-10
 
+    def test_polynomial_refresh_memory(self):
+        # V and H @ V grow a column at a time and nothing else of size n x j
+        # lives across an expansion: about three n x j copies at the peak
+        # (8 MB each here), where rebuilding W and H @ W took six
+        p = get_problem("TRIDIA", 20000)
+        f, g, H = p.eval(p.x0, 2)
+        state = IterateState(k=0, x=p.x0.copy(), f=float(f), g=g, H=H,
+                             sigma=1.0, refresh=True)
+        tracemalloc.start()
+        try:
+            res = subspace_minimize(state, SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.refreshed and not res.failed
+        assert res.dim == 49
+        assert peak < 28e6
+
 
 class TestFar2Solve:
     def test_convex_quadratic_run(self):
@@ -214,6 +233,24 @@ class TestFar2Solve:
         rerun = far2_solve(get_problem("INDEF", 25),
                            SolverConfig(space_kind=RATIONAL))
         assert rerun.n_fact == rep.n_fact  # deterministic and separate
+
+    @pytest.mark.parametrize("j_max,n_rat", [(2, 1), (3, 2), (4, 3)])
+    def test_rational_solves_count_the_last_expansion(self, j_max, n_rat):
+        # the refresh ends after its last expansion without projecting on
+        # it; that expansion's solve still counts
+        rep = far2_solve(get_problem("TRIDIA", 25),
+                         SolverConfig(space_kind=RATIONAL, j_max=j_max))
+        assert rep.converged
+        assert rep.n_refresh == 1
+        assert rep.n_rational_solves == n_rat
+
+    def test_single_column_polynomial_space(self):
+        # j_max = 1: the refresh projects on g alone and never expands
+        rep = far2_solve(get_problem("ROSENBR", 20), SolverConfig(j_max=1))
+        assert rep.status in {s.value for s in Status}
+        assert rep.converged
+        assert rep.violations == []
+        assert max(t.dim for t in rep.trace) <= 2
 
     def test_immediate_return_at_stationary_start(self):
         rep = far2_solve(quadratic_problem([1.0, 2.0], x0=[0.0, 0.0]))

@@ -71,7 +71,7 @@ class TestRationalExpand:
         expected /= np.linalg.norm(expected)
         assert np.allclose(np.abs(basis.V[:, 0]), expected, atol=1e-12)
         assert basis.shifts == [1.0]
-        assert basis.n_solves == 1
+        assert basis.dim == 1
 
     def test_happy_breakdown_identity(self, rng):
         g = rng.standard_normal(5)
@@ -110,10 +110,21 @@ class TestOrthAugment:
         W = orth_augment(basis, np.array([3.0, 0.0, 0.0]))
         np.testing.assert_allclose(W, np.array([[1.0], [0.0], [0.0]]))
 
-    def test_contained_gradient_returns_v(self):
+    def test_contained_gradient_returns_v(self, rng):
         basis = KrylovBasis.fresh_polynomial(np.array([1.0, 0.0, 0.0]))
         W = orth_augment(basis, np.array([1.0, 0.0, 0.0]))
-        assert W.shape[1] == 1
+        assert W is basis.V
+        # the polynomial refresh projects on V without augmenting it, so the
+        # seed gradient must stay in range(V) however far the basis grows
+        H = random_symmetric(rng, 12)
+        g = rng.standard_normal(12)
+        basis = KrylovBasis.fresh_polynomial(g)
+        for _ in range(6):
+            poly_expand(H, basis)
+            assert orth_augment(basis, g) is basis.V
+            resid = g - basis.V @ (basis.V.T @ g)
+            assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(g)
+        assert basis.dim == 7
 
     def test_gram_schmidt_by_hand(self):
         basis = KrylovBasis.fresh_polynomial(np.array([1.0, 0.0, 0.0]))
