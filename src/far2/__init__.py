@@ -5,7 +5,7 @@ from .driver import (IterateState, RunReport, Status, ar2_solve, far2_solve,
                      far2so_solve, subspace_minimize)
 from .harness import (ProblemSpec, SuiteConfig, performance_profile,
                       run_suite)
-from .model import ModelContext, evaluate_model, model_gradient, quad_reg_value
+from .model import ModelContext
 from .problems import (ClassificationData, ObjectiveProblem, get_problem,
                        load_libsvm, logistic_objective, registry_names,
                        sigmoid_objective, synth_classification)
@@ -19,8 +19,7 @@ __all__ = [
     "POLYNOMIAL", "RATIONAL", "SolverConfig", "SecondOrderConfig",
     "IterateState", "RunReport", "Status", "ar2_solve", "far2_solve",
     "far2so_solve", "subspace_minimize", "ProblemSpec", "SuiteConfig",
-    "performance_profile", "run_suite", "ModelContext", "evaluate_model",
-    "model_gradient", "quad_reg_value", "ClassificationData",
+    "performance_profile", "run_suite", "ModelContext", "ClassificationData",
     "ObjectiveProblem", "get_problem", "load_libsvm", "logistic_objective",
     "registry_names", "sigmoid_objective", "synth_classification",
     "SecularCase", "SecularSolution", "phi_R",

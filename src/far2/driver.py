@@ -4,16 +4,20 @@ One adaptive-regularization loop serves every solver. Its trial step comes
 from a fixed chain of fallbacks: the minimizer of the cubic model over a
 low-dimensional subspace that is frozen across iterations, then a
 regularized Newton corrector with the multiplier inherited from the
-subspace solve, then a full-space secant solve (only on an iteration that
+subspace solve, then a full-space secular solve (only on an iteration that
 rebuilt the subspace), and otherwise a rejection that rebuilds the subspace
 next time. ar2_solve is the chain without its first two links, so every
-step comes from the secant; far2_solve runs the whole chain; under a
-SecondOrderConfig (far2so_solve) the loop also demands positive curvature
-of every step and of the final Hessian.
+step comes from the full-space solve: safeguarded Newton on the secular
+equation, one Cholesky factorization per shift, as in the direct-solver
+implementations of adaptive cubic regularization. far2_solve runs the
+whole chain; under a SecondOrderConfig (far2so_solve) the loop also
+demands positive curvature of every step and of the final Hessian. Reports
+keep the historical name "secant" for a full-space step (StepKind.SECANT,
+n_secant_calls).
 
 Every run records per-iteration traces, the cost counters (nonlinear
 iterations, full-space factorizations, refreshes, average projected
-dimension, subspace-only steps, secant calls) and a list of monitor
+dimension, subspace-only steps, full-space solves) and a list of monitor
 violations; the monitors assert the per-step decrease inequalities, the
 multiplier identity lambda_hat = sigma*||s_hat||, and the sigma floor on
 every iteration.
@@ -397,7 +401,7 @@ def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
 
 def _curvature_ok(state: IterateState, s: np.ndarray,
                   cfg: SecondOrderConfig) -> bool:
-    """Second-order mode's model-curvature test of a secant step."""
+    """Second-order mode's model-curvature test of a full-space step."""
     ctx = state.model_context()
     floor = -cfg.theta2 * float(np.linalg.norm(s))
     if model_curvature_bound(ctx, s) >= floor:

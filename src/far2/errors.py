@@ -22,7 +22,7 @@ class ReducedSolveError(SolverError):
 
 
 class SecantFailureError(SolverError):
-    """The full-space secant iteration exhausted its safeguards."""
+    """The full-space secular solve exhausted its safeguards."""
 
 
 class EigenSolveError(SolverError):

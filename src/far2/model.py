@@ -1,9 +1,10 @@
 """Local models at the current iterate.
 
-Evaluates the second-order Taylor expansion T(s), the cubic regularized
-model m(s) = T(s) + (sigma/3)||s||^3, its gradient and smallest curvature,
-and the quadratic regularized model T(s) + (lambda_hat/2)||s||^2 used by the
-regularized Newton corrector.
+Holds the oracle data of the cubic regularized model
+m(s) = f + g^T s + s^T H s / 2 + (sigma/3)||s||^3 and the smallest
+curvature of m at a step, exactly (model_curvature_min) or as a lower bound
+without an eigensolve (model_curvature_bound), for the second-order
+curvature tests.
 """
 
 from __future__ import annotations
@@ -76,37 +77,12 @@ class ModelContext:
         """Gershgorin bounds (lower, upper) on the spectrum of H."""
         return gershgorin_interval(self.H)
 
-    def hess_product(self, s: np.ndarray) -> np.ndarray:
-        out = self.H @ s
-        return np.asarray(out).ravel()
-
 
 def _check_dim(ctx: ModelContext, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (ctx.n,):
         raise ValueError(f"step has dimension {s.shape}, expected ({ctx.n},)")
     return s
-
-
-def evaluate_model(ctx: ModelContext, s, Hs=None) -> tuple[float, float]:
-    """Return (T(s), m(s)) with m(s) = T(s) + (sigma/3)||s||^3.
-
-    Pass a precomputed Hs to reuse the Hessian product within one check.
-    """
-    s = _check_dim(ctx, s)
-    if Hs is None:
-        Hs = ctx.hess_product(s)
-    taylor = ctx.f0 + float(s @ ctx.g) + 0.5 * float(s @ Hs)
-    cubic = taylor + (ctx.sigma / 3.0) * float(np.linalg.norm(s)) ** 3
-    return taylor, cubic
-
-
-def model_gradient(ctx: ModelContext, s, Hs=None) -> np.ndarray:
-    """Gradient of the cubic model: g + H s + sigma ||s|| s."""
-    s = _check_dim(ctx, s)
-    if Hs is None:
-        Hs = ctx.hess_product(s)
-    return ctx.g + Hs + ctx.sigma * float(np.linalg.norm(s)) * s
 
 
 def model_curvature_min(ctx: ModelContext, s) -> float:
@@ -148,12 +124,3 @@ def model_curvature_bound(ctx: ModelContext, s) -> float:
     shift = ctx.sigma * float(np.linalg.norm(s))
     scale = max(1.0, abs(lo), abs(hi)) + 2.0 * shift
     return lo + shift - CURVATURE_BOUND_RTOL * scale
-
-
-def quad_reg_value(ctx: ModelContext, s, lambda_hat: float, Hs=None) -> float:
-    """Quadratic regularized model T(s) + (lambda_hat/2)||s||^2."""
-    if lambda_hat < 0.0:
-        raise ValueError("lambda_hat must be nonnegative")
-    s = _check_dim(ctx, s)
-    taylor, _ = evaluate_model(ctx, s, Hs=Hs)
-    return taylor + 0.5 * lambda_hat * float(s @ s)

@@ -15,8 +15,12 @@ factorization only when asked to solve at a shift that is not positive
 definite. A caller that shifts one H many times analyses its structure once
 (analyse_hessian). Reduced (small, dense) solves use a spectral
 decomposition, after which each residual evaluation costs O(m). The
-full-space secant falls back to the same spectral treatment when its
-bracket collapses onto the spectrum edge (the hard and near-hard cases).
+full-space solve is safeguarded Newton on the secular equation, the direct
+solver baseline of adaptive cubic regularization (Cartis, Gould & Toint
+2011, Algorithm 6.1): each shift costs one Cholesky factorization and two
+solves with it. When its bracket collapses onto the spectrum edge (the hard
+and near-hard cases) it falls back to the spectral treatment, or above
+DENSE_EIG_CUTOFF to a boundary step along the leftmost eigenvector.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .second_order import DENSE_EIG_CUTOFF, gershgorin_interval, min_eig
 MAX_ROOT_STEPS = 200
 # hard-case thresholds on g's relative weight in the leftmost eigenspace
 REDUCED_HARD_RTOL = 1.0e-12  # reduced (projected) solves
-FULL_HARD_RTOL = 1.0e-10     # the full-space secant's spectral fallback
+FULL_HARD_RTOL = 1.0e-10     # the full-space solve's spectral fallback
 # Largest half-bandwidth kept in band storage; a wider H is factored dense.
 # Measured on a 2-core Intel Xeon with one BLAS thread, band Cholesky plus
 # solve (pbtrf/pbtrs) against dense (potrf/potrs) at n = 100 is 5.5x faster
@@ -362,18 +366,17 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     return _solve_from_spectrum(eigs, Q, c, sigma, REDUCED_HARD_RTOL)
 
 
-class _NeedSpectrum(Exception):
-    """Internal: the shifted iteration cannot finish; use eigenvalues."""
-
-
-def _spectral_fallback(g, H, system, sigma, counter) -> SecularSolution:
+def _spectral_fallback(g, H, sigma, counter, hi=None,
+                       p=None) -> SecularSolution:
     """Resolve the subproblem once the bracket hugs the spectrum edge.
 
     Up to DENSE_EIG_CUTOFF variables this is an exact spectral solve (hard,
     near-hard and pessimistic-Gershgorin cases alike), counted as the final
-    solve. Above the cutoff a single-vector deflated solve handles the hard
-    case, factoring through `system`, the secant's ShiftedSystem of H;
-    anything else at that scale is reported as a failure.
+    solve. Above the cutoff it returns the boundary step at the bracket's
+    upper end `hi`: the step p solved there (||p|| < hi/sigma) plus the
+    multiple of the leftmost eigenvector v1 that restores ||s|| = hi/sigma,
+    of the two such multiples the one of lower model value. A zero gradient
+    (p None) takes hi = max(0, -lambda_1) and p = 0.
     """
     n = g.size
     if n <= DENSE_EIG_CUTOFF:
@@ -393,44 +396,42 @@ def _spectral_fallback(g, H, system, sigma, counter) -> SecularSolution:
         return sol
 
     lam1, v1 = min_eig(H, want_vector=True)
-    lam_S = max(0.0, -lam1)
-    gnorm = float(np.linalg.norm(g))
-    g1 = float(v1 @ g)
-    g_perp = g - g1 * v1
-    glo, ghi = gershgorin_interval(H)
-    scale = max(1.0, abs(glo), abs(ghi))
-    delta = max(1.0e-10 * max(scale, abs(lam1)), 1.0e-300)
-    fac = ShiftedFactorization(system, lam_S + delta, counter)
-    p = -fac.solve(g_perp)
-    p -= float(v1 @ p) * v1
-    pnorm = float(np.linalg.norm(p))
-    radius = lam_S / sigma
-    if (lam1 < 0.0 and abs(g1) <= FULL_HARD_RTOL * max(gnorm, 1.0e-300)
-            and pnorm <= radius):
-        alpha = math.sqrt(max(radius * radius - pnorm * pnorm, 0.0))
-        step = p + alpha * v1
-        resid = abs(float(np.linalg.norm(step)) - radius)
-        return SecularSolution(lam_S, step, resid, SecularCase.HARD,
-                               alpha=alpha)
-    raise SecantFailureError(
-        "secular bracket collapsed at the spectrum edge beyond the dense "
-        "eigendecomposition cutoff")
+    if p is None:
+        hi, p = max(0.0, -lam1), np.zeros(n)
+    radius = hi / sigma
+    pv = float(v1 @ p)
+    root = math.sqrt(max(pv * pv + radius * radius - float(p @ p), 0.0))
+
+    def model_value(alpha):
+        # g^T s + s^T H s / 2; the cubic term is the same at both roots
+        s = p + alpha * v1
+        return float(g @ s) + 0.5 * float(s @ (H @ s))
+
+    alpha = min((-pv - root, -pv + root), key=model_value)
+    step = p + alpha * v1
+    resid = abs(float(np.linalg.norm(step)) - radius)
+    return SecularSolution(hi, step, resid, SecularCase.HARD, alpha=alpha)
 
 
 def solve_secular_full_secant(g, H, sigma: float, theta1: float,
                               counter: FactorizationCounter | None = None,
                               warm_lambda: float | None = None) -> SecularSolution:
-    """Secant iteration on phi for the full-space cubic subproblem.
+    """Safeguarded Newton on the secular equation for the full-space subproblem.
 
-    The iteration evaluates phi (one factorization per evaluation, secant
-    updates on the equivalent reciprocal residual, bisection safeguards on
-    the bracket) from the warm start or the Gershgorin-safeguarded
-    lambda_0, and returns the step it solved for at the accepted
-    multiplier: `counter` gains one per phi evaluation (plus one for the
-    spectral fallback). The residual is driven to ~1e-10 of the step norm,
-    which makes the returned step satisfy both the model decrease and the
-    (theta1/2)||s||^2 stationarity bound. Hard and near-hard instances are
-    detected through bracket collapse and resolved spectrally.
+    Newton runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which
+    shares its root with phi and is concave and increasing, from the warm
+    start or the Gershgorin-safeguarded lambda_0. Each shift costs one
+    Cholesky factorization of H + lambda I (`counter` gains one) and two
+    solves with it, s(lambda) and (H + lambda I)^{-1} s for psi'. The
+    bracket starts at [0, inf), since the root is sigma*||s*|| > 0: a
+    failed Cholesky or phi > 0 raises its lower end, phi < 0 lowers its
+    upper end, and a Newton step outside it becomes bisection, or
+    max(2 lo, lo + 1) while the upper end is infinite. The residual is
+    driven to ~1e-10 of the step norm, which makes the returned step, the
+    solve at the shift that converged, satisfy both the model decrease and
+    the (theta1/2)||s||^2 stationarity bound. A bracket that collapses onto
+    the spectrum edge (the hard and near-hard cases) goes to
+    _spectral_fallback.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -442,95 +443,39 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
         if ShiftedFactorization(system, 0.0, counter).positive_definite:
             return SecularSolution(0.0, np.zeros(g.size), 0.0,
                                    SecularCase.EASY)
-        return _spectral_fallback(g, H, system, sigma, counter)
+        return _spectral_fallback(g, H, sigma, counter)
 
-    eps = float(np.finfo(float).eps)
-
-    def phi_eval(lam):
-        # Returns (phi, psi, solution) when H + lam*I is positive definite,
-        # else (None, None, None): a failed Cholesky marks lam as at or
-        # below the spectrum edge, a lower-bracket signal in the
-        # Moré-Sorensen sense. The secant iterates on the reciprocal form
-        # psi = 1/||s|| - sigma/lam, which shares the root with phi and is
-        # close to linear; brackets and the stopping test use phi itself.
+    if warm_lambda is not None and warm_lambda > 0.0:
+        lam = warm_lambda
+    else:
+        lam = max(0.0, -gershgorin_interval(H)[0]) + sigma * math.sqrt(gnorm)
+    rtol = min(0.5 * theta1 / sigma, 1.0e-9)
+    edge = 1.0 - 64.0 * float(np.finfo(float).eps)
+    lo, hi, x_hi = 0.0, math.inf, None
+    for _ in range(MAX_ROOT_STEPS):
         fac = ShiftedFactorization(system, lam, counter)
+        nxt = math.nan
         if not fac.positive_definite:
-            return None, None, None
-        x = fac.solve(g)
-        snorm = float(np.linalg.norm(x))
-        phi = snorm - lam / sigma
-        psi = 1.0 / snorm - sigma / lam if snorm > 0.0 and lam > 0.0 else -phi
-        return phi, psi, x
-
-    lo = None          # largest lambda known to sit at or below the root
-    hi = None          # smallest lambda with a valid phi < 0
-    valid = []         # (lam, psi) pairs usable for secant updates
-    best = None        # (lam, phi, solution) with the smallest |phi| so far
-
-    def classify(lam):
-        nonlocal lo, hi, best
-        phi, psi, x = phi_eval(lam)
-        if phi is None or phi > 0.0:
-            lo = lam if lo is None else max(lo, lam)
+            lo = lam  # at or below the spectrum edge
         else:
-            hi = lam if hi is None else min(hi, lam)
-        if phi is not None:
-            valid.append((lam, psi))
-            if best is None or abs(phi) < abs(best[1]):
-                best = (lam, phi, x)
-
-    try:
-        if warm_lambda is not None and warm_lambda > 0.0:
-            lam0 = warm_lambda
-        else:
-            lam0 = max(0.0, -gershgorin_interval(H)[0]) + sigma * math.sqrt(gnorm)
-        classify(lam0)
-        classify(lam0 + 1.0)
-        smallest = lam0
-
-        steps = 0
-        while True:
-            if best is not None:
-                lam_c, p_c, _ = best
-                snorm = p_c + lam_c / sigma
-                tol = min(0.5 * theta1 / sigma, 1.0e-9) * max(snorm, 1.0e-300)
-                if snorm > 0.0 and abs(p_c) <= tol:
-                    break
-            steps += 1
-            if steps > MAX_ROOT_STEPS:
-                raise SecantFailureError(
-                    f"secant iteration exceeded {MAX_ROOT_STEPS} safeguarded steps")
-
-            sec_cand = math.nan
-            if len(valid) >= 2:
-                (la, qa), (lb, qb) = valid[-2], valid[-1]
-                if qb != qa and la != lb:
-                    sec_cand = lb - qb * (lb - la) / (qb - qa)
-            if hi is None:
-                # All evaluations sit at or left of the root: extrapolate up.
-                biggest = lo if lo is not None else smallest
-                cand = sec_cand
-                if not np.isfinite(cand) or cand <= biggest:
-                    cand = max(2.0 * biggest, biggest + 1.0)
-            elif lo is None:
-                # Right of the root everywhere so far: extrapolate down.
-                cand = sec_cand
-                if not np.isfinite(cand) or not (0.0 < cand < smallest):
-                    cand = 0.5 * smallest
-                if cand <= 1.0e-300:
-                    raise _NeedSpectrum
+            x = fac.solve(g)
+            snorm = float(np.linalg.norm(x))
+            phi = snorm - lam / sigma
+            if abs(phi) <= rtol * snorm:
+                return SecularSolution(lam, -x, abs(phi), SecularCase.EASY)
+            if phi > 0.0:
+                lo = lam
             else:
-                if hi - lo <= 64.0 * eps * max(hi, 1.0e-300):
-                    # Bracket exhausted in floating point without meeting the
-                    # residual target: the root hugs the spectrum edge.
-                    raise _NeedSpectrum
-                cand = sec_cand
-                if not np.isfinite(cand) or not (lo < cand < hi):
-                    cand = lo + 0.5 * (hi - lo)
-            smallest = min(smallest, cand)
-            classify(cand)
-    except _NeedSpectrum:
-        return _spectral_fallback(g, H, system, sigma, counter)
-
-    lam_acc, p_acc, x_acc = best
-    return SecularSolution(lam_acc, -x_acc, abs(p_acc), SecularCase.EASY)
+                hi, x_hi = lam, x
+            dpsi = float(x @ fac.solve(x)) / snorm ** 3 + sigma / lam ** 2
+            nxt = lam - (1.0 / snorm - sigma / lam) / dpsi
+        if lo >= edge * hi:
+            # the bracket is exhausted in floating point without meeting
+            # the residual target: the root hugs the spectrum edge
+            return _spectral_fallback(g, H, sigma, counter, hi, -x_hi)
+        if not lo < nxt < hi:
+            nxt = (max(2.0 * lo, lo + 1.0) if hi == math.inf
+                   else lo + 0.5 * (hi - lo))
+        lam = nxt
+    raise SecantFailureError(
+        f"secular Newton iteration exceeded {MAX_ROOT_STEPS} safeguarded steps")

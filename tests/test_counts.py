@@ -2,13 +2,14 @@
 
 Performance work on the factorization and eigenvalue layers must leave every
 count unchanged. These runs pin exact (n_fact, n_nli) pairs on paths that
-exercise tridiagonal Cholesky (ROSENBR, CUBE), band Cholesky on 4x4 block
-Hessians (WOODS), the Newton corrector (FAR2-PK), pivoted indefinite solves
-of shifts that are not positive definite (FAR2-RK on INDEF: rational
-expansions and corrector steps), and FAR2-SO on a sparse Hessian above
-DENSE_EIG_CUTOFF (EDENSCH-5000: curvature tests and the iterative
-smallest-eigenvalue termination test). A change that moves one of them on
-purpose must say so and update the pin.
+exercise AR2's safeguarded Newton on the secular equation with tridiagonal
+Cholesky (ROSENBR, CUBE) and band Cholesky on 4x4 block Hessians (WOODS),
+the Newton corrector (FAR2-PK), pivoted indefinite solves of shifts that
+are not positive definite (FAR2-RK on INDEF: rational expansions and
+corrector steps), and FAR2-SO on a sparse Hessian above DENSE_EIG_CUTOFF
+(EDENSCH-5000: curvature tests and the iterative smallest-eigenvalue
+termination test). A change that moves one of them on purpose must say so
+and update the pin.
 """
 
 import pytest
@@ -16,10 +17,10 @@ import pytest
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
 
 PINNED = [
-    ("AR2", "ROSENBR", 100, 4202, 415),
-    ("AR2", "WOODS", 100, 907, 99),
-    ("AR2", "WOODS", 500, 1256, 107),
-    ("AR2", "CUBE", 100, 1217, 110),
+    ("AR2", "ROSENBR", 100, 2634, 415),
+    ("AR2", "WOODS", 100, 623, 99),
+    ("AR2", "WOODS", 500, 659, 107),
+    ("AR2", "CUBE", 100, 712, 110),
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
     ("FAR2-RK", "INDEF", 100, 37, 101),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),

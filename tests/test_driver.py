@@ -373,10 +373,7 @@ class TestSymmetrizeOnce:
 
 
 BLOCK_SOLVES = [(s, p) for p in ("WOODS", "POWELLSG", "BDARWHD")
-                for s in ("FAR2-PK", "FAR2-RK")]
-# AR2 on WOODS is left out: above n = 2000 its secant ends at the spectrum
-# edge, where only a dense eigendecomposition can finish the solve
-BLOCK_SOLVES += [("AR2", "POWELLSG"), ("AR2", "BDARWHD")]
+                for s in ("FAR2-PK", "FAR2-RK", "AR2")]
 
 
 @pytest.mark.slow
@@ -401,3 +398,15 @@ def test_block_problems_at_paper_scale(solver, name):
     assert report.converged, report.message
     assert report.violations == []
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("name,n", [("CUBE", 2001), ("WOODS", 2004)])
+def test_ar2_near_hard_above_the_dense_eigen_cutoff(name, n):
+    """AR2's secular solves that collapse onto the spectrum edge above
+    DENSE_EIG_CUTOFF end in the boundary step, not in a failure."""
+    from far2.harness import ProblemSpec, SuiteConfig, run_suite
+
+    spec = ProblemSpec(kind="registry", name=name, n=n)
+    [report] = run_suite(SuiteConfig(solvers=["AR2"], problems=[spec]))
+    assert report.converged, report.message
+    assert report.violations == []

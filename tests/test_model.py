@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -7,81 +6,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far2.model import (ModelContext, evaluate_model, model_curvature_bound,
-                        model_curvature_min, model_gradient, quad_reg_value,
-                        symmetrize)
+from far2.model import (ModelContext, model_curvature_bound,
+                        model_curvature_min, symmetrize)
 from far2.second_order import min_eig
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def e1(n):
     v = np.zeros(n)
     v[0] = 1.0
     return v
-
-
-class TestEvaluateModel:
-    def test_origin_equals_f0(self):
-        ctx = ModelContext(0.0, e1(3), np.eye(3), 1.0)
-        assert evaluate_model(ctx, np.zeros(3)) == (0.0, 0.0)
-
-    def test_scalar_golden_point(self):
-        # T(-lam e1) = -lam + lam^2/2, m = T + lam^3/3 with lam the golden root
-        ctx = ModelContext(0.0, e1(2), np.eye(2), 1.0)
-        taylor, cubic = evaluate_model(ctx, -GOLDEN * e1(2))
-        assert taylor == pytest.approx(-GOLDEN + 0.5 * GOLDEN**2, abs=1e-12)
-        assert cubic == pytest.approx(taylor + GOLDEN**3 / 3.0, abs=1e-12)
-        assert taylor == pytest.approx(-0.4271, abs=1e-4)
-        assert cubic == pytest.approx(-0.3484, abs=1e-4)
-
-    def test_pure_cubic_term(self):
-        ctx = ModelContext(5.0, np.zeros(3), np.zeros((3, 3)), 3.0)
-        s = np.array([0.0, 1.0, 0.0])
-        assert evaluate_model(ctx, s) == pytest.approx((5.0, 6.0))
-
-    def test_dimension_mismatch(self):
-        ctx = ModelContext(0.0, e1(3), np.eye(3), 1.0)
-        with pytest.raises(ValueError):
-            evaluate_model(ctx, np.zeros(4))
-
-    @given(st.integers(2, 7), st.integers(0, 10**6), st.floats(0.05, 20.0))
-    @settings(max_examples=60, deadline=None)
-    def test_cubic_exceeds_taylor(self, n, seed, sigma):
-        r = np.random.default_rng(seed)
-        A = r.standard_normal((n, n))
-        ctx = ModelContext(r.standard_normal(), r.standard_normal(n),
-                           0.5 * (A + A.T), sigma)
-        s = r.standard_normal(n)
-        taylor, cubic = evaluate_model(ctx, s)
-        assert cubic > taylor
-
-
-class TestModelGradient:
-    def test_at_origin_is_g(self):
-        g = np.array([3.0, -1.0])
-        ctx = ModelContext(0.0, g, np.diag([2.0, 5.0]), 7.0)
-        np.testing.assert_allclose(model_gradient(ctx, np.zeros(2)), g)
-
-    def test_golden_stationarity(self):
-        ctx = ModelContext(0.0, e1(4), np.eye(4), 1.0)
-        grad = model_gradient(ctx, -GOLDEN * e1(4))
-        assert np.linalg.norm(grad) < 1e-14
-
-    def test_matches_finite_differences(self, rng):
-        n = 6
-        A = rng.standard_normal((n, n))
-        ctx = ModelContext(0.3, rng.standard_normal(n), 0.5 * (A + A.T), 1.7)
-        s = rng.standard_normal(n)
-        grad = model_gradient(ctx, s)
-        h = 1e-6
-        fd = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            fd[i] = (evaluate_model(ctx, s + e)[1]
-                     - evaluate_model(ctx, s - e)[1]) / (2 * h)
-        assert np.linalg.norm(grad - fd) <= 1e-6 * (1 + np.linalg.norm(grad))
 
 
 class TestModelCurvatureMin:
@@ -188,34 +121,3 @@ class TestCurvatureCertificate:
         np.testing.assert_array_equal(
             ModelContext(0.0, np.ones(4), A, 1.0).H, H)
         assert ModelContext._from_symmetric(0.0, np.ones(4), H, 1.0).H is H
-
-
-class TestQuadRegValue:
-    def test_zero_step(self):
-        ctx = ModelContext(4.5, np.ones(2), np.eye(2), 1.0)
-        assert quad_reg_value(ctx, np.zeros(2), 3.0) == pytest.approx(4.5)
-
-    def test_hand_arithmetic(self):
-        ctx = ModelContext(0.0, np.array([3.0, 5.0]), np.diag([2.0, 4.0]), 1.0)
-        val = quad_reg_value(ctx, np.array([-1.0, -1.0]), 1.0)
-        assert val == pytest.approx(-4.0, abs=1e-12)
-
-    def test_negative_multiplier_rejected(self):
-        ctx = ModelContext(0.0, np.ones(2), np.eye(2), 1.0)
-        with pytest.raises(ValueError):
-            quad_reg_value(ctx, np.zeros(2), -0.1)
-
-    def test_exact_shifted_solve_identity(self, rng):
-        # for s solving (H + lam I)s = -g: m_Q(s) - m_Q(0) = s^T g / 2
-        for _ in range(10):
-            n = int(rng.integers(2, 8))
-            A = rng.standard_normal((n, n))
-            H = 0.5 * (A + A.T)
-            g = rng.standard_normal(n)
-            lam = abs(float(np.linalg.eigvalsh(H)[0])) + rng.uniform(0.1, 2.0)
-            s = np.linalg.solve(H + lam * np.eye(n), -g)
-            ctx = ModelContext(rng.standard_normal(), g, H, 1.0)
-            lhs = quad_reg_value(ctx, s, lam) - quad_reg_value(ctx, np.zeros(n), lam)
-            rhs = 0.5 * float(s @ g)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-            assert lhs < 0.0

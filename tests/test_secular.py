@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_cubic_min, cubic_model_value, random_symmetric
 from far2.errors import SingularShiftError
 from far2.secular import (FactorizationCounter, SecularCase,
-                          ShiftedFactorization, phi_R,
+                          ShiftedFactorization, analyse_hessian, phi_R,
                           solve_secular_full_secant, solve_secular_reduced)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -180,7 +181,8 @@ class TestSolveSecularFullSecant:
         g = np.ones(6)
         H = np.diag(np.arange(1.0, 7.0)) + 0.1
         solve_secular_full_secant(g, H, 2.0, 0.1, counter=c)
-        assert c.count >= 2  # at least one evaluation plus the final solve
+        # the Gershgorin start is not the root: at least one Newton step
+        assert c.count >= 2
 
     def test_hard_case_full_space(self):
         H = np.diag([-1.0, 1.0, 2.0, 3.0])
@@ -218,3 +220,96 @@ class TestSolveSecularFullSecant:
                                          warm_lambda=cold.lam)
         assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
         assert c_warm.count <= c_cold.count
+
+    def test_warm_start_at_the_root_factors_once(self):
+        # Newton meets the residual target at its first shift, whose solve
+        # is the step returned
+        H = np.diag([-1.0, 2.0, 3.0, 10.0])
+        g = np.array([1.0, -2.0, 0.5, 0.3])
+        cold = solve_secular_full_secant(g, H, 1.0, 0.1)
+        c = FactorizationCounter()
+        warm = solve_secular_full_secant(g, H, 1.0, 0.1, counter=c,
+                                         warm_lambda=cold.lam)
+        assert c.count == 1
+        assert warm.lam == cold.lam
+        np.testing.assert_array_equal(warm.step, cold.step)
+
+    @pytest.mark.parametrize("n", [2001, 2004])
+    def test_hard_case_above_the_dense_cutoff(self, n):
+        # g orthogonal to the leftmost eigenvector of a tridiagonal H too
+        # large for the dense eigendecomposition: the boundary step at the
+        # bracket's upper end
+        d = np.full(n, 2.0)
+        d[0] = -3.0
+        H = sp.diags([d], [0], format="csr")
+        g = np.zeros(n)
+        g[1:] = 1.0 / math.sqrt(n - 1)
+        sol = solve_secular_full_secant(g, H, 1.0, 0.1)
+        assert sol.case is SecularCase.HARD
+        assert sol.lam == pytest.approx(3.0, rel=1e-12)
+        assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
+        np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
+
+    def test_zero_gradient_above_the_dense_cutoff(self):
+        n = 2001
+        d = np.full(n, 2.0)
+        d[0] = -3.0
+        H = sp.diags([d], [0], format="csr")
+        sol = solve_secular_full_secant(np.zeros(n), H, 0.5, 0.1)
+        assert sol.case is SecularCase.HARD
+        assert sol.lam == pytest.approx(3.0, rel=1e-12)
+        assert abs(sol.step[0]) == pytest.approx(6.0, rel=1e-10)
+        assert np.linalg.norm(sol.step[1:]) <= 1e-10
+
+
+def _stored(kind, rng, n):
+    """A random symmetric H: tridiagonal or banded CSR, or a dense array."""
+    if kind == "dense":
+        return random_symmetric(rng, n, scale=2.0 / math.sqrt(n))
+    kd = 1 if kind == "tridiagonal" else int(rng.integers(2, 6))
+    H = sp.diags([rng.standard_normal(n - k) for k in range(kd + 1)],
+                 list(range(kd + 1)), format="csr")
+    return (H + H.T).tocsr()
+
+
+class TestFullSpaceMatchesSpectral:
+    """The Newton solve against the spectral solve of the same easy instance.
+
+    Every storage runs both solves with its own factor (pttrs, pbtrs,
+    potrs): one for the step and one for psi's derivative.
+    """
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "banded", "dense"])
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_same_step(self, kind, seed, sigma):
+        rng = np.random.default_rng(seed)
+        # a dense H up to half-bandwidth 32 would be factored in band storage
+        n = int(rng.integers(34, 60) if kind == "dense" else rng.integers(8, 40))
+        H = _stored(kind, rng, n)
+        system = analyse_hessian(H)
+        if kind == "dense":
+            assert system.dense is not None
+        else:
+            assert (system.band.shape[0] == 2) == (kind == "tridiagonal")
+        A = H.toarray() if sp.issparse(H) else H
+        eigs, Q = np.linalg.eigh(A)
+        # weight on the leftmost eigenvector keeps the instance easy: the
+        # root stays clear of the spectrum edge
+        g = rng.standard_normal(n)
+        g += 3.0 * np.linalg.norm(g) * Q[:, 0]
+        ref = solve_secular_reduced(g, A, sigma)
+        assume(ref.case is SecularCase.EASY
+               and ref.lam + eigs[0] >= 0.2 * ref.lam)
+        c = FactorizationCounter()
+        sol = solve_secular_full_secant(g, H, sigma, 0.1, counter=c)
+        assert sol.case is SecularCase.EASY
+        # with a right derivative solve Newton needs a handful of shifts:
+        # at most 6 on 300 seeds per storage, against about 100 when psi'
+        # is computed without that solve
+        assert c.count <= 10
+        assert sol.lam == pytest.approx(ref.lam, rel=1e-8)
+        assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
+                                                                 rel=1e-8)
+        np.testing.assert_allclose(sol.step, ref.step, rtol=0,
+                                   atol=1e-8 * np.linalg.norm(ref.step))
