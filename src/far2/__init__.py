@@ -9,7 +9,7 @@ from .model import ModelContext
 from .problems import (ClassificationData, ObjectiveProblem, get_problem,
                        load_libsvm, logistic_objective, registry_names,
                        sigmoid_objective, synth_classification)
-from .secular import (SecularCase, SecularSolution, phi_R,
+from .secular import (SecularCase, SecularSolution,
                       solve_secular_full_secant, solve_secular_reduced)
 from .second_order import SecondOrderConfig, min_eig
 
@@ -22,7 +22,7 @@ __all__ = [
     "performance_profile", "run_suite", "ModelContext", "ClassificationData",
     "ObjectiveProblem", "get_problem", "load_libsvm", "logistic_objective",
     "registry_names", "sigmoid_objective", "synth_classification",
-    "SecularCase", "SecularSolution", "phi_R",
+    "SecularCase", "SecularSolution",
     "solve_secular_full_secant", "solve_secular_reduced", "min_eig",
     "__version__",
 ]

@@ -35,7 +35,7 @@ import scipy.linalg as sla
 
 from .config import RATIONAL, SolverConfig
 from .errors import (InternalInvariantError, ReducedSolveError,
-                     SecantFailureError, SingularShiftError)
+                     SingularShiftError, SolverError)
 from .krylov import KrylovBasis, orth_augment, poly_expand, rational_expand
 from .model import (ModelContext, model_curvature_bound, model_curvature_min,
                     symmetrize)
@@ -481,7 +481,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                 sol = solve_secular_full_secant(
                     state.g, state.H, state.sigma, cfg.theta1, counter,
                     warm_lambda=warm)
-            except (SecantFailureError, SingularShiftError) as exc:
+            except SolverError as exc:
                 status = Status.SOLVE_FAILURE
                 message = f"full-space secular solve failed: {exc}"
                 break

@@ -45,8 +45,9 @@ def min_eig(H, want_vector: bool = False,
             rank_one: tuple[float, np.ndarray] | None = None):
     """Smallest eigenvalue of symmetric H, optionally with a unit eigenvector.
 
-    Dense symmetric eigendecomposition up to DENSE_EIG_CUTOFF; above that a
-    shift-and-invert Lanczos iteration anchored below the Gershgorin bound.
+    Dense symmetric eigensolver up to DENSE_EIG_CUTOFF (only the leftmost
+    pair when the vector is wanted); above that a shift-and-invert Lanczos
+    iteration anchored below the Gershgorin bound.
     rank_one = (c, u) with c >= 0 adds c u u^T to H; the iterative path
     applies it without forming it, inverting the shifted sum by
     Sherman-Morrison over a factorization of H alone. Raises
@@ -59,8 +60,8 @@ def min_eig(H, want_vector: bool = False,
             A = A + rank_one[0] * np.outer(rank_one[1], rank_one[1])
         A = 0.5 * (A + A.T)
         if want_vector:
-            w, v = sla.eigh(A)
-            return float(w[0]), v[:, 0].copy()
+            w, v = sla.eigh(A, subset_by_index=[0, 0])
+            return float(w[0]), v[:, 0]
         return float(sla.eigvalsh(A)[0]), None
 
     lo, hi = gershgorin_interval(H)

@@ -19,8 +19,9 @@ full-space solve is safeguarded Newton on the secular equation, the direct
 solver baseline of adaptive cubic regularization (Cartis, Gould & Toint
 2011, Algorithm 6.1): each shift costs one Cholesky factorization and two
 solves with it. When its bracket collapses onto the spectrum edge (the hard
-and near-hard cases) it falls back to the spectral treatment, or above
-DENSE_EIG_CUTOFF to a boundary step along the leftmost eigenvector.
+and near-hard cases) it returns the boundary step: the solve at the edge
+plus the multiple of the leftmost eigenvector that restores
+||s|| = lambda/sigma (Moré & Sorensen 1983).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from scipy.linalg.lapack import (_compute_lwork, dgbtrf, dgbtrs, dgttrf,
                                  dpttrf, dpttrs)
 
 from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
-from .second_order import DENSE_EIG_CUTOFF, gershgorin_interval, min_eig
+from .second_order import gershgorin_interval, min_eig
 
 MAX_ROOT_STEPS = 200
-# hard-case thresholds on g's relative weight in the leftmost eigenspace
-REDUCED_HARD_RTOL = 1.0e-12  # reduced (projected) solves
-FULL_HARD_RTOL = 1.0e-10     # the full-space solve's spectral fallback
+# hard-case threshold on g's relative weight in the leftmost eigenspace of a
+# reduced (projected) problem
+REDUCED_HARD_RTOL = 1.0e-12
 # Largest half-bandwidth kept in band storage; a wider H is factored dense.
 # Measured on a 2-core Intel Xeon with one BLAS thread, band Cholesky plus
 # solve (pbtrf/pbtrs) against dense (potrf/potrs) at n = 100 is 5.5x faster
@@ -230,15 +231,6 @@ class ShiftedFactorization:
         return x
 
 
-def phi_R(lam: float, g, H, sigma: float,
-          counter: FactorizationCounter | None = None) -> float:
-    """Residual ||(H + lambda I)^{-1} g|| - lambda/sigma (one factorization)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    fac = ShiftedFactorization(H, lam, counter)
-    return float(np.linalg.norm(fac.solve(np.asarray(g, dtype=float)))) - lam / sigma
-
-
 def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
                    sigma: float) -> tuple[float, float, bool]:
     """Safeguarded Newton for the spectral form of phi on (lam_S, inf).
@@ -295,9 +287,24 @@ def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
     raise ReducedSolveError("secular root iteration exhausted its budget")
 
 
-def _solve_from_spectrum(eigs: np.ndarray, Q: np.ndarray, c: np.ndarray,
-                         sigma: float, theta_eig: float) -> SecularSolution:
-    """Easy/hard-case resolution given a spectral decomposition."""
+def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
+    """Solve the projected secular equation on a small dense matrix.
+
+    Easy case: the positive root and step -(H_r + lam I)^{-1} g_r. Hard case
+    (leftmost eigenvalue negative, gradient orthogonal to its eigenspace to
+    relative tolerance REDUCED_HARD_RTOL, and the limit residual negative):
+    lam = -lambda_1 with the positive-root eigenvector weight restoring
+    ||s|| = lam/sigma. No full-space factorizations.
+    """
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    g_r = np.asarray(g_r, dtype=float)
+    H_r = np.asarray(H_r, dtype=float)
+    if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
+        raise ValueError("non-finite entries in reduced problem")
+    H_r = 0.5 * (H_r + H_r.T)
+    eigs, Q = sla.eigh(H_r)
+    c = Q.T @ g_r
     m = c.size
     gnorm = float(np.linalg.norm(c))
     lam1 = float(eigs[0])
@@ -330,7 +337,7 @@ def _solve_from_spectrum(eigs: np.ndarray, Q: np.ndarray, c: np.ndarray,
         resid = abs(float(np.linalg.norm(step)) - radius)
         return SecularSolution(lam, step, resid, SecularCase.HARD, alpha=alpha)
 
-    if lam1 < 0.0 and c_eigspace <= theta_eig * gnorm:
+    if lam1 < 0.0 and c_eigspace <= REDUCED_HARD_RTOL * gnorm:
         sol = boundary_solution(-lam1)
         if sol is not None:
             return sol
@@ -345,59 +352,21 @@ def _solve_from_spectrum(eigs: np.ndarray, Q: np.ndarray, c: np.ndarray,
     return SecularSolution(lam, step, resid, SecularCase.EASY)
 
 
-def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
-    """Solve the projected secular equation on a small dense matrix.
-
-    Easy case: the positive root and step -(H_r + lam I)^{-1} g_r. Hard case
-    (leftmost eigenvalue negative, gradient orthogonal to its eigenspace to
-    relative tolerance REDUCED_HARD_RTOL, and the limit residual negative):
-    lam = -lambda_1 with the positive-root eigenvector weight restoring
-    ||s|| = lam/sigma. No full-space factorizations.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    g_r = np.asarray(g_r, dtype=float)
-    H_r = np.asarray(H_r, dtype=float)
-    if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
-        raise ValueError("non-finite entries in reduced problem")
-    H_r = 0.5 * (H_r + H_r.T)
-    eigs, Q = sla.eigh(H_r)
-    c = Q.T @ g_r
-    return _solve_from_spectrum(eigs, Q, c, sigma, REDUCED_HARD_RTOL)
-
-
 def _spectral_fallback(g, H, sigma, counter, hi=None,
                        p=None) -> SecularSolution:
-    """Resolve the subproblem once the bracket hugs the spectrum edge.
+    """The boundary step, once the bracket collapses onto the spectrum edge.
 
-    Up to DENSE_EIG_CUTOFF variables this is an exact spectral solve (hard,
-    near-hard and pessimistic-Gershgorin cases alike), counted as the final
-    solve. Above the cutoff it returns the boundary step at the bracket's
-    upper end `hi`: the step p solved there (||p|| < hi/sigma) plus the
-    multiple of the leftmost eigenvector v1 that restores ||s|| = hi/sigma,
-    of the two such multiples the one of lower model value. A zero gradient
-    (p None) takes hi = max(0, -lambda_1) and p = 0.
+    The step p solved at the bracket's upper end `hi` (||p|| < hi/sigma)
+    plus the multiple of the leftmost eigenvector v1 that restores
+    ||s|| = hi/sigma, of the two such multiples the one of lower model
+    value. A zero gradient (p None) takes hi = max(0, -lambda_1) and p = 0.
+    The eigensolve is counted as one factorization.
     """
-    n = g.size
-    if n <= DENSE_EIG_CUTOFF:
-        A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        A = A + A.T
-        A *= 0.5
-        # A is exactly symmetric: its transpose is the Fortran-ordered copy
-        # eigh would otherwise make, so eigh may overwrite it in place
-        eigs, Q = sla.eigh(A.T, overwrite_a=True)
-        c = Q.T @ g
-        try:
-            sol = _solve_from_spectrum(eigs, Q, c, sigma, FULL_HARD_RTOL)
-        except ReducedSolveError as exc:
-            raise SecantFailureError(f"spectral fallback failed: {exc}") from exc
-        if counter is not None:
-            counter.bump()
-        return sol
-
     lam1, v1 = min_eig(H, want_vector=True)
+    if counter is not None:
+        counter.bump()
     if p is None:
-        hi, p = max(0.0, -lam1), np.zeros(n)
+        hi, p = max(0.0, -lam1), np.zeros(g.size)
     radius = hi / sigma
     pv = float(v1 @ p)
     root = math.sqrt(max(pv * pv + radius * radius - float(p @ p), 0.0))
@@ -430,8 +399,9 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
     driven to ~1e-10 of the step norm, which makes the returned step, the
     solve at the shift that converged, satisfy both the model decrease and
     the (theta1/2)||s||^2 stationarity bound. A bracket that collapses onto
-    the spectrum edge (the hard and near-hard cases) goes to
-    _spectral_fallback.
+    the spectrum edge (the hard and near-hard cases) ends in the boundary
+    step of _spectral_fallback, as does a zero gradient with H not positive
+    definite.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")

@@ -9,7 +9,7 @@ from far2.driver import (IterateState, Status, StepKind,
                          acceptance_and_sigma_update, ar2_solve, far2_solve,
                          far2so_solve, regularized_newton_step, step_ratio_ok,
                          subspace_minimize)
-from far2.errors import InternalInvariantError
+from far2.errors import EigenSolveError, InternalInvariantError
 from far2.krylov import KrylovBasis
 from far2.problems import ObjectiveProblem, get_problem
 from far2.second_order import SecondOrderConfig
@@ -346,6 +346,17 @@ class TestAr2Solve:
         rep = ar2_solve(quadratic_problem([2.0, 3.0], x0=[0.0, 0.0]))
         assert rep.n_nli == 0
 
+    def test_eigensolver_failure_ends_the_run(self, monkeypatch):
+        # EG2's full-space solves collapse onto the spectrum edge, where the
+        # boundary step asks min_eig for the leftmost eigenvector
+        def fail(*args, **kwargs):
+            raise EigenSolveError("no convergence")
+
+        monkeypatch.setattr("far2.secular.min_eig", fail)
+        rep = ar2_solve(get_problem("EG2", 30))
+        assert rep.status == "solve_failure"
+        assert rep.message.startswith("full-space secular solve failed")
+
 
 class TestSymmetrizeOnce:
     def test_model_context_follows_h(self, rng):
@@ -403,7 +414,8 @@ def test_block_problems_at_paper_scale(solver, name):
 @pytest.mark.parametrize("name,n", [("CUBE", 2001), ("WOODS", 2004)])
 def test_ar2_near_hard_above_the_dense_eigen_cutoff(name, n):
     """AR2's secular solves that collapse onto the spectrum edge above
-    DENSE_EIG_CUTOFF end in the boundary step, not in a failure."""
+    DENSE_EIG_CUTOFF, where min_eig is iterative, end in the boundary step,
+    not in a failure."""
     from far2.harness import ProblemSpec, SuiteConfig, run_suite
 
     spec = ProblemSpec(kind="registry", name=name, n=n)

@@ -9,40 +9,10 @@ from hypothesis import strategies as st
 from conftest import brute_force_cubic_min, cubic_model_value, random_symmetric
 from far2.errors import SingularShiftError
 from far2.secular import (FactorizationCounter, SecularCase,
-                          ShiftedFactorization, analyse_hessian, phi_R,
+                          ShiftedFactorization, analyse_hessian,
                           solve_secular_full_secant, solve_secular_reduced)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class TestPhiR:
-    def test_unit_gradient_at_zero_shift(self):
-        assert phi_R(0.0, np.eye(3)[:, 0], np.eye(3), 1.0) == pytest.approx(1.0)
-
-    def test_scalar_golden_root(self):
-        val = phi_R(GOLDEN, np.array([1.0]), np.array([[1.0]]), 1.0)
-        assert abs(val) < 1e-10
-
-    def test_decoupled_component(self):
-        val = phi_R(2.0, np.array([0.0, 1.0]), np.diag([-1.0, 1.0]), 1.0)
-        assert val == pytest.approx(1.0 / 3.0 - 2.0)
-
-    def test_counts_factorizations(self):
-        c = FactorizationCounter()
-        phi_R(0.5, np.ones(3), np.eye(3), 1.0, counter=c)
-        phi_R(1.5, np.ones(3), np.eye(3), 1.0, counter=c)
-        assert c.count == 2
-
-    @given(st.integers(2, 6), st.integers(0, 10**6), st.floats(0.1, 10.0))
-    @settings(max_examples=40, deadline=None)
-    def test_strictly_decreasing(self, n, seed, sigma):
-        r = np.random.default_rng(seed)
-        H = random_symmetric(r, n)
-        g = r.standard_normal(n)
-        lam_S = max(0.0, -float(np.linalg.eigvalsh(H)[0]))
-        l1 = lam_S + r.uniform(0.05, 1.0)
-        l2 = l1 + r.uniform(0.05, 2.0)
-        assert phi_R(l2, g, H, sigma) < phi_R(l1, g, H, sigma)
 
 
 class TestFactorizeShifted:
@@ -234,11 +204,11 @@ class TestSolveSecularFullSecant:
         assert warm.lam == cold.lam
         np.testing.assert_array_equal(warm.step, cold.step)
 
-    @pytest.mark.parametrize("n", [2001, 2004])
-    def test_hard_case_above_the_dense_cutoff(self, n):
-        # g orthogonal to the leftmost eigenvector of a tridiagonal H too
-        # large for the dense eigendecomposition: the boundary step at the
-        # bracket's upper end
+    @pytest.mark.parametrize("n", [7, 2001, 2004])
+    def test_hard_case_at_the_spectrum_edge(self, n):
+        # g orthogonal to the leftmost eigenvector of a diagonal H, with
+        # min_eig dense at n = 7 and iterative above DENSE_EIG_CUTOFF: the
+        # boundary step at the bracket's upper end
         d = np.full(n, 2.0)
         d[0] = -3.0
         H = sp.diags([d], [0], format="csr")
@@ -250,16 +220,19 @@ class TestSolveSecularFullSecant:
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
         np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
 
-    def test_zero_gradient_above_the_dense_cutoff(self):
-        n = 2001
+    @pytest.mark.parametrize("n", [7, 2001])
+    def test_zero_gradient_indefinite(self, n):
         d = np.full(n, 2.0)
         d[0] = -3.0
         H = sp.diags([d], [0], format="csr")
-        sol = solve_secular_full_secant(np.zeros(n), H, 0.5, 0.1)
+        c = FactorizationCounter()
+        sol = solve_secular_full_secant(np.zeros(n), H, 0.5, 0.1, counter=c)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
         assert abs(sol.step[0]) == pytest.approx(6.0, rel=1e-10)
         assert np.linalg.norm(sol.step[1:]) <= 1e-10
+        # the failed Cholesky at lambda = 0 and the eigensolve
+        assert c.count == 2
 
 
 def _stored(kind, rng, n):
@@ -313,3 +286,43 @@ class TestFullSpaceMatchesSpectral:
                                                                  rel=1e-8)
         np.testing.assert_allclose(sol.step, ref.step, rtol=0,
                                    atol=1e-8 * np.linalg.norm(ref.step))
+
+
+class TestFullSpaceHardCases:
+    """The Newton solve on hard and near-hard instances (Cartis, Gould &
+    Toint 2011, §6) against the spectral solve of the same dense H.
+
+    H has a negative leftmost eigenvalue and g carries a weight of 0, 1e-9
+    or 1e-5 of its norm on the leftmost eigenvector, so the bracket often
+    collapses onto the spectrum edge and the boundary step is returned.
+    """
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.1, 10.0),
+           weight=st.sampled_from([0.0, 1e-9, 1e-5]))
+    @settings(max_examples=60, deadline=None)
+    def test_model_value_no_worse(self, kind, seed, sigma, weight):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 41))
+        H = _stored(kind, rng, n)
+        A = H.toarray() if sp.issparse(H) else H
+        eigs, Q = np.linalg.eigh(A)
+        # the shift puts lambda_1 in [-2, -0.1] and keeps the eigenvectors
+        A = A - (eigs[0] + rng.uniform(0.1, 2.0)) * np.eye(n)
+        H = sp.csr_matrix(A) if sp.issparse(H) else A
+        # a small g keeps the step inside the ball of radius -lambda_1/sigma
+        # on many instances (the hard case proper): about 40% of seeds end
+        # in the boundary step
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 0.0)
+        g -= (Q[:, 0] @ g) * Q[:, 0]
+        g += weight * np.linalg.norm(g) * Q[:, 0]
+        ref = solve_secular_reduced(g, A, sigma)
+        sol = solve_secular_full_secant(g, H, sigma, 0.1)
+        assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
+                                                                 rel=1e-8)
+        # no worse than the reference; on some near-hard instances (weight
+        # 1e-5) the reference's boundary step takes the eigenvector weight
+        # of the wrong sign, and the full-space step is the lower one
+        m_ref = cubic_model_value(ref.step, g, A, sigma)
+        m_sol = cubic_model_value(sol.step, g, A, sigma)
+        assert m_sol <= m_ref + 1e-8 * abs(m_ref)
