@@ -132,7 +132,6 @@ class SubspaceResult:
     lambda_hat: float
     s_hat: np.ndarray
     H_r: np.ndarray | None
-    g_r: np.ndarray | None
     basis: KrylovBasis | None
     step_full: np.ndarray
     hess_step: np.ndarray
@@ -164,15 +163,14 @@ def _project(state: IterateState, cfg: SolverConfig, ctx, basis, n_rat: int,
     g, sigma = state.g, state.sigma
     H_r = W.T @ HW
     H_r = 0.5 * (H_r + H_r.T)
-    g_r = W.T @ g
     common = dict(basis=basis, refreshed=state.refresh, dim=W.shape[1],
                   n_rational_solves=n_rat)
     try:
-        sol = solve_secular_reduced(g_r, H_r, sigma)
+        sol = solve_secular_reduced(W.T @ g, H_r, sigma)
     except ReducedSolveError:
         z = np.zeros_like(g)
         return SubspaceResult(
-            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None, g_r=None,
+            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None,
             step_full=z, hess_step=z, model_grad_norm=math.inf,
             meets_stationarity=False,
             meets_curvature=False if ctx is not None else None,
@@ -188,7 +186,7 @@ def _project(state: IterateState, cfg: SolverConfig, ctx, basis, n_rat: int,
         curv_ok = (model_curvature_bound(ctx, step_full) >= floor
                    or model_curvature_min(ctx, step_full) >= floor)
     return SubspaceResult(
-        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r, g_r=g_r,
+        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r,
         step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
         meets_stationarity=ok, meets_curvature=curv_ok, **common)
 
@@ -369,7 +367,7 @@ def _trivial_subspace(g: np.ndarray) -> SubspaceResult:
     # link, so control flows to the full-space hard-case solve.
     z = np.zeros_like(g)
     return SubspaceResult(lambda_hat=0.0, s_hat=np.zeros(1), H_r=None,
-                          g_r=None, basis=None, step_full=z, hess_step=z,
+                          basis=None, step_full=z, hess_step=z,
                           model_grad_norm=0.0, meets_stationarity=True,
                           meets_curvature=False, refreshed=False, dim=0)
 

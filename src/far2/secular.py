@@ -18,10 +18,12 @@ decomposition, after which each residual evaluation costs O(m). The
 full-space solve is safeguarded Newton on the secular equation, the direct
 solver baseline of adaptive cubic regularization (Cartis, Gould & Toint
 2011, Algorithm 6.1): each shift costs one Cholesky factorization and two
-solves with it. When its bracket collapses onto the spectrum edge (the hard
-and near-hard cases) it returns the boundary step: the solve at the edge
-plus the multiple of the leftmost eigenvector that restores
-||s|| = lambda/sigma (Moré & Sorensen 1983).
+solves with it. When the bracket of either solve collapses onto the
+spectrum edge (the hard and near-hard cases) it returns the same boundary
+step (_boundary_step): the solve at the bracket's upper end plus the
+multiple of the leftmost eigenvector that restores ||s|| = lambda/sigma,
+of the two such multiples the one of lower model value (Moré & Sorensen
+1983).
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
 from .second_order import gershgorin_interval, min_eig
 
 MAX_ROOT_STEPS = 200
-# hard-case threshold on g's relative weight in the leftmost eigenspace of a
-# reduced (projected) problem
-REDUCED_HARD_RTOL = 1.0e-12
 # Largest half-bandwidth kept in band storage; a wider H is factored dense.
 # Measured on a 2-core Intel Xeon with one BLAS thread, band Cholesky plus
 # solve (pbtrf/pbtrs) against dense (potrf/potrs) at n = 100 is 5.5x faster
@@ -77,7 +76,6 @@ class FactorizationCounter:
 class SecularSolution:
     lam: float
     step: np.ndarray
-    residual: float
     case: SecularCase
     alpha: float | None = None
 
@@ -232,14 +230,14 @@ class ShiftedFactorization:
 
 
 def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
-                   sigma: float) -> tuple[float, float, bool]:
+                   sigma: float) -> tuple[float, bool]:
     """Safeguarded Newton for the spectral form of phi on (lam_S, inf).
 
-    Returns (lambda, |phi(lambda)|, converged). The residual is driven to
-    ~1e-13 relative to the step norm so lambda = sigma*||s|| holds far
-    inside the 1e-8 contract. converged = False means the bracket collapsed
-    to floating-point resolution against the spectrum edge (a near-hard
-    instance) and the caller must assemble a boundary solution.
+    Returns (lambda, converged). The residual is driven to ~1e-13 relative
+    to the step norm so lambda = sigma*||s|| holds far inside the 1e-8
+    contract. converged = False means the bracket collapsed to
+    floating-point resolution against the spectrum edge (a hard or
+    near-hard instance) and lambda is its upper end, where phi <= 0.
     """
     lam_S = max(0.0, -float(eigs[0]))
 
@@ -272,14 +270,13 @@ def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
         val, dval, r = phi_terms(lam)
         scale = max(r, lam / sigma)
         if np.isfinite(val) and abs(val) <= 1.0e-13 * max(scale, 1.0e-300):
-            return lam, abs(val), True
+            return lam, True
         if val > 0.0:
             lo = lam
         else:
             hi = lam
         if hi - lo <= 8.0 * eps * max(hi, 1.0e-300):
-            val_b, _, _ = phi_terms(hi)
-            return hi, abs(val_b), False
+            return hi, False
         nxt = lam - val / dval if dval != 0.0 and np.isfinite(val) else math.nan
         if not np.isfinite(nxt) or not (lo < nxt < hi):
             nxt = lo + 0.5 * (hi - lo)
@@ -287,14 +284,36 @@ def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
     raise ReducedSolveError("secular root iteration exhausted its budget")
 
 
+def _boundary_step(g, H, p, v1, radius: float) -> tuple[np.ndarray, float]:
+    """The boundary step p + alpha*v1 with ||p + alpha*v1|| = radius.
+
+    Of the two roots alpha, the one of lower model value g^T s + s^T H s / 2
+    (the cubic term is the same at both). ||p|| <= radius, since p is the
+    solve at a shift where phi <= 0. Returns (step, alpha).
+    """
+    pv = float(v1 @ p)
+    root = math.sqrt(max(pv * pv + radius * radius - float(p @ p), 0.0))
+
+    def model_value(alpha):
+        s = p + alpha * v1
+        return float(g @ s) + 0.5 * float(s @ (H @ s))
+
+    alpha = min((-pv - root, -pv + root), key=model_value)
+    return p + alpha * v1, alpha
+
+
 def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     """Solve the projected secular equation on a small dense matrix.
 
-    Easy case: the positive root and step -(H_r + lam I)^{-1} g_r. Hard case
-    (leftmost eigenvalue negative, gradient orthogonal to its eigenspace to
-    relative tolerance REDUCED_HARD_RTOL, and the limit residual negative):
-    lam = -lambda_1 with the positive-root eigenvector weight restoring
-    ||s|| = lam/sigma. No full-space factorizations.
+    The spectral form of phi is solved by safeguarded Newton
+    (_spectrum_root). Easy case: the root and step -(H_r + lam I)^{-1} g_r.
+    When the bracket collapses onto the spectrum edge with lambda_1 < 0
+    (the hard and near-hard cases, a zero g_r included), the step is the
+    boundary step at the bracket's upper end, as in the full-space solve:
+    the full spectral solve there, which keeps g_r's component on v1, plus
+    the multiple of v1 that restores ||s|| = lam/sigma, the root of lower
+    model value. A zero g_r with H_r positive semidefinite gives the zero
+    step. No full-space factorizations.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -304,52 +323,15 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
         raise ValueError("non-finite entries in reduced problem")
     H_r = 0.5 * (H_r + H_r.T)
     eigs, Q = sla.eigh(H_r)
+    if eigs[0] >= 0.0 and not g_r.any():
+        return SecularSolution(0.0, np.zeros(g_r.size), SecularCase.EASY)
     c = Q.T @ g_r
-    m = c.size
-    gnorm = float(np.linalg.norm(c))
-    lam1 = float(eigs[0])
-
-    if gnorm == 0.0:
-        if lam1 >= 0.0:
-            return SecularSolution(0.0, np.zeros(m), 0.0, SecularCase.EASY)
-        lam = -lam1
-        alpha = lam / sigma
-        return SecularSolution(lam, alpha * Q[:, 0], 0.0, SecularCase.HARD,
-                               alpha=alpha)
-
-    cluster = eigs <= lam1 + 1.0e-10 * max(1.0, abs(lam1))
-    c_eigspace = float(np.linalg.norm(c[cluster]))
-
-    def boundary_solution(lam):
-        # Near-hard resolution at the spectrum edge: pseudoinverse part on
-        # the complement of the leftmost eigenspace plus the eigenvector
-        # weight that restores ||s|| = lam/sigma.
-        comp = ~cluster
-        coeff = np.zeros(m)
-        coeff[comp] = c[comp] / (eigs[comp] + lam)
-        p = -(Q @ coeff)
-        pnorm = float(np.linalg.norm(p))
-        radius = lam / sigma
-        if pnorm > radius:
-            return None
-        alpha = math.sqrt(max(radius * radius - pnorm * pnorm, 0.0))
-        step = p + alpha * Q[:, 0]
-        resid = abs(float(np.linalg.norm(step)) - radius)
-        return SecularSolution(lam, step, resid, SecularCase.HARD, alpha=alpha)
-
-    if lam1 < 0.0 and c_eigspace <= REDUCED_HARD_RTOL * gnorm:
-        sol = boundary_solution(-lam1)
-        if sol is not None:
-            return sol
-        # Limit residual positive: a root exists above -lambda_1 after all.
-
-    lam, resid, converged = _spectrum_root(eigs, c, sigma)
-    if not converged and lam1 < 0.0:
-        sol = boundary_solution(lam)
-        if sol is not None:
-            return sol
+    lam, converged = _spectrum_root(eigs, c, sigma)
     step = -(Q @ (c / (eigs + lam)))
-    return SecularSolution(lam, step, resid, SecularCase.EASY)
+    if converged or eigs[0] >= 0.0:
+        return SecularSolution(lam, step, SecularCase.EASY)
+    step, alpha = _boundary_step(g_r, H_r, step, Q[:, 0], lam / sigma)
+    return SecularSolution(lam, step, SecularCase.HARD, alpha=alpha)
 
 
 def _spectral_fallback(g, H, sigma, counter, hi=None,
@@ -358,28 +340,17 @@ def _spectral_fallback(g, H, sigma, counter, hi=None,
 
     The step p solved at the bracket's upper end `hi` (||p|| < hi/sigma)
     plus the multiple of the leftmost eigenvector v1 that restores
-    ||s|| = hi/sigma, of the two such multiples the one of lower model
-    value. A zero gradient (p None) takes hi = max(0, -lambda_1) and p = 0.
-    The eigensolve is counted as one factorization.
+    ||s|| = hi/sigma (_boundary_step). A zero gradient (p None) takes
+    hi = max(0, -lambda_1) and p = 0. The eigensolve is counted as one
+    factorization.
     """
     lam1, v1 = min_eig(H, want_vector=True)
     if counter is not None:
         counter.bump()
     if p is None:
         hi, p = max(0.0, -lam1), np.zeros(g.size)
-    radius = hi / sigma
-    pv = float(v1 @ p)
-    root = math.sqrt(max(pv * pv + radius * radius - float(p @ p), 0.0))
-
-    def model_value(alpha):
-        # g^T s + s^T H s / 2; the cubic term is the same at both roots
-        s = p + alpha * v1
-        return float(g @ s) + 0.5 * float(s @ (H @ s))
-
-    alpha = min((-pv - root, -pv + root), key=model_value)
-    step = p + alpha * v1
-    resid = abs(float(np.linalg.norm(step)) - radius)
-    return SecularSolution(hi, step, resid, SecularCase.HARD, alpha=alpha)
+    step, alpha = _boundary_step(g, H, p, v1, hi / sigma)
+    return SecularSolution(hi, step, SecularCase.HARD, alpha=alpha)
 
 
 def solve_secular_full_secant(g, H, sigma: float, theta1: float,
@@ -411,8 +382,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
 
     if gnorm == 0.0:
         if ShiftedFactorization(system, 0.0, counter).positive_definite:
-            return SecularSolution(0.0, np.zeros(g.size), 0.0,
-                                   SecularCase.EASY)
+            return SecularSolution(0.0, np.zeros(g.size), SecularCase.EASY)
         return _spectral_fallback(g, H, sigma, counter)
 
     if warm_lambda is not None and warm_lambda > 0.0:
@@ -432,7 +402,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
             snorm = float(np.linalg.norm(x))
             phi = snorm - lam / sigma
             if abs(phi) <= rtol * snorm:
-                return SecularSolution(lam, -x, abs(phi), SecularCase.EASY)
+                return SecularSolution(lam, -x, SecularCase.EASY)
             if phi > 0.0:
                 lo = lam
             else:

@@ -118,6 +118,27 @@ class TestSolveSecularReduced:
                                            grid=grid)
             assert val <= ref + 1e-6
 
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_near_hard_agrees_with_brute_force(self, seed, m):
+        # lambda_1 in [-2, -0.1] and g with weight 1e-5 of its norm on the
+        # leftmost eigenvector: the root often sits so close to the spectrum
+        # edge that the bracket collapses, and the step is the boundary
+        # step, whose eigenvector weight must take the sign of lower model
+        # value
+        rng = np.random.default_rng(seed)
+        H = random_symmetric(rng, m)
+        eigs, Q = np.linalg.eigh(H)
+        H = H - (eigs[0] + rng.uniform(0.1, 2.0)) * np.eye(m)
+        g = rng.standard_normal(m) * 10.0 ** rng.uniform(-1.0, 0.0)
+        g -= (Q[:, 0] @ g) * Q[:, 0]
+        g += 1e-5 * np.linalg.norm(g) * Q[:, 0]
+        sol = solve_secular_reduced(g, H, 1.0)
+        box = 1.5 * np.linalg.norm(sol.step) + 0.1
+        ref, _ = brute_force_cubic_min(g, H, 1.0, box=box,
+                                       grid=21 if m == 2 else 11)
+        assert cubic_model_value(sol.step, g, H, 1.0) <= ref + 1e-6
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             solve_secular_reduced(np.array([np.nan]), np.array([[1.0]]), 1.0)
@@ -301,7 +322,7 @@ class TestFullSpaceHardCases:
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.1, 10.0),
            weight=st.sampled_from([0.0, 1e-9, 1e-5]))
     @settings(max_examples=60, deadline=None)
-    def test_model_value_no_worse(self, kind, seed, sigma, weight):
+    def test_model_value_matches_reduced(self, kind, seed, sigma, weight):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 41))
         H = _stored(kind, rng, n)
@@ -320,9 +341,6 @@ class TestFullSpaceHardCases:
         sol = solve_secular_full_secant(g, H, sigma, 0.1)
         assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
                                                                  rel=1e-8)
-        # no worse than the reference; on some near-hard instances (weight
-        # 1e-5) the reference's boundary step takes the eigenvector weight
-        # of the wrong sign, and the full-space step is the lower one
         m_ref = cubic_model_value(ref.step, g, A, sigma)
         m_sol = cubic_model_value(sol.step, g, A, sigma)
-        assert m_sol <= m_ref + 1e-8 * abs(m_ref)
+        assert abs(m_sol - m_ref) <= 1e-8 * abs(m_ref)

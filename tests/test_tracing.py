@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps the functions and methods its LAYERS table
 names. A rename of any of them would break only `--trace 1` runs, so this
 test installs the tracer in the test session, runs one small solve of each
-kind through it and uninstalls it again.
+kind through it, and one AR2 solve that ends in the boundary step, and
+uninstalls it again.
 """
 
 import importlib.util
@@ -31,10 +32,12 @@ def test_every_layer_target_exists_and_is_traced():
         assert far2.driver.solve_secular_full_secant.__wrapped__ is original
         ar2_solve(get_problem("ROSENBR", 10))
         far2_solve(get_problem("ROSENBR", 10))
+        # EG2's bracket collapses onto the spectrum edge: the boundary step
+        ar2_solve(get_problem("EG2", 30))
     finally:
         tracer.uninstall()
     assert far2.driver.solve_secular_full_secant is original
     for layer in ("secular.fact", "secular.backsolve", "secular.secant",
-                  "secular.reduced", "krylov.expand", "driver.subspace",
-                  "driver.loop", "problems.eval_H"):
+                  "secular.fallback", "secular.reduced", "krylov.expand",
+                  "driver.subspace", "driver.loop", "problems.eval_H"):
         assert tracer.calls[layer] > 0, layer
