@@ -101,7 +101,7 @@ def cmd_check(_args) -> int:
         n = int(rng.integers(3, 12))
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        basis = krylov.KrylovBasis.fresh_polynomial(rng.standard_normal(n), j_max=n)
+        basis = krylov.KrylovBasis.fresh_polynomial(rng.standard_normal(n))
         for _ in range(int(rng.integers(1, n))):
             krylov.poly_expand(H, basis)
             if basis.invariant:

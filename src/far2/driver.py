@@ -40,8 +40,8 @@ from .krylov import KrylovBasis, orth_augment, poly_expand, rational_expand
 from .model import (ModelContext, model_curvature_bound, model_curvature_min,
                     symmetrize)
 from .secular import (FactorizationCounter, ShiftedFactorization,
-                      analyse_hessian, solve_secular_full_secant,
-                      solve_secular_reduced)
+                      ShiftedSystem, analyse_hessian,
+                      solve_secular_full_secant, solve_secular_reduced)
 from .second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
 
@@ -62,13 +62,14 @@ class StepKind(Enum):
 
 @dataclass
 class IterateState:
-    """Full state of one nonlinear iteration."""
+    """Full state of one nonlinear iteration; `system` is the oracle's H,
+    analysed once for every shifted factorization at this iterate."""
 
     k: int
     x: np.ndarray
     f: float
     g: np.ndarray
-    H: object
+    system: ShiftedSystem
     sigma: float
     refresh: bool = True
     basis: KrylovBasis | None = None
@@ -79,8 +80,9 @@ class IterateState:
 
         sym_cache holds (H, symmetrize(H)) for the H it was made from.
         """
-        if self.sym_cache is None or self.sym_cache[0] is not self.H:
-            self.sym_cache = (self.H, symmetrize(self.H))
+        H = self.system.H
+        if self.sym_cache is None or self.sym_cache[0] is not H:
+            self.sym_cache = (H, symmetrize(H))
         return ModelContext._from_symmetric(self.f, self.g, self.sym_cache[1],
                                             self.sigma)
 
@@ -182,9 +184,7 @@ def _project(state: IterateState, cfg: SolverConfig, ctx, basis, n_rat: int,
     ok = mgn <= 0.5 * cfg.theta1 * shat_norm ** 2  # stationarity test
     curv_ok = None
     if ctx is not None and ok:
-        floor = -cfg.theta2 * shat_norm
-        curv_ok = (model_curvature_bound(ctx, step_full) >= floor
-                   or model_curvature_min(ctx, step_full) >= floor)
+        curv_ok = _curvature_ok(ctx, step_full, -cfg.theta2 * shat_norm)
     return SubspaceResult(
         lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r,
         step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
@@ -207,7 +207,7 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     g = state.g
     if float(np.linalg.norm(g)) == 0.0:
         raise ValueError("subspace_minimize requires a nonzero gradient")
-    H = state.H
+    H = state.system.H
     so = isinstance(cfg, SecondOrderConfig)
     ctx = state.model_context() if so else None
 
@@ -219,10 +219,9 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     rational = cfg.space_kind == RATIONAL
     HV = np.empty((g.size, 0))
     if rational:
-        basis = KrylovBasis.fresh_rational(g, cfg.j_max)
-        system = analyse_hessian(H)  # one analysis for every expansion
+        basis = KrylovBasis.fresh_rational(g)
     else:
-        basis = KrylovBasis.fresh_polynomial(g, cfg.j_max)
+        basis = KrylovBasis.fresh_polynomial(g)
         HV = _append_product(HV, H, basis.V[:, 0])
     n_rat = 0
     for _ in range(max(1, cfg.j_max - 1)):
@@ -240,7 +239,7 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
         if dim_before >= cfg.j_max:
             break
         if rational:
-            rational_expand(system, basis, _ritz_interval(res.H_r, H))
+            rational_expand(state.system, basis, _ritz_interval(res.H_r, H))
             n_rat += basis.dim > dim_before
         else:
             poly_expand(H, basis, hv=HV[:, -1])
@@ -264,7 +263,7 @@ def regularized_newton_step(state: IterateState, lambda_hat: float,
     """
     if lambda_hat < 0.0 or not np.isfinite(lambda_hat):
         raise ValueError("lambda_hat must be finite and nonnegative")
-    fac = ShiftedFactorization(state.H, lambda_hat, counter)
+    fac = ShiftedFactorization(state.system, lambda_hat, counter)
     if require_positive_definite:
         if not fac.positive_definite:
             return np.zeros_like(state.g), False
@@ -297,7 +296,7 @@ def acceptance_and_sigma_update(state: IterateState, s: np.ndarray,
     sigma_next, rho, Taylor decrease).
     """
     if Hs is None:
-        Hs = np.asarray(state.H @ s).ravel()
+        Hs = np.asarray(state.system.H @ s).ravel()
     t_dec = -(float(s @ state.g) + 0.5 * float(s @ Hs))
     if not t_dec > 0.0:
         raise InternalInvariantError(
@@ -397,11 +396,10 @@ def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
     return s if ok and step_ratio_ok(s, sub.s_hat, cfg) else None
 
 
-def _curvature_ok(state: IterateState, s: np.ndarray,
-                  cfg: SecondOrderConfig) -> bool:
-    """Second-order mode's model-curvature test of a full-space step."""
-    ctx = state.model_context()
-    floor = -cfg.theta2 * float(np.linalg.norm(s))
+def _curvature_ok(ctx: ModelContext, s: np.ndarray, floor: float) -> bool:
+    """Second-order mode's model-curvature test of a step s: the model's
+    curvature at s is at least floor = -theta2*||s||, by the Gershgorin
+    bound or else exactly, with a round-off slack of 1e-8*max(1, |curv|)."""
     if model_curvature_bound(ctx, s) >= floor:
         return True
     curv = model_curvature_min(ctx, s)
@@ -423,7 +421,8 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     f0 = float(f)
     gnorm0 = float(np.linalg.norm(g))
     eps = max(cfg.eps_rel * gnorm0, 1.0e-14 * (1.0 + abs(f0)))
-    state = IterateState(k=0, x=x, f=float(f), g=g, H=H, sigma=cfg.sigma0,
+    state = IterateState(k=0, x=x, f=float(f), g=g,
+                         system=analyse_hessian(H), sigma=cfg.sigma0,
                          refresh=True, basis=None)
     mon = _Monitors(f0)
     trace: list[IterationRecord] = []
@@ -437,7 +436,8 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
 
     while True:
         gnorm = float(np.linalg.norm(state.g))
-        if gnorm <= eps and (not so or min_eig(state.H)[0] >= -cfg.eps_H):
+        if gnorm <= eps and (not so
+                             or min_eig(state.system.H)[0] >= -cfg.eps_H):
             status = Status.SECOND_ORDER if so else Status.FIRST_ORDER
             break
         if state.k >= cfg.max_iters:
@@ -477,18 +477,19 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                                prev_lambda, prev_accepted)
             try:
                 sol = solve_secular_full_secant(
-                    state.g, state.H, state.sigma, cfg.theta1, counter,
+                    state.g, state.system, state.sigma, cfg.theta1, counter,
                     warm_lambda=warm)
             except SolverError as exc:
                 status = Status.SOLVE_FAILURE
                 message = f"full-space secular solve failed: {exc}"
                 break
-            if so and not _curvature_ok(state, sol.step, cfg):
+            shat_norm = float(np.linalg.norm(sol.step))
+            if so and not _curvature_ok(state.model_context(), sol.step,
+                                        -cfg.theta2 * shat_norm):
                 status = Status.SOLVE_FAILURE
                 message = "secant step failed the model-curvature test"
                 break
             kind, step, lambda_hat = StepKind.SECANT, sol.step, sol.lam
-            shat_norm = float(np.linalg.norm(sol.step))
             n_sec += 1
         else:
             # curvature/ratio rejection on a frozen space: discard it, keep
@@ -502,7 +503,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
             continue
 
         if hess_step is None:
-            hess_step = np.asarray(state.H @ step).ravel()
+            hess_step = np.asarray(state.system.H @ step).ravel()
         f_trial = problem.eval(state.x + step, 0)[0]
         accepted, sigma_next, rho, t_dec = acceptance_and_sigma_update(
             state, step, cfg, f_trial, Hs=hess_step)
@@ -520,14 +521,16 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                                      bool(accepted), float(rho)))
         if accepted:
             state.x = state.x + step
-            state.sym_cache = None  # not held through the oracle's memory peak
+            # not held through the oracle's memory peak
+            state.system = state.sym_cache = None
             f, g, H = problem.eval(state.x, 2)
             if not (np.isfinite(f) and np.all(np.isfinite(g))):
                 status = Status.SOLVE_FAILURE
                 message = "oracle returned non-finite values at an accepted point"
                 state.k += 1
                 break
-            state.f, state.g, state.H = float(f), g, H
+            state.f, state.g = float(f), g
+            state.system = analyse_hessian(H)
             prev_step_norm = s_norm
         else:
             n_rho += 1

@@ -13,10 +13,6 @@ class ShiftFailureError(SolverError):
     """A rational-Krylov shift could not be made nonsingular."""
 
 
-class CapacityError(SolverError):
-    """A Krylov basis is already at its maximum allowed dimension."""
-
-
 class ReducedSolveError(SolverError):
     """The projected secular equation could not be solved."""
 

@@ -158,7 +158,7 @@ def run_suite(cfg: SuiteConfig) -> list[RunReport]:
 
 # --- performance profiles ---------------------------------------------------
 
-METRICS = {"n_fact": "n_fact", "n_nli": "n_nli", "fact": "n_fact", "nli": "n_nli"}
+METRICS = ("n_fact", "n_nli")
 
 
 @dataclass
@@ -190,8 +190,7 @@ def performance_profile(reports: list[RunReport], metric: str = "n_fact") -> Pro
     solvers that also report zero cost count as matching the best.
     """
     if metric not in METRICS:
-        raise ProfileError(f"metric must be one of {sorted(set(METRICS.values()))}")
-    attr = METRICS[metric]
+        raise ProfileError(f"metric must be one of {list(METRICS)}")
     solvers = list(dict.fromkeys(r.solver for r in reports))
     # a "problem" is one (label, dimension) instance
     problems = list(dict.fromkeys((r.problem, r.n) for r in reports))
@@ -199,7 +198,7 @@ def performance_profile(reports: list[RunReport], metric: str = "n_fact") -> Pro
         raise ProfileError("profiles need at least two solvers")
     costs = {}
     for r in reports:
-        costs[(r.solver, (r.problem, r.n))] = (float(getattr(r, attr))
+        costs[(r.solver, (r.problem, r.n))] = (float(getattr(r, metric))
                                                if r.converged else None)
     ratios = {}
     for p in problems:
@@ -214,7 +213,7 @@ def performance_profile(reports: list[RunReport], metric: str = "n_fact") -> Pro
                 ratios[(s, p)] = 1.0 if c == 0.0 else math.inf
             else:
                 ratios[(s, p)] = c / best
-    return ProfileTable(attr, solvers, problems, costs, ratios)
+    return ProfileTable(metric, solvers, problems, costs, ratios)
 
 
 # --- report serialization ---------------------------------------------------
@@ -276,19 +275,16 @@ def write_profile_series(table: ProfileTable, outdir) -> list[str]:
 # --- config file ------------------------------------------------------------
 
 _SUITE_KEYS = {"out", "seed", "jobs", "timing"}
-_FLOAT_KEYS = {"eta1", "eta2", "gamma1", "gamma2", "theta1", "theta2",
-               "sigma0", "sigma_min", "c_low", "c_up", "eps_rel",
-               "time_limit", "eps_h"}
-_INT_KEYS = {"j_max", "max_iters"}
+# [solver] keys, matched in any case, name SecondOrderConfig fields
+_SOLVER_FIELDS = {f.name.lower(): f
+                  for f in dataclasses.fields(SecondOrderConfig)}
 
 
-def _convert(key: str, value: str):
-    key = key.lower()
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    return value
+def _solver_param(key: str, value: str) -> tuple[str, object]:
+    """(field name, value as the type of the field's default); an unknown
+    key is returned as it is, for the config constructor to reject."""
+    f = _SOLVER_FIELDS.get(key.lower())
+    return (f.name, type(f.default)(value)) if f else (key, value)
 
 
 def _int(where: str, key: str, value) -> int:
@@ -318,8 +314,8 @@ def parse_config(path) -> SuiteConfig:
                 # building the config checks each key and value now, not
                 # once the suite is running
                 try:
-                    params = {("eps_H" if k == "eps_h" else k): _convert(k, v)
-                              for k, v in current.items()}
+                    params = dict(_solver_param(k, v)
+                                  for k, v in current.items())
                     (SecondOrderConfig if name == "FAR2-SO"
                      else SolverConfig)(**params)
                 except (TypeError, ValueError) as exc:

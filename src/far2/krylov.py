@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import POLYNOMIAL, RATIONAL
-from .errors import CapacityError, ShiftFailureError, SingularShiftError
-from .secular import ShiftedFactorization, analyse_hessian
+from .errors import ShiftFailureError, SingularShiftError
+from .secular import ShiftedFactorization, ShiftedSystem
 
 BREAKDOWN_RTOL = 1.0e-12
 _GRID_POINTS = 200
@@ -40,7 +40,6 @@ class KrylovBasis:
 
     V: np.ndarray
     kind: str
-    j_max: int = 50
     shifts: list[float] = field(default_factory=list)
     seed_norm: float = 0.0
     seed: np.ndarray | None = None
@@ -51,22 +50,21 @@ class KrylovBasis:
         return self.V.shape[1]
 
     @classmethod
-    def fresh_polynomial(cls, g, j_max: int = 50) -> "KrylovBasis":
+    def fresh_polynomial(cls, g) -> "KrylovBasis":
         g = np.asarray(g, dtype=float)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise ValueError("cannot seed a Krylov space with a zero vector")
-        return cls(V=(g / nrm).reshape(-1, 1), kind=POLYNOMIAL,
-                   j_max=j_max, seed_norm=nrm)
+        return cls(V=(g / nrm).reshape(-1, 1), kind=POLYNOMIAL, seed_norm=nrm)
 
     @classmethod
-    def fresh_rational(cls, g, j_max: int = 50) -> "KrylovBasis":
+    def fresh_rational(cls, g) -> "KrylovBasis":
         g = np.asarray(g, dtype=float)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise ValueError("cannot seed a Krylov space with a zero vector")
-        return cls(V=np.empty((g.size, 0)), kind=RATIONAL,
-                   j_max=j_max, seed_norm=nrm, seed=g.copy())
+        return cls(V=np.empty((g.size, 0)), kind=RATIONAL, seed_norm=nrm,
+                   seed=g.copy())
 
 
 def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
@@ -80,8 +78,6 @@ def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
         raise ValueError("poly_expand requires a polynomial basis")
     if basis.invariant:
         return basis
-    if basis.dim >= basis.j_max:
-        raise CapacityError(f"basis already at j_max = {basis.j_max}")
     w = hv if hv is not None else H @ basis.V[:, -1]
     w = np.asarray(w, dtype=float).ravel()
     w, nrm = _reorthogonalize(basis.V, w)
@@ -119,26 +115,23 @@ def _next_shift(prev_shifts: list[float], interval: tuple[float, float]) -> floa
     return sign * float(grid[int(np.argmax(dist))])
 
 
-def rational_expand(H, basis: KrylovBasis, spectral_interval: tuple[float, float],
+def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
+                    spectral_interval: tuple[float, float],
                     shift: float | None = None) -> KrylovBasis:
     """Append the next rational direction (H + xi I)^{-1} v.
 
-    The source vector is the stored seed for an empty basis and the last
-    column afterwards. A singular shift is perturbed by 1e-8*(1+|xi|) and
-    retried once before raising ShiftFailureError. H may be the
-    secular.ShiftedSystem of the matrix, so that a caller expanding one
-    basis many times analyses H once.
+    `system` is H's secular.ShiftedSystem, analysed once for every
+    expansion. The source vector is the stored seed for an empty basis and
+    the last column afterwards. A singular shift is perturbed by
+    1e-8*(1+|xi|) and retried once before raising ShiftFailureError.
     """
     if basis.kind != RATIONAL:
         raise ValueError("rational_expand requires a rational basis")
     if basis.invariant:
         return basis
-    if basis.dim >= basis.j_max:
-        raise CapacityError(f"basis already at j_max = {basis.j_max}")
     source = basis.seed if basis.dim == 0 else basis.V[:, -1]
     xi = float(shift) if shift is not None else _next_shift(basis.shifts,
                                                             spectral_interval)
-    system = analyse_hessian(H)
     for attempt in range(2):
         try:
             x = ShiftedFactorization(system, xi).solve(source)

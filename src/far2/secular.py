@@ -12,8 +12,10 @@ factors H + lambda I, so the run can count them. It tests positive
 definiteness by Cholesky in the storage H's structure allows (tridiagonal,
 banded or dense), solves with that factor, and builds a pivoted indefinite
 factorization only when asked to solve at a shift that is not positive
-definite. A caller that shifts one H many times analyses its structure once
-(analyse_hessian). Reduced (small, dense) solves use a spectral
+definite. It factors a ShiftedSystem (analyse_hessian), which the
+nonlinear loop makes once per oracle Hessian: the full-space solve, the
+Newton corrector and the rational Krylov expansions of an iterate all
+read that one analysis. Reduced (small, dense) solves use a spectral
 decomposition, after which each residual evaluation costs O(m). The
 full-space solve is safeguarded Newton on the secular equation, the direct
 solver baseline of adaptive cubic regularization (Cartis, Gould & Toint
@@ -84,13 +86,16 @@ class SecularSolution:
 class ShiftedSystem:
     """H analysed once for factorizations at many shifts.
 
-    `band` holds H's lower band in LAPACK storage, row k the k-th
-    subdiagonal (two rows, the diagonal and the subdiagonal, when H is
-    tridiagonal or diagonal), when H's half-bandwidth is at most
-    MAX_BAND_KD; otherwise `dense` holds H as a float array (a sparse H
-    densified once). Build it with analyse_hessian.
+    `H` is the matrix it was analysed from. `band` holds H's lower band in
+    LAPACK storage, row k the k-th subdiagonal (two rows, the diagonal and
+    the subdiagonal, when H is tridiagonal or diagonal), when H's
+    half-bandwidth is at most MAX_BAND_KD; otherwise `dense` holds H as a
+    float array (a sparse H densified once). Build it with
+    analyse_hessian; the nonlinear loop keeps one per oracle Hessian on
+    its IterateState, and factorizations only read it.
     """
 
+    H: object
     band: np.ndarray | None = None
     dense: np.ndarray | None = None
 
@@ -112,8 +117,9 @@ def _lower_band(H) -> np.ndarray | None:
             return None
         diagonal = H.diagonal
     else:
-        # the scan stays for the dense oracles: EG2's arrowhead H is
-        # diagonal at its iterates, and scanning finds that band
+        # a dense oracle's H is seldom banded: of the 25 EG2 Hessians AR2
+        # meets at n = 100 and 500 only the first two of each run are
+        # diagonal, and the rest go dense; the scan finds a band if any
         A = np.asarray(H)
         total = np.count_nonzero(A)
         found = 0
@@ -133,14 +139,12 @@ def _lower_band(H) -> np.ndarray | None:
 
 
 def analyse_hessian(H) -> ShiftedSystem:
-    """The ShiftedSystem of H; a ShiftedSystem is returned unchanged."""
-    if isinstance(H, ShiftedSystem):
-        return H
+    """The ShiftedSystem of the matrix H."""
     band = _lower_band(H)
     if band is not None:
-        return ShiftedSystem(band=band)
+        return ShiftedSystem(H, band=band)
     return ShiftedSystem(
-        dense=H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float))
+        H, dense=H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float))
 
 
 def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
@@ -153,20 +157,20 @@ def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
 class ShiftedFactorization:
     """Cholesky factorization of B = H + lambda*I, with solve().
 
-    H is a matrix or the ShiftedSystem of one; callers that factor one H at
-    many shifts analyse it once with analyse_hessian. B is factored by
-    Cholesky in H's storage: pttrf for tridiagonal, pbtrf for banded and
-    potrf for dense H. `positive_definite` is that factorization's success,
-    and solve() uses its factor (pttrs, pbtrs, potrs). If B is not positive
+    `system` is H's ShiftedSystem, analysed once for every shift of an
+    iterate and never written into. B is factored by Cholesky in H's
+    storage: pttrf for tridiagonal, pbtrf for banded and potrf for dense
+    H. `positive_definite` is that factorization's success, and solve()
+    uses its factor (pttrs, pbtrs, potrs). If B is not positive
     definite, the first solve() builds a pivoted indefinite factorization
     (gttrf, gbtrf or sytrf), raising SingularShiftError on an exact zero
     pivot. Every construction is one counted factorization.
     """
 
-    def __init__(self, H, lam: float, counter: FactorizationCounter | None = None):
+    def __init__(self, system: ShiftedSystem, lam: float,
+                 counter: FactorizationCounter | None = None):
         if not np.isfinite(lam):
             raise ValueError("shift must be finite")
-        system = analyse_hessian(H)
         self._system = system
         self._lam = lam
         ab = system.band
@@ -353,14 +357,16 @@ def _spectral_fallback(g, H, sigma, counter, hi=None,
     return SecularSolution(hi, step, SecularCase.HARD, alpha=alpha)
 
 
-def solve_secular_full_secant(g, H, sigma: float, theta1: float,
+def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
+                              theta1: float,
                               counter: FactorizationCounter | None = None,
                               warm_lambda: float | None = None) -> SecularSolution:
     """Safeguarded Newton on the secular equation for the full-space subproblem.
 
-    Newton runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which
-    shares its root with phi and is concave and increasing, from the warm
-    start or the Gershgorin-safeguarded lambda_0. Each shift costs one
+    `system` is the iterate's analysed H, factored at every shift. Newton
+    runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which shares its
+    root with phi and is concave and increasing, from the warm start or
+    the Gershgorin-safeguarded lambda_0. Each shift costs one
     Cholesky factorization of H + lambda I (`counter` gains one) and two
     solves with it, s(lambda) and (H + lambda I)^{-1} s for psi'. The
     bracket starts at [0, inf), since the root is sigma*||s*|| > 0: a
@@ -378,7 +384,7 @@ def solve_secular_full_secant(g, H, sigma: float, theta1: float,
         raise ValueError("sigma must be positive")
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
-    system = analyse_hessian(H)
+    H = system.H
 
     if gnorm == 0.0:
         if ShiftedFactorization(system, 0.0, counter).positive_definite:

@@ -10,6 +10,7 @@ minimizer.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ import conftest
 
 from far2.config import RATIONAL, SolverConfig
 from far2.driver import RunReport, ar2_solve, far2_solve
-from far2.harness import (ProblemSpec, SuiteConfig, performance_profile,
-                          run_suite, write_reports_csv)
+from far2.harness import (ProblemSpec, SuiteConfig, parse_config,
+                          performance_profile, run_suite, write_reports_csv)
 from far2.krylov import KrylovBasis, orth_augment, orthonormality_defect, poly_expand
 from far2.problems import (REGISTRY, ObjectiveProblem, check_derivatives,
                            get_problem, logistic_objective, registry_names,
@@ -30,6 +31,8 @@ from far2 import far2so_solve
 from far2.second_order import SecondOrderConfig, min_eig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the suites of criteria 1 and 3, which `far2 run --config` also runs
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def _line(cid, ok, detail=""):
@@ -40,23 +43,11 @@ def _line(cid, ok, detail=""):
     conftest.ACCEPTANCE_LINES.append(msg)
 
 
-def _registry_specs(dims):
-    specs = []
-    for name in registry_names():
-        entry = REGISTRY[name]
-        for n in dims:
-            if n >= entry.min_n and n % entry.multiple_of == 0:
-                specs.append(ProblemSpec(kind="registry", name=name, n=n))
-    return specs
-
-
 @pytest.mark.slow
 def test_criterion_1_factorization_dominance():
     """FAR2-PK needs no more factorizations than AR2 on nearly every run."""
     t0 = time.perf_counter()
-    cfg = SuiteConfig(solvers=["AR2", "FAR2-PK"],
-                      problems=_registry_specs((100, 500)))
-    reports = run_suite(cfg)
+    reports = run_suite(parse_config(EXPERIMENTS / "criterion-1.cfg"))
     elapsed = time.perf_counter() - t0
 
     by_problem = {}
@@ -95,13 +86,7 @@ def test_criterion_2_convex_no_refresh():
 @pytest.mark.slow
 def test_criterion_3_lemma_suite():
     """Per-step decrease inequalities and multiplier identity hold everywhere."""
-    specs = [ProblemSpec(kind="registry", name=n, n=d) for n, d in
-             [("ROSENBR", 20), ("INDEF", 30), ("EG2", 30), ("WOODS", 16),
-              ("TRIDIA", 25), ("QUAD", 25), ("CUBE", 20), ("HILBERT", 20)]]
-    specs += [ProblemSpec(kind="logistic", N=200, n=10, seed=1),
-              ProblemSpec(kind="sigmoid", N=200, n=10, seed=2)]
-    cfg = SuiteConfig(solvers=["FAR2-PK", "FAR2-RK", "AR2"], problems=specs)
-    reports = run_suite(cfg)
+    reports = run_suite(parse_config(EXPERIMENTS / "criterion-3.cfg"))
     violations = [v for r in reports for v in r.violations]
     sigma_max_finite = all(
         np.isfinite(max(t.sigma for t in r.trace)) for r in reports if r.trace)
@@ -271,9 +256,9 @@ def test_criterion_8_krylov_invariants():
         n = int(rng.integers(4, 25))
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        basis = KrylovBasis.fresh_polynomial(rng.standard_normal(n), j_max=n)
+        basis = KrylovBasis.fresh_polynomial(rng.standard_normal(n))
         for _ in range(int(rng.integers(1, 7))):
-            if basis.dim < basis.j_max and not basis.invariant:
+            if basis.dim < n and not basis.invariant:
                 poly_expand(H, basis)
             gk = rng.standard_normal(n)
             W = orth_augment(basis, gk)

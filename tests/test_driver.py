@@ -12,6 +12,7 @@ from far2.driver import (IterateState, Status, StepKind,
 from far2.errors import EigenSolveError, InternalInvariantError
 from far2.krylov import KrylovBasis
 from far2.problems import ObjectiveProblem, get_problem
+from far2.secular import analyse_hessian
 from far2.second_order import SecondOrderConfig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -19,7 +20,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def make_state(g, H, sigma=1.0, f=0.0, refresh=True, basis=None):
     g = np.asarray(g, dtype=float)
-    return IterateState(k=0, x=np.zeros(g.size), f=f, g=g, H=np.asarray(H, float),
+    return IterateState(k=0, x=np.zeros(g.size), f=f, g=g,
+                        system=analyse_hessian(np.asarray(H, float)),
                         sigma=sigma, refresh=refresh, basis=basis)
 
 
@@ -184,8 +186,9 @@ class TestSubspaceMinimize:
         # (8 MB each here), where rebuilding W and H @ W took six
         p = get_problem("TRIDIA", 20000)
         f, g, H = p.eval(p.x0, 2)
-        state = IterateState(k=0, x=p.x0.copy(), f=float(f), g=g, H=H,
-                             sigma=1.0, refresh=True)
+        state = IterateState(k=0, x=p.x0.copy(), f=float(f), g=g,
+                             system=analyse_hessian(H), sigma=1.0,
+                             refresh=True)
         tracemalloc.start()
         try:
             res = subspace_minimize(state, SolverConfig())
@@ -364,7 +367,7 @@ class TestSymmetrizeOnce:
         ctx = state.model_context()
         np.testing.assert_array_equal(ctx.H, 0.5 * (A + A.T))
         assert state.model_context().H is ctx.H
-        state.H = B
+        state.system = analyse_hessian(B)
         np.testing.assert_array_equal(state.model_context().H, 0.5 * (B + B.T))
 
     def test_once_per_hessian_value_and_only_under_far2so(self, monkeypatch):
@@ -421,3 +424,35 @@ def test_ar2_near_hard_above_the_dense_eigen_cutoff(name, n):
     [report] = run_suite(SuiteConfig(solvers=["AR2"], problems=[spec]))
     assert report.converged, report.message
     assert report.violations == []
+
+
+ANALYSED_ONCE = [("AR2", "ROSENBR"), ("FAR2-PK", "ROSENBR"), ("FAR2-RK", "INDEF")]
+
+
+@pytest.mark.parametrize("solver,name", ANALYSED_ONCE,
+                         ids=[f"{s}-{p}" for s, p in ANALYSED_ONCE])
+def test_each_oracle_hessian_analysed_once(monkeypatch, solver, name):
+    """The loop analyses each Hessian it takes from the oracle once, and
+    the full-space solves, Newton correctors and rational expansions of
+    that iterate all factor the same analysis."""
+    import sys
+
+    import far2.secular as secular
+    from far2.harness import ProblemSpec, build_solver_config
+
+    calls = []
+    original = secular.analyse_hessian
+
+    def counted(H):
+        calls.append(1)
+        return original(H)
+
+    for modname, module in list(sys.modules.items()):
+        if (modname.startswith("far2.")
+                and getattr(module, "analyse_hessian", None) is original):
+            monkeypatch.setattr(module, "analyse_hessian", counted)
+    problem = get_problem(name, 100)
+    cfg = build_solver_config(solver, ProblemSpec(name=name, n=100), {})
+    rep = (ar2_solve if solver == "AR2" else far2_solve)(problem, cfg)
+    assert rep.converged and rep.n_fact > 0
+    assert len(calls) == problem.n_H

@@ -11,6 +11,7 @@ from far2.errors import ConfigError, InternalInvariantError, ProfileError
 from far2.harness import (CSV_COLUMNS, ProblemSpec, SuiteConfig, parse_config,
                           performance_profile, read_reports_json, reports_equal,
                           run_suite, write_reports_csv, write_reports_json)
+from far2.problems import registry_names
 
 
 def spec(name, n):
@@ -284,8 +285,8 @@ seed = 9
         assert cfg.solver_overrides["FAR2-SO"] == {"theta2": 0.2, "eps_H": 1e-3}
 
 
-EXPERIMENTS = sorted(
-    (Path(__file__).resolve().parent.parent / "experiments").glob("*.cfg"))
+EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
+EXPERIMENTS = sorted(EXPERIMENTS_DIR.glob("*.cfg"))
 
 
 @pytest.mark.parametrize("path", EXPERIMENTS, ids=[p.name for p in EXPERIMENTS])
@@ -298,4 +299,12 @@ def test_shipped_experiment_configs_parse(path):
 
 
 def test_experiment_configs_shipped():
-    assert {p.name for p in EXPERIMENTS} >= {"registry-100.cfg", "classify.cfg"}
+    assert {p.name for p in EXPERIMENTS} >= {
+        "registry-100.cfg", "classify.cfg", "criterion-1.cfg", "criterion-3.cfg"}
+
+
+def test_criterion_1_suite_is_the_registry_at_100_and_500():
+    cfg = parse_config(EXPERIMENTS_DIR / "criterion-1.cfg")
+    assert cfg.solvers == ["AR2", "FAR2-PK"]
+    assert [(p.name, p.n) for p in cfg.problems] == [
+        (name, n) for name in registry_names() for n in (100, 500)]

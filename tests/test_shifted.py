@@ -5,9 +5,9 @@ with kd = 2-4, 4x4 blocks, dense; H given dense or sparse),
 `positive_definite` must agree with eigvalsh on H + lam I for shifts at
 least 1e-8 ||H|| from the spectrum, and solve() must match
 numpy.linalg.solve to a relative residual of 1e-10, at positive definite
-and indefinite shifts alike. H is analysed once per secant call, and a
-shift that is not positive definite is factored a second time only when a
-caller solves with it.
+and indefinite shifts alike. H is analysed once, by the caller, and no
+factorization writes into that analysis; a shift that is not positive
+definite is factored a second time only when a caller solves with it.
 """
 
 import warnings
@@ -172,8 +172,9 @@ class TestAgainstReference:
         if asym and not zeros:
             # oracle round-off: the factorization reads the lower half
             E = 1.0e-14 * rng.standard_normal((n, n))
-            fac = ShiftedFactorization(H + np.tril(E, -1).T, lam)
-            ref = ShiftedFactorization(H, lam)
+            fac = ShiftedFactorization(
+                analyse_hessian(H + np.tril(E, -1).T), lam)
+            ref = ShiftedFactorization(analyse_hessian(H), lam)
             assert fac.positive_definite == ref.positive_definite
             np.testing.assert_array_equal(fac.solve(rhs), ref.solve(rhs))
             return
@@ -202,7 +203,7 @@ class TestAgainstReference:
         w = sla.eigvalsh_tridiagonal(d, e)
         lam = _shift(rng, w, shift)
         assume(_far(w, lam))
-        fac = ShiftedFactorization(H, lam)
+        fac = ShiftedFactorization(analyse_hessian(H), lam)
         assert fac.positive_definite == bool(w[0] + lam > 0.0)
         rhs = rng.standard_normal(n)
         x = fac.solve(rhs)
@@ -225,7 +226,7 @@ class TestAgainstReference:
         w = np.linalg.eigvalsh(H)
         lam = float(rng.uniform(w[0] - 1.0, w[-1] + 1.0))
         assume(_far(w, lam))
-        fac = ShiftedFactorization(H, lam)
+        fac = ShiftedFactorization(analyse_hessian(H), lam)
         assert fac.positive_definite == bool(np.all(w + lam > 0.0))
 
 
@@ -239,7 +240,7 @@ class TestIndefiniteSolve:
         lam = -2.0 if exact else -float(np.linalg.eigvalsh(T)[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fac = ShiftedFactorization(T, lam)
+            fac = ShiftedFactorization(analyse_hessian(T), lam)
             assert not fac.positive_definite
             try:
                 x = fac.solve(np.ones(3))
@@ -262,7 +263,7 @@ class TestIndefiniteSolve:
         for name in ("dgttrf", "dgbtrf", "_sytrf"):
             monkeypatch.setattr(secular, name, counted(getattr(secular, name)))
         counter = FactorizationCounter()
-        fac = ShiftedFactorization(H, 0.0, counter)
+        fac = ShiftedFactorization(analyse_hessian(H), 0.0, counter)
         assert not fac.positive_definite and built == []
         rhs = np.ones(H.shape[0])
         x = fac.solve(rhs)
@@ -274,7 +275,7 @@ class TestIndefiniteSolve:
                                    np.ones((40, 40))],
                              ids=["tridiagonal", "dense"])
     def test_singular_shift_raises_on_solve(self, H):
-        fac = ShiftedFactorization(H, 0.0)
+        fac = ShiftedFactorization(analyse_hessian(H), 0.0)
         assert not fac.positive_definite
         with pytest.raises(SingularShiftError):
             fac.solve(np.ones(H.shape[0]))
@@ -287,11 +288,11 @@ class TestAnalyseOnce:
                   + np.diag(np.ones(n - 1), -1), _banded(rng, n, 3)):
             system = analyse_hessian(sp.csr_matrix(T))
             assert isinstance(system, ShiftedSystem) and system.band is not None
-            assert analyse_hessian(system) is system
             np.testing.assert_array_equal(system.band, analyse_hessian(T).band)
             b = rng.standard_normal(n)
             for lam in (0.5, 3.0, 7.0):
-                a, c = ShiftedFactorization(system, lam), ShiftedFactorization(T, lam)
+                a = ShiftedFactorization(system, lam)
+                c = ShiftedFactorization(analyse_hessian(T), lam)
                 assert a.positive_definite == c.positive_definite
                 assert a.solve(b).tobytes() == c.solve(b).tobytes()
 
@@ -302,6 +303,8 @@ class TestAnalyseOnce:
         np.testing.assert_array_equal(system.dense, (H + H.T).toarray())
 
     def test_secant_scans_h_once(self, monkeypatch, rng):
+        # the caller's analysis is the only scan: the solve factors it at
+        # every shift and never analyses H again
         calls = []
         scan = secular._lower_band
         monkeypatch.setattr(secular, "_lower_band",
@@ -313,7 +316,36 @@ class TestAnalyseOnce:
                   _banded(rng, n, 3), A + A.T):
             calls.clear()
             counter = FactorizationCounter()
-            solve_secular_full_secant(rng.standard_normal(n), H, 1.0, 0.1,
-                                      counter)
+            solve_secular_full_secant(rng.standard_normal(n),
+                                      analyse_hessian(H), 1.0, 0.1, counter)
             assert counter.count >= 3
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "band", "dense"])
+    def test_factorizations_leave_system_unchanged(self, kind, rng):
+        # one analysed system serves every shift of an iterate, so no
+        # factorization or solve, at positive definite and indefinite
+        # shifts, may write into its band or dense storage (or into H,
+        # which a dense system holds without a copy)
+        n = 40
+        if kind == "tridiagonal":
+            d, e = _tridiagonal(rng, n, "random")
+            H = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+        elif kind == "band":
+            H = _banded(rng, n, 3)
+        else:
+            A = rng.standard_normal((n, n))
+            H = A + A.T
+        system = analyse_hessian(H)
+        stored = system.dense if kind == "dense" else system.band
+        assert stored is not None and (kind != "band" or stored.shape[0] == 4)
+        before, H_before = stored.copy(), H.copy()
+        w = np.linalg.eigvalsh(H)
+        assert w[0] < 0.0
+        rhs = rng.standard_normal(n)
+        for lam in (-w[0] + 1.0, -0.5 * (w[0] + w[-1]), -w[0] - 1e-3):
+            fac = ShiftedFactorization(system, lam)
+            assert fac.positive_definite == bool(w[0] + lam > 0.0)
+            fac.solve(rhs)
+            assert stored.tobytes() == before.tobytes()
+            assert H.tobytes() == H_before.tobytes()
