@@ -12,6 +12,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import harness, krylov, problems, secular
 from .errors import ConfigError
@@ -74,22 +75,39 @@ def cmd_check(_args) -> int:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
 
-    for name in problems.registry_names():
+    def sized(name, n):
         entry = problems.REGISTRY[name]
-        n = max(entry.min_n, 8)
-        n += (-n) % entry.multiple_of
-        prob = problems.get_problem(name, n)
-        eg, eh = problems.check_derivatives(prob, n_points=2, seed=1)
+        n = max(entry.min_n, n)
+        return problems.get_problem(name, n + (-n) % entry.multiple_of)
+
+    for name in problems.registry_names():
+        eg, eh = problems.check_derivatives(sized(name, 8), n_points=2, seed=1)
         report(f"derivatives {name}", eg <= 1e-5 and eh <= 1e-4,
                f"grad {eg:.2e} hess {eh:.2e}")
 
     data = problems.synth_classification(80, 6, seed=3)
-    for label, obj in (("logistic", problems.logistic_objective(data)),
-                       ("sigmoid", problems.sigmoid_objective(
-                           problems.remap_labels(data, "01")))):
+    losses = [("logistic", problems.logistic_objective(data)),
+              ("sigmoid", problems.sigmoid_objective(
+                  problems.remap_labels(data, "01")))]
+    for label, obj in losses:
         eg, eh = problems.check_derivatives(obj, n_points=2, seed=2)
         report(f"derivatives {label}", eg <= 1e-5 and eh <= 1e-4,
                f"grad {eg:.2e} hess {eh:.2e}")
+
+    # the Hessian contract: H == H.T bit for bit, at x0 and three random points
+    oracles = [(f"{name}-{n}", sized(name, n))
+               for name in problems.registry_names() for n in (8, 100)] + losses
+    rng = np.random.default_rng(4)
+    asymmetric = []
+    for label, obj in oracles:
+        for x in [obj.x0] + [obj.x0 + rng.standard_normal(obj.n) for _ in range(3)]:
+            H = obj.eval(x, 2)[2]
+            H = H.toarray() if sp.issparse(H) else H
+            if not np.array_equal(H, H.T):
+                asymmetric.append(label)
+                break
+    report("symmetric Hessians", not asymmetric,
+           ", ".join(asymmetric) or f"{len(oracles)} oracles, 4 points each")
 
     lam = secular.solve_secular_reduced(np.array([1.0]), np.array([[1.0]]), 1.0).lam
     report("scalar secular root", abs(lam - (np.sqrt(5) - 1) / 2) < 1e-10,

@@ -26,7 +26,8 @@ class ObjectiveProblem:
     """Smooth objective oracle with per-order evaluation counters.
 
     eval(x, order) returns (f, g, H) with g/H set for order >= 1 / order 2;
-    n_f, n_g, n_H count the calls of each order.
+    n_f, n_g, n_H count the calls of each order. H is exactly symmetric,
+    H == H.T bit for bit, so callers use it without symmetrizing.
     """
 
     def __init__(self, name, n, x0, raw_eval):
@@ -498,6 +499,26 @@ def get_problem(name: str, n: int) -> ObjectiveProblem:
 
 # --- classification objectives --------------------------------------------
 
+def _weighted_gram(A, w):
+    """sum_i w_i a_i a_i^T over the rows a_i of A, exactly symmetric.
+
+    The rows with w_i >= 0 are gathered first into one N x n buffer, which
+    is scaled in place by sqrt|w_i|; each sign's contiguous slice B then
+    gives B^T B by a symmetric rank-k update (BLAS syrk), which computes
+    one triangle and mirrors it. Together the two updates cost half the
+    general product (A^T W) A, and the buffer is the only N x n temporary.
+    """
+    pos = w >= 0.0
+    rows = np.concatenate((np.flatnonzero(pos), np.flatnonzero(~pos)))
+    B = A[rows]
+    B *= np.sqrt(np.abs(w[rows]))[:, None]
+    k = int(np.count_nonzero(pos))
+    G = B[:k].T @ B[:k]
+    if k < w.size:
+        G -= B[k:].T @ B[k:]
+    return G
+
+
 @dataclass
 class ClassificationData:
     """Feature matrix, labels and sample count for a binary task."""
@@ -540,7 +561,9 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
     """Regularized logistic loss (1/N) sum log(1+exp(-b a^T x)) + ||x||^2/(2N).
 
     Labels must be in {-1,+1}; strictly convex (the regularizer keeps the
-    Hessian at or above I/N). Start at the origin.
+    Hessian at or above I/N). Start at the origin. H = B^T B / N + I/N
+    with B = diag(sqrt(w)) A and w = sigma (1 - sigma) >= 0, formed by one
+    symmetric rank-k update.
     """
     if not set(np.unique(data.b)) <= {-1.0, 1.0}:
         raise ValueError("logistic labels must lie in {-1, +1}")
@@ -556,8 +579,9 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
         g = A.T @ ((sig - 1.0) * b) / N + x / N
         if order == 1:
             return f, g, None
-        w = sig * (1.0 - sig)
-        H = (A.T * w) @ A / N + np.eye(n) / N
+        H = _weighted_gram(A, sig * (1.0 - sig))
+        H /= N
+        H.flat[:: n + 1] += 1.0 / N
         return f, g, H
 
     return ObjectiveProblem(f"logistic[N={N}]", n, np.zeros(n), ev)
@@ -566,7 +590,10 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
 def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
     """Sigmoid least-squares loss (1/N) sum (b - 1/(1+exp(-a^T x)))^2.
 
-    Labels must be in {0,1}; nonconvex. Start at the origin.
+    Labels must be in {0,1}; nonconvex. Start at the origin. The Hessian
+    weights w change sign, so H = (Bp^T Bp - Bn^T Bn) / N, where Bp and Bn
+    hold the rows of A with w >= 0 and w < 0 scaled by sqrt|w|: two
+    symmetric rank-k updates on one gathered buffer.
     """
     if not set(np.unique(data.b)) <= {0.0, 1.0}:
         raise ValueError("sigmoid labels must lie in {0, 1}")
@@ -583,8 +610,8 @@ def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
         g = A.T @ (-2.0 * r * q) / N
         if order == 1:
             return f, g, None
-        w = 2.0 * (q * q - r * q * (1.0 - 2.0 * p))
-        H = (A.T * w) @ A / N
+        H = _weighted_gram(A, 2.0 * (q * q - r * q * (1.0 - 2.0 * p)))
+        H /= N
         return f, g, H
 
     return ObjectiveProblem(f"sigmoid[N={N}]", n, np.zeros(n), ev)

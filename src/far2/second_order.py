@@ -43,11 +43,12 @@ def gershgorin_interval(H) -> tuple[float, float]:
 
 def min_eig(H, want_vector: bool = False,
             rank_one: tuple[float, np.ndarray] | None = None):
-    """Smallest eigenvalue of symmetric H, optionally with a unit eigenvector.
+    """Smallest eigenvalue of H, optionally with a unit eigenvector.
 
-    Dense symmetric eigensolver up to DENSE_EIG_CUTOFF (only the leftmost
-    pair when the vector is wanted); above that a shift-and-invert Lanczos
-    iteration anchored below the Gershgorin bound.
+    H must be exactly symmetric (H == H.T bit for bit, as every oracle
+    returns it); it is not symmetrized here. Dense symmetric eigensolver
+    for the leftmost eigenvalue alone up to DENSE_EIG_CUTOFF; above that a
+    shift-and-invert Lanczos iteration anchored below the Gershgorin bound.
     rank_one = (c, u) with c >= 0 adds c u u^T to H; the iterative path
     applies it without forming it, inverting the shifted sum by
     Sherman-Morrison over a factorization of H alone. Raises
@@ -58,11 +59,10 @@ def min_eig(H, want_vector: bool = False,
         A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
         if rank_one is not None:
             A = A + rank_one[0] * np.outer(rank_one[1], rank_one[1])
-        A = 0.5 * (A + A.T)
         if want_vector:
             w, v = sla.eigh(A, subset_by_index=[0, 0])
             return float(w[0]), v[:, 0]
-        return float(sla.eigvalsh(A)[0]), None
+        return float(sla.eigvalsh(A, subset_by_index=[0, 0])[0]), None
 
     lo, hi = gershgorin_interval(H)
     op, opinv = H, None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,80 @@ class TestSigmoid:
         p = sigmoid_objective(data)
         eg, eh = check_derivatives(p, n_points=3, seed=7)
         assert eg <= 1e-5 and eh <= 1e-4
+
+
+def _reference_hessian(kind, data, x):
+    """The general product (A^T W) A / N (+ I/N): correct, not symmetric."""
+    A, b, N = data.A, data.b, data.N
+    if kind == "logistic":
+        sig = 1.0 / (1.0 + np.exp(-b * (A @ x)))
+        w = sig * (1.0 - sig)
+        return (A.T * w) @ A / N + np.eye(data.n) / N, w
+    p = 1.0 / (1.0 + np.exp(-(A @ x)))
+    r = b - p
+    q = p * (1.0 - p)
+    w = 2.0 * (q * q - r * q * (1.0 - 2.0 * p))
+    return (A.T * w) @ A / N, w
+
+
+def _loss(kind, data):
+    """The loss on data with the labels it takes, and those data."""
+    if kind == "logistic":
+        return logistic_objective(data), data
+    data = remap_labels(data, "01")
+    return sigmoid_objective(data), data
+
+
+class TestClassificationHessian:
+    # H is a Gram product of one row-scaled copy of A (symmetric rank-k
+    # updates): exactly symmetric, and the general product to rounding
+
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
+    def test_exactly_symmetric_and_matches_reference(self, kind):
+        p, data = _loss(kind, synth_classification(300, 12, seed=9))
+        rng = np.random.default_rng(10)
+        points = [p.x0] + [rng.standard_normal(12) for _ in range(3)]
+        signs = set()
+        for x in points:
+            _, _, H = p.eval(x, 2)
+            assert np.array_equal(H, H.T)
+            ref, w = _reference_hessian(kind, data, x)
+            signs.update(np.unique(np.sign(w[w != 0.0])))
+            assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if kind == "sigmoid":
+            # x0 gives only positive weights, the random points both signs
+            assert signs == {-1.0, 1.0}
+
+    def test_sigmoid_all_weights_negative(self):
+        # every label 1 and every a^T x < log(1/2): each weight is negative,
+        # so the positive slice is empty and H = -Bn^T Bn / N
+        rng = np.random.default_rng(11)
+        A = np.abs(rng.standard_normal((200, 6)))
+        A[:, 0] += 1.0
+        data = ClassificationData(A=A, b=np.ones(200))
+        x = np.zeros(6)
+        x[0] = -5.0
+        _, _, H = sigmoid_objective(data).eval(x, 2)
+        ref, w = _reference_hessian("sigmoid", data, x)
+        assert np.all(w < 0.0)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
+    def test_one_sample_sized_temporary(self, kind):
+        # forming H allocates one N x n buffer plus O(n^2) and O(N) arrays;
+        # separate per-sign copies of A would need up to twice that
+        N, n = 8000, 100
+        p, _ = _loss(kind, synth_classification(N, n, seed=12))
+        x = np.random.default_rng(13).standard_normal(n)
+        p.eval(x, 2)
+        tracemalloc.start()
+        try:
+            p.eval(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (N * n + 4 * n * n + 16 * N)
 
 
 class TestLibsvm:
