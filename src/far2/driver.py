@@ -37,8 +37,7 @@ from .config import RATIONAL, SolverConfig
 from .errors import (InternalInvariantError, ReducedSolveError,
                      SingularShiftError, SolverError)
 from .krylov import KrylovBasis, orth_augment, poly_expand, rational_expand
-from .model import (ModelContext, model_curvature_bound, model_curvature_min,
-                    symmetrize)
+from .model import ModelContext, model_curvature_bound, model_curvature_min
 from .secular import (FactorizationCounter, ShiftedFactorization,
                       ShiftedSystem, analyse_hessian,
                       solve_secular_full_secant, solve_secular_reduced)
@@ -73,18 +72,6 @@ class IterateState:
     sigma: float
     refresh: bool = True
     basis: KrylovBasis | None = None
-    sym_cache: tuple | None = field(default=None, repr=False)
-
-    def model_context(self) -> ModelContext:
-        """The cubic model here; H is symmetrized once per Hessian value.
-
-        sym_cache holds (H, symmetrize(H)) for the H it was made from.
-        """
-        H = self.system.H
-        if self.sym_cache is None or self.sym_cache[0] is not H:
-            self.sym_cache = (H, symmetrize(H))
-        return ModelContext._from_symmetric(self.f, self.g, self.sym_cache[1],
-                                            self.sigma)
 
 
 @dataclass
@@ -209,7 +196,7 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
         raise ValueError("subspace_minimize requires a nonzero gradient")
     H = state.system.H
     so = isinstance(cfg, SecondOrderConfig)
-    ctx = state.model_context() if so else None
+    ctx = ModelContext(state.system, state.sigma) if so else None
 
     if not state.refresh:
         basis = state.basis
@@ -437,7 +424,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     while True:
         gnorm = float(np.linalg.norm(state.g))
         if gnorm <= eps and (not so
-                             or min_eig(state.system.H)[0] >= -cfg.eps_H):
+                             or min_eig(state.system)[0] >= -cfg.eps_H):
             status = Status.SECOND_ORDER if so else Status.FIRST_ORDER
             break
         if state.k >= cfg.max_iters:
@@ -484,8 +471,8 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                 message = f"full-space secular solve failed: {exc}"
                 break
             shat_norm = float(np.linalg.norm(sol.step))
-            if so and not _curvature_ok(state.model_context(), sol.step,
-                                        -cfg.theta2 * shat_norm):
+            if so and not _curvature_ok(ModelContext(state.system, state.sigma),
+                                        sol.step, -cfg.theta2 * shat_norm):
                 status = Status.SOLVE_FAILURE
                 message = "secant step failed the model-curvature test"
                 break
@@ -522,7 +509,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
         if accepted:
             state.x = state.x + step
             # not held through the oracle's memory peak
-            state.system = state.sym_cache = None
+            state.system = None
             f, g, H = problem.eval(state.x, 2)
             if not (np.isfinite(f) and np.all(np.isfinite(g))):
                 status = Status.SOLVE_FAILURE

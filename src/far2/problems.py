@@ -521,11 +521,10 @@ def _weighted_gram(A, w):
 
 @dataclass
 class ClassificationData:
-    """Feature matrix, labels and sample count for a binary task."""
+    """Feature matrix and labels for a binary task."""
 
     A: np.ndarray
     b: np.ndarray
-    N: int = 0
 
     def __post_init__(self):
         # sparse feature matrices are accepted and densified; the losses
@@ -538,7 +537,10 @@ class ClassificationData:
             raise ValueError("A must be N x n with one label per row")
         if not np.all(np.isfinite(self.A)):
             raise ValueError("non-finite feature entries")
-        self.N = self.A.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.A.shape[0]
 
     @property
     def n(self) -> int:
@@ -546,7 +548,10 @@ class ClassificationData:
 
 
 def remap_labels(data: ClassificationData, convention: str) -> ClassificationData:
-    """Return a copy with labels in {-1,+1} ('pm1') or {0,1} ('01')."""
+    """The data with labels in {-1,+1} ('pm1') or {0,1} ('01').
+
+    The feature matrix is shared with `data`, not copied.
+    """
     b = data.b
     if convention == "pm1":
         nb = np.where(b > 0.0, 1.0, -1.0)
@@ -554,7 +559,7 @@ def remap_labels(data: ClassificationData, convention: str) -> ClassificationDat
         nb = np.where(b > 0.0, 1.0, 0.0)
     else:
         raise ValueError("convention must be 'pm1' or '01'")
-    return ClassificationData(A=data.A.copy(), b=nb)
+    return ClassificationData(A=data.A, b=nb)
 
 
 def logistic_objective(data: ClassificationData) -> ObjectiveProblem:

@@ -14,18 +14,18 @@ banded or dense), solves with that factor, and builds a pivoted indefinite
 factorization only when asked to solve at a shift that is not positive
 definite. It factors a ShiftedSystem (analyse_hessian), which the
 nonlinear loop makes once per oracle Hessian: the full-space solve, the
-Newton corrector and the rational Krylov expansions of an iterate all
-read that one analysis. Reduced (small, dense) solves use a spectral
-decomposition, after which each residual evaluation costs O(m). The
-full-space solve is safeguarded Newton on the secular equation, the direct
-solver baseline of adaptive cubic regularization (Cartis, Gould & Toint
-2011, Algorithm 6.1): each shift costs one Cholesky factorization and two
-solves with it. When the bracket of either solve collapses onto the
-spectrum edge (the hard and near-hard cases) it returns the same boundary
-step (_boundary_step): the solve at the bracket's upper end plus the
-multiple of the leftmost eigenvector that restores ||s|| = lambda/sigma,
-of the two such multiples the one of lower model value (Moré & Sorensen
-1983).
+Newton corrector, the rational Krylov expansions and the eigensolves
+(second_order.min_eig) of an iterate all read that one analysis. Reduced
+(small, dense) solves use a spectral decomposition, after which each
+residual evaluation costs O(m). The full-space solve is safeguarded
+Newton on the secular equation, the direct solver baseline of adaptive
+cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1): each
+shift costs one Cholesky factorization and two solves with it. When the
+bracket of either solve collapses onto the spectrum edge (the hard and
+near-hard cases) it returns the same boundary step (_boundary_step): the
+solve at the bracket's upper end plus the multiple of the leftmost
+eigenvector that restores ||s|| = lambda/sigma, of the two such multiples
+the one of lower model value (Moré & Sorensen 1983).
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ class ShiftedFactorization:
     uses its factor (pttrs, pbtrs, potrs). If B is not positive
     definite, the first solve() builds a pivoted indefinite factorization
     (gttrf, gbtrf or sytrf), raising SingularShiftError on an exact zero
-    pivot. Every construction is one counted factorization.
+    pivot. Each construction bumps `counter`, if given, by one; the
+    Lanczos path of min_eig factors without one.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,
@@ -338,7 +339,7 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     return SecularSolution(lam, step, SecularCase.HARD, alpha=alpha)
 
 
-def _spectral_fallback(g, H, sigma, counter, hi=None,
+def _spectral_fallback(g, system: ShiftedSystem, sigma, counter, hi=None,
                        p=None) -> SecularSolution:
     """The boundary step, once the bracket collapses onto the spectrum edge.
 
@@ -348,12 +349,12 @@ def _spectral_fallback(g, H, sigma, counter, hi=None,
     hi = max(0, -lambda_1) and p = 0. The eigensolve is counted as one
     factorization.
     """
-    lam1, v1 = min_eig(H, want_vector=True)
+    lam1, v1 = min_eig(system, want_vector=True)
     if counter is not None:
         counter.bump()
     if p is None:
         hi, p = max(0.0, -lam1), np.zeros(g.size)
-    step, alpha = _boundary_step(g, H, p, v1, hi / sigma)
+    step, alpha = _boundary_step(g, system.H, p, v1, hi / sigma)
     return SecularSolution(hi, step, SecularCase.HARD, alpha=alpha)
 
 
@@ -384,17 +385,17 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
         raise ValueError("sigma must be positive")
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
-    H = system.H
 
     if gnorm == 0.0:
         if ShiftedFactorization(system, 0.0, counter).positive_definite:
             return SecularSolution(0.0, np.zeros(g.size), SecularCase.EASY)
-        return _spectral_fallback(g, H, sigma, counter)
+        return _spectral_fallback(g, system, sigma, counter)
 
     if warm_lambda is not None and warm_lambda > 0.0:
         lam = warm_lambda
     else:
-        lam = max(0.0, -gershgorin_interval(H)[0]) + sigma * math.sqrt(gnorm)
+        lam = (max(0.0, -gershgorin_interval(system.H)[0])
+               + sigma * math.sqrt(gnorm))
     rtol = min(0.5 * theta1 / sigma, 1.0e-9)
     edge = 1.0 - 64.0 * float(np.finfo(float).eps)
     lo, hi, x_hi = 0.0, math.inf, None
@@ -418,7 +419,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
         if lo >= edge * hi:
             # the bracket is exhausted in floating point without meeting
             # the residual target: the root hugs the spectrum edge
-            return _spectral_fallback(g, H, sigma, counter, hi, -x_hi)
+            return _spectral_fallback(g, system, sigma, counter, hi, -x_hi)
         if not lo < nxt < hi:
             nxt = (max(2.0 * lo, lo + 1.0) if hi == math.inf
                    else lo + 0.5 * (hi - lo))

@@ -360,31 +360,6 @@ class TestAr2Solve:
         assert rep.message.startswith("full-space secular solve failed")
 
 
-class TestSymmetrizeOnce:
-    def test_model_context_follows_h(self, rng):
-        A, B = rng.standard_normal((2, 5, 5))
-        state = make_state(np.ones(5), A)
-        ctx = state.model_context()
-        np.testing.assert_array_equal(ctx.H, 0.5 * (A + A.T))
-        assert state.model_context().H is ctx.H
-        state.system = analyse_hessian(B)
-        np.testing.assert_array_equal(state.model_context().H, 0.5 * (B + B.T))
-
-    def test_once_per_hessian_value_and_only_under_far2so(self, monkeypatch):
-        import far2.driver as driver
-
-        calls = []
-        symmetrize = driver.symmetrize
-        monkeypatch.setattr(driver, "symmetrize",
-                            lambda H: calls.append(1) or symmetrize(H))
-        rep = far2_solve(get_problem("ROSENBR", 20), SolverConfig())
-        assert rep.converged and calls == []
-        p = get_problem("ROSENBR", 20)
-        rep = far2so_solve(p, SecondOrderConfig())
-        assert rep.status == "second_order_point"
-        assert 0 < len(calls) <= p.n_H < rep.n_nli
-
-
 BLOCK_SOLVES = [(s, p) for p in ("WOODS", "POWELLSG", "BDARWHD")
                 for s in ("FAR2-PK", "FAR2-RK", "AR2")]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ import far2.driver as driver
 import far2.harness as harness
 from far2.driver import RunReport
 from far2.errors import ConfigError, InternalInvariantError, ProfileError
-from far2.harness import (CSV_COLUMNS, ProblemSpec, SuiteConfig, parse_config,
-                          performance_profile, read_reports_json, reports_equal,
-                          run_suite, write_reports_csv, write_reports_json)
+from far2.harness import (CSV_COLUMNS, ProblemSpec, SuiteConfig, build_problem,
+                          parse_config, performance_profile, read_reports_json,
+                          reports_equal, run_suite, write_reports_csv,
+                          write_reports_json)
 from far2.problems import registry_names
 
 
@@ -112,6 +114,20 @@ class TestRunSuite:
         for a, b in zip(serial, parallel):
             assert reports_equal(a, b) or (a.f_final == b.f_final
                                            and a.n_fact == b.n_fact)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
+def test_classification_problem_holds_one_feature_matrix(kind):
+    # the synthetic A is 5000 x 500 doubles, 20 MB; relabelling for the
+    # loss shares it rather than copying it
+    spec = ProblemSpec(kind=kind, N=5000, n=500, seed=1)
+    tracemalloc.start()
+    try:
+        build_problem(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 5000 * 500 * 8
 
 
 class TestPerformanceProfile:

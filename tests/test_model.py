@@ -6,8 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far2.model import (ModelContext, model_curvature_bound,
-                        model_curvature_min, symmetrize)
+from far2.model import ModelContext, model_curvature_bound, model_curvature_min
+from far2.secular import analyse_hessian
 from far2.second_order import min_eig
 
 
@@ -19,25 +19,26 @@ def e1(n):
 
 class TestModelCurvatureMin:
     def test_zero_step_reduces_to_hessian(self):
-        ctx = ModelContext(0.0, np.ones(2), np.diag([2.0, 5.0]), 3.0)
+        ctx = ModelContext(analyse_hessian(np.diag([2.0, 5.0])), 3.0)
         assert model_curvature_min(ctx, np.zeros(2)) == pytest.approx(2.0)
 
     def test_two_by_two(self):
-        ctx = ModelContext(0.0, np.ones(2), np.diag([-1.0, 1.0]), 1.0)
+        ctx = ModelContext(analyse_hessian(np.diag([-1.0, 1.0])), 1.0)
         assert model_curvature_min(ctx, e1(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one_bump(self):
-        ctx = ModelContext(0.0, np.ones(3), np.zeros((3, 3)), 2.0)
+        ctx = ModelContext(analyse_hessian(np.zeros((3, 3))), 2.0)
         assert model_curvature_min(ctx, e1(3)) == pytest.approx(2.0, abs=1e-12)
 
     def test_eigenvalue_lower_bound(self, rng):
         n = 5
         A = rng.standard_normal((n, n))
-        ctx = ModelContext(0.0, rng.standard_normal(n), 0.5 * (A + A.T), 1.3)
+        H = 0.5 * (A + A.T)
+        ctx = ModelContext(analyse_hessian(H), 1.3)
         s = rng.standard_normal(n)
         lam = model_curvature_min(ctx, s)
         snorm = np.linalg.norm(s)
-        M = ctx.H + ctx.sigma * snorm * np.eye(n) + ctx.sigma / snorm * np.outer(s, s)
+        M = H + ctx.sigma * snorm * np.eye(n) + ctx.sigma / snorm * np.outer(s, s)
         for _ in range(100):
             d = rng.standard_normal(n)
             assert d @ M @ d >= lam * (d @ d) - 1e-9 * max(1.0, abs(lam))
@@ -54,9 +55,9 @@ class TestModelCurvatureMin:
         s = rng.standard_normal(n)
         snorm = float(np.linalg.norm(s))
         M = H + 1.3 * snorm * np.eye(n) + (1.3 / snorm) * np.outer(s, s)
-        ctx = ModelContext(0.0, np.ones(n),
-                           sp.csr_matrix(H) if storage == "sparse" else H, 1.3)
-        assert model_curvature_min(ctx, s) == min_eig(M)[0]
+        ctx = ModelContext(
+            analyse_hessian(sp.csr_matrix(H) if storage == "sparse" else H), 1.3)
+        assert model_curvature_min(ctx, s) == min_eig(analyse_hessian(M))[0]
 
 
 def _dense_curvature(H, s, sigma):
@@ -89,9 +90,9 @@ class TestCurvatureCertificate:
             A = rng.standard_normal((n, n)) * rng.uniform(0.1, 100.0)
             H = 0.5 * (A + A.T)
         s *= step / np.linalg.norm(s)
-        ctx = ModelContext(0.0, rng.standard_normal(n), H, sigma)
+        ctx = ModelContext(analyse_hessian(H), sigma)
         bound = model_curvature_bound(ctx, s)
-        exact = _dense_curvature(ctx.H, s, sigma)
+        exact = _dense_curvature(H, s, sigma)
         assert bound <= exact
         if tight:
             assert exact - bound <= 1.0e-6 * max(1.0, abs(exact))
@@ -102,7 +103,7 @@ class TestCurvatureCertificate:
         e = rng.standard_normal(n - 1)
         H = sp.diags([e, d, e], [-1, 0, 1], format="csr")
         s = rng.standard_normal(n) * 0.02
-        ctx = ModelContext(0.0, rng.standard_normal(n), H, 0.7)
+        ctx = ModelContext(analyse_hessian(H), 0.7)
         tracemalloc.start()
         try:
             lam = model_curvature_min(ctx, s)
@@ -114,10 +115,3 @@ class TestCurvatureCertificate:
         assert lam == pytest.approx(exact, abs=1e-8)
         assert peak < n * n * 8
         assert model_curvature_bound(ctx, s) <= lam
-
-    def test_symmetric_context_keeps_h(self, rng):
-        A = rng.standard_normal((4, 4))
-        H = symmetrize(A)
-        np.testing.assert_array_equal(
-            ModelContext(0.0, np.ones(4), A, 1.0).H, H)
-        assert ModelContext._from_symmetric(0.0, np.ones(4), H, 1.0).H is H

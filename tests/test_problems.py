@@ -289,6 +289,19 @@ class TestSynthClassification:
         assert acc >= 0.8
 
 
+class TestClassificationData:
+    def test_sample_count_is_read_only(self):
+        data = synth_classification(6, 2, seed=1)
+        assert data.N == 6
+        with pytest.raises(AttributeError):
+            data.N = 3
+
+    @pytest.mark.parametrize("convention", ["pm1", "01"])
+    def test_relabelled_data_shares_the_features(self, convention):
+        data = synth_classification(6, 2, seed=1)
+        assert remap_labels(data, convention).A is data.A
+
+
 def test_fd_helpers_consistent_on_quadratic():
     p = get_problem("QUAD", 4)
     x = p.x0 + 0.3

@@ -7,6 +7,7 @@ from far2.config import SolverConfig
 from far2.driver import far2_solve
 from far2.problems import ObjectiveProblem, logistic_objective, synth_classification
 from far2 import far2so_solve
+from far2.secular import ShiftedSystem, analyse_hessian
 from far2.second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
 
@@ -27,18 +28,19 @@ def quadratic_oracle(D, x0, name):
 
 class TestMinEig:
     def test_diagonal(self):
-        lam, v = min_eig(np.diag([3.0, -2.0, 5.0]), want_vector=True)
+        lam, v = min_eig(analyse_hessian(np.diag([3.0, -2.0, 5.0])),
+                         want_vector=True)
         assert lam == pytest.approx(-2.0)
         np.testing.assert_allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_identity(self):
-        lam, v = min_eig(np.eye(7))
+        lam, v = min_eig(analyse_hessian(np.eye(7)))
         assert lam == pytest.approx(1.0)
         assert v is None
 
     def test_matches_dense_oracle(self, rng):
         H = random_symmetric(rng, 20)
-        lam, v = min_eig(H, want_vector=True)
+        lam, v = min_eig(analyse_hessian(H), want_vector=True)
         w, V = np.linalg.eigh(H)
         assert lam == pytest.approx(w[0], rel=1e-8, abs=1e-10)
         assert abs(abs(v @ V[:, 0]) - 1.0) < 1e-8
@@ -48,15 +50,20 @@ class TestMinEig:
     def test_rank_one_term(self, rng, n, storage):
         # D + c u u^T with u on two coordinates: the spectrum is D's outside
         # them plus a 2x2 block's, so the reference costs nothing at any n;
-        # above DENSE_EIG_CUTOFF the term is applied without forming it
+        # above DENSE_EIG_CUTOFF the term is applied without forming it, over
+        # a factorization in dense or (for the sparse D) band storage
         d = rng.uniform(-3.0, 3.0, n)
         i, j = np.argsort(d)[:2]
         u = np.zeros(n)
         u[[i, j]] = [0.8, -0.6]
         c = 2.5
         D = sp.diags(d, format="csr")
-        lam, v = min_eig(D if storage == "sparse" else D.toarray(),
-                         rank_one=(c, u))
+        if storage == "sparse":
+            system = analyse_hessian(D)
+        else:
+            M = D.toarray()
+            system = ShiftedSystem(M, dense=M)
+        lam, v = min_eig(system, rank_one=(c, u))
         block = np.diag(d[[i, j]]) + c * np.outer(u[[i, j]], u[[i, j]])
         rest = np.delete(d, [i, j])
         assert lam == pytest.approx(min(rest.min(), np.linalg.eigvalsh(block)[0]),
@@ -133,5 +140,5 @@ class TestFar2SoSolve:
         assert rep.status == "second_order_point"
         assert rep.violations == []
         _, _, H = p.eval(np.array(rep.x_final), 2)
-        lam, _ = min_eig(np.asarray(H))
+        lam, _ = min_eig(analyse_hessian(np.asarray(H)))
         assert lam >= -1e-4 - 1e-8

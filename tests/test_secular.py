@@ -106,17 +106,20 @@ class TestSolveSecularReduced:
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-8)
 
     def test_agrees_with_brute_force(self, rng):
+        # both secular solves, the reduced one and the full-space one, on
+        # the same small easy instances
         for m in (1, 2, 3, 4):
             H = random_symmetric(rng, m, scale=1.5)
             g = rng.standard_normal(m)
             sigma = float(rng.uniform(0.3, 3.0))
-            sol = solve_secular_reduced(g, H, sigma)
-            val = cubic_model_value(sol.step, g, H, sigma)
             box = 3.0 * np.linalg.norm(g) / math.sqrt(sigma) + 3.0
             grid = 21 if m <= 3 else 9
             ref, _ = brute_force_cubic_min(g, H, sigma, box=min(box, 6.0),
                                            grid=grid)
-            assert val <= ref + 1e-6
+            for sol in (solve_secular_reduced(g, H, sigma),
+                        solve_secular_full_secant(g, analyse_hessian(H),
+                                                  sigma, 0.1)):
+                assert cubic_model_value(sol.step, g, H, sigma) <= ref + 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]))
     @settings(max_examples=30, deadline=None)
