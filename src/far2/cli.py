@@ -102,12 +102,25 @@ def cmd_check(_args) -> int:
     for label, obj in oracles:
         for x in [obj.x0] + [obj.x0 + rng.standard_normal(obj.n) for _ in range(3)]:
             H = obj.eval(x, 2)[2]
-            H = H.toarray() if sp.issparse(H) else H
+            H = H.toarray() if sp.issparse(H) else np.asarray(H)
             if not np.array_equal(H, H.T):
                 asymmetric.append(label)
                 break
     report("symmetric Hessians", not asymmetric,
            ", ".join(asymmetric) or f"{len(oracles)} oracles, 4 points each")
+
+    # a loss Hessian's products before its matrix is formed, against the
+    # matrix, on one vector and on a block of three
+    worst = 0.0
+    for _, obj in losses:
+        H = obj.eval(obj.x0 + rng.standard_normal(obj.n), 2)[2]
+        V = rng.standard_normal((obj.n, 3))
+        products = [(H @ V[:, 0], V[:, 0]), (H @ V, V)]
+        M = np.asarray(H)
+        for P, X in products:
+            worst = max(worst, float(np.linalg.norm(P - M @ X)
+                                     / np.linalg.norm(M @ X)))
+    report("loss Hessian products", worst <= 1e-12, f"relative error {worst:.2e}")
 
     lam = secular.solve_secular_reduced(np.array([1.0]), np.array([[1.0]]), 1.0).lam
     report("scalar secular root", abs(lam - (np.sqrt(5) - 1) / 2) < 1e-10,

@@ -62,7 +62,8 @@ class StepKind(Enum):
 @dataclass
 class IterateState:
     """Full state of one nonlinear iteration; `system` is the oracle's H,
-    analysed once for every shifted factorization at this iterate."""
+    analysed at most once, on first use, for every shifted factorization
+    and eigensolve at this iterate."""
 
     k: int
     x: np.ndarray

@@ -7,8 +7,10 @@ ingestion, and a finite-difference derivative checker.
 
 The banded registry problems (tridiagonal, diagonal or 4 x 4 blocks) return
 a scipy.sparse CSR Hessian at every n; the others (HILBERT, the hub-coupled
-ARWHEAD, NONDIA, EG2 and INDEF) and the classification losses return dense
-arrays.
+ARWHEAD, NONDIA, EG2 and INDEF) return dense arrays. The classification
+losses return a GramHessian: an operator whose products with H need no
+matrix (Hessian-free products, Pearlmutter 1994), and which forms its dense
+matrix once, when a factorization or an eigensolve first reads H's entries.
 """
 
 from __future__ import annotations
@@ -519,6 +521,47 @@ def _weighted_gram(A, w):
     return G
 
 
+class GramHessian:
+    """The classification Hessian A^T diag(w) A / N + reg I, as an operator.
+
+    Holds A (not copied), the sample weights w, N and the diagonal term
+    reg. Until the matrix is formed, `H @ V` (V a vector or an n x k array)
+    is the Hessian-free product A^T (w * (A V)) / N + reg V, computed
+    row-wise as ((V^T A^T) * w) A: two gemms on A as stored, which with
+    one BLAS thread take about half the time of A^T (w * (A V)) for 2 to
+    20 columns (N = 5000, n = 500). toarray() forms the
+    matrix once by symmetric rank-k updates (_weighted_gram), exactly
+    symmetric, and caches it; from then on `@` multiplies by the matrix.
+    np.asarray(H) is toarray().
+    """
+
+    def __init__(self, A: np.ndarray, w: np.ndarray, N: int, reg: float = 0.0):
+        self.A, self.w, self.N, self.reg = A, w, N, reg
+        self.shape = (A.shape[1], A.shape[1])
+        self._matrix = None
+
+    def toarray(self) -> np.ndarray:
+        if self._matrix is None:
+            H = _weighted_gram(self.A, self.w)
+            H /= self.N
+            if self.reg:
+                H.flat[:: H.shape[0] + 1] += self.reg
+            self._matrix = H
+        return self._matrix
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.toarray(), dtype=dtype, copy=copy)
+
+    def __matmul__(self, V):
+        if self._matrix is not None:
+            return self._matrix @ V
+        V = np.asarray(V, dtype=float)
+        HV = (((V.T @ self.A.T) * self.w) @ self.A).T / self.N
+        if self.reg:
+            HV += self.reg * V
+        return HV
+
+
 @dataclass
 class ClassificationData:
     """Feature matrix and labels for a binary task."""
@@ -527,8 +570,8 @@ class ClassificationData:
     b: np.ndarray
 
     def __post_init__(self):
-        # sparse feature matrices are accepted and densified; the losses
-        # build dense Hessians anyway at the scales this library targets
+        # sparse feature matrices are accepted and densified: the losses'
+        # Hessian products and formed Hessians work on a dense A
         if sp.issparse(self.A):
             self.A = self.A.toarray()
         self.A = np.asarray(self.A, dtype=float)
@@ -567,8 +610,8 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
 
     Labels must be in {-1,+1}; strictly convex (the regularizer keeps the
     Hessian at or above I/N). Start at the origin. H = B^T B / N + I/N
-    with B = diag(sqrt(w)) A and w = sigma (1 - sigma) >= 0, formed by one
-    symmetric rank-k update.
+    with B = diag(sqrt(w)) A and w = sigma (1 - sigma) >= 0, a GramHessian
+    whose matrix, when formed, costs one symmetric rank-k update.
     """
     if not set(np.unique(data.b)) <= {-1.0, 1.0}:
         raise ValueError("logistic labels must lie in {-1, +1}")
@@ -584,10 +627,7 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
         g = A.T @ ((sig - 1.0) * b) / N + x / N
         if order == 1:
             return f, g, None
-        H = _weighted_gram(A, sig * (1.0 - sig))
-        H /= N
-        H.flat[:: n + 1] += 1.0 / N
-        return f, g, H
+        return f, g, GramHessian(A, sig * (1.0 - sig), N, 1.0 / N)
 
     return ObjectiveProblem(f"logistic[N={N}]", n, np.zeros(n), ev)
 
@@ -597,8 +637,9 @@ def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
 
     Labels must be in {0,1}; nonconvex. Start at the origin. The Hessian
     weights w change sign, so H = (Bp^T Bp - Bn^T Bn) / N, where Bp and Bn
-    hold the rows of A with w >= 0 and w < 0 scaled by sqrt|w|: two
-    symmetric rank-k updates on one gathered buffer.
+    hold the rows of A with w >= 0 and w < 0 scaled by sqrt|w|: a
+    GramHessian whose matrix, when formed, costs two symmetric rank-k
+    updates on one gathered buffer.
     """
     if not set(np.unique(data.b)) <= {0.0, 1.0}:
         raise ValueError("sigmoid labels must lie in {0, 1}")
@@ -615,9 +656,7 @@ def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
         g = A.T @ (-2.0 * r * q) / N
         if order == 1:
             return f, g, None
-        H = _weighted_gram(A, 2.0 * (q * q - r * q * (1.0 - 2.0 * p)))
-        H /= N
-        return f, g, H
+        return f, g, GramHessian(A, 2.0 * (q * q - r * q * (1.0 - 2.0 * p)), N)
 
     return ObjectiveProblem(f"sigmoid[N={N}]", n, np.zeros(n), ev)
 
@@ -741,7 +780,7 @@ def check_derivatives(problem: ObjectiveProblem, n_points: int = 5,
     worst_g = worst_h = 0.0
     for x in points:
         _, g, H = problem.eval(x, 2)
-        H = H.toarray() if sp.issparse(H) else H
+        H = H.toarray() if sp.issparse(H) else np.asarray(H)
         gfd = fd_gradient(problem, x)
         worst_g = max(worst_g, float(np.linalg.norm(g - gfd))
                       / (1.0 + float(np.linalg.norm(g))))

@@ -1,9 +1,11 @@
 """Second-order optimality support.
 
 Holds the smallest-eigenvalue routine used for the curvature tests and the
-hard case, the spectral interval estimate, and the extended configuration
-with the curvature constant theta2 and the Hessian tolerance eps_H that
-puts the nonlinear loop (driver.far2so_solve) in second-order mode.
+hard case, the spectral interval estimate, the one accessor through which
+every reader takes a Hessian's entries (hessian_matrix), and the extended
+configuration with the curvature constant theta2 and the Hessian tolerance
+eps_H that puts the nonlinear loop (driver.far2so_solve) in second-order
+mode.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ class SecondOrderConfig(SolverConfig):
             raise ValueError("eps_H must lie in (0, 1)")
 
 
+def hessian_matrix(H):
+    """H's entries: a sparse or dense matrix as it is, an operator H (such as
+    problems.GramHessian) as np.asarray gives it, which forms its matrix
+    once. Every reader of a Hessian's entries takes them from here."""
+    return H if sp.issparse(H) else np.asarray(H, dtype=float)
+
+
 def gershgorin_interval(H) -> tuple[float, float]:
     """Gershgorin bounds (lower, upper) on the spectrum of symmetric H, any storage."""
+    H = hessian_matrix(H)
     d = H.diagonal()
     radii = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))
@@ -54,7 +64,8 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     its leftmost eigenvalue alone. Above that, a shift-and-invert Lanczos
     iteration anchored below the Gershgorin bound inverts the anchored
     matrix by Sherman-Morrison over one ShiftedFactorization of H (not
-    counted as a factorization of the run). Raises EigenSolveError if the
+    counted as a factorization of the run), from a fixed start vector, so
+    that repeated calls agree bit for bit. Raises EigenSolveError if the
     iterative path does not converge.
     """
     H = system.H
@@ -63,7 +74,8 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     if n <= DENSE_EIG_CUTOFF:
         A = system.dense
         if A is None:
-            A = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
+            A = hessian_matrix(H)
+            A = A.toarray() if sp.issparse(A) else A
         if shift:
             # equals H + shift * eye(n) bit for bit: off the diagonal -0.0 + 0.0
             A = A + shift * 0.0
@@ -90,9 +102,12 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
             return y - (scale * float(u @ y)) * w
 
         opinv = spla.LinearOperator((n, n), matvec=inv_matvec, dtype=float)
-        # in shift-invert mode eigsh reads only the shape and dtype of A
+        # in shift-invert mode eigsh reads only the shape and dtype of A;
+        # a seeded start vector makes reruns bit-identical, where ARPACK's
+        # own random start does not
+        v0 = np.random.default_rng(0).standard_normal(n)
         vals, vecs = spla.eigsh(opinv, k=1, sigma=anchor, which="LM",
-                                OPinv=opinv, maxiter=10000)
+                                OPinv=opinv, v0=v0, maxiter=10000)
     except Exception as exc:  # ArpackNoConvergence, factorization trouble
         raise EigenSolveError(f"smallest-eigenvalue iteration failed: {exc}") from exc
     v = vecs[:, 0]

@@ -15,7 +15,8 @@ factorization only when asked to solve at a shift that is not positive
 definite. It factors a ShiftedSystem (analyse_hessian), which the
 nonlinear loop makes once per oracle Hessian: the full-space solve, the
 Newton corrector, the rational Krylov expansions and the eigensolves
-(second_order.min_eig) of an iterate all read that one analysis. Reduced
+(second_order.min_eig) of an iterate all read that one analysis, made
+when the first of them asks for it. Reduced
 (small, dense) solves use a spectral decomposition, after which each
 residual evaluation costs O(m). The full-space solve is safeguarded
 Newton on the secular equation, the direct solver baseline of adaptive
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,7 +44,7 @@ from scipy.linalg.lapack import (_compute_lwork, dgbtrf, dgbtrs, dgttrf,
                                  dpttrf, dpttrs)
 
 from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
-from .second_order import gershgorin_interval, min_eig
+from .second_order import gershgorin_interval, hessian_matrix, min_eig
 
 MAX_ROOT_STEPS = 200
 # Largest half-bandwidth kept in band storage; a wider H is factored dense.
@@ -86,18 +87,32 @@ class SecularSolution:
 class ShiftedSystem:
     """H analysed once for factorizations at many shifts.
 
-    `H` is the matrix it was analysed from. `band` holds H's lower band in
-    LAPACK storage, row k the k-th subdiagonal (two rows, the diagonal and
-    the subdiagonal, when H is tridiagonal or diagonal), when H's
-    half-bandwidth is at most MAX_BAND_KD; otherwise `dense` holds H as a
-    float array (a sparse H densified once). Build it with
-    analyse_hessian; the nonlinear loop keeps one per oracle Hessian on
-    its IterateState, and factorizations only read it.
+    `H` is the oracle's Hessian, used as it is for products: a matrix, or
+    an operator that forms its matrix once (problems.GramHessian). The
+    analysis reads H's entries (second_order.hessian_matrix) on the first
+    use of `band` or `dense`, so an iterate that is never factored or
+    eigensolved is never analysed, and an operator H is never formed.
+    `band` holds H's lower band in LAPACK storage, row k the k-th
+    subdiagonal (two rows, the diagonal and the subdiagonal, when H is
+    tridiagonal or diagonal), when H's half-bandwidth is at most
+    MAX_BAND_KD; otherwise `dense` holds H as a float array (a sparse H
+    densified once). Build it with analyse_hessian; the nonlinear loop
+    keeps one per oracle Hessian on its IterateState, and factorizations
+    only read it.
     """
 
     H: object
-    band: np.ndarray | None = None
-    dense: np.ndarray | None = None
+
+    @cached_property
+    def band(self) -> np.ndarray | None:
+        return _lower_band(hessian_matrix(self.H))
+
+    @cached_property
+    def dense(self) -> np.ndarray | None:
+        if self.band is not None:
+            return None
+        A = hessian_matrix(self.H)
+        return A.toarray() if sp.issparse(A) else A
 
 
 def _lower_band(H) -> np.ndarray | None:
@@ -139,12 +154,8 @@ def _lower_band(H) -> np.ndarray | None:
 
 
 def analyse_hessian(H) -> ShiftedSystem:
-    """The ShiftedSystem of the matrix H."""
-    band = _lower_band(H)
-    if band is not None:
-        return ShiftedSystem(H, band=band)
-    return ShiftedSystem(
-        H, dense=H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float))
+    """The ShiftedSystem of H, analysed when a factorization first needs it."""
+    return ShiftedSystem(H)
 
 
 def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:

@@ -407,9 +407,11 @@ ANALYSED_ONCE = [("AR2", "ROSENBR"), ("FAR2-PK", "ROSENBR"), ("FAR2-RK", "INDEF"
 @pytest.mark.parametrize("solver,name", ANALYSED_ONCE,
                          ids=[f"{s}-{p}" for s, p in ANALYSED_ONCE])
 def test_each_oracle_hessian_analysed_once(monkeypatch, solver, name):
-    """The loop analyses each Hessian it takes from the oracle once, and
-    the full-space solves, Newton correctors and rational expansions of
-    that iterate all factor the same analysis."""
+    """The loop makes one ShiftedSystem of each Hessian it takes from the
+    oracle, and the full-space solves, Newton correctors and rational
+    expansions of that iterate all factor the same analysis, made at most
+    once: AR2 analyses every Hessian but the final one, which it never
+    factors."""
     import sys
 
     import far2.secular as secular
@@ -422,6 +424,11 @@ def test_each_oracle_hessian_analysed_once(monkeypatch, solver, name):
         calls.append(1)
         return original(H)
 
+    bands = []
+    lower_band = secular._lower_band
+    monkeypatch.setattr(secular, "_lower_band",
+                        lambda H: bands.append(1) or lower_band(H))
+
     for modname, module in list(sys.modules.items()):
         if (modname.startswith("far2.")
                 and getattr(module, "analyse_hessian", None) is original):
@@ -431,3 +438,37 @@ def test_each_oracle_hessian_analysed_once(monkeypatch, solver, name):
     rep = (ar2_solve if solver == "AR2" else far2_solve)(problem, cfg)
     assert rep.converged and rep.n_fact > 0
     assert len(calls) == problem.n_H
+    if solver == "AR2":
+        assert len(bands) == problem.n_H - 1
+    else:
+        assert len(bands) <= problem.n_H
+
+
+@pytest.mark.parametrize("solver", [ar2_solve, far2_solve],
+                         ids=["AR2", "FAR2-PK"])
+def test_loss_hessians_formed_on_demand(monkeypatch, solver):
+    """A loss Hessian's matrix is formed only when a factorization or an
+    eigensolve reads it: fewer are formed than evaluated, and never the
+    one at the final point, which no solve factors."""
+    from far2 import problems
+
+    formed = []
+    real = problems._weighted_gram
+    monkeypatch.setattr(problems, "_weighted_gram",
+                        lambda A, w: formed.append(w) or real(A, w))
+    data = problems.remap_labels(problems.synth_classification(300, 20, seed=3), "01")
+    p = problems.sigmoid_objective(data)
+    hessians = []
+    evaluate = p.eval
+
+    def eval_recording(x, order=2):
+        out = evaluate(x, order)
+        if order == 2:
+            hessians.append(out[2])
+        return out
+
+    p.eval = eval_recording
+    rep = solver(p, SolverConfig(eps_rel=1e-3))
+    assert rep.converged and rep.n_fact > 0
+    assert len(hessians) == p.n_H and len(formed) < p.n_H
+    assert not any(w is hessians[-1].w for w in formed)

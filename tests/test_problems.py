@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from far2 import problems
 from far2.errors import LibsvmParseError
 from far2.problems import (REGISTRY, ClassificationData, check_derivatives,
                            fd_gradient, fd_hessian, get_problem, load_libsvm,
@@ -172,8 +173,9 @@ def _loss(kind, data):
 
 
 class TestClassificationHessian:
-    # H is a Gram product of one row-scaled copy of A (symmetric rank-k
-    # updates): exactly symmetric, and the general product to rounding
+    # H, once formed, is a Gram product of one row-scaled copy of A
+    # (symmetric rank-k updates): exactly symmetric, and the general
+    # product to rounding
 
     @pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
     def test_exactly_symmetric_and_matches_reference(self, kind):
@@ -182,7 +184,7 @@ class TestClassificationHessian:
         points = [p.x0] + [rng.standard_normal(12) for _ in range(3)]
         signs = set()
         for x in points:
-            _, _, H = p.eval(x, 2)
+            H = np.asarray(p.eval(x, 2)[2])
             assert np.array_equal(H, H.T)
             ref, w = _reference_hessian(kind, data, x)
             signs.update(np.unique(np.sign(w[w != 0.0])))
@@ -200,11 +202,47 @@ class TestClassificationHessian:
         data = ClassificationData(A=A, b=np.ones(200))
         x = np.zeros(6)
         x[0] = -5.0
-        _, _, H = sigmoid_objective(data).eval(x, 2)
+        H = np.asarray(sigmoid_objective(data).eval(x, 2)[2])
         ref, w = _reference_hessian("sigmoid", data, x)
         assert np.all(w < 0.0)
         assert np.array_equal(H, H.T)
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
+    def test_formed_once_as_the_gram_matrix(self, kind, monkeypatch):
+        # the operator's matrix is _weighted_gram's, then /N and (logistic)
+        # + I/N, bit for bit, and it is formed on the first request only
+        p, data = _loss(kind, synth_classification(300, 12, seed=14))
+        x = np.random.default_rng(15).standard_normal(12)
+        H = p.eval(x, 2)[2]
+        ref = problems._weighted_gram(data.A, H.w)
+        ref /= data.N
+        if kind == "logistic":
+            ref.flat[:: 13] += 1.0 / data.N
+        calls = []
+        real = problems._weighted_gram
+        monkeypatch.setattr(problems, "_weighted_gram",
+                            lambda A, w: calls.append(w) or real(A, w))
+        M = H.toarray()
+        assert M.tobytes() == ref.tobytes()
+        assert np.asarray(H) is M and H.toarray() is M
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
+    def test_products_match_the_formed_matrix(self, kind):
+        # before formation the Hessian-free product agrees with the matrix
+        # to rounding; after it, `@` is the matrix product
+        p, _ = _loss(kind, synth_classification(300, 12, seed=16))
+        rng = np.random.default_rng(17)
+        H = p.eval(rng.standard_normal(12), 2)[2]
+        vectors = [rng.standard_normal(12), rng.standard_normal((12, 4))]
+        before = [H @ V for V in vectors]
+        M = H.toarray()
+        for V, HV in zip(vectors, before):
+            assert HV.shape == V.shape
+            np.testing.assert_allclose(HV, M @ V, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(M @ V)))
+            assert np.array_equal(H @ V, M @ V)
 
     @pytest.mark.parametrize("kind", ["logistic", "sigmoid"])
     def test_one_sample_sized_temporary(self, kind):
@@ -213,10 +251,10 @@ class TestClassificationHessian:
         N, n = 8000, 100
         p, _ = _loss(kind, synth_classification(N, n, seed=12))
         x = np.random.default_rng(13).standard_normal(n)
-        p.eval(x, 2)
+        np.asarray(p.eval(x, 2)[2])
         tracemalloc.start()
         try:
-            p.eval(x, 2)
+            np.asarray(p.eval(x, 2)[2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

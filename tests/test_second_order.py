@@ -5,9 +5,10 @@ import scipy.sparse as sp
 from conftest import random_symmetric
 from far2.config import SolverConfig
 from far2.driver import far2_solve
-from far2.problems import ObjectiveProblem, logistic_objective, synth_classification
+from far2.problems import (ObjectiveProblem, get_problem, logistic_objective,
+                           synth_classification)
 from far2 import far2so_solve
-from far2.secular import ShiftedSystem, analyse_hessian
+from far2.secular import analyse_hessian
 from far2.second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
 
@@ -57,20 +58,35 @@ class TestMinEig:
         u = np.zeros(n)
         u[[i, j]] = [0.8, -0.6]
         c = 2.5
-        D = sp.diags(d, format="csr")
-        if storage == "sparse":
-            system = analyse_hessian(D)
-        else:
-            M = D.toarray()
-            system = ShiftedSystem(M, dense=M)
+        M = sp.diags(d, format="csr")
+        if storage == "dense":
+            # the first and last coordinates outside {i, j} rotated into
+            # each other: the same spectrum, and at n = 2100 no band that
+            # MAX_BAND_KD allows, so H is stored dense
+            kl = np.ix_(*2 * [np.setdiff1d(np.arange(n), [i, j])[[0, -1]]])
+            R = np.array([[0.6, -0.8], [0.8, 0.6]])
+            M = M.toarray()
+            M[kl] = R @ M[kl] @ R.T
+            M[kl] = 0.5 * (M[kl] + M[kl].T)
+        system = analyse_hessian(M)
+        assert (system.dense is not None) == (storage == "dense" and n > 100)
         lam, v = min_eig(system, rank_one=(c, u))
         block = np.diag(d[[i, j]]) + c * np.outer(u[[i, j]], u[[i, j]])
         rest = np.delete(d, [i, j])
         assert lam == pytest.approx(min(rest.min(), np.linalg.eigvalsh(block)[0]),
                                     abs=1e-9)
         if v is not None:
-            Mv = d * v + c * (u @ v) * u
+            Mv = M @ v + c * (u @ v) * u
             assert np.linalg.norm(Mv - lam * v) < 1e-7
+
+    def test_iterative_path_repeats_bit_for_bit(self):
+        # above DENSE_EIG_CUTOFF the Lanczos iteration starts from a fixed
+        # vector, so repeated calls return the same pair to the last bit
+        p = get_problem("TRIDIA", 2100)
+        system = analyse_hessian(p.eval(p.x0 + 0.1, 2)[2])
+        pairs = [min_eig(system, want_vector=True) for _ in range(4)]
+        assert len({lam for lam, _ in pairs}) == 1
+        assert len({v.tobytes() for _, v in pairs}) == 1
 
     def test_gershgorin_contains_spectrum(self, rng):
         H = random_symmetric(rng, 12)
@@ -133,8 +149,6 @@ class TestFar2SoSolve:
         assert rep.f_final < 0.0
 
     def test_certifies_second_order_point_on_nonconvex_problem(self):
-        from far2.problems import get_problem
-
         p = get_problem("INDEF", 20)
         rep = far2so_solve(p, SecondOrderConfig(eps_H=1e-4))
         assert rep.status == "second_order_point"

@@ -190,6 +190,28 @@ class TestSolveSecularFullSecant:
         ref, _ = brute_force_cubic_min(g, H, 1.0, box=2.5, grid=13)
         assert val <= ref + 1e-6
 
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           sigma=st.floats(0.3, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_agrees_with_brute_force(self, kind, seed, n, sigma):
+        # easy instances (g keeps a large weight on the leftmost
+        # eigenvector); the global minimizer has sigma ||s||^2 <=
+        # ||g|| + ||H|| ||s||, which sizes the grid's box
+        rng = np.random.default_rng(seed)
+        H = _stored(kind, rng, n)
+        A = H.toarray() if sp.issparse(H) else H
+        eigs, Q = np.linalg.eigh(A)
+        g = rng.standard_normal(n)
+        g += 3.0 * np.linalg.norm(g) * Q[:, 0]
+        sol = solve_secular_full_secant(g, analyse_hessian(H), sigma, 0.1)
+        assert sol.case is SecularCase.EASY
+        h, gnorm = float(np.max(np.abs(eigs))), float(np.linalg.norm(g))
+        box = 1.05 * (h + math.sqrt(h * h + 4.0 * sigma * gnorm)) / (2.0 * sigma)
+        ref, _ = brute_force_cubic_min(g, A, sigma, box=box,
+                                       grid=21 if n == 2 else 11)
+        assert cubic_model_value(sol.step, g, A, sigma) <= ref + 1e-6
+
     def test_conditions_on_generic_instance(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 9))
