@@ -218,7 +218,7 @@ class TestClassificationHessian:
         ref = problems._weighted_gram(data.A, H.w)
         ref /= data.N
         if kind == "logistic":
-            ref.flat[:: 13] += 1.0 / data.N
+            ref.flat[:: data.n + 1] += 1.0 / data.N
         calls = []
         real = problems._weighted_gram
         monkeypatch.setattr(problems, "_weighted_gram",
