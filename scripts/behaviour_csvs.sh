@@ -1,0 +1,26 @@
+#!/bin/sh
+# Run the behaviour suites (criterion-1, criterion-3, second-order) of the
+# tree this script lives in, with one BLAS thread and timing off, into
+# OUT/<suite>/. A refactor keeps behaviour when the outputs of the trees
+# before and after it agree:
+#
+#   scripts/behaviour_csvs.sh /tmp/before     # on the old tree
+#   scripts/behaviour_csvs.sh /tmp/after      # on the new tree
+#   diff -r -I '"wall_s"' /tmp/before /tmp/after
+#
+# The CSVs must be byte-identical, and reports.json may differ only in its
+# measured wall_s lines, which -I ignores.
+set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT" >&2
+    exit 2
+fi
+out=$1
+root=$(cd "$(dirname "$0")/.." && pwd)
+for suite in criterion-1 criterion-3 second-order; do
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+        PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" \
+        python -m far2.cli run --config "$root/experiments/$suite.cfg" \
+        --out "$out/$suite" > /dev/null
+    echo "wrote $out/$suite"
+done

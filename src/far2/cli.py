@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import harness, krylov, problems, secular
+from .config import POLYNOMIAL
 from .errors import ConfigError
 
 
@@ -132,7 +133,7 @@ def cmd_check(_args) -> int:
         n = int(rng.integers(3, 12))
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        basis = krylov.KrylovBasis.fresh_polynomial(rng.standard_normal(n))
+        basis = krylov.KrylovBasis.fresh(rng.standard_normal(n), POLYNOMIAL)
         for _ in range(int(rng.integers(1, n))):
             krylov.poly_expand(H, basis)
             if basis.invariant:

@@ -41,7 +41,7 @@ from .model import ModelContext, model_curvature_bound, model_curvature_min
 from .secular import (FactorizationCounter, ShiftedFactorization,
                       ShiftedSystem, analyse_hessian,
                       solve_secular_full_secant, solve_secular_reduced)
-from .second_order import SecondOrderConfig, gershgorin_interval, min_eig
+from .second_order import SecondOrderConfig, min_eig
 
 
 class Status(Enum):
@@ -117,28 +117,27 @@ class RunReport:
 
 @dataclass
 class SubspaceResult:
-    """Outputs of one projected minimization."""
+    """Outputs of one projected minimization. `passed` is its verdict: the
+    lifted step meets the stationarity test, and in second-order mode the
+    model-curvature test too."""
 
     lambda_hat: float
     s_hat: np.ndarray
     H_r: np.ndarray | None
-    basis: KrylovBasis | None
+    basis: KrylovBasis
     step_full: np.ndarray
     hess_step: np.ndarray
     model_grad_norm: float
-    meets_stationarity: bool
-    meets_curvature: bool | None = None
-    refreshed: bool = False
-    dim: int = 0
-    n_rational_solves: int = 0
+    passed: bool
+    dim: int
     failed: bool = False
 
 
-def _ritz_interval(H_r: np.ndarray, H) -> tuple[float, float]:
+def _ritz_interval(H_r: np.ndarray, system: ShiftedSystem) -> tuple[float, float]:
     if H_r is not None and H_r.shape[0] >= 2:
         vals = sla.eigvalsh(H_r)
         return float(vals[0]), float(vals[-1])
-    return gershgorin_interval(H)
+    return system.interval
 
 
 def _append_product(HV: np.ndarray, H, v: np.ndarray) -> np.ndarray:
@@ -146,37 +145,32 @@ def _append_product(HV: np.ndarray, H, v: np.ndarray) -> np.ndarray:
     return np.hstack([HV, np.asarray(H @ v, dtype=float).reshape(-1, 1)])
 
 
-def _project(state: IterateState, cfg: SolverConfig, ctx, basis, n_rat: int,
+def _project(state: IterateState, cfg: SolverConfig, ctx, basis,
              W: np.ndarray, HW: np.ndarray) -> SubspaceResult:
     """Minimize the cubic model over range(W), given HW = H @ W; ctx is the
     model context in second-order mode, else None."""
     g, sigma = state.g, state.sigma
     H_r = W.T @ HW
-    H_r = 0.5 * (H_r + H_r.T)
-    common = dict(basis=basis, refreshed=state.refresh, dim=W.shape[1],
-                  n_rational_solves=n_rat)
+    H_r = 0.5 * (H_r + H_r.T)  # exactly symmetric, as the reduced solve needs
     try:
         sol = solve_secular_reduced(W.T @ g, H_r, sigma)
     except ReducedSolveError:
         z = np.zeros_like(g)
         return SubspaceResult(
-            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None,
+            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None, basis=basis,
             step_full=z, hess_step=z, model_grad_norm=math.inf,
-            meets_stationarity=False,
-            meets_curvature=False if ctx is not None else None,
-            failed=True, **common)
+            passed=False, dim=W.shape[1], failed=True)
     step_full = W @ sol.step
     hess_step = HW @ sol.step
     shat_norm = float(np.linalg.norm(sol.step))
     mgn = float(np.linalg.norm(g + hess_step + sigma * shat_norm * step_full))
-    ok = mgn <= 0.5 * cfg.theta1 * shat_norm ** 2  # stationarity test
-    curv_ok = None
-    if ctx is not None and ok:
-        curv_ok = _curvature_ok(ctx, step_full, -cfg.theta2 * shat_norm)
+    passed = (mgn <= 0.5 * cfg.theta1 * shat_norm ** 2  # stationarity test
+              and (ctx is None or _curvature_ok(ctx, step_full,
+                                                -cfg.theta2 * shat_norm)))
     return SubspaceResult(
-        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r,
+        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r, basis=basis,
         step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
-        meets_stationarity=ok, meets_curvature=curv_ok, **common)
+        passed=passed, dim=W.shape[1])
 
 
 def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
@@ -184,57 +178,51 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
 
     Refreshing: rebuilds the space from the gradient and solves the
     projected secular equation at every inner dimension, returning once the
-    lifted step passes the stationarity test (plus the model-curvature test
-    under a SecondOrderConfig); at most j_max - 1 expansions, none past
-    j_max columns. V and H @ V grow by one column, one H·v, per expansion:
-    the polynomial space holds g and is never re-augmented, the rational
-    space is augmented with g (one more H·v) before each projection.
-    Frozen: one augmentation, projection and reduced solve against the
-    stored basis, which is carried over unchanged.
+    result has passed; at most j_max - 1 expansions, none past j_max
+    columns. V and H @ V grow by one column, one H·v, per expansion, the
+    product made by the iteration that projects on it: the polynomial
+    space holds g and is never re-augmented, the rational space is
+    augmented with g (one more H·v) before each projection. Frozen: one
+    augmentation, projection and reduced solve against the stored basis,
+    which is carried over unchanged.
     """
     g = state.g
     if float(np.linalg.norm(g)) == 0.0:
         raise ValueError("subspace_minimize requires a nonzero gradient")
     H = state.system.H
-    so = isinstance(cfg, SecondOrderConfig)
-    ctx = ModelContext(state.system, state.sigma) if so else None
+    ctx = (ModelContext(state.system, state.sigma)
+           if isinstance(cfg, SecondOrderConfig) else None)
 
     if not state.refresh:
         basis = state.basis
         W = orth_augment(basis, g)
-        return _project(state, cfg, ctx, basis, 0, W, np.asarray(H @ W))
+        return _project(state, cfg, ctx, basis, W, np.asarray(H @ W))
 
     rational = cfg.space_kind == RATIONAL
+    basis = KrylovBasis.fresh(g, cfg.space_kind)
     HV = np.empty((g.size, 0))
-    if rational:
-        basis = KrylovBasis.fresh_rational(g)
-    else:
-        basis = KrylovBasis.fresh_polynomial(g)
-        HV = _append_product(HV, H, basis.V[:, 0])
-    n_rat = 0
     for _ in range(max(1, cfg.j_max - 1)):
+        if HV.shape[1] < basis.dim:
+            HV = _append_product(HV, H, basis.V[:, -1])
         if rational:
             W = orth_augment(basis, g)
             HW = HV if W.shape[1] == basis.dim else _append_product(HV, H, W[:, -1])
         else:
             W, HW = basis.V, HV  # g is V's first direction
-        res = _project(state, cfg, ctx, basis, n_rat, W, HW)
+        res = _project(state, cfg, ctx, basis, W, HW)
         del W, HW  # hold no extra n x j array across the expansion
-        if res.failed or (res.meets_stationarity
-                          and (not so or res.meets_curvature)):
+        if res.failed or res.passed:
             return res
         dim_before = basis.dim
         if dim_before >= cfg.j_max:
             break
         if rational:
-            rational_expand(state.system, basis, _ritz_interval(res.H_r, H))
-            n_rat += basis.dim > dim_before
+            rational_expand(state.system, basis,
+                            _ritz_interval(res.H_r, state.system))
         else:
             poly_expand(H, basis, hv=HV[:, -1])
         if basis.invariant or basis.dim == dim_before:
             break
-        HV = _append_product(HV, H, basis.V[:, -1])
-    res.n_rational_solves = n_rat  # counts the last, unprojected expansion
     return res
 
 
@@ -348,17 +336,6 @@ class _Monitors:
                        f"{cubic_dec!r}")
 
 
-def _trivial_subspace(g: np.ndarray) -> SubspaceResult:
-    # Zero-gradient entry (second-order mode only): the projected problem is
-    # empty; a zero reduced step passes neither the subspace nor the corrector
-    # link, so control flows to the full-space hard-case solve.
-    z = np.zeros_like(g)
-    return SubspaceResult(lambda_hat=0.0, s_hat=np.zeros(1), H_r=None,
-                          basis=None, step_full=z, hess_step=z,
-                          model_grad_norm=0.0, meets_stationarity=True,
-                          meets_curvature=False, refreshed=False, dim=0)
-
-
 def _warm_start(sigma, prev_step_norm, prev_lambda, prev_accepted):
     # After a rejection the iterate (and so the spectrum) is unchanged and
     # sigma only grew: the previous multiplier is a sharp lower start. After
@@ -436,25 +413,28 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
             break
 
         sub = None
+        dim = 0
         hess_step = None
         usable = False
         if frozen:
-            if gnorm == 0.0:
-                sub = _trivial_subspace(state.g)
-            else:
+            # at a zero gradient (second-order mode only) the projected
+            # problem is empty: dimension 0, on to the full-space solve
+            if gnorm > 0.0:
                 if state.basis is None or state.basis.dim == 0:
                     # nothing stored to freeze (zero-gradient start escape)
                     state.refresh = True
                 sub = subspace_minimize(state, cfg)
-            n_refresh += sub.refreshed
-            n_rat += sub.n_rational_solves
-            dims.append(sub.dim)
-            if sub.basis is not None:
-                state.basis = sub.basis
-            shat_norm = float(np.linalg.norm(sub.s_hat))
-            usable = not sub.failed and shat_norm > 0.0
+                state.basis, dim = sub.basis, sub.dim
+                if state.refresh:
+                    n_refresh += 1
+                    # a shift per column a rational solve added, the
+                    # last, never projected on, included
+                    n_rat += len(state.basis.shifts)
+                shat_norm = float(np.linalg.norm(sub.s_hat))
+                usable = not sub.failed and shat_norm > 0.0
+            dims.append(dim)
 
-        if usable and sub.meets_stationarity and (not so or sub.meets_curvature):
+        if usable and sub.passed:
             kind, step, lambda_hat = StepKind.SUBSPACE, sub.step_full, sub.lambda_hat
             hess_step = sub.hess_step
             n_sub += 1
@@ -485,7 +465,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
             n_club += 1
             trace.append(IterationRecord(
                 state.k, state.f, gnorm, state.sigma,
-                StepKind.REJECTED.value, sub.dim, False, math.nan))
+                StepKind.REJECTED.value, dim, False, math.nan))
             state.refresh = True
             state.k += 1
             continue
@@ -505,19 +485,20 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                                       cfg.theta1, cubic_dec)
 
         trace.append(IterationRecord(state.k, state.f, gnorm, state.sigma,
-                                     kind.value, sub.dim if sub else 0,
-                                     bool(accepted), float(rho)))
+                                     kind.value, dim, bool(accepted),
+                                     float(rho)))
         if accepted:
-            state.x = state.x + step
+            x_new = state.x + step
             # not held through the oracle's memory peak
             state.system = None
-            f, g, H = problem.eval(state.x, 2)
+            f, g, H = problem.eval(x_new, 2)
             if not (np.isfinite(f) and np.all(np.isfinite(g))):
+                # the report keeps the last iterate with finite values
                 status = Status.SOLVE_FAILURE
                 message = "oracle returned non-finite values at an accepted point"
                 state.k += 1
                 break
-            state.f, state.g = float(f), g
+            state.x, state.f, state.g = x_new, float(f), g
             state.system = analyse_hessian(H)
             prev_step_norm = s_norm
         else:

@@ -36,6 +36,8 @@ class KrylovBasis:
     Owned by a single solver run; expansions mutate it in place. `seed`
     holds the raw generating vector for a rational basis that has not been
     expanded yet (the rational space does not contain the gradient itself).
+    `shifts` holds the shift of each rational expansion that added a
+    column, one entry per such solve.
     """
 
     V: np.ndarray
@@ -50,21 +52,31 @@ class KrylovBasis:
         return self.V.shape[1]
 
     @classmethod
-    def fresh_polynomial(cls, g) -> "KrylovBasis":
+    def fresh(cls, g, kind: str) -> "KrylovBasis":
+        """The basis seeded by g: span{g} for a polynomial space, empty with
+        g stored as the seed for a rational one."""
+        if kind not in (POLYNOMIAL, RATIONAL):
+            raise ValueError(f"unknown Krylov space kind {kind!r}")
         g = np.asarray(g, dtype=float)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise ValueError("cannot seed a Krylov space with a zero vector")
-        return cls(V=(g / nrm).reshape(-1, 1), kind=POLYNOMIAL, seed_norm=nrm)
-
-    @classmethod
-    def fresh_rational(cls, g) -> "KrylovBasis":
-        g = np.asarray(g, dtype=float)
-        nrm = float(np.linalg.norm(g))
-        if nrm == 0.0:
-            raise ValueError("cannot seed a Krylov space with a zero vector")
-        return cls(V=np.empty((g.size, 0)), kind=RATIONAL, seed_norm=nrm,
+        if kind == POLYNOMIAL:
+            return cls(V=(g / nrm).reshape(-1, 1), kind=kind, seed_norm=nrm)
+        return cls(V=np.empty((g.size, 0)), kind=kind, seed_norm=nrm,
                    seed=g.copy())
+
+
+def _append(basis: KrylovBasis, w) -> bool:
+    """Append w, reorthogonalized against V and normalized, as a new column;
+    on happy breakdown (w collapses below BREAKDOWN_RTOL of the seed norm)
+    set `invariant` instead. Returns whether a column was appended."""
+    w, nrm = _reorthogonalize(basis.V, np.ravel(w))
+    if nrm < BREAKDOWN_RTOL * basis.seed_norm:
+        basis.invariant = True
+        return False
+    basis.V = np.hstack([basis.V, (w / nrm).reshape(-1, 1)])
+    return True
 
 
 def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
@@ -78,13 +90,7 @@ def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
         raise ValueError("poly_expand requires a polynomial basis")
     if basis.invariant:
         return basis
-    w = hv if hv is not None else H @ basis.V[:, -1]
-    w = np.asarray(w, dtype=float).ravel()
-    w, nrm = _reorthogonalize(basis.V, w)
-    if nrm < BREAKDOWN_RTOL * basis.seed_norm:
-        basis.invariant = True
-        return basis
-    basis.V = np.hstack([basis.V, (w / nrm).reshape(-1, 1)])
+    _append(basis, hv if hv is not None else H @ basis.V[:, -1])
     return basis
 
 
@@ -140,12 +146,8 @@ def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
             if attempt == 1:
                 raise ShiftFailureError(f"shift {xi!r} remained singular")
             xi = xi + 1.0e-8 * (1.0 + abs(xi))
-    w, nrm = _reorthogonalize(basis.V, x)
-    if nrm < BREAKDOWN_RTOL * basis.seed_norm:
-        basis.invariant = True
-        return basis
-    basis.V = np.hstack([basis.V, (w / nrm).reshape(-1, 1)])
-    basis.shifts.append(xi)
+    if _append(basis, x):
+        basis.shifts.append(xi)
     return basis
 
 

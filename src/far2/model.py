@@ -10,12 +10,11 @@ curvature tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .secular import ShiftedSystem
-from .second_order import gershgorin_interval, min_eig
+from .second_order import min_eig
 
 # model_curvature_bound lowers its bound by this share of the spectral scale
 CURVATURE_BOUND_RTOL = 1.0e-8
@@ -37,20 +36,12 @@ class ModelContext:
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
 
-    @property
-    def n(self) -> int:
-        return self.system.H.shape[0]
-
-    @cached_property
-    def gershgorin(self) -> tuple[float, float]:
-        """Gershgorin bounds (lower, upper) on the spectrum of H."""
-        return gershgorin_interval(self.system.H)
-
 
 def _check_dim(ctx: ModelContext, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if s.shape != (ctx.n,):
-        raise ValueError(f"step has dimension {s.shape}, expected ({ctx.n},)")
+    n = ctx.system.H.shape[0]
+    if s.shape != (n,):
+        raise ValueError(f"step has dimension {s.shape}, expected ({n},)")
     return s
 
 
@@ -74,13 +65,14 @@ def model_curvature_bound(ctx: ModelContext, s) -> float:
     """A lower bound on model_curvature_min(ctx, s) without an eigensolve.
 
     The rank-one term (sigma/||s||) s s^T is positive semidefinite, so the
-    smallest eigenvalue is at least gershgorin_lo(H) + sigma ||s||. The
-    bound is lowered by CURVATURE_BOUND_RTOL of the spectral scale, far
-    more than the rounding in the Gershgorin sums and in the eigensolve, so
-    a curvature test passed by the bound is passed by model_curvature_min.
+    smallest eigenvalue is at least the lower end of H's Gershgorin
+    interval (ctx.system.interval) plus sigma ||s||. The bound is lowered
+    by CURVATURE_BOUND_RTOL of the spectral scale, far more than the
+    rounding in the Gershgorin sums and in the eigensolve, so a curvature
+    test passed by the bound is passed by model_curvature_min.
     """
     s = _check_dim(ctx, s)
-    lo, hi = ctx.gershgorin
+    lo, hi = ctx.system.interval
     shift = ctx.sigma * float(np.linalg.norm(s))
     scale = max(1.0, abs(lo), abs(hi)) + 2.0 * shift
     return lo + shift - CURVATURE_BOUND_RTOL * scale

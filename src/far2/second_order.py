@@ -62,10 +62,10 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     rank_one = (c, u) with c >= 0 adds c u u^T. Up to DENSE_EIG_CUTOFF the
     matrix is formed densely and the dense symmetric eigensolver returns
     its leftmost eigenvalue alone. Above that, a shift-and-invert Lanczos
-    iteration anchored below the Gershgorin bound inverts the anchored
-    matrix by Sherman-Morrison over one ShiftedFactorization of H (not
-    counted as a factorization of the run), from a fixed start vector, so
-    that repeated calls agree bit for bit. Raises EigenSolveError if the
+    iteration anchored below H's Gershgorin interval (system.interval)
+    inverts the anchored matrix by Sherman-Morrison over one
+    ShiftedFactorization of H (not counted as a factorization of the run),
+    from a fixed start vector, so that repeated calls agree bit for bit. Raises EigenSolveError if the
     iterative path does not converge.
     """
     H = system.H
@@ -87,7 +87,7 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
             return float(w[0]), v[:, 0]
         return float(sla.eigvalsh(A, subset_by_index=[0, 0])[0]), None
 
-    lo, hi = gershgorin_interval(H)
+    lo, hi = system.interval
     lo, hi = lo + shift, hi + shift + c * float(u @ u)
     anchor = lo - 1.0e-3 * max(1.0, abs(lo), abs(hi))
     try:

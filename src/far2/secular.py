@@ -90,15 +90,15 @@ class ShiftedSystem:
     `H` is the oracle's Hessian, used as it is for products: a matrix, or
     an operator that forms its matrix once (problems.GramHessian). The
     analysis reads H's entries (second_order.hessian_matrix) on the first
-    use of `band` or `dense`, so an iterate that is never factored or
-    eigensolved is never analysed, and an operator H is never formed.
+    use of `band`, `dense` or `interval`, so an iterate that no reader of
+    entries asks for is never analysed, and an operator H is never formed.
     `band` holds H's lower band in LAPACK storage, row k the k-th
     subdiagonal (two rows, the diagonal and the subdiagonal, when H is
     tridiagonal or diagonal), when H's half-bandwidth is at most
     MAX_BAND_KD; otherwise `dense` holds H as a float array (a sparse H
-    densified once). Build it with analyse_hessian; the nonlinear loop
-    keeps one per oracle Hessian on its IterateState, and factorizations
-    only read it.
+    densified once). `interval` holds H's Gershgorin bounds (lower,
+    upper). Build it with analyse_hessian; the nonlinear loop keeps one per
+    oracle Hessian on its IterateState, and factorizations only read it.
     """
 
     H: object
@@ -113,6 +113,10 @@ class ShiftedSystem:
             return None
         A = hessian_matrix(self.H)
         return A.toarray() if sp.issparse(A) else A
+
+    @cached_property
+    def interval(self) -> tuple[float, float]:
+        return gershgorin_interval(self.H)
 
 
 def _lower_band(H) -> np.ndarray | None:
@@ -329,7 +333,9 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     the full spectral solve there, which keeps g_r's component on v1, plus
     the multiple of v1 that restores ||s|| = lam/sigma, the root of lower
     model value. A zero g_r with H_r positive semidefinite gives the zero
-    step. No full-space factorizations.
+    step. H_r must be exactly symmetric (H_r == H_r.T bit for bit), as the
+    oracle contract says of H (driver._project builds it so). No
+    full-space factorizations.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -337,7 +343,6 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     H_r = np.asarray(H_r, dtype=float)
     if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
         raise ValueError("non-finite entries in reduced problem")
-    H_r = 0.5 * (H_r + H_r.T)
     eigs, Q = sla.eigh(H_r)
     if eigs[0] >= 0.0 and not g_r.any():
         return SecularSolution(0.0, np.zeros(g_r.size), SecularCase.EASY)
@@ -405,8 +410,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     if warm_lambda is not None and warm_lambda > 0.0:
         lam = warm_lambda
     else:
-        lam = (max(0.0, -gershgorin_interval(system.H)[0])
-               + sigma * math.sqrt(gnorm))
+        lam = max(0.0, -system.interval[0]) + sigma * math.sqrt(gnorm)
     rtol = min(0.5 * theta1 / sigma, 1.0e-9)
     edge = 1.0 - 64.0 * float(np.finfo(float).eps)
     lo, hi, x_hi = 0.0, math.inf, None

@@ -18,7 +18,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 import conftest
 
-from far2.config import RATIONAL, SolverConfig
+from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
 from far2.driver import RunReport, ar2_solve, far2_solve
 from far2.harness import (ProblemSpec, SuiteConfig, parse_config,
                           performance_profile, run_suite, write_reports_csv)
@@ -257,7 +257,7 @@ def test_criterion_8_krylov_invariants():
         n = int(rng.integers(4, 25))
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        basis = KrylovBasis.fresh_polynomial(rng.standard_normal(n))
+        basis = KrylovBasis.fresh(rng.standard_normal(n), POLYNOMIAL)
         for _ in range(int(rng.integers(1, 7))):
             if basis.dim < n and not basis.invariant:
                 poly_expand(H, basis)

@@ -9,8 +9,11 @@ eigenvector (WOODS, EG2), the Newton corrector (FAR2-PK), pivoted
 indefinite solves of shifts that are not positive definite (FAR2-RK on
 INDEF: rational expansions and corrector steps), and FAR2-SO on a sparse
 Hessian above DENSE_EIG_CUTOFF (EDENSCH-5000: curvature tests and the
-iterative smallest-eigenvalue termination test). A change that moves one
-of them on purpose must say so and update the pin.
+iterative smallest-eigenvalue termination test) and on the dense
+eigensolve path below it (EG2, INDEF and CUBE at n = 100: the model
+curvature tests, the positive-definite corrector gate and the dense
+termination test). A change that moves one of them on purpose must say
+so and update the pin.
 """
 
 import pytest
@@ -26,6 +29,9 @@ PINNED = [
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
     ("FAR2-RK", "INDEF", 100, 37, 101),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),
+    ("FAR2-SO", "EG2", 100, 105, 15),
+    ("FAR2-SO", "INDEF", 100, 3, 17),
+    ("FAR2-SO", "CUBE", 100, 95, 96),
 ]
 
 

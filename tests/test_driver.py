@@ -135,18 +135,17 @@ class TestSubspaceMinimize:
         g[0] = 1.0
         state = make_state(g, np.eye(5), sigma=1.0, refresh=True)
         res = subspace_minimize(state, SolverConfig())
-        assert res.refreshed
         assert res.dim == 1
-        assert res.meets_stationarity
+        assert res.passed
         assert res.lambda_hat == pytest.approx(GOLDEN, rel=1e-8)
         np.testing.assert_allclose(res.step_full, -GOLDEN * g, atol=1e-8)
 
     def test_frozen_coordinate_projection(self):
-        basis = KrylovBasis.fresh_polynomial(np.array([1.0, 0.0, 0.0]))
+        basis = KrylovBasis.fresh(np.array([1.0, 0.0, 0.0]), POLYNOMIAL)
         g = np.array([0.0, 0.0, 1.0])
         state = make_state(g, np.diag([1.0, 2.0, 3.0]), refresh=False, basis=basis)
         res = subspace_minimize(state, SolverConfig())
-        assert not res.refreshed
+        assert res.basis is basis
         assert res.dim == 2
         np.testing.assert_allclose(res.H_r, np.diag([1.0, 3.0]), atol=1e-12)
 
@@ -180,6 +179,24 @@ class TestSubspaceMinimize:
         assert inner[0] >= outer[0] - 1e-10
         assert inner[-1] <= outer[-1] + 1e-10
 
+    def test_exhausted_refresh_makes_one_product_per_projected_column(self):
+        # j_max - 1 projections, on 1 to j_max - 1 columns, one H·v each;
+        # the last expansion's column is never projected on and gets none
+        class CountingH:
+            def __init__(self, A):
+                self.A, self.shape, self.products = A, A.shape, 0
+
+            def __matmul__(self, v):
+                self.products += 1
+                return self.A @ v
+
+        H = CountingH(np.diag(np.arange(1.0, 21.0)))
+        state = IterateState(k=0, x=np.zeros(20), f=0.0, g=np.ones(20),
+                             system=analyse_hessian(H), sigma=1.0)
+        res = subspace_minimize(state, SolverConfig(j_max=5, theta1=1e-300))
+        assert not res.passed
+        assert (res.dim, res.basis.dim, H.products) == (4, 5, 4)
+
     def test_polynomial_refresh_memory(self):
         # V and H @ V grow a column at a time and nothing else of size n x j
         # lives across an expansion: about three n x j copies at the peak
@@ -195,7 +212,7 @@ class TestSubspaceMinimize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.refreshed and not res.failed
+        assert not res.failed
         assert res.dim == 49
         assert peak < 28e6
 
@@ -472,3 +489,21 @@ def test_loss_hessians_formed_on_demand(monkeypatch, solver):
     assert rep.converged and rep.n_fact > 0
     assert len(hessians) == p.n_H and len(formed) < p.n_H
     assert not any(w is hessians[-1].w for w in formed)
+
+
+@pytest.mark.parametrize("solve", [ar2_solve, far2_solve], ids=["AR2", "FAR2-PK"])
+def test_nonfinite_oracle_exit_reports_the_last_finite_iterate(solve):
+    # f = (x - 2)^2 / 2 whose gradient turns NaN at x >= 1.5: the run
+    # accepts a step into that region and stops, reporting the iterate
+    # before it together with that iterate's own oracle values
+    def ev(x, order):
+        f = 0.5 * float((x[0] - 2.0) ** 2)
+        g = np.array([x[0] - 2.0 if x[0] < 1.5 else math.nan])
+        return f, g, np.eye(1)
+
+    problem = ObjectiveProblem("nan-gradient", 1, np.zeros(1), ev)
+    rep = solve(problem)
+    assert rep.status == Status.SOLVE_FAILURE.value
+    assert "non-finite" in rep.message
+    assert problem.eval(rep.x_final, 0)[0] == rep.f_final
+    assert abs(problem.eval(rep.x_final, 1)[1][0]) == rep.gnorm_final

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_symmetric
+from far2.config import POLYNOMIAL, RATIONAL
 from far2.krylov import (KrylovBasis, orth_augment, orthonormality_defect,
                          poly_expand, rational_expand)
 from far2.secular import analyse_hessian
@@ -14,11 +15,22 @@ def laplacian(n):
             + np.diag(-np.ones(n - 1), -1))
 
 
+class TestFresh:
+    @pytest.mark.parametrize("g,kind", [(np.zeros(3), POLYNOMIAL),
+                                        (np.zeros(3), RATIONAL),
+                                        (np.ones(3), "chebyshev")],
+                             ids=["zero-polynomial", "zero-rational",
+                                  "unknown-kind"])
+    def test_rejects_zero_seed_and_unknown_kind(self, g, kind):
+        with pytest.raises(ValueError):
+            KrylovBasis.fresh(g, kind)
+
+
 class TestPolyExpand:
     def test_hand_lanczos_two_by_two(self):
         H = np.diag([1.0, 2.0])
         g = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        basis = KrylovBasis.fresh_polynomial(g)
+        basis = KrylovBasis.fresh(g, POLYNOMIAL)
         poly_expand(H, basis)
         assert basis.dim == 2
         second = basis.V[:, 1]
@@ -28,14 +40,14 @@ class TestPolyExpand:
 
     def test_happy_breakdown_on_eigenvector_seed(self, rng):
         g = rng.standard_normal(6)
-        basis = KrylovBasis.fresh_polynomial(g)
+        basis = KrylovBasis.fresh(g, POLYNOMIAL)
         poly_expand(np.eye(6), basis)
         assert basis.dim == 1
         assert basis.invariant
 
     def test_tridiagonal_projection(self, rng):
         H = random_symmetric(rng, 10)
-        basis = KrylovBasis.fresh_polynomial(rng.standard_normal(10))
+        basis = KrylovBasis.fresh(rng.standard_normal(10), POLYNOMIAL)
         for _ in range(5):
             poly_expand(H, basis)
         T = basis.V.T @ H @ basis.V
@@ -44,7 +56,7 @@ class TestPolyExpand:
 
     def test_nesting(self, rng):
         H = random_symmetric(rng, 9)
-        basis = KrylovBasis.fresh_polynomial(rng.standard_normal(9))
+        basis = KrylovBasis.fresh(rng.standard_normal(9), POLYNOMIAL)
         prev = basis.V.copy()
         for _ in range(4):
             poly_expand(H, basis)
@@ -59,7 +71,7 @@ class TestRationalExpand:
     def test_first_column_direct_solve(self):
         H = np.diag([1.0, 2.0])
         g = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        basis = KrylovBasis.fresh_rational(g)
+        basis = KrylovBasis.fresh(g, RATIONAL)
         rational_expand(analyse_hessian(H), basis, (1.0, 2.0), shift=1.0)
         expected = np.array([0.5, 1.0 / 3.0])
         expected /= np.linalg.norm(expected)
@@ -69,7 +81,7 @@ class TestRationalExpand:
 
     def test_happy_breakdown_identity(self, rng):
         g = rng.standard_normal(5)
-        basis = KrylovBasis.fresh_rational(g)
+        basis = KrylovBasis.fresh(g, RATIONAL)
         system = analyse_hessian(np.eye(5))
         rational_expand(system, basis, (1.0, 1.0), shift=2.0)
         assert basis.dim == 1
@@ -83,10 +95,10 @@ class TestRationalExpand:
         g = rng.standard_normal(n)
         interval = (float(np.linalg.eigvalsh(H)[0]), float(np.linalg.eigvalsh(H)[-1]))
 
-        pk = KrylovBasis.fresh_polynomial(g)
+        pk = KrylovBasis.fresh(g, POLYNOMIAL)
         for _ in range(8):
             poly_expand(H, pk)
-        rk = KrylovBasis.fresh_rational(g)
+        rk = KrylovBasis.fresh(g, RATIONAL)
         system = analyse_hessian(H)
         for _ in range(8):
             rational_expand(system, rk, interval)
@@ -102,19 +114,19 @@ class TestRationalExpand:
 
 class TestOrthAugment:
     def test_empty_basis_normalizes(self):
-        basis = KrylovBasis.fresh_rational(np.array([3.0, 0.0, 0.0]))
+        basis = KrylovBasis.fresh(np.array([3.0, 0.0, 0.0]), RATIONAL)
         W = orth_augment(basis, np.array([3.0, 0.0, 0.0]))
         np.testing.assert_allclose(W, np.array([[1.0], [0.0], [0.0]]))
 
     def test_contained_gradient_returns_v(self, rng):
-        basis = KrylovBasis.fresh_polynomial(np.array([1.0, 0.0, 0.0]))
+        basis = KrylovBasis.fresh(np.array([1.0, 0.0, 0.0]), POLYNOMIAL)
         W = orth_augment(basis, np.array([1.0, 0.0, 0.0]))
         assert W is basis.V
         # the polynomial refresh projects on V without augmenting it, so the
         # seed gradient must stay in range(V) however far the basis grows
         H = random_symmetric(rng, 12)
         g = rng.standard_normal(12)
-        basis = KrylovBasis.fresh_polynomial(g)
+        basis = KrylovBasis.fresh(g, POLYNOMIAL)
         for _ in range(6):
             poly_expand(H, basis)
             assert orth_augment(basis, g) is basis.V
@@ -123,7 +135,7 @@ class TestOrthAugment:
         assert basis.dim == 7
 
     def test_gram_schmidt_by_hand(self):
-        basis = KrylovBasis.fresh_polynomial(np.array([1.0, 0.0, 0.0]))
+        basis = KrylovBasis.fresh(np.array([1.0, 0.0, 0.0]), POLYNOMIAL)
         g = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         W = orth_augment(basis, g)
         assert W.shape[1] == 2
@@ -131,14 +143,14 @@ class TestOrthAugment:
                                    atol=1e-12)
 
     def test_zero_gradient_rejected(self):
-        basis = KrylovBasis.fresh_polynomial(np.ones(3))
+        basis = KrylovBasis.fresh(np.ones(3), POLYNOMIAL)
         with pytest.raises(ValueError):
             orth_augment(basis, np.zeros(3))
 
     def test_gradient_norm_preserved(self, rng):
         H = random_symmetric(rng, 7)
         g = rng.standard_normal(7)
-        basis = KrylovBasis.fresh_polynomial(g)
+        basis = KrylovBasis.fresh(g, POLYNOMIAL)
         for _ in range(3):
             poly_expand(H, basis)
         gk = rng.standard_normal(7)  # outside the basis's range
@@ -153,7 +165,7 @@ def test_orthonormality_under_random_sequences(seed, n, n_ops):
     r = np.random.default_rng(seed)
     H = random_symmetric(r, n)
     g = r.standard_normal(n)
-    basis = KrylovBasis.fresh_polynomial(g)
+    basis = KrylovBasis.fresh(g, POLYNOMIAL)
     for _ in range(n_ops):
         if basis.dim < n and not basis.invariant:
             poly_expand(H, basis)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import far2.secular as secular
 from far2.errors import SingularShiftError
+from far2.model import ModelContext, model_curvature_bound
 from far2.secular import (MAX_BAND_KD, FactorizationCounter,
                           ShiftedFactorization, ShiftedSystem, analyse_hessian,
                           solve_secular_full_secant)
@@ -320,6 +321,21 @@ class TestAnalyseOnce:
                                       analyse_hessian(H), 1.0, 0.1, counter)
             assert counter.count >= 3
             assert len(calls) == 1
+
+    def test_interval_computed_once_for_every_reader(self, monkeypatch):
+        # the curvature bound and the full-space solve's first shift read
+        # the same cached Gershgorin interval, made on first use
+        calls = []
+        bounds = secular.gershgorin_interval
+        monkeypatch.setattr(secular, "gershgorin_interval",
+                            lambda H: calls.append(1) or bounds(H))
+        H = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        system = analyse_hessian(H)
+        assert calls == []
+        model_curvature_bound(ModelContext(system, 1.0), np.ones(3))
+        solve_secular_full_secant(np.ones(3), system, 1.0, 0.1)
+        assert system.interval == (0.0, 4.0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "band", "dense"])
     def test_factorizations_leave_system_unchanged(self, kind, rng):
