@@ -427,8 +427,8 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                 state.basis, dim = sub.basis, sub.dim
                 if state.refresh:
                     n_refresh += 1
-                    # a shift per column a rational solve added, the
-                    # last, never projected on, included
+                    # a shift per rational solve, the last, never
+                    # projected on, included
                     n_rat += len(state.basis.shifts)
                 shat_norm = float(np.linalg.norm(sub.s_hat))
                 usable = not sub.failed and shat_norm > 0.0

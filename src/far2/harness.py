@@ -12,12 +12,14 @@ and seeds are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +32,20 @@ from .problems import (get_problem, load_libsvm, logistic_objective,
                        synth_classification)
 from .second_order import SecondOrderConfig
 
-SOLVER_NAMES = ("AR2", "FAR2-PK", "FAR2-RK", "FAR2-SO")
+
+class Solver(NamedTuple):
+    """What a solver name runs; the name fixes the Krylov space."""
+    solve: Callable[..., RunReport]
+    config: type
+    space_kind: str
+
+
+SOLVERS = {
+    "AR2": Solver(ar2_solve, SolverConfig, POLYNOMIAL),
+    "FAR2-PK": Solver(far2_solve, SolverConfig, POLYNOMIAL),
+    "FAR2-RK": Solver(far2_solve, SolverConfig, RATIONAL),
+    "FAR2-SO": Solver(far2so_solve, SecondOrderConfig, POLYNOMIAL),
+}
 CSV_COLUMNS = ("problem", "n", "solver", "status", "n_nli", "n_fact",
                "n_refresh", "ave_K", "n_sub", "n_sec", "f_final",
                "gnorm_final", "wall_s")
@@ -62,7 +77,6 @@ class ProblemSpec:
 class SuiteConfig:
     solvers: list[str]
     problems: list[ProblemSpec]
-    overrides: dict = field(default_factory=dict)
     solver_overrides: dict = field(default_factory=dict)
     out: str = "."
     seed: int = 0
@@ -75,8 +89,16 @@ class SuiteConfig:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         for s in self.solvers:
-            if s not in SOLVER_NAMES:
-                raise ConfigError(f"unknown solver {s!r}; choose from {SOLVER_NAMES}")
+            if s not in SOLVERS:
+                raise ConfigError(f"unknown solver {s!r}; choose from {tuple(SOLVERS)}")
+            if self.solvers.count(s) > 1:
+                raise ConfigError(f"[solver] {s}: named more than once")
+            # building the config checks each key and value now, not once
+            # the suite is running
+            try:
+                build_solver_config(s, ProblemSpec(), self.solver_overrides)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"[solver] {s}: {exc}") from exc
         known = set(registry_names())
         for p in self.problems:
             if p.kind == "registry":
@@ -101,36 +123,23 @@ def build_problem(spec: ProblemSpec, base_seed: int = 0):
     return sigmoid_objective(remap_labels(data, "01"))
 
 
-def build_solver_config(solver: str, spec: ProblemSpec, overrides: dict,
+def build_solver_config(solver: str, spec: ProblemSpec,
                         solver_overrides: dict | None = None) -> SolverConfig:
-    params = {}
+    """`solver`'s config on `spec`; the name fixes the Krylov space, so an
+    override of `space_kind` is a TypeError."""
+    entry = SOLVERS[solver]
     eps = EPS_REL_REGISTRY if spec.kind == "registry" else EPS_REL_CLASSIFICATION
-    params["eps_rel"] = eps
-    params.update(overrides or {})
-    params.update((solver_overrides or {}).get(solver, {}))
-    if solver == "FAR2-RK":
-        params.setdefault("space_kind", RATIONAL)
-    elif solver in ("FAR2-PK", "FAR2-SO", "AR2"):
-        params.setdefault("space_kind", POLYNOMIAL)
-    if solver == "FAR2-SO":
-        return SecondOrderConfig(**params)
-    params.pop("theta2", None)
-    params.pop("eps_H", None)
-    return SolverConfig(**params)
+    params = {"eps_rel": eps, **(solver_overrides or {}).get(solver, {})}
+    return entry.config(space_kind=entry.space_kind, **params)
 
 
 def _run_one(task) -> RunReport:
-    solver, spec, overrides, solver_overrides, base_seed = task
+    solver, spec, solver_overrides, base_seed = task
     problem = None
     try:
         problem = build_problem(spec, base_seed)
-        cfg = build_solver_config(solver, spec, overrides, solver_overrides)
-        if solver == "AR2":
-            report = ar2_solve(problem, cfg)
-        elif solver == "FAR2-SO":
-            report = far2so_solve(problem, cfg)
-        else:
-            report = far2_solve(problem, cfg)
+        cfg = build_solver_config(solver, spec, solver_overrides)
+        report = SOLVERS[solver].solve(problem, cfg)
     except Exception as exc:  # one failed run must not end the suite
         message = f"{type(exc).__name__}: {exc}"
         x0 = np.zeros(0) if problem is None else problem.x0.copy()
@@ -146,7 +155,7 @@ def _run_one(task) -> RunReport:
 
 def run_suite(cfg: SuiteConfig) -> list[RunReport]:
     """One RunReport per (solver, problem), in configuration order."""
-    tasks = [(solver, spec, cfg.overrides, cfg.solver_overrides, cfg.seed)
+    tasks = [(solver, spec, cfg.solver_overrides, cfg.seed)
              for spec in cfg.problems for solver in cfg.solvers]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -218,20 +227,20 @@ def performance_profile(reports: list[RunReport], metric: str = "n_fact") -> Pro
 
 # --- report serialization ---------------------------------------------------
 
-def _csv_row(r: RunReport, timing: bool) -> str:
+def _csv_row(r: RunReport, timing: bool) -> list[str]:
     wall = r.wall_s if timing else 0.0
-    return ",".join([
-        r.problem, str(r.n), r.solver, r.status, str(r.n_nli), str(r.n_fact),
-        str(r.n_refresh), f"{r.ave_subspace_dim:.2f}", str(r.n_subspace_steps),
-        str(r.n_secant_calls), f"{r.f_final:.12e}", f"{r.gnorm_final:.12e}",
-        f"{wall:.3f}"])
+    return [r.problem, str(r.n), r.solver, r.status, str(r.n_nli),
+            str(r.n_fact), str(r.n_refresh), f"{r.ave_subspace_dim:.2f}",
+            str(r.n_subspace_steps), str(r.n_secant_calls),
+            f"{r.f_final:.12e}", f"{r.gnorm_final:.12e}", f"{wall:.3f}"]
 
 
 def write_reports_csv(reports: list[RunReport], path, timing: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in reports:
-            fh.write(_csv_row(r, timing) + "\n")
+    """Quotes a field that holds a comma (a classification label)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(_csv_row(r, timing) for r in reports)
 
 
 def _jsonable(r: RunReport) -> dict:
@@ -310,25 +319,18 @@ def parse_config(path) -> SuiteConfig:
             if not name:
                 raise ConfigError("[solver] section without a name")
             solvers.append(name)
-            if current:
-                # building the config checks each key and value now, not
-                # once the suite is running
-                try:
-                    params = dict(_solver_param(k, v)
-                                  for k, v in current.items())
-                    (SecondOrderConfig if name == "FAR2-SO"
-                     else SolverConfig)(**params)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"[solver] {name}: {exc}") from exc
-                solver_overrides[name] = params
+            try:
+                solver_overrides[name] = dict(_solver_param(k, v)
+                                              for k, v in current.items())
+            except ValueError as exc:
+                raise ConfigError(f"[solver] {name}: {exc}") from exc
         elif section == "problem":
             kind = current.pop("kind", "registry")
             spec = ProblemSpec(
                 kind=kind,
                 name=current.pop("name", "").upper(),
                 n=_int("[problem]", "n", current.pop("n", 0) or 0),
-                N=_int("[problem]", "N",
-                       current.pop("N", current.pop("samples", 0)) or 0),
+                N=_int("[problem]", "N", current.pop("N", 0) or 0),
                 seed=_int("[problem]", "seed", current.pop("seed", 0) or 0),
                 source=current.pop("source", "synth"))
             if current:

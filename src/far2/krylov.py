@@ -36,8 +36,8 @@ class KrylovBasis:
     Owned by a single solver run; expansions mutate it in place. `seed`
     holds the raw generating vector for a rational basis that has not been
     expanded yet (the rational space does not contain the gradient itself).
-    `shifts` holds the shift of each rational expansion that added a
-    column, one entry per such solve.
+    `shifts` holds the shift of each rational solve, the last one included
+    when it ends in happy breakdown (after which no shift is chosen).
     """
 
     V: np.ndarray
@@ -67,16 +67,15 @@ class KrylovBasis:
                    seed=g.copy())
 
 
-def _append(basis: KrylovBasis, w) -> bool:
+def _append(basis: KrylovBasis, w) -> None:
     """Append w, reorthogonalized against V and normalized, as a new column;
     on happy breakdown (w collapses below BREAKDOWN_RTOL of the seed norm)
-    set `invariant` instead. Returns whether a column was appended."""
+    set `invariant` instead."""
     w, nrm = _reorthogonalize(basis.V, np.ravel(w))
     if nrm < BREAKDOWN_RTOL * basis.seed_norm:
         basis.invariant = True
-        return False
-    basis.V = np.hstack([basis.V, (w / nrm).reshape(-1, 1)])
-    return True
+    else:
+        basis.V = np.hstack([basis.V, (w / nrm).reshape(-1, 1)])
 
 
 def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
@@ -146,8 +145,8 @@ def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
             if attempt == 1:
                 raise ShiftFailureError(f"shift {xi!r} remained singular")
             xi = xi + 1.0e-8 * (1.0 + abs(xi))
-    if _append(basis, x):
-        basis.shifts.append(xi)
+    basis.shifts.append(xi)
+    _append(basis, x)
     return basis
 
 

@@ -73,9 +73,6 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     c, u = rank_one if rank_one is not None else (0.0, np.zeros(n))
     if n <= DENSE_EIG_CUTOFF:
         A = system.dense
-        if A is None:
-            A = hessian_matrix(H)
-            A = A.toarray() if sp.issparse(A) else A
         if shift:
             # equals H + shift * eye(n) bit for bit: off the diagonal -0.0 + 0.0
             A = A + shift * 0.0

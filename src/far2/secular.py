@@ -95,10 +95,12 @@ class ShiftedSystem:
     `band` holds H's lower band in LAPACK storage, row k the k-th
     subdiagonal (two rows, the diagonal and the subdiagonal, when H is
     tridiagonal or diagonal), when H's half-bandwidth is at most
-    MAX_BAND_KD; otherwise `dense` holds H as a float array (a sparse H
-    densified once). `interval` holds H's Gershgorin bounds (lower,
-    upper). Build it with analyse_hessian; the nonlinear loop keeps one per
-    oracle Hessian on its IterateState, and factorizations only read it.
+    MAX_BAND_KD, and None otherwise. `dense` holds H as a float array (a
+    sparse H densified once), whatever its storage; factorizations read it
+    only when `band` is None. `interval` holds H's Gershgorin bounds
+    (lower, upper). Build it with analyse_hessian; the nonlinear loop keeps
+    one per oracle Hessian on its IterateState, and factorizations only
+    read it.
     """
 
     H: object
@@ -108,9 +110,7 @@ class ShiftedSystem:
         return _lower_band(hessian_matrix(self.H))
 
     @cached_property
-    def dense(self) -> np.ndarray | None:
-        if self.band is not None:
-            return None
+    def dense(self) -> np.ndarray:
         A = hessian_matrix(self.H)
         return A.toarray() if sp.issparse(A) else A
 

@@ -10,7 +10,7 @@ from far2.driver import (IterateState, Status, StepKind,
                          far2so_solve, regularized_newton_step, step_ratio_ok,
                          subspace_minimize)
 from far2.errors import EigenSolveError, InternalInvariantError
-from far2.krylov import KrylovBasis
+from far2.krylov import KrylovBasis, rational_expand
 from far2.problems import ObjectiveProblem, get_problem
 from far2.secular import analyse_hessian
 from far2.second_order import SecondOrderConfig
@@ -262,6 +262,21 @@ class TestFar2Solve:
         assert rep.converged
         assert rep.n_refresh == 1
         assert rep.n_rational_solves == n_rat
+
+    def test_rational_solves_count_the_breakdown(self, monkeypatch):
+        # on DQRTIC-100 the second rational solve ends in happy breakdown
+        # and adds no column; it is a solve all the same
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return rational_expand(*args, **kwargs)
+
+        monkeypatch.setattr("far2.driver.rational_expand", counted)
+        rep = far2_solve(get_problem("DQRTIC", 100),
+                         SolverConfig(space_kind=RATIONAL))
+        assert rep.converged
+        assert rep.n_rational_solves == len(calls) == 2
 
     def test_single_column_polynomial_space(self):
         # j_max = 1: the refresh projects on g alone and never expands

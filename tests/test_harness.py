@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 from pathlib import Path
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 import far2.driver as driver
-import far2.harness as harness
+from far2.config import RATIONAL
 from far2.driver import RunReport
 from far2.errors import ConfigError, InternalInvariantError, ProfileError
-from far2.harness import (CSV_COLUMNS, ProblemSpec, SuiteConfig, build_problem,
-                          parse_config, performance_profile, read_reports_json,
+from far2.harness import (CSV_COLUMNS, SOLVERS, ProblemSpec, SuiteConfig,
+                          build_problem, build_solver_config, parse_config,
+                          performance_profile, read_reports_json,
                           reports_equal, run_suite, write_reports_csv,
                           write_reports_json)
 from far2.problems import registry_names
@@ -41,6 +43,21 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(solvers=["AR2"], problems=[spec("NOSUCH", 4)])
 
+    def test_repeated_solver(self):
+        with pytest.raises(ConfigError, match="FAR2-PK"):
+            SuiteConfig(solvers=["FAR2-PK", "AR2", "FAR2-PK"],
+                        problems=[spec("QUAD", 4)])
+
+    @pytest.mark.parametrize("solver,overrides,match", [
+        ("FAR2-PK", {"space_kind": RATIONAL}, "space_kind"),
+        ("AR2", {"sigma0": -1.0}, "sigma_min <= sigma0"),
+        ("FAR2-RK", {"theta2": 0.2}, "theta2"),
+    ])
+    def test_overrides_that_build_no_config(self, solver, overrides, match):
+        with pytest.raises(ConfigError, match=f"{solver}: .*{match}"):
+            SuiteConfig(solvers=[solver], problems=[spec("QUAD", 4)],
+                        solver_overrides={solver: overrides})
+
 
 class TestRunSuite:
     def test_single_pair(self):
@@ -58,7 +75,7 @@ class TestRunSuite:
     def test_failure_isolation(self):
         cfg = SuiteConfig(solvers=["FAR2-PK"],
                           problems=[spec("ROSENBR", 2), spec("QUAD", 4)],
-                          overrides={"max_iters": 5})
+                          solver_overrides={"FAR2-PK": {"max_iters": 5}})
         reports = run_suite(cfg)
         assert reports[0].status == "iter_limit"
         assert reports[1].converged
@@ -72,7 +89,8 @@ class TestRunSuite:
                 raise exc
             return driver.far2_solve(problem, cfg)
 
-        monkeypatch.setattr(harness, "far2_solve", far2_solve)
+        monkeypatch.setitem(SOLVERS, "FAR2-PK",
+                            SOLVERS["FAR2-PK"]._replace(solve=far2_solve))
         cfg = SuiteConfig(solvers=["AR2", "FAR2-PK"],
                           problems=[spec("ROSENBR", 2), spec("QUAD", 4)])
         reports = run_suite(cfg)
@@ -105,6 +123,16 @@ class TestRunSuite:
         assert bad.message.startswith("FileNotFoundError")
         assert bad.problem == missing.label and bad.x_final.size == 0
         assert good.converged
+
+    def test_each_name_runs_its_row(self):
+        cfg = SuiteConfig(solvers=list(SOLVERS), problems=[spec("INDEF", 12)])
+        for name, report in zip(SOLVERS, run_suite(cfg)):
+            space_kind = SOLVERS[name].space_kind
+            assert report.solver == name and report.converged
+            assert (report.n_rational_solves > 0) == (space_kind == RATIONAL)
+            built = build_solver_config(name, cfg.problems[0])
+            assert type(built) is SOLVERS[name].config
+            assert built.space_kind == space_kind
 
     def test_parallel_matches_serial(self):
         problems = [spec("QUAD", 5), spec("TRIDIA", 5)]
@@ -209,6 +237,20 @@ class TestSerialization:
         header = b1.decode().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
+    def test_csv_quotes_classification_labels(self, tmp_path):
+        # a classification label holds commas: N=..,n=..,seed=..
+        problems = [ProblemSpec(kind="logistic", N=40, n=3, seed=1),
+                    spec("QUAD", 4)]
+        reports = run_suite(SuiteConfig(solvers=["AR2"], problems=problems))
+        path = tmp_path / "reports.csv"
+        write_reports_csv(reports, path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(CSV_COLUMNS)
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+        assert [row[0] for row in rows] == [p.label for p in problems]
+        assert "," in problems[0].label
+
 
 class TestParseConfig:
     def test_full_round_trip(self, tmp_path):
@@ -293,6 +335,29 @@ seed = 9
         with pytest.raises(ConfigError, match=f"{key}: not an integer"):
             parse_config(path)
 
+    def test_repeated_solver_section(self, tmp_path):
+        # a second section of a name would share the first one's overrides
+        path = tmp_path / "twice.cfg"
+        path.write_text("[solver]\nname = FAR2-PK\nsigma0 = 2.0\n"
+                        "[solver]\nname = FAR2-PK\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        with pytest.raises(ConfigError, match="FAR2-PK"):
+            parse_config(path)
+
+    def test_name_fixes_the_space(self, tmp_path):
+        path = tmp_path / "space.cfg"
+        path.write_text("[solver]\nname = FAR2-PK\nspace_kind = rational\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        with pytest.raises(ConfigError, match="FAR2-PK: .*space_kind"):
+            parse_config(path)
+
+    def test_samples_is_not_n(self, tmp_path):
+        path = tmp_path / "samples.cfg"
+        path.write_text("[solver]\nname = AR2\n"
+                        "[problem]\nkind = logistic\nsamples = 50\nn = 4\n")
+        with pytest.raises(ConfigError, match="samples"):
+            parse_config(path)
+
     def test_second_order_solver_keys(self, tmp_path):
         path = tmp_path / "so.cfg"
         path.write_text("[solver]\nname = FAR2-SO\ntheta2 = 0.2\neps_h = 1e-3\n"
@@ -308,10 +373,10 @@ EXPERIMENTS = sorted(EXPERIMENTS_DIR.glob("*.cfg"))
 @pytest.mark.parametrize("path", EXPERIMENTS, ids=[p.name for p in EXPERIMENTS])
 def test_shipped_experiment_configs_parse(path):
     cfg = parse_config(path)
-    assert cfg.solvers and set(cfg.solvers) <= set(harness.SOLVER_NAMES)
+    assert cfg.solvers and set(cfg.solvers) <= set(SOLVERS)
     assert cfg.problems
     for spec in cfg.problems:
-        assert harness.build_problem(spec).n == spec.n
+        assert build_problem(spec).n == spec.n
 
 
 def test_experiment_configs_shipped():

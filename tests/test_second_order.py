@@ -69,7 +69,7 @@ class TestMinEig:
             M[kl] = R @ M[kl] @ R.T
             M[kl] = 0.5 * (M[kl] + M[kl].T)
         system = analyse_hessian(M)
-        assert (system.dense is not None) == (storage == "dense" and n > 100)
+        assert (system.band is None) == (storage == "dense" and n > 100)
         lam, v = min_eig(system, rank_one=(c, u))
         block = np.diag(d[[i, j]]) + c * np.outer(u[[i, j]], u[[i, j]])
         rest = np.delete(d, [i, j])

@@ -311,7 +311,7 @@ class TestFullSpaceMatchesSpectral:
         H = _stored(kind, rng, n)
         system = analyse_hessian(H)
         if kind == "dense":
-            assert system.dense is not None
+            assert system.band is None
         else:
             assert (system.band.shape[0] == 2) == (kind == "tridiagonal")
         A = H.toarray() if sp.issparse(H) else H
