@@ -123,6 +123,19 @@ def cmd_check(_args) -> int:
                                      / np.linalg.norm(M @ X)))
     report("loss Hessian products", worst <= 1e-12, f"relative error {worst:.2e}")
 
+    # a loss Hessian's spectral interval, computed before its matrix is
+    # formed, brackets the formed matrix's extreme eigenvalues (to rounding)
+    ok, details = True, []
+    for label, obj in losses:
+        H = obj.eval(obj.x0 + rng.standard_normal(obj.n), 2)[2]
+        lo, hi = H.interval
+        eigs = np.linalg.eigvalsh(np.asarray(H))
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        ok = ok and lo <= eigs[0] + tol and eigs[-1] <= hi + tol
+        details.append(f"{label} [{lo:.3g}, {hi:.3g}] holds "
+                       f"[{eigs[0]:.3g}, {eigs[-1]:.3g}]")
+    report("loss Hessian interval", ok, "; ".join(details))
+
     lam = secular.solve_secular_reduced(np.array([1.0]), np.array([[1.0]]), 1.0).lam
     report("scalar secular root", abs(lam - (np.sqrt(5) - 1) / 2) < 1e-10,
            f"lambda {lam:.12f}")

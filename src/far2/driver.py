@@ -363,8 +363,11 @@ def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
 
 def _curvature_ok(ctx: ModelContext, s: np.ndarray, floor: float) -> bool:
     """Second-order mode's model-curvature test of a step s: the model's
-    curvature at s is at least floor = -theta2*||s||, by the Gershgorin
-    bound or else exactly, with a round-off slack of 1e-8*max(1, |curv|)."""
+    curvature at s is at least floor = -theta2*||s||, by a certified bound
+    (model_curvature_bound: a Gram operator's Weyl bound, else H's Gershgorin
+    interval) or else exactly, with a round-off slack of 1e-8*max(1, |curv|).
+    The verdict is the same whichever bound is read: one that passes implies
+    the exact test passes, and one that fails leaves the exact test to decide."""
     if model_curvature_bound(ctx, s) >= floor:
         return True
     curv = model_curvature_min(ctx, s)

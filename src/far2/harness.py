@@ -99,6 +99,9 @@ class SuiteConfig:
                 build_solver_config(s, ProblemSpec(), self.solver_overrides)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[solver] {s}: {exc}") from exc
+        stray = [name for name in self.solver_overrides if name not in self.solvers]
+        if stray:
+            raise ConfigError(f"overrides for solvers the suite does not run: {stray}")
         known = set(registry_names())
         for p in self.problems:
             if p.kind == "registry":

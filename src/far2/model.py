@@ -3,7 +3,7 @@
 Holds the curvature data (H's analysis and sigma) of the cubic regularized
 model m(s) = f + g^T s + s^T H s / 2 + (sigma/3)||s||^3 and the smallest
 curvature of m at a step, exactly (model_curvature_min) or as a lower bound
-without an eigensolve (model_curvature_bound), for the second-order
+without an eigensolve of H (model_curvature_bound), for the second-order
 curvature tests.
 """
 
@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .problems import GramHessian
 from .secular import ShiftedSystem
 from .second_order import min_eig
 
-# model_curvature_bound lowers its bound by this share of the spectral scale
+# model_curvature_bound lowers its bound by this share of the spectral scale:
+# far above the rounding of the Gershgorin sums (a few eps per entry of a
+# row) and of the Gram operator's Weyl bound (about n eps lambda_max / N)
 CURVATURE_BOUND_RTOL = 1.0e-8
 
 
@@ -62,17 +65,21 @@ def model_curvature_min(ctx: ModelContext, s) -> float:
 
 
 def model_curvature_bound(ctx: ModelContext, s) -> float:
-    """A lower bound on model_curvature_min(ctx, s) without an eigensolve.
+    """A lower bound on model_curvature_min(ctx, s) without an eigensolve of H.
 
     The rank-one term (sigma/||s||) s s^T is positive semidefinite, so the
-    smallest eigenvalue is at least the lower end of H's Gershgorin
-    interval (ctx.system.interval) plus sigma ||s||. The bound is lowered
-    by CURVATURE_BOUND_RTOL of the spectral scale, far more than the
-    rounding in the Gershgorin sums and in the eigensolve, so a curvature
-    test passed by the bound is passed by model_curvature_min.
+    smallest eigenvalue is at least the lower end of a certified interval
+    on H's spectrum plus sigma ||s||. The interval is the operator's own
+    Weyl bound when H is a GramHessian (GramHessian.interval, which does
+    not form H), and H's Gershgorin interval (ctx.system.interval)
+    otherwise. The bound is lowered by CURVATURE_BOUND_RTOL of the spectral
+    scale, far more than the rounding in either interval and in the
+    eigensolve, so a curvature test passed by the bound is passed by
+    model_curvature_min.
     """
     s = _check_dim(ctx, s)
-    lo, hi = ctx.system.interval
+    H = ctx.system.H
+    lo, hi = H.interval if isinstance(H, GramHessian) else ctx.system.interval
     shift = ctx.sigma * float(np.linalg.norm(s))
     scale = max(1.0, abs(lo), abs(hi)) + 2.0 * shift
     return lo + shift - CURVATURE_BOUND_RTOL * scale

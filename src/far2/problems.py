@@ -16,8 +16,10 @@ matrix once, when a factorization or an eigensolve first reads H's entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.special import expit
 
@@ -521,6 +523,12 @@ def _weighted_gram(A, w):
     return G
 
 
+def _row_sq_norms(A):
+    """A callable that returns A's squared row norms, computed on its first
+    call (the first interval a loss Hessian is asked for) and then kept."""
+    return cache(lambda: np.einsum("ij,ij->i", A, A))
+
+
 class GramHessian:
     """The classification Hessian A^T diag(w) A / N + reg I, as an operator.
 
@@ -532,13 +540,41 @@ class GramHessian:
     20 columns (N = 5000, n = 500). toarray() forms the
     matrix once by symmetric rank-k updates (_weighted_gram), exactly
     symmetric, and caches it; from then on `@` multiplies by the matrix.
-    np.asarray(H) is toarray().
+    np.asarray(H) is toarray(). `interval` bounds H's spectrum without
+    forming it. row_sq, if given, is a _row_sq_norms callable shared by all
+    the Hessians of one loss, so A's squared row norms are computed once.
     """
 
-    def __init__(self, A: np.ndarray, w: np.ndarray, N: int, reg: float = 0.0):
+    def __init__(self, A: np.ndarray, w: np.ndarray, N: int, reg: float = 0.0,
+                 row_sq=None):
         self.A, self.w, self.N, self.reg = A, w, N, reg
         self.shape = (A.shape[1], A.shape[1])
         self._matrix = None
+        self._row_sq = row_sq or _row_sq_norms(A)
+
+    @cached_property
+    def interval(self) -> tuple[float, float]:
+        """Certified bounds (lower, upper) on H's spectrum, H never formed.
+
+        H = (Bp^T Bp - Bn^T Bn) / N + reg I, where Bn holds the k rows of A
+        with w_i < 0 scaled by sqrt(-w_i). Bp^T Bp is positive semidefinite,
+        so by Weyl's inequality lambda_min(H) >= reg - lambda_max(Bn Bn^T)/N,
+        the top eigenvalue taken from the smaller Gram matrix of Bn, k x k
+        or (k > n) n x n; with k = 0 the lower end is reg exactly. The upper
+        end, reg + sum_{w_i > 0} w_i ||a_i||^2 / N, is the trace of the
+        positive part: loose, but it reads only w and A's squared row norms,
+        never the N - k positive rows.
+        """
+        neg = np.flatnonzero(self.w < 0.0)
+        top = 0.0
+        if neg.size:
+            B = self.A[neg]
+            B *= np.sqrt(-self.w[neg])[:, None]
+            G = B @ B.T if neg.size <= B.shape[1] else B.T @ B
+            m = G.shape[0]
+            top = float(sla.eigvalsh(G, subset_by_index=[m - 1, m - 1])[0])
+        hi = self.reg + float(np.maximum(self.w, 0.0) @ self._row_sq()) / self.N
+        return self.reg - top / self.N, hi
 
     def toarray(self) -> np.ndarray:
         if self._matrix is None:
@@ -617,6 +653,7 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
         raise ValueError("logistic labels must lie in {-1, +1}")
     A, b, N = data.A, data.b, data.N
     n = data.n
+    row_sq = _row_sq_norms(A)
 
     def ev(x, order):
         t = b * (A @ x)
@@ -627,7 +664,7 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
         g = A.T @ ((sig - 1.0) * b) / N + x / N
         if order == 1:
             return f, g, None
-        return f, g, GramHessian(A, sig * (1.0 - sig), N, 1.0 / N)
+        return f, g, GramHessian(A, sig * (1.0 - sig), N, 1.0 / N, row_sq=row_sq)
 
     return ObjectiveProblem(f"logistic[N={N}]", n, np.zeros(n), ev)
 
@@ -645,6 +682,7 @@ def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
         raise ValueError("sigmoid labels must lie in {0, 1}")
     A, b, N = data.A, data.b, data.N
     n = data.n
+    row_sq = _row_sq_norms(A)
 
     def ev(x, order):
         p = expit(A @ x)
@@ -656,7 +694,8 @@ def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
         g = A.T @ (-2.0 * r * q) / N
         if order == 1:
             return f, g, None
-        return f, g, GramHessian(A, 2.0 * (q * q - r * q * (1.0 - 2.0 * p)), N)
+        return f, g, GramHessian(A, 2.0 * (q * q - r * q * (1.0 - 2.0 * p)), N,
+                                 row_sq=row_sq)
 
     return ObjectiveProblem(f"sigmoid[N={N}]", n, np.zeros(n), ev)
 

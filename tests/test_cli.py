@@ -60,8 +60,9 @@ def test_profile_without_reports(tmp_path):
 
 
 @pytest.mark.slow
-def test_check_self_test():
+def test_check_self_test(capsys):
     assert main(["check"]) == 0
+    assert "PASS  loss Hessian interval" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["list", "--seed", "3"],

@@ -12,12 +12,15 @@ Hessian above DENSE_EIG_CUTOFF (EDENSCH-5000: curvature tests and the
 iterative smallest-eigenvalue termination test) and on the dense
 eigensolve path below it (EG2, INDEF and CUBE at n = 100: the model
 curvature tests, the positive-definite corrector gate and the dense
-termination test). A change that moves one of them on purpose must say
-so and update the pin.
+termination test). FAR2-SO on the classification losses of
+experiments/second-order.cfg also pins how many loss Hessians it forms:
+its curvature tests read the Gram operator's bound, which forms none. A
+change that moves one of them on purpose must say so and update the pin.
 """
 
 import pytest
 
+from far2 import problems
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
 
 PINNED = [
@@ -43,3 +46,26 @@ def test_pinned_counts(solver, name, n, n_fact, n_nli):
     assert report.converged
     assert report.violations == []
     assert (report.n_fact, report.n_nli) == (n_fact, n_nli)
+
+
+# (kind, seed, n_fact, n_nli, Hessians formed); N = 400, n = 40
+FORMED = [
+    ("logistic", 1, 2, 6, 3),
+    ("logistic", 2, 2, 6, 3),
+    ("sigmoid", 1, 9, 44, 10),
+    ("sigmoid", 2, 35, 48, 11),
+]
+
+
+@pytest.mark.parametrize("kind,seed,n_fact,n_nli,formed", FORMED,
+                         ids=[f"FAR2-SO-{k}-{s}" for k, s, _, _, _ in FORMED])
+def test_pinned_loss_formations(monkeypatch, kind, seed, n_fact, n_nli, formed):
+    calls = []
+    real = problems._weighted_gram
+    monkeypatch.setattr(problems, "_weighted_gram",
+                        lambda A, w: calls.append(w) or real(A, w))
+    spec = ProblemSpec(kind=kind, source="synth", N=400, n=40, seed=seed)
+    [report] = run_suite(SuiteConfig(solvers=["FAR2-SO"], problems=[spec]))
+    assert report.status == "second_order_point"
+    assert report.violations == []
+    assert (report.n_fact, report.n_nli, len(calls)) == (n_fact, n_nli, formed)

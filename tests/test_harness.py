@@ -58,6 +58,14 @@ class TestSuiteConfig:
             SuiteConfig(solvers=[solver], problems=[spec("QUAD", 4)],
                         solver_overrides={solver: overrides})
 
+    def test_overrides_for_solvers_not_run(self):
+        # keys the suite would silently ignore, a misspelt name and an
+        # invalid value included, are named, not dropped
+        with pytest.raises(ConfigError, match="'FAR2-RK', 'FAR2PK'"):
+            SuiteConfig(solvers=["FAR2-PK"], problems=[spec("QUAD", 4)],
+                        solver_overrides={"FAR2-RK": {"sigma0": -1.0},
+                                          "FAR2PK": {"max_iters": 1}})
+
 
 class TestRunSuite:
     def test_single_pair(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from far2.model import (CURVATURE_BOUND_RTOL, ModelContext,
                         model_curvature_bound, model_curvature_min)
+from far2.problems import GramHessian
 from far2.secular import analyse_hessian
 from far2.second_order import gershgorin_interval, min_eig
 
@@ -102,6 +103,44 @@ class TestCurvatureCertificate:
             slack = CURVATURE_BOUND_RTOL * (max(1.0, abs(lo), abs(hi))
                                             + 2.0 * sigma * step)
             assert exact - bound <= 1.01 * slack
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           N=st.integers(1, 60),
+           signs=st.sampled_from(["mixed", "nonnegative", "k > n", "negative"]),
+           reg=st.sampled_from([0.0, 1e-3, 1.0]), sigma=st.floats(1e-6, 1e3),
+           step=st.floats(1e-6, 1e3))
+    def test_operator_bound_never_accepts_what_the_dense_test_rejects(
+            self, seed, n, N, signs, reg, sigma, step):
+        # H = A^T diag(w) A / N + reg I as a GramHessian: the bound comes
+        # from the operator's Weyl interval, read before H is formed
+        rng = np.random.default_rng(seed)
+        if signs == "k > n":
+            N = max(N, n + 1)
+        A = rng.standard_normal((N, n)) * rng.uniform(0.1, 10.0)
+        w = rng.standard_normal(N) * rng.uniform(0.1, 10.0)
+        if signs == "nonnegative":
+            w = np.abs(w)
+        elif signs == "negative":
+            w = -np.abs(w)
+        elif signs == "k > n":
+            k = int(rng.integers(n + 1, N + 1))
+            w = np.abs(w)
+            w[rng.permutation(N)[:k]] *= -1.0
+        H = GramHessian(A, w, N, reg)
+        s = rng.standard_normal(n)
+        s *= step / np.linalg.norm(s)
+        bound = model_curvature_bound(ModelContext(analyse_hessian(H), sigma), s)
+        lo, hi = H.interval
+        assert H._matrix is None
+        M = H.toarray()
+        assert bound <= _dense_curvature(M, s, sigma)
+        # the interval brackets the formed matrix's spectrum, to rounding
+        eigs = np.linalg.eigvalsh(M)
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        assert lo <= eigs[0] + tol and eigs[-1] <= hi + tol
+        if signs == "nonnegative":
+            assert lo == reg
 
     def test_sparse_fallback_matches_dense_without_dense_memory(self, rng):
         n = 2500
