@@ -8,6 +8,7 @@ registry, `check` runs the derivative and invariant self-tests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -23,12 +24,13 @@ def cmd_run(args) -> int:
     if not args.config:
         print("run: --config is required", file=sys.stderr)
         return 2
-    cfg = harness.parse_config(args.config)
-    for key in ("out", "seed", "jobs"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
+    overrides = {key: getattr(args, key) for key in ("out", "seed", "jobs")
+                 if getattr(args, key) is not None}
     if args.timing:
-        cfg.timing = True
+        overrides["timing"] = True
+    # replace() rebuilds the config, so an override is checked as the
+    # file's own value is
+    cfg = dataclasses.replace(harness.parse_config(args.config), **overrides)
     os.makedirs(cfg.out, exist_ok=True)
     reports = harness.run_suite(cfg)
     print(harness.summarize(reports))

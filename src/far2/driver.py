@@ -15,12 +15,14 @@ demands positive curvature of every step and of the final Hessian. Reports
 keep the historical name "secant" for a full-space step (StepKind.SECANT,
 n_secant_calls).
 
-Every run records per-iteration traces, the cost counters (nonlinear
-iterations, full-space factorizations, refreshes, average projected
-dimension, subspace-only steps, full-space solves) and a list of monitor
-violations; the monitors assert the per-step decrease inequalities, the
+Every run records one trace record per iteration, and the report's
+tallies (nonlinear iterations, average projected dimension, subspace-only
+steps, full-space solves, rejections) are read from it; only full-space
+factorizations, refreshes and rational solves are counted beside it. A
+SolverError anywhere in an iteration ends the run with solve_failure at its
+last iterate. The monitors assert the per-step decrease inequalities, the
 multiplier identity lambda_hat = sigma*||s_hat||, and the sigma floor on
-every iteration.
+every iteration, and list their violations in the report.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class IterateState:
     basis: KrylovBasis | None = None
 
 
-@dataclass
+@dataclass(slots=True)  # a run holds one per iteration
 class IterationRecord:
     k: int
     f: float
@@ -85,6 +87,9 @@ class IterationRecord:
     dim: int
     accepted: bool
     rho: float
+    # the step's multiplier and norm; NaN, as rho is, on a rejected record
+    lambda_hat: float = math.nan
+    step_norm: float = math.nan
 
 
 @dataclass
@@ -336,14 +341,14 @@ class _Monitors:
                        f"{cubic_dec!r}")
 
 
-def _warm_start(sigma, prev_step_norm, prev_lambda, prev_accepted):
-    # After a rejection the iterate (and so the spectrum) is unchanged and
-    # sigma only grew: the previous multiplier is a sharp lower start. After
-    # an accepted step, sigma times the last step norm tracks the new root.
-    if not prev_accepted and prev_lambda is not None:
-        return prev_lambda
-    if prev_step_norm is not None:
-        return sigma * prev_step_norm
+def _warm_start(sigma, trace: list[IterationRecord]):
+    # Read from the last step taken (a frozen-space rejection takes none).
+    # After a rejected step the iterate (and so the spectrum) is unchanged
+    # and sigma only grew: its multiplier is a sharp lower start. After an
+    # accepted step, sigma times its norm tracks the new root.
+    for rec in reversed(trace):
+        if rec.step_kind != StepKind.REJECTED.value:
+            return sigma * rec.step_norm if rec.accepted else rec.lambda_hat
     return None
 
 
@@ -381,48 +386,41 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     counter = FactorizationCounter()
     x = np.array(problem.x0, dtype=float)
     f, g, H = problem.eval(x, 2)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return RunReport(solver_label, problem.name, problem.n,
-                         Status.SOLVE_FAILURE.value, x, float(f),
-                         float(np.linalg.norm(g)),
-                         message="non-finite oracle values at the start")
-    f0 = float(f)
-    gnorm0 = float(np.linalg.norm(g))
-    eps = max(cfg.eps_rel * gnorm0, 1.0e-14 * (1.0 + abs(f0)))
     state = IterateState(k=0, x=x, f=float(f), g=g,
-                         system=analyse_hessian(H), sigma=cfg.sigma0,
-                         refresh=True, basis=None)
-    mon = _Monitors(f0)
+                         system=analyse_hessian(H), sigma=cfg.sigma0)
+    eps = max(cfg.eps_rel * float(np.linalg.norm(g)),
+              1.0e-14 * (1.0 + abs(state.f)))
+    mon = _Monitors(state.f)
     trace: list[IterationRecord] = []
-    dims: list[int] = []
-    n_refresh = n_sub = n_sec = n_rho = n_club = n_rat = 0
-    prev_step_norm = None
-    prev_lambda = None
-    prev_accepted = True
-    status = None
-    message = ""
+    n_refresh = n_rat = 0
+    status, message = None, ""
+    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        status = Status.SOLVE_FAILURE
+        message = "non-finite oracle values at the start"
 
-    while True:
-        gnorm = float(np.linalg.norm(state.g))
-        if gnorm <= eps and (not so
-                             or min_eig(state.system)[0] >= -cfg.eps_H):
-            status = Status.SECOND_ORDER if so else Status.FIRST_ORDER
-            break
-        if state.k >= cfg.max_iters:
-            status = Status.ITER_LIMIT
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = Status.TIME_LIMIT
-            break
+    # every solver error ends the run at its last iterate, with the trace
+    # and counts so far
+    try:
+        while status is None:
+            gnorm = float(np.linalg.norm(state.g))
+            if gnorm <= eps and (not so
+                                 or min_eig(state.system)[0] >= -cfg.eps_H):
+                status = Status.SECOND_ORDER if so else Status.FIRST_ORDER
+                break
+            if state.k >= cfg.max_iters:
+                status = Status.ITER_LIMIT
+                break
+            if time.perf_counter() - t0 > cfg.time_limit:
+                status = Status.TIME_LIMIT
+                break
 
-        sub = None
-        dim = 0
-        hess_step = None
-        usable = False
-        if frozen:
+            sub = None
+            dim = 0
+            hess_step = None
+            usable = False
             # at a zero gradient (second-order mode only) the projected
             # problem is empty: dimension 0, on to the full-space solve
-            if gnorm > 0.0:
+            if frozen and gnorm > 0.0:
                 if state.basis is None or state.basis.dim == 0:
                     # nothing stored to freeze (zero-gradient start escape)
                     state.refresh = True
@@ -435,94 +433,82 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                     n_rat += len(state.basis.shifts)
                 shat_norm = float(np.linalg.norm(sub.s_hat))
                 usable = not sub.failed and shat_norm > 0.0
-            dims.append(dim)
 
-        if usable and sub.passed:
-            kind, step, lambda_hat = StepKind.SUBSPACE, sub.step_full, sub.lambda_hat
-            hess_step = sub.hess_step
-            n_sub += 1
-        elif usable and (step := _corrector(state, sub, cfg, counter, so)) is not None:
-            kind, lambda_hat = StepKind.REG_NEWTON, sub.lambda_hat
-        elif not frozen or state.refresh:
-            warm = _warm_start(state.sigma, prev_step_norm,
-                               prev_lambda, prev_accepted)
-            try:
+            if usable and sub.passed:
+                kind, step, lambda_hat = StepKind.SUBSPACE, sub.step_full, sub.lambda_hat
+                hess_step = sub.hess_step
+            elif usable and (step := _corrector(state, sub, cfg, counter, so)) is not None:
+                kind, lambda_hat = StepKind.REG_NEWTON, sub.lambda_hat
+            elif not frozen or state.refresh:
                 sol = solve_secular_full_secant(
                     state.g, state.system, state.sigma, cfg.theta1, counter,
-                    warm_lambda=warm)
-            except SolverError as exc:
-                status = Status.SOLVE_FAILURE
-                message = f"full-space secular solve failed: {exc}"
-                break
-            shat_norm = float(np.linalg.norm(sol.step))
-            if so and not _curvature_ok(ModelContext(state.system, state.sigma),
-                                        sol.step, -cfg.theta2 * shat_norm):
-                status = Status.SOLVE_FAILURE
-                message = "secant step failed the model-curvature test"
-                break
-            kind, step, lambda_hat = StepKind.SECANT, sol.step, sol.lam
-            n_sec += 1
-        else:
-            # curvature/ratio rejection on a frozen space: discard it, keep
-            # sigma, and rebuild next iteration
-            n_club += 1
-            trace.append(IterationRecord(
-                state.k, state.f, gnorm, state.sigma,
-                StepKind.REJECTED.value, dim, False, math.nan))
-            state.refresh = True
-            state.k += 1
-            continue
-
-        if hess_step is None:
-            hess_step = np.asarray(state.system.H @ step).ravel()
-        f_trial = problem.eval(state.x + step, 0)[0]
-        accepted, sigma_next, rho, t_dec = acceptance_and_sigma_update(
-            state, step, cfg, f_trial, Hs=hess_step)
-        s_norm = float(np.linalg.norm(step))
-        mon.check_step(state.k, kind, state.sigma, cfg.sigma_min, s_norm,
-                       shat_norm, lambda_hat, t_dec, state.f, f_trial,
-                       accepted, cfg.eta1)
-        if accepted and kind is StepKind.SUBSPACE:
-            cubic_dec = t_dec - state.sigma * s_norm ** 3 / 3.0
-            mon.check_subspace_accept(state.k, sub.model_grad_norm, shat_norm,
-                                      cfg.theta1, cubic_dec)
-
-        trace.append(IterationRecord(state.k, state.f, gnorm, state.sigma,
-                                     kind.value, dim, bool(accepted),
-                                     float(rho)))
-        if accepted:
-            x_new = state.x + step
-            # not held through the oracle's memory peak
-            state.system = None
-            f, g, H = problem.eval(x_new, 2)
-            if not (np.isfinite(f) and np.all(np.isfinite(g))):
-                # the report keeps the last iterate with finite values
-                status = Status.SOLVE_FAILURE
-                message = "oracle returned non-finite values at an accepted point"
+                    warm_lambda=_warm_start(state.sigma, trace))
+                shat_norm = float(np.linalg.norm(sol.step))
+                if so and not _curvature_ok(ModelContext(state.system, state.sigma),
+                                            sol.step, -cfg.theta2 * shat_norm):
+                    status = Status.SOLVE_FAILURE
+                    message = "secant step failed the model-curvature test"
+                    break
+                kind, step, lambda_hat = StepKind.SECANT, sol.step, sol.lam
+            else:
+                # curvature/ratio rejection on a frozen space: discard it,
+                # keep sigma, and rebuild next iteration
+                trace.append(IterationRecord(
+                    state.k, state.f, gnorm, state.sigma,
+                    StepKind.REJECTED.value, dim, False, math.nan))
+                state.refresh = True
                 state.k += 1
-                break
-            state.x, state.f, state.g = x_new, float(f), g
-            state.system = analyse_hessian(H)
-            prev_step_norm = s_norm
-        else:
-            n_rho += 1
-        if lambda_hat is not None and np.isfinite(lambda_hat):
-            prev_lambda = lambda_hat
-        prev_accepted = bool(accepted)
-        state.sigma = sigma_next
-        state.k += 1
-        state.refresh = False
+                continue
 
-    wall = time.perf_counter() - t0
+            if hess_step is None:
+                hess_step = np.asarray(state.system.H @ step).ravel()
+            f_trial = problem.eval(state.x + step, 0)[0]
+            accepted, sigma_next, rho, t_dec = acceptance_and_sigma_update(
+                state, step, cfg, f_trial, Hs=hess_step)
+            s_norm = float(np.linalg.norm(step))
+            mon.check_step(state.k, kind, state.sigma, cfg.sigma_min, s_norm,
+                           shat_norm, lambda_hat, t_dec, state.f, f_trial,
+                           accepted, cfg.eta1)
+            if accepted and kind is StepKind.SUBSPACE:
+                cubic_dec = t_dec - state.sigma * s_norm ** 3 / 3.0
+                mon.check_subspace_accept(state.k, sub.model_grad_norm,
+                                          shat_norm, cfg.theta1, cubic_dec)
+
+            trace.append(IterationRecord(
+                state.k, state.f, gnorm, state.sigma, kind.value, dim,
+                bool(accepted), float(rho), float(lambda_hat), s_norm))
+            state.k += 1
+            if accepted:
+                x_new = state.x + step
+                # not held through the oracle's memory peak
+                state.system = None
+                f, g, H = problem.eval(x_new, 2)
+                if not (np.isfinite(f) and np.all(np.isfinite(g))):
+                    # the report keeps the last iterate with finite values
+                    status = Status.SOLVE_FAILURE
+                    message = "oracle returned non-finite values at an accepted point"
+                    break
+                state.x, state.f, state.g = x_new, float(f), g
+                state.system = analyse_hessian(H)
+            state.sigma = sigma_next
+            state.refresh = False
+    except SolverError as exc:
+        status = Status.SOLVE_FAILURE
+        message = f"{type(exc).__name__} at iteration {state.k}: {exc}"
+
+    kinds = [t.step_kind for t in trace]
+    n_club = kinds.count(StepKind.REJECTED.value)
     return RunReport(
         solver=solver_label, problem=problem.name, n=problem.n,
         status=status.value, x_final=state.x,
         f_final=float(state.f), gnorm_final=float(np.linalg.norm(state.g)),
-        n_nli=state.k, n_fact=counter.count, n_refresh=n_refresh,
-        ave_subspace_dim=float(np.mean(dims)) if dims else 0.0,
-        n_subspace_steps=n_sub, n_secant_calls=n_sec,
-        n_unsuccessful_rho=n_rho, n_unsuccessful_club=n_club,
-        n_rational_solves=n_rat, wall_s=wall, trace=trace,
+        n_nli=len(trace), n_fact=counter.count, n_refresh=n_refresh,
+        ave_subspace_dim=float(np.mean([t.dim for t in trace])) if trace else 0.0,
+        n_subspace_steps=kinds.count(StepKind.SUBSPACE.value),
+        n_secant_calls=kinds.count(StepKind.SECANT.value),
+        n_unsuccessful_rho=sum(not t.accepted for t in trace) - n_club,
+        n_unsuccessful_club=n_club, n_rational_solves=n_rat,
+        wall_s=time.perf_counter() - t0, trace=trace,
         violations=mon.violations, message=message)
 
 

@@ -28,7 +28,7 @@ from .driver import (IterationRecord, RunReport, ar2_solve, far2_solve,
                      far2so_solve)
 from .errors import ConfigError, InternalInvariantError, ProfileError
 from .problems import (get_problem, load_libsvm, logistic_objective,
-                       registry_names, remap_labels, sigmoid_objective,
+                       registry_entry, remap_labels, sigmoid_objective,
                        synth_classification)
 from .second_order import SecondOrderConfig
 
@@ -102,15 +102,17 @@ class SuiteConfig:
         stray = [name for name in self.solver_overrides if name not in self.solvers]
         if stray:
             raise ConfigError(f"overrides for solvers the suite does not run: {stray}")
-        known = set(registry_names())
         for p in self.problems:
             if p.kind == "registry":
-                if p.name.upper() not in known:
-                    raise ConfigError(f"unknown problem {p.name!r}")
-                if p.n < 1:
-                    raise ConfigError(f"problem {p.name!r} needs a dimension")
+                try:
+                    registry_entry(p.name, p.n)
+                except (KeyError, ValueError) as exc:
+                    raise ConfigError(exc.args[0]) from None
             elif p.kind not in ("logistic", "sigmoid"):
                 raise ConfigError(f"unknown problem kind {p.kind!r}")
+            elif p.source == "synth" and min(p.N, p.n) < 1:
+                # a LIBSVM file gives its own N and n
+                raise ConfigError(f"{p.label}: N and n must be positive")
 
 
 def build_problem(spec: ProblemSpec, base_seed: int = 0):
@@ -373,14 +375,6 @@ def parse_config(path) -> SuiteConfig:
         seed=_int("[suite]", "seed", suite.get("seed", 0)),
         jobs=_int("[suite]", "jobs", suite.get("jobs", 1)),
         timing=str(suite.get("timing", "off")).lower() in ("1", "on", "true", "yes"))
-
-
-def reports_equal(a: RunReport, b: RunReport) -> bool:
-    # serialized comparison: NaN-valued fields (e.g. rho on subspace-rejection
-    # records) compare equal through their textual form
-    da = json.dumps(_jsonable(a), sort_keys=True)
-    db = json.dumps(_jsonable(b), sort_keys=True)
-    return da == db
 
 
 def summarize(reports: list[RunReport]) -> str:

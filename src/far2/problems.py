@@ -486,19 +486,24 @@ def registry_names() -> list[str]:
     return sorted(REGISTRY)
 
 
-def get_problem(name: str, n: int) -> ObjectiveProblem:
-    """Instantiate a registry problem at dimension n."""
+def registry_entry(name: str, n: int) -> _RegistryEntry:
+    """The registry entry of `name`, once n meets its dimension rule."""
     key = name.upper()
     if key not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; see registry_names()")
     entry = REGISTRY[key]
-    n = int(n)
     if n < entry.min_n or n % entry.multiple_of != 0:
         raise ValueError(
             f"{key} needs n >= {entry.min_n}"
             + (f" and n % {entry.multiple_of} == 0" if entry.multiple_of > 1 else ""))
-    x0, ev = entry.builder(n)
-    return ObjectiveProblem(key, n, x0, ev)
+    return entry
+
+
+def get_problem(name: str, n: int) -> ObjectiveProblem:
+    """Instantiate a registry problem at dimension n."""
+    n = int(n)
+    x0, ev = registry_entry(name, n).builder(n)
+    return ObjectiveProblem(name.upper(), n, x0, ev)
 
 
 # --- classification objectives --------------------------------------------

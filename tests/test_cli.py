@@ -55,6 +55,18 @@ def test_run_reports_bad_integer(tmp_path, capsys, bad):
     assert "not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_run_checks_option_overrides(tmp_path, capsys, jobs):
+    # an option is checked as the config file's own value is
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_without_reports(tmp_path):
     assert main(["profile", "--out", str(tmp_path)]) == 2
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
-from far2.driver import (IterateState, Status, StepKind,
-                         acceptance_and_sigma_update, ar2_solve, far2_solve,
-                         far2so_solve, regularized_newton_step, step_ratio_ok,
-                         subspace_minimize)
-from far2.errors import EigenSolveError, InternalInvariantError
+from far2.driver import (IterateState, IterationRecord, Status, StepKind,
+                         _warm_start, acceptance_and_sigma_update, ar2_solve,
+                         far2_solve, far2so_solve, regularized_newton_step,
+                         step_ratio_ok, subspace_minimize)
+from far2.errors import (EigenSolveError, InternalInvariantError,
+                         ShiftFailureError)
 from far2.krylov import KrylovBasis, rational_expand
 from far2.problems import ObjectiveProblem, get_problem
 from far2.secular import analyse_hessian
@@ -389,7 +390,9 @@ class TestAr2Solve:
         monkeypatch.setattr("far2.secular.min_eig", fail)
         rep = ar2_solve(get_problem("EG2", 30))
         assert rep.status == "solve_failure"
-        assert rep.message.startswith("full-space secular solve failed")
+        assert rep.message.startswith(
+            f"EigenSolveError at iteration {rep.n_nli}: ")
+        assert rep.n_nli == len(rep.trace)
 
 
 BLOCK_SOLVES = [(s, p) for p in ("WOODS", "POWELLSG", "BDARWHD")
@@ -522,3 +525,75 @@ def test_nonfinite_oracle_exit_reports_the_last_finite_iterate(solve):
     assert "non-finite" in rep.message
     assert problem.eval(rep.x_final, 0)[0] == rep.f_final
     assert abs(problem.eval(rep.x_final, 1)[1][0]) == rep.gnorm_final
+
+
+def assert_ends_at_last_iterate(rep, problem, error):
+    """A solver error mid-run: solve_failure at the last accepted iterate,
+    with the trace and counts of the iterations before it."""
+    assert rep.status == Status.SOLVE_FAILURE.value
+    assert rep.message.startswith(f"{error} at iteration {rep.n_nli}: ")
+    assert rep.n_nli > 0 and rep.n_nli == len(rep.trace)
+    assert math.isfinite(rep.f_final)
+    assert problem.eval(rep.x_final, 0)[0] == rep.f_final
+    assert rep.f_final <= min(t.f for t in rep.trace)
+    assert not rep.violations
+
+
+def test_shift_failure_ends_the_run_at_its_last_iterate(monkeypatch):
+    # ROSENBR-20 under FAR2-RK makes 10 rational expansions over two
+    # refreshes; the last one fails, at iteration 23
+    calls = []
+
+    def expand(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 10:
+            raise ShiftFailureError("shift 0.5 remained singular")
+        return rational_expand(*args, **kwargs)
+
+    monkeypatch.setattr("far2.driver.rational_expand", expand)
+    problem = get_problem("ROSENBR", 20)
+    rep = far2_solve(problem, SolverConfig(space_kind=RATIONAL))
+    assert_ends_at_last_iterate(rep, problem, "ShiftFailureError")
+    # the failed refresh is not counted
+    assert rep.n_fact > 0 and rep.n_refresh == 1
+
+
+def test_termination_eigensolve_failure_ends_the_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigenSolveError("no convergence")
+
+    monkeypatch.setattr("far2.driver.min_eig", fail)
+    problem = get_problem("ROSENBR", 2)
+    rep = far2so_solve(problem, SecondOrderConfig())
+    assert_ends_at_last_iterate(rep, problem, "EigenSolveError")
+    # the failure came at the stationarity test, not before it
+    assert rep.gnorm_final <= 1e-6 * rep.trace[0].gnorm
+
+
+def test_records_carry_multiplier_and_step_norm():
+    reports = [ar2_solve(get_problem("INDEF", 12)),
+               far2_solve(get_problem("INDEF", 12))]
+    records = [t for r in reports for t in r.trace]
+    kinds = {t.step_kind for t in records}
+    assert {"subspace", "secant", "rejected"} <= kinds
+    for t in records:
+        if t.step_kind == "rejected":
+            assert math.isnan(t.lambda_hat) and math.isnan(t.step_norm)
+        elif t.step_kind in ("subspace", "secant"):
+            assert (abs(t.lambda_hat - t.sigma * t.step_norm)
+                    <= 1e-8 * t.lambda_hat)
+
+
+def test_warm_start_reads_the_last_step_taken():
+    def rec(kind, accepted, lam=math.nan, norm=math.nan):
+        return IterationRecord(0, 0.0, 1.0, 1.0, kind, 0, accepted, 0.5,
+                               lam, norm)
+
+    taken = rec("secant", True, 0.3, 0.2)
+    refused = rec("newton", False, 0.7, 0.4)
+    frozen_rejection = rec("rejected", False)
+    assert _warm_start(2.0, []) is None
+    assert _warm_start(2.0, [taken]) == 2.0 * 0.2
+    assert _warm_start(2.0, [taken, refused]) == 0.7
+    assert _warm_start(2.0, [refused, taken, frozen_rejection]) == 2.0 * 0.2
+    assert _warm_start(2.0, [frozen_rejection]) is None

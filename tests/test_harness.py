@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,15 +12,22 @@ from far2.config import RATIONAL
 from far2.driver import RunReport
 from far2.errors import ConfigError, InternalInvariantError, ProfileError
 from far2.harness import (CSV_COLUMNS, SOLVERS, ProblemSpec, SuiteConfig,
-                          build_problem, build_solver_config, parse_config,
-                          performance_profile, read_reports_json,
-                          reports_equal, run_suite, write_reports_csv,
+                          _jsonable, build_problem, build_solver_config,
+                          parse_config, performance_profile,
+                          read_reports_json, run_suite, write_reports_csv,
                           write_reports_json)
 from far2.problems import registry_names
 
 
 def spec(name, n):
     return ProblemSpec(kind="registry", name=name, n=n)
+
+
+def reports_equal(a: RunReport, b: RunReport) -> bool:
+    # serialized comparison: NaN-valued fields (rho, lambda_hat and step_norm
+    # on subspace-rejection records) compare equal through their textual form
+    return (json.dumps(_jsonable(a), sort_keys=True)
+            == json.dumps(_jsonable(b), sort_keys=True))
 
 
 def fake_report(solver, problem, n_fact, status="first_order_point"):
@@ -42,6 +50,17 @@ class TestSuiteConfig:
     def test_unknown_problem_before_any_run(self):
         with pytest.raises(ConfigError):
             SuiteConfig(solvers=["AR2"], problems=[spec("NOSUCH", 4)])
+
+    @pytest.mark.parametrize("problem,match", [
+        (spec("WOODS", 10), "WOODS needs n >= 4 and n % 4 == 0"),
+        (spec("EG2", 2), "EG2 needs n >= 3"),
+        (spec("QUAD", 0), "QUAD needs n >= 1"),
+        (ProblemSpec(kind="logistic", N=0, n=5), "N and n must be positive"),
+        (ProblemSpec(kind="sigmoid", N=40), "N and n must be positive"),
+    ], ids=["woods-10", "eg2-2", "quad-0", "logistic-N0", "sigmoid-n0"])
+    def test_dimension_the_oracle_rejects(self, problem, match):
+        with pytest.raises(ConfigError, match=match):
+            SuiteConfig(solvers=["AR2"], problems=[problem])
 
     def test_repeated_solver(self):
         with pytest.raises(ConfigError, match="FAR2-PK"):
@@ -231,6 +250,20 @@ class TestSerialization:
         back = read_reports_json(path)
         assert len(back) == len(reports)
         assert all(reports_equal(a, b) for a, b in zip(reports, back))
+
+    def test_records_written_before_lambda_hat_and_step_norm_load(self, tmp_path):
+        reports = run_suite(SuiteConfig(solvers=["AR2"], problems=[spec("QUAD", 4)]))
+        path = tmp_path / "reports.json"
+        write_reports_json(reports, path)
+        payload = json.loads(path.read_text())
+        for t in payload["reports"][0]["trace"]:
+            del t["lambda_hat"], t["step_norm"]
+        path.write_text(json.dumps(payload))
+        [back] = read_reports_json(path)
+        assert len(back.trace) == reports[0].n_nli > 0
+        assert all(math.isnan(t.lambda_hat) and math.isnan(t.step_norm)
+                   for t in back.trace)
+        assert [t.rho for t in back.trace] == [t.rho for t in reports[0].trace]
 
     def test_csv_columns_and_determinism(self, tmp_path):
         cfg = SuiteConfig(solvers=["AR2", "FAR2-PK"],
