@@ -36,13 +36,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import RATIONAL, SolverConfig
-from .errors import (InternalInvariantError, ReducedSolveError,
-                     SingularShiftError, SolverError)
+from .errors import InternalInvariantError, SingularShiftError, SolverError
 from .krylov import KrylovBasis, orth_augment, poly_expand, rational_expand
 from .model import ModelContext, model_curvature_bound, model_curvature_min
 from .secular import (FactorizationCounter, ShiftedFactorization,
-                      ShiftedSystem, analyse_hessian,
-                      solve_secular_full_secant, solve_secular_reduced)
+                      ShiftedSystem, solve_secular_full_secant,
+                      solve_secular_reduced)
 from .second_order import SecondOrderConfig, min_eig
 
 
@@ -65,7 +64,8 @@ class StepKind(Enum):
 class IterateState:
     """Full state of one nonlinear iteration; `system` is the oracle's H,
     analysed at most once, on first use, for every shifted factorization
-    and eigensolve at this iterate."""
+    and eigensolve at this iterate, and `basis` the subspace that the last
+    refresh built (subspace_minimize stores it here)."""
 
     k: int
     x: np.ndarray
@@ -128,18 +128,16 @@ class SubspaceResult:
 
     lambda_hat: float
     s_hat: np.ndarray
-    H_r: np.ndarray | None
-    basis: KrylovBasis
+    H_r: np.ndarray
     step_full: np.ndarray
     hess_step: np.ndarray
     model_grad_norm: float
     passed: bool
     dim: int
-    failed: bool = False
 
 
 def _ritz_interval(H_r: np.ndarray, system: ShiftedSystem) -> tuple[float, float]:
-    if H_r is not None and H_r.shape[0] >= 2:
+    if H_r.shape[0] >= 2:
         vals = sla.eigvalsh(H_r)
         return float(vals[0]), float(vals[-1])
     return system.interval
@@ -150,21 +148,14 @@ def _append_product(HV: np.ndarray, H, v: np.ndarray) -> np.ndarray:
     return np.hstack([HV, np.asarray(H @ v, dtype=float).reshape(-1, 1)])
 
 
-def _project(state: IterateState, cfg: SolverConfig, ctx, basis,
+def _project(state: IterateState, cfg: SolverConfig, ctx,
              W: np.ndarray, HW: np.ndarray) -> SubspaceResult:
     """Minimize the cubic model over range(W), given HW = H @ W; ctx is the
     model context in second-order mode, else None."""
     g, sigma = state.g, state.sigma
     H_r = W.T @ HW
     H_r = 0.5 * (H_r + H_r.T)  # exactly symmetric, as the reduced solve needs
-    try:
-        sol = solve_secular_reduced(W.T @ g, H_r, sigma)
-    except ReducedSolveError:
-        z = np.zeros_like(g)
-        return SubspaceResult(
-            lambda_hat=math.nan, s_hat=np.zeros(0), H_r=None, basis=basis,
-            step_full=z, hess_step=z, model_grad_norm=math.inf,
-            passed=False, dim=W.shape[1], failed=True)
+    sol = solve_secular_reduced(W.T @ g, H_r, sigma)
     step_full = W @ sol.step
     hess_step = HW @ sol.step
     shat_norm = float(np.linalg.norm(sol.step))
@@ -173,7 +164,7 @@ def _project(state: IterateState, cfg: SolverConfig, ctx, basis,
               and (ctx is None or _curvature_ok(ctx, step_full,
                                                 -cfg.theta2 * shat_norm)))
     return SubspaceResult(
-        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r, basis=basis,
+        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r,
         step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
         passed=passed, dim=W.shape[1])
 
@@ -181,15 +172,17 @@ def _project(state: IterateState, cfg: SolverConfig, ctx, basis,
 def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     """One pass of the projected-minimization routine.
 
-    Refreshing: rebuilds the space from the gradient and solves the
-    projected secular equation at every inner dimension, returning once the
-    result has passed; at most j_max - 1 expansions, none past j_max
-    columns. V and H @ V grow by one column, one H·v, per expansion, the
-    product made by the iteration that projects on it: the polynomial
-    space holds g and is never re-augmented, the rational space is
-    augmented with g (one more H·v) before each projection. Frozen: one
-    augmentation, projection and reduced solve against the stored basis,
-    which is carried over unchanged.
+    Refreshing: rebuilds the space from the gradient, stores it on the
+    iterate (state.basis) before expanding it, and solves the projected
+    secular equation at every inner dimension, returning once the result
+    has passed; at most j_max - 1 expansions, none past j_max columns. V
+    and H @ V grow by one column, one H·v, per expansion, the product made
+    by the iteration that projects on it: the polynomial space holds g
+    and is never re-augmented, the rational space is augmented with g (one
+    more H·v) before each projection. Frozen: one augmentation, projection
+    and reduced solve against the stored basis, which is carried over
+    unchanged. A solver error propagates, with the space built so far on
+    the iterate.
     """
     g = state.g
     if float(np.linalg.norm(g)) == 0.0:
@@ -199,12 +192,11 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
            if isinstance(cfg, SecondOrderConfig) else None)
 
     if not state.refresh:
-        basis = state.basis
-        W = orth_augment(basis, g)
-        return _project(state, cfg, ctx, basis, W, np.asarray(H @ W))
+        W = orth_augment(state.basis, g)
+        return _project(state, cfg, ctx, W, np.asarray(H @ W))
 
     rational = cfg.space_kind == RATIONAL
-    basis = KrylovBasis.fresh(g, cfg.space_kind)
+    state.basis = basis = KrylovBasis.fresh(g, cfg.space_kind)
     HV = np.empty((g.size, 0))
     for _ in range(max(1, cfg.j_max - 1)):
         if HV.shape[1] < basis.dim:
@@ -214,9 +206,9 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
             HW = HV if W.shape[1] == basis.dim else _append_product(HV, H, W[:, -1])
         else:
             W, HW = basis.V, HV  # g is V's first direction
-        res = _project(state, cfg, ctx, basis, W, HW)
+        res = _project(state, cfg, ctx, W, HW)
         del W, HW  # hold no extra n x j array across the expansion
-        if res.failed or res.passed:
+        if res.passed:
             return res
         dim_before = basis.dim
         if dim_before >= cfg.j_max:
@@ -359,8 +351,6 @@ def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
     It must pass the curvature gate (strict positive definiteness in
     second-order mode) and the step-ratio test against s_hat.
     """
-    if not (np.isfinite(sub.lambda_hat) and sub.lambda_hat >= 0.0):
-        return None
     s, ok = regularized_newton_step(state, sub.lambda_hat, counter,
                                     require_positive_definite=so)
     return s if ok and step_ratio_ok(s, sub.s_hat, cfg) else None
@@ -387,7 +377,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     x = np.array(problem.x0, dtype=float)
     f, g, H = problem.eval(x, 2)
     state = IterateState(k=0, x=x, f=float(f), g=g,
-                         system=analyse_hessian(H), sigma=cfg.sigma0)
+                         system=ShiftedSystem(H), sigma=cfg.sigma0)
     eps = max(cfg.eps_rel * float(np.linalg.norm(g)),
               1.0e-14 * (1.0 + abs(state.f)))
     mon = _Monitors(state.f)
@@ -424,15 +414,16 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                 if state.basis is None or state.basis.dim == 0:
                     # nothing stored to freeze (zero-gradient start escape)
                     state.refresh = True
-                sub = subspace_minimize(state, cfg)
-                state.basis, dim = sub.basis, sub.dim
                 if state.refresh:
+                    # counted as it starts, so that one a solver error
+                    # interrupts counts too, with the shifts of the space
+                    # it replaces (the report adds the last space's)
                     n_refresh += 1
-                    # a shift per rational solve, the last, never
-                    # projected on, included
-                    n_rat += len(state.basis.shifts)
+                    n_rat += len(state.basis.shifts) if state.basis else 0
+                sub = subspace_minimize(state, cfg)
+                dim = sub.dim
                 shat_norm = float(np.linalg.norm(sub.s_hat))
-                usable = not sub.failed and shat_norm > 0.0
+                usable = shat_norm > 0.0
 
             if usable and sub.passed:
                 kind, step, lambda_hat = StepKind.SUBSPACE, sub.step_full, sub.lambda_hat
@@ -489,7 +480,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                     message = "oracle returned non-finite values at an accepted point"
                     break
                 state.x, state.f, state.g = x_new, float(f), g
-                state.system = analyse_hessian(H)
+                state.system = ShiftedSystem(H)
             state.sigma = sigma_next
             state.refresh = False
     except SolverError as exc:
@@ -507,7 +498,9 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
         n_subspace_steps=kinds.count(StepKind.SUBSPACE.value),
         n_secant_calls=kinds.count(StepKind.SECANT.value),
         n_unsuccessful_rho=sum(not t.accepted for t in trace) - n_club,
-        n_unsuccessful_club=n_club, n_rational_solves=n_rat,
+        n_unsuccessful_club=n_club,
+        # a shift per rational solve, the last, never projected on, included
+        n_rational_solves=n_rat + (len(state.basis.shifts) if state.basis else 0),
         wall_s=time.perf_counter() - t0, trace=trace,
         violations=mon.violations, message=message)
 

@@ -110,9 +110,13 @@ class SuiteConfig:
                     raise ConfigError(exc.args[0]) from None
             elif p.kind not in ("logistic", "sigmoid"):
                 raise ConfigError(f"unknown problem kind {p.kind!r}")
-            elif p.source == "synth" and min(p.N, p.n) < 1:
-                # a LIBSVM file gives its own N and n
-                raise ConfigError(f"{p.label}: N and n must be positive")
+            elif p.source == "synth":
+                # a LIBSVM file gives its own N and n, and takes no seed
+                if min(p.N, p.n) < 1:
+                    raise ConfigError(f"{p.label}: N and n must be positive")
+                if p.seed + self.seed < 0:
+                    raise ConfigError(f"{p.label}: seed {p.seed} plus suite "
+                                      f"seed {self.seed} is negative")
 
 
 def build_problem(spec: ProblemSpec, base_seed: int = 0):

@@ -57,7 +57,7 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     """Smallest eigenvalue of H + shift I (+ c u u^T), optionally with a
     unit eigenvector.
 
-    `system` is H's ShiftedSystem (secular.analyse_hessian); H must be
+    `system` is H's secular.ShiftedSystem; H must be
     exactly symmetric (H == H.T bit for bit, as every oracle returns it).
     rank_one = (c, u) with c >= 0 adds c u u^T. Up to DENSE_EIG_CUTOFF the
     matrix is formed densely and the dense symmetric eigensolver returns

@@ -10,10 +10,10 @@ pseudoinverse solve with an eigenvector component whose weight restores
 Full-space solves go through ShiftedFactorization, the one place that
 factors H + lambda I, so the run can count them. It tests positive
 definiteness by Cholesky in the storage H's structure allows (tridiagonal,
-banded or dense), solves with that factor, and builds a pivoted indefinite
-factorization only when asked to solve at a shift that is not positive
-definite. It factors a ShiftedSystem (analyse_hessian), which the
-nonlinear loop makes once per oracle Hessian: the full-space solve, the
+banded or dense) and solves with that factor; a shift that is not
+positive definite is solved by one pivoted factorization (sytrf, or LU on
+the band). It factors a ShiftedSystem, which the nonlinear loop makes
+once per oracle Hessian: the full-space solve, the
 Newton corrector, the rational Krylov expansions and the eigensolves
 (second_order.min_eig) of an iterate all read that one analysis, made
 when the first of them asks for it. Reduced
@@ -39,9 +39,8 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import (_compute_lwork, dgbtrf, dgbtrs, dgttrf,
-                                 dgttrs, dpbtrf, dpbtrs, dpotrf, dpotrs,
-                                 dpttrf, dpttrs)
+from scipy.linalg.lapack import (_compute_lwork, dpbtrf, dpbtrs, dpotrf,
+                                 dpotrs, dpttrf, dpttrs)
 
 from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
 from .second_order import gershgorin_interval, hessian_matrix, min_eig
@@ -71,9 +70,6 @@ class FactorizationCounter:
 
     count: int = 0
 
-    def bump(self, k: int = 1) -> None:
-        self.count += k
-
 
 @dataclass
 class SecularSolution:
@@ -98,9 +94,8 @@ class ShiftedSystem:
     MAX_BAND_KD, and None otherwise. `dense` holds H as a float array (a
     sparse H densified once), whatever its storage; factorizations read it
     only when `band` is None. `interval` holds H's Gershgorin bounds
-    (lower, upper). Build it with analyse_hessian; the nonlinear loop keeps
-    one per oracle Hessian on its IterateState, and factorizations only
-    read it.
+    (lower, upper). The nonlinear loop keeps one per oracle Hessian on its
+    IterateState, and factorizations only read it.
     """
 
     H: object
@@ -124,7 +119,8 @@ def _lower_band(H) -> np.ndarray | None:
 
     The half-bandwidth comes from a sparse H's pattern, or from one count
     of a dense H's nonzeros matched against those of its first diagonals.
-    An H with n < 3 is left dense (scipy's gttrf wrapper needs n >= 3).
+    An H with n < 3 is left dense: pttrf rejects n = 1, and runs at n = 2
+    keep their dense factorizations.
     """
     n = H.shape[0]
     if n < 3:
@@ -157,11 +153,6 @@ def _lower_band(H) -> np.ndarray | None:
     return ab
 
 
-def analyse_hessian(H) -> ShiftedSystem:
-    """The ShiftedSystem of H, analysed when a factorization first needs it."""
-    return ShiftedSystem(H)
-
-
 def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
     """A + lam*I as a new Fortran-ordered array, for LAPACK to overwrite."""
     B = A.copy(order="F")
@@ -177,10 +168,10 @@ class ShiftedFactorization:
     storage: pttrf for tridiagonal, pbtrf for banded and potrf for dense
     H. `positive_definite` is that factorization's success, and solve()
     uses its factor (pttrs, pbtrs, potrs). If B is not positive
-    definite, the first solve() builds a pivoted indefinite factorization
-    (gttrf, gbtrf or sytrf), raising SingularShiftError on an exact zero
-    pivot. Each construction bumps `counter`, if given, by one; the
-    Lanczos path of min_eig factors without one.
+    definite, solve() instead makes one pivoted factorization and solve
+    (_pivoted_solve), raising SingularShiftError on an exact zero pivot.
+    Each construction adds one to `counter`, if given; the Lanczos path of
+    min_eig factors without one.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,
@@ -205,45 +196,47 @@ class ShiftedFactorization:
         if info < 0:
             raise ValueError(f"Cholesky: illegal argument {-info}")
         self.positive_definite = info == 0
-        # a failed Cholesky leaves no usable factor: solve() builds one
+        # a failed Cholesky leaves no usable factor: its storage goes now
         self._solve = solve if self.positive_definite else None
         if counter is not None:
-            counter.bump()
+            counter.count += 1
 
-    def _indefinite_solver(self):
-        """Solver from a pivoted factorization of B, for a non-PD shift."""
+    def _pivoted_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve B x = rhs by one pivoted factorization of B, for a shift
+        that is not positive definite: sytrf and sytrs on dense storage,
+        LU on the full band (solve_banded: gtsv when tridiagonal, else
+        gbsv)."""
         ab, lam = self._system.band, self._lam
-        if ab is None:
-            B = _shifted_dense(self._system.dense, lam)
-            lwork = _compute_lwork(_sytrf_lwork, B.shape[0], lower=1)
-            ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork, overwrite_a=1)
-            solve = partial(_sytrs, ldu, ipiv, lower=1)
-        elif ab.shape[0] == 2:
-            e = ab[1, :-1]
-            *lu, info = dgttrf(e, ab[0] + lam, e)
-            solve = partial(dgttrs, *lu)
-        else:
-            # general band storage: row 2 kd + i - j holds B[i, j]
+        singular = f"H + {lam!r} I is singular (exact zero pivot)"
+        if ab is not None:
+            # solve_banded's storage: row kd + i - j holds B[i, j]
             kd, n = ab.shape[0] - 1, ab.shape[1]
-            G = np.zeros((3 * kd + 1, n), order="F")
+            G = np.zeros((2 * kd + 1, n))
             for k in range(kd + 1):
-                G[2 * kd + k, : n - k] = ab[k, : n - k]
-                G[2 * kd - k, k:] = ab[k, : n - k]
-            G[2 * kd] += lam
-            lu, ipiv, info = dgbtrf(G, kd, kd, overwrite_ab=1)
-            solve = partial(dgbtrs, lu, kd, kd, ipiv=ipiv)
+                G[kd + k, : n - k] = ab[k, : n - k]
+                G[kd - k, k:] = ab[k, : n - k]
+            G[kd] += lam
+            try:
+                return sla.solve_banded((kd, kd), G, rhs, overwrite_ab=True,
+                                        check_finite=False)
+            except sla.LinAlgError as exc:
+                raise SingularShiftError(singular) from exc
+        B = _shifted_dense(self._system.dense, lam)
+        lwork = _compute_lwork(_sytrf_lwork, B.shape[0], lower=1)
+        ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork, overwrite_a=1)
         if info < 0:
-            raise ValueError(f"indefinite factorization: illegal argument {-info}")
+            raise ValueError(f"sytrf: illegal argument {-info}")
         if info > 0:
-            raise SingularShiftError(
-                f"H + {lam!r} I is singular (exact zero pivot)")
-        return solve
+            raise SingularShiftError(singular)
+        return _sytrs(ldu, ipiv, rhs, lower=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H + lambda I) x = rhs through the stored factors."""
-        if self._solve is None:
-            self._solve = self._indefinite_solver()
-        x, info = self._solve(np.asarray(rhs, dtype=float))
+        """Solve (H + lambda I) x = rhs, through the Cholesky factor when
+        B is positive definite."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not self.positive_definite:
+            return self._pivoted_solve(rhs)
+        x, info = self._solve(rhs)
         if info != 0:
             raise SingularShiftError("back-substitution failed on stored factors")
         return x
@@ -367,7 +360,7 @@ def _spectral_fallback(g, system: ShiftedSystem, sigma, counter, hi=None,
     """
     lam1, v1 = min_eig(system, want_vector=True)
     if counter is not None:
-        counter.bump()
+        counter.count += 1
     if p is None:
         hi, p = max(0.0, -lam1), np.zeros(g.size)
     step, alpha = _boundary_step(g, system.H, p, v1, hi / sigma)

@@ -26,7 +26,7 @@ from far2.krylov import KrylovBasis, orth_augment, orthonormality_defect, poly_e
 from far2.problems import (REGISTRY, ObjectiveProblem, check_derivatives,
                            get_problem, logistic_objective, registry_names,
                            remap_labels, sigmoid_objective, synth_classification)
-from far2.secular import SecularCase, analyse_hessian, solve_secular_reduced
+from far2.secular import SecularCase, ShiftedSystem, solve_secular_reduced
 from far2 import far2so_solve
 from far2.second_order import SecondOrderConfig, min_eig
 
@@ -224,7 +224,7 @@ def test_criterion_7_second_order_saddle_escape():
     first_b = far2_solve(bounded, SolverConfig())
     first_b_ok = first_b.status == "first_order_point" and first_b.n_nli == 0
     rep_b = far2so_solve(bounded, so_cfg)
-    lam_b = min_eig(analyse_hessian(
+    lam_b = min_eig(ShiftedSystem(
         bounded.eval(np.asarray(rep_b.x_final), 2)[2]))[0]
     certified = (rep_b.n_nli >= 1 and rep_b.status == "second_order_point"
                  and rep_b.f_final == pytest.approx(-0.5)

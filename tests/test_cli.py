@@ -67,6 +67,17 @@ def test_run_checks_option_overrides(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_run_rejects_a_negative_seed(tmp_path, capsys):
+    # the suite seed is added to each synthetic problem's own
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE + "[problem]\nkind = logistic\nN = 40\nn = 4\n")
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--seed", "-5"]) == 2
+    assert "is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_without_reports(tmp_path):
     assert main(["profile", "--out", str(tmp_path)]) == 2
 

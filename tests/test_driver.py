@@ -10,10 +10,10 @@ from far2.driver import (IterateState, IterationRecord, Status, StepKind,
                          far2_solve, far2so_solve, regularized_newton_step,
                          step_ratio_ok, subspace_minimize)
 from far2.errors import (EigenSolveError, InternalInvariantError,
-                         ShiftFailureError)
+                         ReducedSolveError, ShiftFailureError)
 from far2.krylov import KrylovBasis, rational_expand
 from far2.problems import ObjectiveProblem, get_problem
-from far2.secular import analyse_hessian
+from far2.secular import ShiftedSystem, solve_secular_reduced
 from far2.second_order import SecondOrderConfig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -22,7 +22,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def make_state(g, H, sigma=1.0, f=0.0, refresh=True, basis=None):
     g = np.asarray(g, dtype=float)
     return IterateState(k=0, x=np.zeros(g.size), f=f, g=g,
-                        system=analyse_hessian(np.asarray(H, float)),
+                        system=ShiftedSystem(np.asarray(H, float)),
                         sigma=sigma, refresh=refresh, basis=basis)
 
 
@@ -146,7 +146,7 @@ class TestSubspaceMinimize:
         g = np.array([0.0, 0.0, 1.0])
         state = make_state(g, np.diag([1.0, 2.0, 3.0]), refresh=False, basis=basis)
         res = subspace_minimize(state, SolverConfig())
-        assert res.basis is basis
+        assert state.basis is basis
         assert res.dim == 2
         np.testing.assert_allclose(res.H_r, np.diag([1.0, 3.0]), atol=1e-12)
 
@@ -193,10 +193,10 @@ class TestSubspaceMinimize:
 
         H = CountingH(np.diag(np.arange(1.0, 21.0)))
         state = IterateState(k=0, x=np.zeros(20), f=0.0, g=np.ones(20),
-                             system=analyse_hessian(H), sigma=1.0)
+                             system=ShiftedSystem(H), sigma=1.0)
         res = subspace_minimize(state, SolverConfig(j_max=5, theta1=1e-300))
         assert not res.passed
-        assert (res.dim, res.basis.dim, H.products) == (4, 5, 4)
+        assert (res.dim, state.basis.dim, H.products) == (4, 5, 4)
 
     def test_polynomial_refresh_memory(self):
         # V and H @ V grow a column at a time and nothing else of size n x j
@@ -205,7 +205,7 @@ class TestSubspaceMinimize:
         p = get_problem("TRIDIA", 20000)
         f, g, H = p.eval(p.x0, 2)
         state = IterateState(k=0, x=p.x0.copy(), f=float(f), g=g,
-                             system=analyse_hessian(H), sigma=1.0,
+                             system=ShiftedSystem(H), sigma=1.0,
                              refresh=True)
         tracemalloc.start()
         try:
@@ -213,7 +213,6 @@ class TestSubspaceMinimize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not res.failed
         assert res.dim == 49
         assert peak < 28e6
 
@@ -447,27 +446,17 @@ def test_each_oracle_hessian_analysed_once(monkeypatch, solver, name):
     expansions of that iterate all factor the same analysis, made at most
     once: AR2 analyses every Hessian but the final one, which it never
     factors."""
-    import sys
-
+    import far2.driver as driver
     import far2.secular as secular
     from far2.harness import ProblemSpec, build_solver_config
 
     calls = []
-    original = secular.analyse_hessian
-
-    def counted(H):
-        calls.append(1)
-        return original(H)
-
+    monkeypatch.setattr(driver, "ShiftedSystem",
+                        lambda H: calls.append(1) or secular.ShiftedSystem(H))
     bands = []
     lower_band = secular._lower_band
     monkeypatch.setattr(secular, "_lower_band",
                         lambda H: bands.append(1) or lower_band(H))
-
-    for modname, module in list(sys.modules.items()):
-        if (modname.startswith("far2.")
-                and getattr(module, "analyse_hessian", None) is original):
-            monkeypatch.setattr(module, "analyse_hessian", counted)
     problem = get_problem(name, 100)
     cfg = build_solver_config(solver, ProblemSpec(name=name, n=100), {})
     rep = (ar2_solve if solver == "AR2" else far2_solve)(problem, cfg)
@@ -554,8 +543,29 @@ def test_shift_failure_ends_the_run_at_its_last_iterate(monkeypatch):
     problem = get_problem("ROSENBR", 20)
     rep = far2_solve(problem, SolverConfig(space_kind=RATIONAL))
     assert_ends_at_last_iterate(rep, problem, "ShiftFailureError")
-    # the failed refresh is not counted
-    assert rep.n_fact > 0 and rep.n_refresh == 1
+    # the interrupted refresh counts, with the four rational solves it made
+    # before its failing fifth
+    assert rep.n_fact > 0
+    assert (rep.n_refresh, rep.n_rational_solves) == (2, 9)
+
+
+def test_reduced_solve_failure_ends_the_run_at_its_last_iterate(monkeypatch):
+    # ROSENBR-20 under FAR2-PK makes 11 projected solves in its first
+    # refresh and one per frozen iteration after it; the 20th, at iteration
+    # 9, raises, and no other step stands in for it
+    calls = []
+
+    def reduced(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 20:
+            raise ReducedSolveError("could not bracket the secular root")
+        return solve_secular_reduced(*args, **kwargs)
+
+    monkeypatch.setattr("far2.driver.solve_secular_reduced", reduced)
+    problem = get_problem("ROSENBR", 20)
+    rep = far2_solve(problem, SolverConfig())
+    assert_ends_at_last_iterate(rep, problem, "ReducedSolveError")
+    assert len(calls) == 20 and rep.n_nli == 9
 
 
 def test_termination_eigensolve_failure_ends_the_run(monkeypatch):

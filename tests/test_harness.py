@@ -62,6 +62,20 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError, match=match):
             SuiteConfig(solvers=["AR2"], problems=[problem])
 
+    @pytest.mark.parametrize("problem,seed", [
+        (ProblemSpec(kind="logistic", N=50, n=5, seed=-3), 0),
+        (ProblemSpec(kind="sigmoid", N=50, n=5, seed=1), -2),
+    ], ids=["problem-seed", "suite-seed"])
+    def test_negative_synthetic_seed(self, problem, seed):
+        # the data generator rejects it, so no run would succeed
+        with pytest.raises(ConfigError, match="is negative"):
+            SuiteConfig(solvers=["AR2"], problems=[problem], seed=seed)
+
+    def test_seeds_that_sum_to_a_valid_one(self):
+        SuiteConfig(solvers=["AR2"], seed=-2,
+                    problems=[ProblemSpec(kind="logistic", N=50, n=5, seed=2),
+                              spec("QUAD", 4)])
+
     def test_repeated_solver(self):
         with pytest.raises(ConfigError, match="FAR2-PK"):
             SuiteConfig(solvers=["FAR2-PK", "AR2", "FAR2-PK"],

@@ -7,7 +7,7 @@ from conftest import random_symmetric
 from far2.config import POLYNOMIAL, RATIONAL
 from far2.krylov import (KrylovBasis, orth_augment, orthonormality_defect,
                          poly_expand, rational_expand)
-from far2.secular import analyse_hessian
+from far2.secular import ShiftedSystem
 
 
 def laplacian(n):
@@ -72,7 +72,7 @@ class TestRationalExpand:
         H = np.diag([1.0, 2.0])
         g = np.array([1.0, 1.0]) / np.sqrt(2.0)
         basis = KrylovBasis.fresh(g, RATIONAL)
-        rational_expand(analyse_hessian(H), basis, (1.0, 2.0), shift=1.0)
+        rational_expand(ShiftedSystem(H), basis, (1.0, 2.0), shift=1.0)
         expected = np.array([0.5, 1.0 / 3.0])
         expected /= np.linalg.norm(expected)
         assert np.allclose(np.abs(basis.V[:, 0]), expected, atol=1e-12)
@@ -82,7 +82,7 @@ class TestRationalExpand:
     def test_happy_breakdown_identity(self, rng):
         g = rng.standard_normal(5)
         basis = KrylovBasis.fresh(g, RATIONAL)
-        system = analyse_hessian(np.eye(5))
+        system = ShiftedSystem(np.eye(5))
         rational_expand(system, basis, (1.0, 1.0), shift=2.0)
         assert basis.dim == 1
         rational_expand(system, basis, (1.0, 1.0), shift=0.7)
@@ -99,7 +99,7 @@ class TestRationalExpand:
         for _ in range(8):
             poly_expand(H, pk)
         rk = KrylovBasis.fresh(g, RATIONAL)
-        system = analyse_hessian(H)
+        system = ShiftedSystem(H)
         for _ in range(8):
             rational_expand(system, rk, interval)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from far2.model import (CURVATURE_BOUND_RTOL, ModelContext,
                         model_curvature_bound, model_curvature_min)
 from far2.problems import GramHessian
-from far2.secular import analyse_hessian
+from far2.secular import ShiftedSystem
 from far2.second_order import gershgorin_interval, min_eig
 
 
@@ -21,22 +21,22 @@ def e1(n):
 
 class TestModelCurvatureMin:
     def test_zero_step_reduces_to_hessian(self):
-        ctx = ModelContext(analyse_hessian(np.diag([2.0, 5.0])), 3.0)
+        ctx = ModelContext(ShiftedSystem(np.diag([2.0, 5.0])), 3.0)
         assert model_curvature_min(ctx, np.zeros(2)) == pytest.approx(2.0)
 
     def test_two_by_two(self):
-        ctx = ModelContext(analyse_hessian(np.diag([-1.0, 1.0])), 1.0)
+        ctx = ModelContext(ShiftedSystem(np.diag([-1.0, 1.0])), 1.0)
         assert model_curvature_min(ctx, e1(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one_bump(self):
-        ctx = ModelContext(analyse_hessian(np.zeros((3, 3))), 2.0)
+        ctx = ModelContext(ShiftedSystem(np.zeros((3, 3))), 2.0)
         assert model_curvature_min(ctx, e1(3)) == pytest.approx(2.0, abs=1e-12)
 
     def test_eigenvalue_lower_bound(self, rng):
         n = 5
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        ctx = ModelContext(analyse_hessian(H), 1.3)
+        ctx = ModelContext(ShiftedSystem(H), 1.3)
         s = rng.standard_normal(n)
         lam = model_curvature_min(ctx, s)
         snorm = np.linalg.norm(s)
@@ -58,8 +58,8 @@ class TestModelCurvatureMin:
         snorm = float(np.linalg.norm(s))
         M = H + 1.3 * snorm * np.eye(n) + (1.3 / snorm) * np.outer(s, s)
         ctx = ModelContext(
-            analyse_hessian(sp.csr_matrix(H) if storage == "sparse" else H), 1.3)
-        assert model_curvature_min(ctx, s) == min_eig(analyse_hessian(M))[0]
+            ShiftedSystem(sp.csr_matrix(H) if storage == "sparse" else H), 1.3)
+        assert model_curvature_min(ctx, s) == min_eig(ShiftedSystem(M))[0]
 
 
 def _dense_curvature(H, s, sigma):
@@ -92,7 +92,7 @@ class TestCurvatureCertificate:
             A = rng.standard_normal((n, n)) * rng.uniform(0.1, 100.0)
             H = 0.5 * (A + A.T)
         s *= step / np.linalg.norm(s)
-        ctx = ModelContext(analyse_hessian(H), sigma)
+        ctx = ModelContext(ShiftedSystem(H), sigma)
         bound = model_curvature_bound(ctx, s)
         exact = _dense_curvature(H, s, sigma)
         assert bound <= exact
@@ -130,7 +130,7 @@ class TestCurvatureCertificate:
         H = GramHessian(A, w, N, reg)
         s = rng.standard_normal(n)
         s *= step / np.linalg.norm(s)
-        bound = model_curvature_bound(ModelContext(analyse_hessian(H), sigma), s)
+        bound = model_curvature_bound(ModelContext(ShiftedSystem(H), sigma), s)
         lo, hi = H.interval
         assert H._matrix is None
         M = H.toarray()
@@ -148,7 +148,7 @@ class TestCurvatureCertificate:
         e = rng.standard_normal(n - 1)
         H = sp.diags([e, d, e], [-1, 0, 1], format="csr")
         s = rng.standard_normal(n) * 0.02
-        ctx = ModelContext(analyse_hessian(H), 0.7)
+        ctx = ModelContext(ShiftedSystem(H), 0.7)
         tracemalloc.start()
         try:
             lam = model_curvature_min(ctx, s)

@@ -8,7 +8,7 @@ from far2.driver import far2_solve
 from far2.problems import (ObjectiveProblem, get_problem, logistic_objective,
                            synth_classification)
 from far2 import far2so_solve
-from far2.secular import analyse_hessian
+from far2.secular import ShiftedSystem
 from far2.second_order import SecondOrderConfig, gershgorin_interval, min_eig
 
 
@@ -29,19 +29,19 @@ def quadratic_oracle(D, x0, name):
 
 class TestMinEig:
     def test_diagonal(self):
-        lam, v = min_eig(analyse_hessian(np.diag([3.0, -2.0, 5.0])),
+        lam, v = min_eig(ShiftedSystem(np.diag([3.0, -2.0, 5.0])),
                          want_vector=True)
         assert lam == pytest.approx(-2.0)
         np.testing.assert_allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_identity(self):
-        lam, v = min_eig(analyse_hessian(np.eye(7)))
+        lam, v = min_eig(ShiftedSystem(np.eye(7)))
         assert lam == pytest.approx(1.0)
         assert v is None
 
     def test_matches_dense_oracle(self, rng):
         H = random_symmetric(rng, 20)
-        lam, v = min_eig(analyse_hessian(H), want_vector=True)
+        lam, v = min_eig(ShiftedSystem(H), want_vector=True)
         w, V = np.linalg.eigh(H)
         assert lam == pytest.approx(w[0], rel=1e-8, abs=1e-10)
         assert abs(abs(v @ V[:, 0]) - 1.0) < 1e-8
@@ -68,7 +68,7 @@ class TestMinEig:
             M = M.toarray()
             M[kl] = R @ M[kl] @ R.T
             M[kl] = 0.5 * (M[kl] + M[kl].T)
-        system = analyse_hessian(M)
+        system = ShiftedSystem(M)
         assert (system.band is None) == (storage == "dense" and n > 100)
         lam, v = min_eig(system, rank_one=(c, u))
         block = np.diag(d[[i, j]]) + c * np.outer(u[[i, j]], u[[i, j]])
@@ -83,7 +83,7 @@ class TestMinEig:
         # above DENSE_EIG_CUTOFF the Lanczos iteration starts from a fixed
         # vector, so repeated calls return the same pair to the last bit
         p = get_problem("TRIDIA", 2100)
-        system = analyse_hessian(p.eval(p.x0 + 0.1, 2)[2])
+        system = ShiftedSystem(p.eval(p.x0 + 0.1, 2)[2])
         pairs = [min_eig(system, want_vector=True) for _ in range(4)]
         assert len({lam for lam, _ in pairs}) == 1
         assert len({v.tobytes() for _, v in pairs}) == 1
@@ -154,5 +154,5 @@ class TestFar2SoSolve:
         assert rep.status == "second_order_point"
         assert rep.violations == []
         _, _, H = p.eval(np.array(rep.x_final), 2)
-        lam, _ = min_eig(analyse_hessian(np.asarray(H)))
+        lam, _ = min_eig(ShiftedSystem(np.asarray(H)))
         assert lam >= -1e-4 - 1e-8

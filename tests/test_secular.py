@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_cubic_min, cubic_model_value, random_symmetric
 from far2.errors import SingularShiftError
 from far2.secular import (FactorizationCounter, SecularCase,
-                          ShiftedFactorization, analyse_hessian,
+                          ShiftedFactorization, ShiftedSystem,
                           solve_secular_full_secant, solve_secular_reduced)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -17,19 +17,19 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 class TestFactorizeShifted:
     def test_positive_definite(self):
-        fac = ShiftedFactorization(analyse_hessian(np.diag([1.0, 2.0])), 0.0)
+        fac = ShiftedFactorization(ShiftedSystem(np.diag([1.0, 2.0])), 0.0)
         assert fac.positive_definite
         np.testing.assert_allclose(fac.solve(np.array([1.0, 0.0])),
                                    np.array([1.0, 0.0]))
 
     def test_indefinite(self):
-        fac = ShiftedFactorization(analyse_hessian(np.diag([-1.0, 1.0])), 0.0)
+        fac = ShiftedFactorization(ShiftedSystem(np.diag([-1.0, 1.0])), 0.0)
         assert not fac.positive_definite
         np.testing.assert_allclose(fac.solve(np.array([1.0, 1.0])),
                                    np.array([-1.0, 1.0]))
 
     def test_singular_shift_raises(self):
-        fac = ShiftedFactorization(analyse_hessian(np.diag([-1.0, 1.0])), 1.0)
+        fac = ShiftedFactorization(ShiftedSystem(np.diag([-1.0, 1.0])), 1.0)
         assert not fac.positive_definite
         with pytest.raises(SingularShiftError):
             fac.solve(np.ones(2))
@@ -40,7 +40,7 @@ class TestFactorizeShifted:
         e = rng.standard_normal(n - 1)
         T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
         b = rng.standard_normal(n)
-        fac = ShiftedFactorization(analyse_hessian(T), 1.3)
+        fac = ShiftedFactorization(ShiftedSystem(T), 1.3)
         x = fac.solve(b)
         np.testing.assert_allclose((T + 1.3 * np.eye(n)) @ x, b, atol=1e-9)
         w = np.linalg.eigvalsh(T + 1.3 * np.eye(n))
@@ -48,9 +48,9 @@ class TestFactorizeShifted:
 
     def test_counter_only_when_supplied(self):
         c = FactorizationCounter()
-        ShiftedFactorization(analyse_hessian(np.eye(4)), 0.0)
+        ShiftedFactorization(ShiftedSystem(np.eye(4)), 0.0)
         assert c.count == 0
-        ShiftedFactorization(analyse_hessian(np.eye(4)), 0.0, counter=c)
+        ShiftedFactorization(ShiftedSystem(np.eye(4)), 0.0, counter=c)
         assert c.count == 1
 
 
@@ -117,7 +117,7 @@ class TestSolveSecularReduced:
             ref, _ = brute_force_cubic_min(g, H, sigma, box=min(box, 6.0),
                                            grid=grid)
             for sol in (solve_secular_reduced(g, H, sigma),
-                        solve_secular_full_secant(g, analyse_hessian(H),
+                        solve_secular_full_secant(g, ShiftedSystem(H),
                                                   sigma, 0.1)):
                 assert cubic_model_value(sol.step, g, H, sigma) <= ref + 1e-6
 
@@ -150,7 +150,7 @@ class TestSolveSecularReduced:
 class TestSolveSecularFullSecant:
     def test_eigenvector_gradient(self):
         g = np.eye(5)[:, 0]
-        sol = solve_secular_full_secant(g, analyse_hessian(np.eye(5)), 1.0, 0.1)
+        sol = solve_secular_full_secant(g, ShiftedSystem(np.eye(5)), 1.0, 0.1)
         assert sol.lam == pytest.approx(GOLDEN, rel=1e-8)
         np.testing.assert_allclose(sol.step, -GOLDEN * g, atol=1e-8)
         # stationarity bound on the returned step
@@ -160,12 +160,12 @@ class TestSolveSecularFullSecant:
     def test_vanishing_sigma_is_newton(self):
         H = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
         g = np.ones(5)
-        sol = solve_secular_full_secant(g, analyse_hessian(H), 1e-8, 0.1)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1e-8, 0.1)
         np.testing.assert_allclose(sol.step, -np.linalg.solve(H, g), rtol=1e-6)
 
     def test_zero_gradient_definite(self):
         c = FactorizationCounter()
-        sol = solve_secular_full_secant(np.zeros(4), analyse_hessian(np.eye(4)),
+        sol = solve_secular_full_secant(np.zeros(4), ShiftedSystem(np.eye(4)),
                                         1.0, 0.1, counter=c)
         assert sol.lam == 0.0
         assert np.linalg.norm(sol.step) == 0.0
@@ -175,14 +175,14 @@ class TestSolveSecularFullSecant:
         c = FactorizationCounter()
         g = np.ones(6)
         H = np.diag(np.arange(1.0, 7.0)) + 0.1
-        solve_secular_full_secant(g, analyse_hessian(H), 2.0, 0.1, counter=c)
+        solve_secular_full_secant(g, ShiftedSystem(H), 2.0, 0.1, counter=c)
         # the Gershgorin start is not the root: at least one Newton step
         assert c.count >= 2
 
     def test_hard_case_full_space(self):
         H = np.diag([-1.0, 1.0, 2.0, 3.0])
         g = np.array([0.0, 1.0, 0.5, -0.5])
-        sol = solve_secular_full_secant(g, analyse_hessian(H), 1.0, 0.1)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(1.0, rel=1e-8)
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-8)
@@ -204,7 +204,7 @@ class TestSolveSecularFullSecant:
         eigs, Q = np.linalg.eigh(A)
         g = rng.standard_normal(n)
         g += 3.0 * np.linalg.norm(g) * Q[:, 0]
-        sol = solve_secular_full_secant(g, analyse_hessian(H), sigma, 0.1)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1)
         assert sol.case is SecularCase.EASY
         h, gnorm = float(np.max(np.abs(eigs))), float(np.linalg.norm(g))
         box = 1.05 * (h + math.sqrt(h * h + 4.0 * sigma * gnorm)) / (2.0 * sigma)
@@ -218,7 +218,7 @@ class TestSolveSecularFullSecant:
             H = random_symmetric(rng, n, scale=2.0)
             g = rng.standard_normal(n)
             sigma = float(rng.uniform(0.1, 5.0))
-            sol = solve_secular_full_secant(g, analyse_hessian(H), sigma, 0.1)
+            sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1)
             s = sol.step
             snorm = np.linalg.norm(s)
             assert sigma * snorm == pytest.approx(sol.lam, rel=1e-8, abs=1e-14)
@@ -232,7 +232,7 @@ class TestSolveSecularFullSecant:
         H = np.diag([2.0, 3.0, 10.0])
         g = np.array([1.0, -2.0, 0.5])
         c_cold, c_warm = FactorizationCounter(), FactorizationCounter()
-        system = analyse_hessian(H)
+        system = ShiftedSystem(H)
         cold = solve_secular_full_secant(g, system, 1.0, 0.1, counter=c_cold)
         warm = solve_secular_full_secant(g, system, 1.0, 0.1, counter=c_warm,
                                          warm_lambda=cold.lam)
@@ -244,9 +244,9 @@ class TestSolveSecularFullSecant:
         # is the step returned
         H = np.diag([-1.0, 2.0, 3.0, 10.0])
         g = np.array([1.0, -2.0, 0.5, 0.3])
-        cold = solve_secular_full_secant(g, analyse_hessian(H), 1.0, 0.1)
+        cold = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1)
         c = FactorizationCounter()
-        warm = solve_secular_full_secant(g, analyse_hessian(H), 1.0, 0.1, counter=c,
+        warm = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1, counter=c,
                                          warm_lambda=cold.lam)
         assert c.count == 1
         assert warm.lam == cold.lam
@@ -262,7 +262,7 @@ class TestSolveSecularFullSecant:
         H = sp.diags([d], [0], format="csr")
         g = np.zeros(n)
         g[1:] = 1.0 / math.sqrt(n - 1)
-        sol = solve_secular_full_secant(g, analyse_hessian(H), 1.0, 0.1)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
@@ -274,7 +274,7 @@ class TestSolveSecularFullSecant:
         d[0] = -3.0
         H = sp.diags([d], [0], format="csr")
         c = FactorizationCounter()
-        sol = solve_secular_full_secant(np.zeros(n), analyse_hessian(H), 0.5,
+        sol = solve_secular_full_secant(np.zeros(n), ShiftedSystem(H), 0.5,
                                         0.1, counter=c)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
@@ -309,7 +309,7 @@ class TestFullSpaceMatchesSpectral:
         # a dense H up to half-bandwidth 32 would be factored in band storage
         n = int(rng.integers(34, 60) if kind == "dense" else rng.integers(8, 40))
         H = _stored(kind, rng, n)
-        system = analyse_hessian(H)
+        system = ShiftedSystem(H)
         if kind == "dense":
             assert system.band is None
         else:
@@ -324,7 +324,7 @@ class TestFullSpaceMatchesSpectral:
         assume(ref.case is SecularCase.EASY
                and ref.lam + eigs[0] >= 0.2 * ref.lam)
         c = FactorizationCounter()
-        sol = solve_secular_full_secant(g, analyse_hessian(H), sigma, 0.1, counter=c)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1, counter=c)
         assert sol.case is SecularCase.EASY
         # with a right derivative solve Newton needs a handful of shifts:
         # at most 6 on 300 seeds per storage, against about 100 when psi'
@@ -366,7 +366,7 @@ class TestFullSpaceHardCases:
         g -= (Q[:, 0] @ g) * Q[:, 0]
         g += weight * np.linalg.norm(g) * Q[:, 0]
         ref = solve_secular_reduced(g, A, sigma)
-        sol = solve_secular_full_secant(g, analyse_hessian(H), sigma, 0.1)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1)
         assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
                                                                  rel=1e-8)
         m_ref = cubic_model_value(ref.step, g, A, sigma)

@@ -7,7 +7,8 @@ least 1e-8 ||H|| from the spectrum, and solve() must match
 numpy.linalg.solve to a relative residual of 1e-10, at positive definite
 and indefinite shifts alike. H is analysed once, by the caller, and no
 factorization writes into that analysis; a shift that is not positive
-definite is factored a second time only when a caller solves with it.
+definite is factored again, with pivoting, each time a caller solves with
+it.
 """
 
 import warnings
@@ -23,7 +24,7 @@ import far2.secular as secular
 from far2.errors import SingularShiftError
 from far2.model import ModelContext, model_curvature_bound
 from far2.secular import (MAX_BAND_KD, FactorizationCounter,
-                          ShiftedFactorization, ShiftedSystem, analyse_hessian,
+                          ShiftedFactorization, ShiftedSystem,
                           solve_secular_full_secant)
 
 GAP = 1.0e-8        # shifts at least GAP * ||H|| from the spectrum
@@ -86,7 +87,7 @@ def _check(H, lam, rhs, rows=None):
     T = H.toarray() if sp.issparse(H) else np.asarray(H)
     w = np.linalg.eigvalsh(T)
     assert _far(w, lam)
-    system = analyse_hessian(H)
+    system = ShiftedSystem(H)
     if rows == "dense":
         assert system.band is None
     elif rows is not None:
@@ -174,8 +175,8 @@ class TestAgainstReference:
             # oracle round-off: the factorization reads the lower half
             E = 1.0e-14 * rng.standard_normal((n, n))
             fac = ShiftedFactorization(
-                analyse_hessian(H + np.tril(E, -1).T), lam)
-            ref = ShiftedFactorization(analyse_hessian(H), lam)
+                ShiftedSystem(H + np.tril(E, -1).T), lam)
+            ref = ShiftedFactorization(ShiftedSystem(H), lam)
             assert fac.positive_definite == ref.positive_definite
             np.testing.assert_array_equal(fac.solve(rhs), ref.solve(rhs))
             return
@@ -204,7 +205,7 @@ class TestAgainstReference:
         w = sla.eigvalsh_tridiagonal(d, e)
         lam = _shift(rng, w, shift)
         assume(_far(w, lam))
-        fac = ShiftedFactorization(analyse_hessian(H), lam)
+        fac = ShiftedFactorization(ShiftedSystem(H), lam)
         assert fac.positive_definite == bool(w[0] + lam > 0.0)
         rhs = rng.standard_normal(n)
         x = fac.solve(rhs)
@@ -227,7 +228,7 @@ class TestAgainstReference:
         w = np.linalg.eigvalsh(H)
         lam = float(rng.uniform(w[0] - 1.0, w[-1] + 1.0))
         assume(_far(w, lam))
-        fac = ShiftedFactorization(analyse_hessian(H), lam)
+        fac = ShiftedFactorization(ShiftedSystem(H), lam)
         assert fac.positive_definite == bool(np.all(w + lam > 0.0))
 
 
@@ -241,7 +242,7 @@ class TestIndefiniteSolve:
         lam = -2.0 if exact else -float(np.linalg.eigvalsh(T)[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fac = ShiftedFactorization(analyse_hessian(T), lam)
+            fac = ShiftedFactorization(ShiftedSystem(T), lam)
             assert not fac.positive_definite
             try:
                 x = fac.solve(np.ones(3))
@@ -261,22 +262,29 @@ class TestIndefiniteSolve:
         def counted(factor):
             return lambda *a, **k: built.append(1) or factor(*a, **k)
 
-        for name in ("dgttrf", "dgbtrf", "_sytrf"):
-            monkeypatch.setattr(secular, name, counted(getattr(secular, name)))
+        monkeypatch.setattr(secular, "_sytrf", counted(secular._sytrf))
+        monkeypatch.setattr(secular.sla, "solve_banded",
+                            counted(sla.solve_banded))
         counter = FactorizationCounter()
-        fac = ShiftedFactorization(analyse_hessian(H), 0.0, counter)
+        fac = ShiftedFactorization(ShiftedSystem(H), 0.0, counter)
         assert not fac.positive_definite and built == []
         rhs = np.ones(H.shape[0])
         x = fac.solve(rhs)
+        assert built == [1]
+        # no pivoted factor is kept: each solve makes its own
         fac.solve(rhs)
-        assert built == [1] and counter.count == 1
+        assert built == [1, 1] and counter.count == 1
         np.testing.assert_allclose(H @ x, rhs, atol=1e-10)
 
-    @pytest.mark.parametrize("H", [np.diag([1.0, 0.0, 2.0]),
-                                   np.ones((40, 40))],
-                             ids=["tridiagonal", "dense"])
+    @pytest.mark.parametrize("H", [
+        np.diag([1.0, 0.0, 2.0]),
+        # kd = 2, with H's second row and column zero
+        np.diag([1.0, 0.0, 2.0, 3.0]) + np.diag([1.0, 0.0], 2)
+        + np.diag([1.0, 0.0], -2),
+        np.ones((40, 40)),
+    ], ids=["tridiagonal", "banded", "dense"])
     def test_singular_shift_raises_on_solve(self, H):
-        fac = ShiftedFactorization(analyse_hessian(H), 0.0)
+        fac = ShiftedFactorization(ShiftedSystem(H), 0.0)
         assert not fac.positive_definite
         with pytest.raises(SingularShiftError):
             fac.solve(np.ones(H.shape[0]))
@@ -287,19 +295,19 @@ class TestAnalyseOnce:
         n = 30
         for T in (np.diag(rng.standard_normal(n)) + np.diag(np.ones(n - 1), 1)
                   + np.diag(np.ones(n - 1), -1), _banded(rng, n, 3)):
-            system = analyse_hessian(sp.csr_matrix(T))
+            system = ShiftedSystem(sp.csr_matrix(T))
             assert isinstance(system, ShiftedSystem) and system.band is not None
-            np.testing.assert_array_equal(system.band, analyse_hessian(T).band)
+            np.testing.assert_array_equal(system.band, ShiftedSystem(T).band)
             b = rng.standard_normal(n)
             for lam in (0.5, 3.0, 7.0):
                 a = ShiftedFactorization(system, lam)
-                c = ShiftedFactorization(analyse_hessian(T), lam)
+                c = ShiftedFactorization(ShiftedSystem(T), lam)
                 assert a.positive_definite == c.positive_definite
                 assert a.solve(b).tobytes() == c.solve(b).tobytes()
 
     def test_non_tridiagonal_sparse_densified_once(self):
         H = sp.random(40, 40, density=0.3, random_state=1) + 5 * sp.eye(40)
-        system = analyse_hessian(H + H.T)
+        system = ShiftedSystem(H + H.T)
         assert system.band is None
         np.testing.assert_array_equal(system.dense, (H + H.T).toarray())
 
@@ -318,7 +326,7 @@ class TestAnalyseOnce:
             calls.clear()
             counter = FactorizationCounter()
             solve_secular_full_secant(rng.standard_normal(n),
-                                      analyse_hessian(H), 1.0, 0.1, counter)
+                                      ShiftedSystem(H), 1.0, 0.1, counter)
             assert counter.count >= 3
             assert len(calls) == 1
 
@@ -330,7 +338,7 @@ class TestAnalyseOnce:
         monkeypatch.setattr(secular, "gershgorin_interval",
                             lambda H: calls.append(1) or bounds(H))
         H = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        system = analyse_hessian(H)
+        system = ShiftedSystem(H)
         assert calls == []
         model_curvature_bound(ModelContext(system, 1.0), np.ones(3))
         solve_secular_full_secant(np.ones(3), system, 1.0, 0.1)
@@ -352,7 +360,7 @@ class TestAnalyseOnce:
         else:
             A = rng.standard_normal((n, n))
             H = A + A.T
-        system = analyse_hessian(H)
+        system = ShiftedSystem(H)
         stored = system.dense if kind == "dense" else system.band
         assert stored is not None and (kind != "band" or stored.shape[0] == 4)
         before, H_before = stored.copy(), H.copy()
