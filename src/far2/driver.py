@@ -210,15 +210,14 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
         del W, HW  # hold no extra n x j array across the expansion
         if res.passed:
             return res
-        dim_before = basis.dim
-        if dim_before >= cfg.j_max:
+        if basis.dim >= cfg.j_max:
             break
         if rational:
             rational_expand(state.system, basis,
                             _ritz_interval(res.H_r, state.system))
         else:
             poly_expand(H, basis, hv=HV[:, -1])
-        if basis.invariant or basis.dim == dim_before:
+        if basis.invariant:
             break
     return res
 
@@ -307,7 +306,7 @@ class _Monitors:
             name = "taylor decrease >= (sigma/3)||s||^3"
         if t_dec < bound * (1.0 - self.REL) - self.atol:
             self._fail(k, name, f"{t_dec!r} < {bound!r}")
-        if lambda_hat is not None and shat_norm > 0.0:
+        if shat_norm > 0.0:
             target = sigma * shat_norm
             if abs(lambda_hat - target) > self.REL * max(abs(lambda_hat), target):
                 self._fail(k, "lambda_hat = sigma*||s_hat||",

@@ -108,6 +108,11 @@ class SuiteConfig:
                     registry_entry(p.name, p.n)
                 except (KeyError, ValueError) as exc:
                     raise ConfigError(exc.args[0]) from None
+                stray = [k for k in ("N", "seed", "source")
+                         if getattr(p, k) != getattr(ProblemSpec, k)]
+                if stray:
+                    raise ConfigError(f"{p.label}: a registry problem takes "
+                                      f"no {', '.join(stray)}")
             elif p.kind not in ("logistic", "sigmoid"):
                 raise ConfigError(f"unknown problem kind {p.kind!r}")
             elif p.source == "synth":
@@ -305,6 +310,18 @@ def _solver_param(key: str, value: str) -> tuple[str, object]:
     return (f.name, type(f.default)(value)) if f else (key, value)
 
 
+_FLAGS = {"on": True, "true": True, "yes": True, "1": True,
+          "off": False, "false": False, "no": False, "0": False}
+
+
+def _flag(where: str, key: str, value) -> bool:
+    try:
+        return _FLAGS[str(value).lower()]
+    except KeyError:
+        raise ConfigError(f"{where} {key}: not on/off/true/false/yes/no/1/0: "
+                          f"{value!r}") from None
+
+
 def _int(where: str, key: str, value) -> int:
     try:
         return int(value)
@@ -378,7 +395,7 @@ def parse_config(path) -> SuiteConfig:
         out=suite.get("out", "."),
         seed=_int("[suite]", "seed", suite.get("seed", 0)),
         jobs=_int("[suite]", "jobs", suite.get("jobs", 1)),
-        timing=str(suite.get("timing", "off")).lower() in ("1", "on", "true", "yes"))
+        timing=_flag("[suite]", "timing", suite.get("timing", "off")))
 
 
 def summarize(reports: list[RunReport]) -> str:

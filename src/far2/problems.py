@@ -7,7 +7,8 @@ ingestion, and a finite-difference derivative checker.
 
 The banded registry problems (tridiagonal, diagonal or 4 x 4 blocks) return
 a scipy.sparse CSR Hessian at every n; the others (HILBERT, the hub-coupled
-ARWHEAD, NONDIA, EG2 and INDEF) return dense arrays. The classification
+ARWHEAD, NONDIA, EG2 and INDEF) return dense arrays, but for EG2's Hessian
+where its hub couplings vanish, a CSR diagonal. The classification
 losses return a GramHessian: an operator whose products with H need no
 matrix (Hessian-free products, Pearlmutter 1994), and which forms its dense
 matrix once, when a factorization or an eigensolve first reads H's entries.
@@ -395,6 +396,10 @@ def _eg2(n):
             idx = np.arange(1, n - 1)
             H[idx, idx] += -4.0 * xs ** 2 * sj + 2.0 * cj
         H[-1, -1] += np.cos(xn * xn) - 2.0 * xn * xn * np.sin(xn * xn)
+        if not H[0, 1:].any():
+            # no hub coupling (at the start point, for one): a diagonal H,
+            # returned sparse so that it is factored in band storage
+            return f, g, _diagonal(np.diagonal(H))
         return f, g, H
     return np.zeros(n), ev
 

@@ -40,7 +40,8 @@ class SecondOrderConfig(SolverConfig):
 def hessian_matrix(H):
     """H's entries: a sparse or dense matrix as it is, an operator H (such as
     problems.GramHessian) as np.asarray gives it, which forms its matrix
-    once. Every reader of a Hessian's entries takes them from here."""
+    once. Every reader of a Hessian's entries takes them from here, but for
+    secular.ShiftedSystem.band, which reads only a sparse H's band."""
     return H if sp.issparse(H) else np.asarray(H, dtype=float)
 
 

@@ -9,14 +9,14 @@ pseudoinverse solve with an eigenvector component whose weight restores
 
 Full-space solves go through ShiftedFactorization, the one place that
 factors H + lambda I, so the run can count them. It tests positive
-definiteness by Cholesky in the storage H's structure allows (tridiagonal,
-banded or dense) and solves with that factor; a shift that is not
-positive definite is solved by one pivoted factorization (sytrf, or LU on
-the band). It factors a ShiftedSystem, which the nonlinear loop makes
-once per oracle Hessian: the full-space solve, the
-Newton corrector, the rational Krylov expansions and the eigensolves
-(second_order.min_eig) of an iterate all read that one analysis, made
-when the first of them asks for it. Reduced
+definiteness by Cholesky in the storage the oracle chose for H (a sparse
+H in its band, tridiagonal when that band is one wide; any other H dense)
+and solves with that factor; a shift that is not positive definite is
+solved by one pivoted factorization (sytrf, or LU on the band). It
+factors a ShiftedSystem, which the nonlinear loop makes once per oracle
+Hessian: the full-space solve, the Newton corrector, the rational Krylov
+expansions and the eigensolves (second_order.min_eig) of an iterate all
+read that one storage, made when the first of them asks for it. Reduced
 (small, dense) solves use a spectral decomposition, after which each
 residual evaluation costs O(m). The full-space solve is safeguarded
 Newton on the secular equation, the direct solver baseline of adaptive
@@ -46,13 +46,6 @@ from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
 from .second_order import gershgorin_interval, hessian_matrix, min_eig
 
 MAX_ROOT_STEPS = 200
-# Largest half-bandwidth kept in band storage; a wider H is factored dense.
-# Measured on a 2-core Intel Xeon with one BLAS thread, band Cholesky plus
-# solve (pbtrf/pbtrs) against dense (potrf/potrs) at n = 100 is 5.5x faster
-# at kd = 2, 2.0x at kd = 16, 1.2x at kd = 32 and 0.8x at kd = 64; at
-# n = 500 and 2000 band storage wins by 8x and 50x even at kd = 64. The
-# registry's block Hessians (WOODS, POWELLSG, BDARWHD) have kd = 2 or 3.
-MAX_BAND_KD = 32
 
 # through get_lapack_funcs, which tags the lwork query with its integer type
 _sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
@@ -81,28 +74,30 @@ class SecularSolution:
 
 @dataclass(frozen=True)
 class ShiftedSystem:
-    """H analysed once for factorizations at many shifts.
+    """H stored once for factorizations at many shifts.
 
     `H` is the oracle's Hessian, used as it is for products: a matrix, or
-    an operator that forms its matrix once (problems.GramHessian). The
-    analysis reads H's entries (second_order.hessian_matrix) on the first
-    use of `band`, `dense` or `interval`, so an iterate that no reader of
-    entries asks for is never analysed, and an operator H is never formed.
-    `band` holds H's lower band in LAPACK storage, row k the k-th
-    subdiagonal (two rows, the diagonal and the subdiagonal, when H is
-    tridiagonal or diagonal), when H's half-bandwidth is at most
-    MAX_BAND_KD, and None otherwise. `dense` holds H as a float array (a
-    sparse H densified once), whatever its storage; factorizations read it
-    only when `band` is None. `interval` holds H's Gershgorin bounds
-    (lower, upper). The nonlinear loop keeps one per oracle Hessian on its
-    IterateState, and factorizations only read it.
+    an operator that forms its matrix once (problems.GramHessian). H's
+    storage class decides how it is factored: nothing scans a dense H's
+    entries for a band. `band` holds a sparse H's lower band in LAPACK
+    storage, row k the k-th subdiagonal, at the half-bandwidth of its
+    pattern (two rows, the diagonal and the subdiagonal, when H is
+    tridiagonal or diagonal); it is None for any other H, and for n < 3.
+    `dense` holds H as a float array (a sparse H densified once, an
+    operator H formed through second_order.hessian_matrix); it is the one
+    place that forms an operator H, and factorizations read it only when
+    `band` is None.
+    `interval` holds H's Gershgorin bounds (lower, upper). Each is made on
+    first use, so an iterate that no reader asks for costs nothing. The
+    nonlinear loop keeps one per oracle Hessian on its IterateState, and
+    factorizations only read it.
     """
 
     H: object
 
     @cached_property
     def band(self) -> np.ndarray | None:
-        return _lower_band(hessian_matrix(self.H))
+        return _lower_band(self.H)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -115,41 +110,19 @@ class ShiftedSystem:
 
 
 def _lower_band(H) -> np.ndarray | None:
-    """H's lower band storage, or None if its half-bandwidth > MAX_BAND_KD.
+    """A sparse H's lower band storage, at the half-bandwidth kd of its
+    pattern, or None for a dense or operator H, which is factored dense.
 
-    The half-bandwidth comes from a sparse H's pattern, or from one count
-    of a dense H's nonzeros matched against those of its first diagonals.
-    An H with n < 3 is left dense: pttrf rejects n = 1, and runs at n = 2
-    keep their dense factorizations.
+    A sparse H with n < 3 is left dense too: pttrf rejects n = 1, and runs
+    at n = 2 keep their dense factorizations.
     """
-    n = H.shape[0]
-    if n < 3:
+    if not sp.issparse(H) or H.shape[0] < 3:
         return None
-    if sp.issparse(H):
-        coo = H.tocoo()
-        kd = int(np.max(np.abs(coo.row - coo.col), initial=0))
-        if kd > MAX_BAND_KD:
-            return None
-        diagonal = H.diagonal
-    else:
-        # a dense oracle's H is seldom banded: of the 25 EG2 Hessians AR2
-        # meets at n = 100 and 500 only the first two of each run are
-        # diagonal, and the rest go dense; the scan finds a band if any
-        A = np.asarray(H)
-        total = np.count_nonzero(A)
-        found = 0
-        for kd in range(min(MAX_BAND_KD, n - 1) + 1):
-            found += np.count_nonzero(np.diagonal(A, kd))
-            if kd:
-                found += np.count_nonzero(np.diagonal(A, -kd))
-            if found == total:
-                break
-        else:
-            return None
-        diagonal = partial(np.diagonal, A)
+    n, coo = H.shape[0], H.tocoo()
+    kd = int(np.max(np.abs(coo.row - coo.col), initial=0))
     ab = np.zeros((max(kd, 1) + 1, n))
     for k in range(kd + 1):
-        ab[k, : n - k] = diagonal(-k)
+        ab[k, : n - k] = H.diagonal(-k)
     return ab
 
 
@@ -163,15 +136,15 @@ def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
 class ShiftedFactorization:
     """Cholesky factorization of B = H + lambda*I, with solve().
 
-    `system` is H's ShiftedSystem, analysed once for every shift of an
+    `system` is H's ShiftedSystem, stored once for every shift of an
     iterate and never written into. B is factored by Cholesky in H's
-    storage: pttrf for tridiagonal, pbtrf for banded and potrf for dense
-    H. `positive_definite` is that factorization's success, and solve()
-    uses its factor (pttrs, pbtrs, potrs). If B is not positive
-    definite, solve() instead makes one pivoted factorization and solve
-    (_pivoted_solve), raising SingularShiftError on an exact zero pivot.
-    Each construction adds one to `counter`, if given; the Lanczos path of
-    min_eig factors without one.
+    storage: pttrf for a tridiagonal band, pbtrf for a wider one and
+    potrf for dense H. `positive_definite` is that factorization's
+    success, and solve() uses its factor (pttrs, pbtrs, potrs). If B is
+    not positive definite, solve() instead makes one pivoted factorization
+    and solve (_pivoted_solve), raising SingularShiftError on an exact
+    zero pivot. Each construction adds one to `counter`, if given; the
+    Lanczos path of min_eig factors without one.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,

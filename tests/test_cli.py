@@ -55,6 +55,20 @@ def test_run_reports_bad_integer(tmp_path, capsys, bad):
     assert "not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("[suite]\ntiming = onn\n", "timing: not on/off"),
+    ("[problem]\nname = QUAD\nn = 4\nseed = 7\n",
+     "QUAD: a registry problem takes no seed"),
+], ids=["timing", "registry-seed"])
+def test_run_rejects_malformed_suite_values(tmp_path, capsys, bad, message):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE + bad)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_run_checks_option_overrides(tmp_path, capsys, jobs):
     # an option is checked as the config file's own value is

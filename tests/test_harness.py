@@ -71,6 +71,15 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError, match="is negative"):
             SuiteConfig(solvers=["AR2"], problems=[problem], seed=seed)
 
+    @pytest.mark.parametrize("key,value", [("N", 40), ("seed", 3),
+                                           ("source", "data.svm")])
+    def test_registry_problem_takes_no_data_keys(self, key, value):
+        # the registry oracle would run with the key ignored
+        problem = ProblemSpec(name="ROSENBR", n=2, **{key: value})
+        with pytest.raises(ConfigError,
+                           match=f"ROSENBR: a registry problem takes no {key}"):
+            SuiteConfig(solvers=["AR2"], problems=[problem])
+
     def test_seeds_that_sum_to_a_valid_one(self):
         SuiteConfig(solvers=["AR2"], seed=-2,
                     problems=[ProblemSpec(kind="logistic", N=50, n=5, seed=2),
@@ -362,6 +371,23 @@ seed = 9
         path.write_text("[suite]\ntimng = on\n[solver]\nname = AR2\n"
                         "[problem]\nname = QUAD\nn = 4\n")
         with pytest.raises(ConfigError, match="timng"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value,timing", [
+        ("on", True), ("YES", True), ("True", True), ("1", True),
+        ("off", False), ("No", False), ("FALSE", False), ("0", False)])
+    def test_timing_values(self, tmp_path, value, timing):
+        path = tmp_path / "timing.cfg"
+        path.write_text(f"[suite]\ntiming = {value}\n[solver]\nname = AR2\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        assert parse_config(path).timing is timing
+
+    @pytest.mark.parametrize("value", ["onn", "2", "enabled", ""])
+    def test_bad_timing_value(self, tmp_path, value):
+        path = tmp_path / "timing.cfg"
+        path.write_text(f"[suite]\ntiming = {value}\n[solver]\nname = AR2\n"
+                        "[problem]\nname = QUAD\nn = 4\n")
+        with pytest.raises(ConfigError, match="timing: not on/off"):
             parse_config(path)
 
     @pytest.mark.parametrize("solver,line", [("AR2", "sigmaa0 = 2.0"),

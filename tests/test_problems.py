@@ -72,6 +72,10 @@ class TestRegistry:
             m += (-m) % entry.multiple_of
             p = get_problem(name, m)
             _, _, H = p.eval(p.x0, 2)
+            if name == "EG2":
+                # no hub coupling at its start point: a CSR diagonal there
+                assert sp.issparse(H) and H.nnz == m
+                H = p.eval(p.x0 + 0.1, 2)[2]
             if name in banded:
                 assert sp.issparse(H) and H.format == "csr", name
             else:

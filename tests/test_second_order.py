@@ -61,15 +61,15 @@ class TestMinEig:
         M = sp.diags(d, format="csr")
         if storage == "dense":
             # the first and last coordinates outside {i, j} rotated into
-            # each other: the same spectrum, and at n = 2100 no band that
-            # MAX_BAND_KD allows, so H is stored dense
+            # each other: the same spectrum in a dense array, which is
+            # stored dense at every n
             kl = np.ix_(*2 * [np.setdiff1d(np.arange(n), [i, j])[[0, -1]]])
             R = np.array([[0.6, -0.8], [0.8, 0.6]])
             M = M.toarray()
             M[kl] = R @ M[kl] @ R.T
             M[kl] = 0.5 * (M[kl] + M[kl].T)
         system = ShiftedSystem(M)
-        assert (system.band is None) == (storage == "dense" and n > 100)
+        assert (system.band is None) == (storage == "dense")
         lam, v = min_eig(system, rank_one=(c, u))
         block = np.diag(d[[i, j]]) + c * np.outer(u[[i, j]], u[[i, j]])
         rest = np.delete(d, [i, j])

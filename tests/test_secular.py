@@ -306,8 +306,8 @@ class TestFullSpaceMatchesSpectral:
     @settings(max_examples=60, deadline=None)
     def test_same_step(self, kind, seed, sigma):
         rng = np.random.default_rng(seed)
-        # a dense H up to half-bandwidth 32 would be factored in band storage
-        n = int(rng.integers(34, 60) if kind == "dense" else rng.integers(8, 40))
+        # a dense H is factored dense at any n
+        n = int(rng.integers(8, 60) if kind == "dense" else rng.integers(8, 40))
         H = _stored(kind, rng, n)
         system = ShiftedSystem(H)
         if kind == "dense":

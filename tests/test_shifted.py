@@ -1,12 +1,12 @@
 """ShiftedFactorization against independent dense references.
 
-For every storage H's structure selects (diagonal and tridiagonal, banded
-with kd = 2-4, 4x4 blocks, dense; H given dense or sparse),
+For every storage H's class selects (a sparse H in its band: diagonal and
+tridiagonal, kd = 2-4, 4x4 blocks, full width; a dense H dense),
 `positive_definite` must agree with eigvalsh on H + lam I for shifts at
 least 1e-8 ||H|| from the spectrum, and solve() must match
 numpy.linalg.solve to a relative residual of 1e-10, at positive definite
-and indefinite shifts alike. H is analysed once, by the caller, and no
-factorization writes into that analysis; a shift that is not positive
+and indefinite shifts alike. H is stored once, by the caller, and no
+factorization writes into that storage; a shift that is not positive
 definite is factored again, with pivoting, each time a caller solves with
 it.
 """
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 import far2.secular as secular
 from far2.errors import SingularShiftError
 from far2.model import ModelContext, model_curvature_bound
-from far2.secular import (MAX_BAND_KD, FactorizationCounter,
-                          ShiftedFactorization, ShiftedSystem,
-                          solve_secular_full_secant)
+from far2.problems import GramHessian
+from far2.secular import (FactorizationCounter, ShiftedFactorization,
+                          ShiftedSystem, solve_secular_full_secant)
 
 GAP = 1.0e-8        # shifts at least GAP * ||H|| from the spectrum
 RESIDUAL = 1.0e-10  # relative residual of solve()
@@ -81,7 +81,7 @@ def _far(w, lam):
 def _check(H, lam, rhs, rows=None):
     """positive_definite and solve() of H + lam I against dense references.
 
-    rows is the number of band-storage rows H's analysis must choose,
+    rows is the number of band-storage rows H's storage must have,
     "dense" for dense storage, or None to leave the storage unchecked.
     """
     T = H.toarray() if sp.issparse(H) else np.asarray(H)
@@ -115,6 +115,12 @@ def _stored(T, storage):
     return sp.csr_matrix(T) if storage == "sparse" else T
 
 
+def _rows(storage, rows):
+    """The storage _check expects: a sparse H in `rows` band rows, a dense
+    H dense whatever its pattern."""
+    return rows if storage == "sparse" else "dense"
+
+
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
@@ -127,7 +133,8 @@ class TestAgainstReference:
         w = np.linalg.eigvalsh(T)
         lam = _shift(rng, w, shift)
         assume(_far(w, lam))
-        _check(_stored(T, storage), lam, rng.standard_normal(n), rows=2)
+        _check(_stored(T, storage), lam, rng.standard_normal(n),
+               rows=_rows(storage, 2))
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60),
@@ -138,7 +145,8 @@ class TestAgainstReference:
         w = np.linalg.eigvalsh(T)
         lam = _shift(rng, w, shift)
         assume(_far(w, lam))
-        _check(_stored(T, storage), lam, rng.standard_normal(n), rows=kd + 1)
+        _check(_stored(T, storage), lam, rng.standard_normal(n),
+               rows=_rows(storage, kd + 1))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 15),
@@ -150,7 +158,8 @@ class TestAgainstReference:
         w = np.linalg.eigvalsh(T)
         lam = _shift(rng, w, shift)
         assume(_far(w, lam))
-        _check(_stored(T, storage), lam, rng.standard_normal(n), rows=4)
+        _check(_stored(T, storage), lam, rng.standard_normal(n),
+               rows=_rows(storage, 4))
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
@@ -169,8 +178,9 @@ class TestAgainstReference:
         w = np.linalg.eigvalsh(H)
         lam = _shift(rng, w, shift)
         assume(_far(w, lam))
-        # n <= MAX_BAND_KD + 1 fits band storage; n < 3 stays dense
-        rows = "dense" if n < 3 or n > MAX_BAND_KD + 1 else n
+        # a sparse H is stored in its full band (kd = n - 1, n rows) at
+        # any n >= 3; n < 3 stays dense
+        rows = _rows(storage, n) if n >= 3 else "dense"
         if asym and not zeros:
             # oracle round-off: the factorization reads the lower half
             E = 1.0e-14 * rng.standard_normal((n, n))
@@ -184,11 +194,12 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, -0.5])
     def test_signed_zero_couplings(self, lam):
-        # -0.0 couplings decouple the last variable (half-bandwidth 2); all
-        # three shifts are indefinite, so the pivoted band factorization
-        # solves
-        H = np.array([[-2.0, -3.5, -1.0, -0.0], [-3.5, 1.5, -1.0, -0.0],
-                      [-1.0, -1.0, 5.0, -0.0], [-0.0, -0.0, -0.0, 2.0]])
+        # -0.0 couplings stay out of the CSR pattern and decouple the last
+        # variable (half-bandwidth 2); all three shifts are indefinite, so
+        # the pivoted band factorization solves
+        H = sp.csr_matrix(np.array(
+            [[-2.0, -3.5, -1.0, -0.0], [-3.5, 1.5, -1.0, -0.0],
+             [-1.0, -1.0, 5.0, -0.0], [-0.0, -0.0, -0.0, 2.0]]))
         fac = _check(H, lam, np.array([0.0, 0.0, 0.0, 1.0]), rows=3)
         assert not fac.positive_definite
 
@@ -197,7 +208,7 @@ class TestAgainstReference:
            kind=st.sampled_from(["random", "laplacian"]), shift=SHIFT_KINDS)
     def test_long_tridiagonal(self, seed, kind, shift):
         # n = 3000, sparse: indefinite shifts fail pttrf early and solve
-        # through gttrf
+        # through solve_banded (gtsv)
         rng = np.random.default_rng(seed)
         n = 3000
         d, e = _tridiagonal(rng, n, kind)
@@ -251,9 +262,9 @@ class TestIndefiniteSolve:
         assert np.all(np.isfinite(x))
 
     @pytest.mark.parametrize("H", [
-        np.diag([-1.0, 2.0, 3.0, 4.0]),
-        np.diag([-1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.5], 2)
-        + np.diag([1.0, 0.5], -2),
+        sp.csr_matrix(np.diag([-1.0, 2.0, 3.0, 4.0])),
+        sp.csr_matrix(np.diag([-1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.5], 2)
+                      + np.diag([1.0, 0.5], -2)),
         np.diag(np.arange(-1.0, 39.0)) + 0.1,
     ], ids=["tridiagonal", "banded", "dense"])
     def test_indefinite_factor_only_when_solved(self, H, monkeypatch):
@@ -277,10 +288,10 @@ class TestIndefiniteSolve:
         np.testing.assert_allclose(H @ x, rhs, atol=1e-10)
 
     @pytest.mark.parametrize("H", [
-        np.diag([1.0, 0.0, 2.0]),
+        sp.csr_matrix(np.diag([1.0, 0.0, 2.0])),
         # kd = 2, with H's second row and column zero
-        np.diag([1.0, 0.0, 2.0, 3.0]) + np.diag([1.0, 0.0], 2)
-        + np.diag([1.0, 0.0], -2),
+        sp.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]) + np.diag([1.0, 0.0], 2)
+                      + np.diag([1.0, 0.0], -2)),
         np.ones((40, 40)),
     ], ids=["tridiagonal", "banded", "dense"])
     def test_singular_shift_raises_on_solve(self, H):
@@ -296,24 +307,40 @@ class TestAnalyseOnce:
         for T in (np.diag(rng.standard_normal(n)) + np.diag(np.ones(n - 1), 1)
                   + np.diag(np.ones(n - 1), -1), _banded(rng, n, 3)):
             system = ShiftedSystem(sp.csr_matrix(T))
-            assert isinstance(system, ShiftedSystem) and system.band is not None
-            np.testing.assert_array_equal(system.band, ShiftedSystem(T).band)
+            ab = system.band
+            for k in range(ab.shape[0]):
+                np.testing.assert_array_equal(ab[k, : n - k], np.diagonal(T, -k))
             b = rng.standard_normal(n)
             for lam in (0.5, 3.0, 7.0):
                 a = ShiftedFactorization(system, lam)
-                c = ShiftedFactorization(ShiftedSystem(T), lam)
+                c = ShiftedFactorization(ShiftedSystem(sp.csr_matrix(T)), lam)
                 assert a.positive_definite == c.positive_definite
                 assert a.solve(b).tobytes() == c.solve(b).tobytes()
 
     def test_non_tridiagonal_sparse_densified_once(self):
+        # a sparse H of any width keeps its band, and `dense` (read by
+        # min_eig below its cutoff) densifies it once
         H = sp.random(40, 40, density=0.3, random_state=1) + 5 * sp.eye(40)
-        system = ShiftedSystem(H + H.T)
-        assert system.band is None
-        np.testing.assert_array_equal(system.dense, (H + H.T).toarray())
+        H = (H + H.T).tocsr()
+        coo = H.tocoo()
+        kd = int(np.max(np.abs(coo.row - coo.col)))
+        system = ShiftedSystem(H)
+        assert kd > 32 and system.band.shape == (kd + 1, 40)
+        np.testing.assert_array_equal(system.dense, H.toarray())
+        assert system.dense is system.dense
+
+    def test_operator_band_forms_nothing(self, rng):
+        # an operator H is stored dense: `band` neither scans nor forms it,
+        # and `dense` forms it once
+        A = rng.standard_normal((30, 8))
+        H = GramHessian(A, rng.uniform(-1.0, 1.0, 30), 30)
+        system = ShiftedSystem(H)
+        assert system.band is None and H._matrix is None
+        assert system.dense is H.toarray()
 
     def test_secant_scans_h_once(self, monkeypatch, rng):
-        # the caller's analysis is the only scan: the solve factors it at
-        # every shift and never analyses H again
+        # the caller's system stores H once: the solve factors it at every
+        # shift and never reads H's storage class again
         calls = []
         scan = secular._lower_band
         monkeypatch.setattr(secular, "_lower_band",
@@ -321,8 +348,8 @@ class TestAnalyseOnce:
         n = 50
         d, e = _tridiagonal(rng, n, "random")
         A = rng.standard_normal((n, n))
-        for H in (np.diag(d) + np.diag(e, -1) + np.diag(e, 1),
-                  _banded(rng, n, 3), A + A.T):
+        for H in (sp.diags([e, d, e], [-1, 0, 1], format="csr"),
+                  sp.csr_matrix(_banded(rng, n, 3)), A + A.T):
             calls.clear()
             counter = FactorizationCounter()
             solve_secular_full_secant(rng.standard_normal(n),
@@ -347,7 +374,7 @@ class TestAnalyseOnce:
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "band", "dense"])
     def test_factorizations_leave_system_unchanged(self, kind, rng):
-        # one analysed system serves every shift of an iterate, so no
+        # one stored system serves every shift of an iterate, so no
         # factorization or solve, at positive definite and indefinite
         # shifts, may write into its band or dense storage (or into H,
         # which a dense system holds without a copy)
@@ -360,7 +387,7 @@ class TestAnalyseOnce:
         else:
             A = rng.standard_normal((n, n))
             H = A + A.T
-        system = ShiftedSystem(H)
+        system = ShiftedSystem(H if kind == "dense" else sp.csr_matrix(H))
         stored = system.dense if kind == "dense" else system.band
         assert stored is not None and (kind != "band" or stored.shape[0] == 4)
         before, H_before = stored.copy(), H.copy()
