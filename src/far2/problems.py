@@ -5,10 +5,13 @@ algebraic definitions (CUTEst-style names and starting points), logistic and
 sigmoid classification losses, synthetic data generation, LIBSVM-format
 ingestion, and a finite-difference derivative checker.
 
-The banded registry problems (tridiagonal, diagonal or 4 x 4 blocks) return
-a scipy.sparse CSR Hessian at every n; the others (HILBERT, the hub-coupled
-ARWHEAD, NONDIA, EG2 and INDEF) return dense arrays, but for EG2's Hessian
-where its hub couplings vanish, a CSR diagonal. The classification
+The banded registry problems (tridiagonal, diagonal or 4 x 4 blocks) and
+the hub-coupled ARWHEAD, NONDIA and EG2 (a diagonal plus one full hub row
+and column, or for EG2 a diagonal where its hub couplings vanish) return a
+scipy.sparse CSR Hessian at every n, built vectorised. HILBERT and INDEF
+return dense arrays: INDEF's two hubs would fit the same storage, but CSR
+products round differently from dense ones and move its chaotic FAR2 runs
+to other stationary points. The classification
 losses return a GramHessian: an operator whose products with H need no
 matrix (Hessian-free products, Pearlmutter 1994), and which forms its dense
 matrix once, when a factorization or an eigensolve first reads H's entries.
@@ -83,6 +86,34 @@ def _tridiag(main, lower):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
+def _arrow(diag, hub, coupling):
+    """Symmetric CSR matrix: diagonal `diag` plus one hub row and column,
+    hub = 0 or n - 1, with H[hub, j] = H[j, hub] = coupling[j] for j != hub.
+
+    The hub row holds all n entries; every other row its hub entry and its
+    diagonal entry, in column order.
+    """
+    n = diag.size
+    i = np.arange(n, dtype=np.int32)
+    top = np.array(coupling, dtype=float)
+    top[hub] = diag[hub]
+    other = np.delete(i, hub)
+    at_hub, own = (0, 1) if hub == 0 else (1, 0)
+    pair_idx = np.empty((n - 1, 2), dtype=np.int32)
+    pair_val = np.empty((n - 1, 2))
+    pair_idx[:, at_hub], pair_idx[:, own] = hub, other
+    pair_val[:, at_hub], pair_val[:, own] = top[other], diag[other]
+    if hub == 0:
+        indices = np.concatenate([i, pair_idx.ravel()])
+        data = np.concatenate([top, pair_val.ravel()])
+        indptr = np.concatenate([[0], n + 2 * i])
+    else:
+        indices = np.concatenate([pair_idx.ravel(), i])
+        data = np.concatenate([pair_val.ravel(), top])
+        indptr = np.concatenate([2 * i, [3 * n - 2]])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _block_diag4(blocks: int, entries: dict):
     """Block-diagonal CSR matrix of `blocks` symmetric 4 x 4 blocks B.
 
@@ -151,12 +182,10 @@ def _arwhead(n):
         g[-1] = float(4.0 * xn * t.sum())
         if order == 1:
             return f, g, None
-        H = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        H[idx, idx] = 4.0 * t + 8.0 * x[:-1] ** 2
-        H[idx, -1] = H[-1, idx] = 8.0 * x[:-1] * xn
-        H[-1, -1] = float((4.0 * t + 8.0 * xn ** 2).sum())
-        return f, g, H
+        d = np.empty(n)
+        d[:-1] = 4.0 * t + 8.0 * x[:-1] ** 2
+        d[-1] = float((4.0 * t + 8.0 * xn ** 2).sum())
+        return f, g, _arrow(d, n - 1, 8.0 * x * xn)
     return np.ones(n), ev
 
 
@@ -253,12 +282,10 @@ def _nondia(n):
         g[1:] = -400.0 * x[1:] * r
         if order == 1:
             return f, g, None
-        H = np.zeros((n, n))
-        H[0, 0] = 2.0 + 200.0 * (n - 1)
-        H[0, 1:] = H[1:, 0] = -400.0 * x[1:]
-        idx = np.arange(1, n)
-        H[idx, idx] = -400.0 * r + 800.0 * x[1:] ** 2
-        return f, g, H
+        d = np.empty(n)
+        d[0] = 2.0 + 200.0 * (n - 1)
+        d[1:] = -400.0 * r + 800.0 * x[1:] ** 2
+        return f, g, _arrow(d, 0, -400.0 * x)
     return -np.ones(n), ev
 
 
@@ -381,26 +408,24 @@ def _eg2(n):
         if order == 1:
             return f, g, None
         su = np.sin(u)
-        H = np.zeros((n, n))
         # each term: -sin(u_j) v_j v_j^T + 2 cos(u_j) e_j e_j^T,
-        # with v_j = e_0 + 2 x_j e_j (both hit x_0 when j = 0)
+        # with v_j = e_0 + 2 x_j e_j (both hit x_0 when j = 0); x_n is
+        # coupled to nothing, so its hub entry is an explicit zero
+        d, coupling = np.zeros(n), np.zeros(n)
         v0 = 1.0 + 2.0 * x[0]
-        H[0, 0] += -su[0] * v0 * v0 + 2.0 * cu[0]
+        d[0] += -su[0] * v0 * v0 + 2.0 * cu[0]
         if n > 2:
             xs = x[1: n - 1]
             sj = su[1:]
             cj = cu[1:]
-            H[0, 0] += -sj.sum()
-            H[0, 1: n - 1] += -2.0 * xs * sj
-            H[1: n - 1, 0] += -2.0 * xs * sj
-            idx = np.arange(1, n - 1)
-            H[idx, idx] += -4.0 * xs ** 2 * sj + 2.0 * cj
-        H[-1, -1] += np.cos(xn * xn) - 2.0 * xn * xn * np.sin(xn * xn)
-        if not H[0, 1:].any():
-            # no hub coupling (at the start point, for one): a diagonal H,
-            # returned sparse so that it is factored in band storage
-            return f, g, _diagonal(np.diagonal(H))
-        return f, g, H
+            d[0] += -sj.sum()
+            coupling[1: n - 1] += -2.0 * xs * sj
+            d[1: n - 1] += -4.0 * xs ** 2 * sj + 2.0 * cj
+        d[-1] += np.cos(xn * xn) - 2.0 * xn * xn * np.sin(xn * xn)
+        if not coupling[1:].any():
+            # no hub coupling (at the start point, for one): a diagonal H
+            return f, g, _diagonal(d)
+        return f, g, _arrow(d, 0, coupling)
     return np.zeros(n), ev
 
 

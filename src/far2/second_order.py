@@ -41,7 +41,7 @@ def hessian_matrix(H):
     """H's entries: a sparse or dense matrix as it is, an operator H (such as
     problems.GramHessian) as np.asarray gives it, which forms its matrix
     once. Every reader of a Hessian's entries takes them from here, but for
-    secular.ShiftedSystem.band, which reads only a sparse H's band."""
+    secular._lower_band, which reads only a sparse H's band and hub rows."""
     return H if sp.issparse(H) else np.asarray(H, dtype=float)
 
 
@@ -51,6 +51,24 @@ def gershgorin_interval(H) -> tuple[float, float]:
     d = H.diagonal()
     radii = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))
+
+
+def _edge_anchor(system, shift: float, lo: float, hi: float) -> float:
+    """A point below the spectrum of H + shift I within 64 eps of its
+    scale from the leftmost eigenvalue, by bisection on the positive
+    definiteness of H + (shift - mu) I between lo (below the spectrum) and
+    hi (above its left end). For a bordered H, where each test costs
+    O(n k): a hub row widens the Gershgorin interval to its row sum, and an
+    anchor as far below as that interval is wide cannot separate a
+    clustered left end."""
+    width = 64.0 * float(np.finfo(float).eps) * max(1.0, abs(lo), abs(hi))
+    while hi - lo > width:
+        mid = lo + 0.5 * (hi - lo)
+        if secular.ShiftedFactorization(system, shift - mid).positive_definite:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def min_eig(system, want_vector: bool = False, shift: float = 0.0,
@@ -63,8 +81,9 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     rank_one = (c, u) with c >= 0 adds c u u^T. Up to DENSE_EIG_CUTOFF the
     matrix is formed densely and the dense symmetric eigensolver returns
     its leftmost eigenvalue alone. Above that, a shift-and-invert Lanczos
-    iteration anchored below H's Gershgorin interval (system.interval)
-    inverts the anchored matrix by Sherman-Morrison over one
+    iteration anchored below H's Gershgorin interval (system.interval), or
+    for a bordered H just below its spectrum (_edge_anchor), inverts the
+    anchored matrix by Sherman-Morrison over one
     ShiftedFactorization of H (not counted as a factorization of the run),
     from a fixed start vector, so that repeated calls agree bit for bit. Raises EigenSolveError if the
     iterative path does not converge.
@@ -88,6 +107,8 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
     lo, hi = system.interval
     lo, hi = lo + shift, hi + shift + c * float(u @ u)
     anchor = lo - 1.0e-3 * max(1.0, abs(lo), abs(hi))
+    if system.border is not None:
+        anchor = _edge_anchor(system, shift, anchor, hi)
     try:
         # K = H + (shift - anchor) I is positive definite, so
         # 1 + c u^T K^{-1} u >= 1

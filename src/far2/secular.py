@@ -10,23 +10,26 @@ pseudoinverse solve with an eigenvector component whose weight restores
 Full-space solves go through ShiftedFactorization, the one place that
 factors H + lambda I, so the run can count them. It tests positive
 definiteness by Cholesky in the storage the oracle chose for H (a sparse
-H in its band, tridiagonal when that band is one wide; any other H dense)
-and solves with that factor; a shift that is not positive definite is
-solved by one pivoted factorization (sytrf, or LU on the band). It
-factors a ShiftedSystem, which the nonlinear loop makes once per oracle
-Hessian: the full-space solve, the Newton corrector, the rational Krylov
-expansions and the eigensolves (second_order.min_eig) of an iterate all
-read that one storage, made when the first of them asks for it. Reduced
-(small, dense) solves use a spectral decomposition, after which each
-residual evaluation costs O(m). The full-space solve is safeguarded
+H in its band, tridiagonal when that band is one wide, with any hub rows
+in a border over a k x k Schur complement; any other H dense) and solves
+with those factors; a shift that is not positive definite is solved by
+one pivoted factorization (sytrf, or LU on the band and the Schur
+complement). It factors a ShiftedSystem, which the nonlinear loop makes
+once per oracle Hessian: the full-space solve, the Newton corrector, the
+rational Krylov expansions and the eigensolves (second_order.min_eig) of
+an iterate all read that one storage, made when the first of them asks
+for it. Reduced (small, dense) solves use a spectral decomposition, after
+which each residual evaluation costs O(m). The full-space solve is safeguarded
 Newton on the secular equation, the direct solver baseline of adaptive
 cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1): each
 shift costs one Cholesky factorization and two solves with it. When the
-bracket of either solve collapses onto the spectrum edge (the hard and
-near-hard cases) it returns the same boundary step (_boundary_step): the
-solve at the bracket's upper end plus the multiple of the leftmost
-eigenvector that restores ||s|| = lambda/sigma, of the two such multiples
-the one of lower model value (Moré & Sorensen 1983).
+root of either solve hugs the spectrum edge (the hard and near-hard
+cases) it returns the same boundary step (_boundary_step): the solve at a
+shift just above the edge plus the multiple of the leftmost eigenvector
+that restores ||s|| = lambda/sigma, of the two such multiples the one of
+lower model value (Moré & Sorensen 1983). The full-space solve tests for
+that edge as soon as it shows, with one eigensolve and one shift; the
+reduced solve reaches it when its bracket collapses.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .second_order import gershgorin_interval, hessian_matrix, min_eig
 MAX_ROOT_STEPS = 200
 
 # through get_lapack_funcs, which tags the lwork query with its integer type
-_sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
-    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
+_sytrf, _sytrf_lwork, _sytrs, _gesv = sla.get_lapack_funcs(
+    ("sytrf", "sytrf_lwork", "sytrs", "gesv"), dtype=np.float64)
 
 
 class SecularCase(Enum):
@@ -73,16 +76,34 @@ class SecularSolution:
 
 
 @dataclass(frozen=True)
+class Border:
+    """The hub rows of a sparse H, kept out of its band.
+
+    `rows` are the k hub rows (and columns) of H, in index order, and
+    `rest` the other n - k. `Bt` = H[rows][:, rest] (k x (n - k)) and
+    `C` = H[rows][:, rows] (k x k), both dense.
+    """
+
+    rows: np.ndarray
+    rest: np.ndarray
+    Bt: np.ndarray
+    C: np.ndarray
+
+
+@dataclass(frozen=True)
 class ShiftedSystem:
     """H stored once for factorizations at many shifts.
 
     `H` is the oracle's Hessian, used as it is for products: a matrix, or
     an operator that forms its matrix once (problems.GramHessian). H's
     storage class decides how it is factored: nothing scans a dense H's
-    entries for a band. `band` holds a sparse H's lower band in LAPACK
-    storage, row k the k-th subdiagonal, at the half-bandwidth of its
-    pattern (two rows, the diagonal and the subdiagonal, when H is
-    tridiagonal or diagonal); it is None for any other H, and for n < 3.
+    entries for a band. A sparse H (n >= 3) is read from its CSR pattern
+    once (_lower_band). Its hub rows, if it has any, go to `border`; `band`
+    holds the lower band of the other rows in LAPACK storage, row k the
+    k-th subdiagonal, at the half-bandwidth of their pattern (two rows,
+    the diagonal and the subdiagonal, when it is tridiagonal or
+    diagonal). Without hubs `border` is None and `band` is H's own band.
+    Both are None for any other H, and for n < 3.
     `dense` holds H as a float array (a sparse H densified once, an
     operator H formed through second_order.hessian_matrix); it is the one
     place that forms an operator H, and factorizations read it only when
@@ -96,8 +117,16 @@ class ShiftedSystem:
     H: object
 
     @cached_property
-    def band(self) -> np.ndarray | None:
+    def _sparse(self) -> tuple[np.ndarray | None, Border | None]:
         return _lower_band(self.H)
+
+    @property
+    def band(self) -> np.ndarray | None:
+        return self._sparse[0]
+
+    @property
+    def border(self) -> Border | None:
+        return self._sparse[1]
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -109,21 +138,70 @@ class ShiftedSystem:
         return gershgorin_interval(self.H)
 
 
-def _lower_band(H) -> np.ndarray | None:
-    """A sparse H's lower band storage, at the half-bandwidth kd of its
-    pattern, or None for a dense or operator H, which is factored dense.
+def _lower_band(H) -> tuple[np.ndarray | None, Border | None]:
+    """A sparse H's storage for factorization: (band, border).
 
-    A sparse H with n < 3 is left dense too: pttrf rejects n = 1, and runs
-    at n = 2 keep their dense factorizations.
+    Read from the CSR pattern, never from a dense H, which is factored
+    dense: (None, None), as for n < 3 (pttrf rejects n = 1, and runs at
+    n = 2 keep their dense factorizations). The k rows of highest degree
+    become the border (Border) when that lowers the entries one
+    factorization stores (_stored): the band factor of the other rows, Bt
+    and its solve, and the Schur complement. Of all k, the smallest count
+    wins, and the first on ties. Moving rows of a full band to the border
+    only adds that solve to store, so k > 0 needs rows whose removal
+    narrows the other rows' band: hubs. A banded H keeps k = 0 and its own
+    band.
     """
     if not sp.issparse(H) or H.shape[0] < 3:
-        return None
-    n, coo = H.shape[0], H.tocoo()
-    kd = int(np.max(np.abs(coo.row - coo.col), initial=0))
-    ab = np.zeros((max(kd, 1) + 1, n))
-    for k in range(kd + 1):
-        ab[k, : n - k] = H.diagonal(-k)
-    return ab
+        return None, None
+    H = H.tocsr()
+    if not H.has_sorted_indices:
+        H = H.sorted_indices()
+    n, indptr, cols = H.shape[0], H.indptr, H.indices
+    deg = np.diff(indptr)
+    full = np.flatnonzero(deg)
+    # sorted: each row's first entry is its leftmost
+    kd = int(np.max(full - cols[indptr[full]], initial=0))
+    best, hubs = _stored(n, 0, kd), 0
+    k = 1
+    # at least a diagonal is left to store beside k border rows
+    while k < n and _stored(n, k, 0) < best:
+        if k == 1:
+            order = np.argsort(-deg, kind="stable")
+            rows = np.repeat(np.arange(n), deg)
+            keep = np.ones(n, dtype=bool)
+        keep[order[k - 1]] = False
+        pos = np.cumsum(keep) - 1
+        both = keep[rows] & keep[cols]
+        kd_k = int(np.max(pos[rows[both]] - pos[cols[both]], initial=0))
+        if _stored(n, k, kd_k) < best:
+            best, hubs, kd = _stored(n, k, kd_k), k, kd_k
+        k += 1
+    ab = np.zeros((max(kd, 1) + 1, n - hubs))
+    if not hubs:
+        for k in range(kd + 1):
+            ab[k, : n - k] = H.diagonal(-k)
+        return ab, None
+    keep[:] = True
+    keep[order[:hubs]] = False
+    pos = np.cumsum(keep) - 1
+    lower = keep[rows] & keep[cols] & (rows >= cols)
+    r, c = pos[rows[lower]], pos[cols[lower]]
+    np.add.at(ab, (r - c, c), H.data[lower])
+    hub, rest = np.sort(order[:hubs]), np.flatnonzero(keep)
+    top = np.zeros((hubs, n))
+    for row, h in zip(top, hub):
+        entries = slice(indptr[h], indptr[h + 1])
+        np.add.at(row, cols[entries], H.data[entries])
+    return ab, Border(hub, rest, top[:, rest], top[:, hub])
+
+
+def _stored(n: int, k: int, kd: int) -> int:
+    """Entries one factorization of an n x n H with k border rows stores:
+    the lower band of the other n - k rows at half-bandwidth kd, Bt and
+    its solve (k(n - k) each) and the Schur complement's lower triangle."""
+    m = n - k
+    return m * (kd + 1) - kd * (kd + 1) // 2 + 2 * k * m + k * (k + 1) // 2
 
 
 def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
@@ -133,18 +211,115 @@ def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
     return B
 
 
+def _checked(trs):
+    """A solve through stored Cholesky factors (a ?trs call with its
+    factors bound) that raises on a failed back-substitution."""
+    def solve(rhs):
+        x, info = trs(rhs)
+        if info != 0:
+            raise SingularShiftError("back-substitution failed on stored factors")
+        return x
+    return solve
+
+
+def _cholesky(ab: np.ndarray | None, dense, lam: float):
+    """Cholesky of a lower band (pttrf when it is two rows, else pbtrf) or,
+    when ab is None, of dense() (potrf), plus lam I: a solve function, or
+    None when the shifted matrix is not positive definite."""
+    if ab is None:
+        c, info = dpotrf(_shifted_dense(dense(), lam), lower=1, clean=0,
+                         overwrite_a=1)
+        solve = partial(dpotrs, c, lower=1)
+    elif ab.shape[0] == 2:
+        d, e, info = dpttrf(ab[0] + lam, ab[1, :-1])
+        solve = partial(dpttrs, d, e)
+    else:
+        B = ab.copy(order="F")
+        B[0] += lam
+        c, info = dpbtrf(B, lower=1, overwrite_ab=1)
+        solve = partial(dpbtrs, c, lower=1)
+    if info < 0:
+        raise ValueError(f"Cholesky: illegal argument {-info}")
+    # a failed Cholesky leaves no usable factor: its storage goes now
+    return _checked(solve) if info == 0 else None
+
+
+def _bordered(border: Border, solve_rest, lam: float, solve_schur):
+    """The solve of H + lam I in border form, from a solve with A + lam I
+    (A the block of the rows outside the border) and `solve_schur`, which
+    factors the Schur complement S = C + lam I - Bt (A + lam I)^{-1} Bt^T
+    and returns its solve (None when that fails). Each solve costs one
+    solve with A + lam I and O(n k)."""
+    rows, rest, Bt = border.rows, border.rest, border.Bt
+    W = solve_rest(Bt.T)
+    S = border.C - Bt @ W
+    S.flat[:: S.shape[0] + 1] += lam
+    schur = solve_schur(S)
+    if schur is None:
+        return None
+
+    def solve(rhs):
+        y = solve_rest(rhs[rest])
+        x = np.empty_like(rhs)
+        x[rows] = schur(rhs[rows] - Bt @ y)
+        x[rest] = y - W @ x[rows]
+        return x
+    return solve
+
+
+def _schur_cholesky(S):
+    return _cholesky(None, lambda: S, 0.0)
+
+
+def _schur_lu(S):
+    """S's solve by LU (gesv), raising on an exact zero pivot."""
+    def solve(rhs):
+        _, _, x, info = _gesv(S, rhs.reshape(S.shape[0], -1))
+        if info > 0:
+            raise SingularShiftError("Schur complement is singular "
+                                     "(exact zero pivot)")
+        return x.reshape(rhs.shape)
+    return solve
+
+
+def _band_lu(ab: np.ndarray, lam: float):
+    """The solve of a lower band plus lam I by LU on the full band
+    (solve_banded: gtsv when tridiagonal, else gbsv), for a shift that is
+    not positive definite; each call factors a copy of the band."""
+    # solve_banded's storage: row kd + i - j holds B[i, j]
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    G = np.zeros((2 * kd + 1, n))
+    for k in range(kd + 1):
+        G[kd + k, : n - k] = ab[k, : n - k]
+        G[kd - k, k:] = ab[k, : n - k]
+    G[kd] += lam
+
+    def solve(rhs):
+        try:
+            return sla.solve_banded((kd, kd), G, rhs, check_finite=False)
+        except sla.LinAlgError as exc:
+            raise SingularShiftError(
+                f"H + {lam!r} I is singular (exact zero pivot)") from exc
+    return solve
+
+
 class ShiftedFactorization:
     """Cholesky factorization of B = H + lambda*I, with solve().
 
     `system` is H's ShiftedSystem, stored once for every shift of an
     iterate and never written into. B is factored by Cholesky in H's
     storage: pttrf for a tridiagonal band, pbtrf for a wider one and
-    potrf for dense H. `positive_definite` is that factorization's
-    success, and solve() uses its factor (pttrs, pbtrs, potrs). If B is
-    not positive definite, solve() instead makes one pivoted factorization
-    and solve (_pivoted_solve), raising SingularShiftError on an exact
-    zero pivot. Each construction adds one to `counter`, if given; the
-    Lanczos path of min_eig factors without one.
+    potrf for dense H. With a border of k hub rows (Border: A the other
+    rows' block, Bt the hubs' coupling to them, C their own block), A's
+    band is factored so, and then the k x k Schur complement
+    S = C + lam I - Bt (A + lam I)^{-1} Bt^T by potrf: B is positive
+    definite if and only if A + lam I and S are, and each solve costs
+    O(n k) beyond the band's (_bordered). `positive_definite` is that
+    factorization's success, and solve() uses its factors. If B is not
+    positive definite, solve() instead makes one pivoted factorization and
+    solve (_pivoted_solve), raising SingularShiftError on an exact zero
+    pivot. Each construction adds one to `counter`, if given; the Lanczos
+    path of min_eig factors without one.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,
@@ -153,66 +328,43 @@ class ShiftedFactorization:
             raise ValueError("shift must be finite")
         self._system = system
         self._lam = lam
-        ab = system.band
-        if ab is None:
-            c, info = dpotrf(_shifted_dense(system.dense, lam), lower=1,
-                             clean=0, overwrite_a=1)
-            solve = partial(dpotrs, c, lower=1)
-        elif ab.shape[0] == 2:
-            d, e, info = dpttrf(ab[0] + lam, ab[1, :-1])
-            solve = partial(dpttrs, d, e)
-        else:
-            B = ab.copy(order="F")
-            B[0] += lam
-            c, info = dpbtrf(B, lower=1, overwrite_ab=1)
-            solve = partial(dpbtrs, c, lower=1)
-        if info < 0:
-            raise ValueError(f"Cholesky: illegal argument {-info}")
-        self.positive_definite = info == 0
-        # a failed Cholesky leaves no usable factor: its storage goes now
-        self._solve = solve if self.positive_definite else None
+        solve = _cholesky(system.band, lambda: system.dense, lam)
+        if solve is not None and system.border is not None:
+            solve = _bordered(system.border, solve, lam, _schur_cholesky)
+        self.positive_definite = solve is not None
+        self._solve = solve
         if counter is not None:
             counter.count += 1
 
     def _pivoted_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve B x = rhs by one pivoted factorization of B, for a shift
         that is not positive definite: sytrf and sytrs on dense storage,
-        LU on the full band (solve_banded: gtsv when tridiagonal, else
-        gbsv)."""
-        ab, lam = self._system.band, self._lam
-        singular = f"H + {lam!r} I is singular (exact zero pivot)"
-        if ab is not None:
-            # solve_banded's storage: row kd + i - j holds B[i, j]
-            kd, n = ab.shape[0] - 1, ab.shape[1]
-            G = np.zeros((2 * kd + 1, n))
-            for k in range(kd + 1):
-                G[kd + k, : n - k] = ab[k, : n - k]
-                G[kd - k, k:] = ab[k, : n - k]
-            G[kd] += lam
-            try:
-                return sla.solve_banded((kd, kd), G, rhs, overwrite_ab=True,
-                                        check_finite=False)
-            except sla.LinAlgError as exc:
-                raise SingularShiftError(singular) from exc
-        B = _shifted_dense(self._system.dense, lam)
+        LU on the full band (_band_lu), and with a border LU on the rest's
+        band and then on the Schur complement (getrf), so that a bordered
+        H is never densified."""
+        system, lam = self._system, self._lam
+        if system.band is not None:
+            solve = _band_lu(system.band, lam)
+            if system.border is not None:
+                solve = _bordered(system.border, solve, lam, _schur_lu)
+            return solve(rhs)
+        B = _shifted_dense(system.dense, lam)
         lwork = _compute_lwork(_sytrf_lwork, B.shape[0], lower=1)
         ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork, overwrite_a=1)
         if info < 0:
             raise ValueError(f"sytrf: illegal argument {-info}")
         if info > 0:
-            raise SingularShiftError(singular)
+            raise SingularShiftError(
+                f"H + {lam!r} I is singular (exact zero pivot)")
         return _sytrs(ldu, ipiv, rhs, lower=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H + lambda I) x = rhs, through the Cholesky factor when
+        """Solve (H + lambda I) x = rhs, through the Cholesky factors when
         B is positive definite."""
         rhs = np.asarray(rhs, dtype=float)
         if not self.positive_definite:
             return self._pivoted_solve(rhs)
-        x, info = self._solve(rhs)
-        if info != 0:
-            raise SingularShiftError("back-substitution failed on stored factors")
-        return x
+        return self._solve(rhs)
 
 
 def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
@@ -321,19 +473,26 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     return SecularSolution(lam, step, SecularCase.HARD, alpha=alpha)
 
 
+def _leftmost(system: ShiftedSystem, counter) -> tuple[float, np.ndarray]:
+    """H's leftmost eigenpair, counted as one factorization."""
+    eig = min_eig(system, want_vector=True)
+    if counter is not None:
+        counter.count += 1
+    return eig
+
+
 def _spectral_fallback(g, system: ShiftedSystem, sigma, counter, hi=None,
-                       p=None) -> SecularSolution:
+                       p=None, eig=None) -> SecularSolution:
     """The boundary step, once the bracket collapses onto the spectrum edge.
 
     The step p solved at the bracket's upper end `hi` (||p|| < hi/sigma)
     plus the multiple of the leftmost eigenvector v1 that restores
     ||s|| = hi/sigma (_boundary_step). A zero gradient (p None) takes
-    hi = max(0, -lambda_1) and p = 0. The eigensolve is counted as one
-    factorization.
+    hi = max(0, -lambda_1) and p = 0. `eig` is the leftmost pair when the
+    solve has already computed it; otherwise the eigensolve is made here,
+    counted as one factorization.
     """
-    lam1, v1 = min_eig(system, want_vector=True)
-    if counter is not None:
-        counter.count += 1
+    lam1, v1 = eig if eig is not None else _leftmost(system, counter)
     if p is None:
         hi, p = max(0.0, -lam1), np.zeros(g.size)
     step, alpha = _boundary_step(g, system.H, p, v1, hi / sigma)
@@ -358,10 +517,22 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     max(2 lo, lo + 1) while the upper end is infinite. The residual is
     driven to ~1e-10 of the step norm, which makes the returned step, the
     solve at the shift that converged, satisfy both the model decrease and
-    the (theta1/2)||s||^2 stationarity bound. A bracket that collapses onto
-    the spectrum edge (the hard and near-hard cases) ends in the boundary
-    step of _spectral_fallback, as does a zero gradient with H not positive
-    definite.
+    the (theta1/2)||s||^2 stationarity bound.
+
+    The hard and near-hard cases end in the boundary step of
+    _spectral_fallback. Two signs say that the root may hug the spectrum
+    edge: the first Cholesky that fails below a shift with phi < 0, and a
+    Newton step from the left of the root that rounding stalls at `lo`.
+    Either makes the next shift a test shift
+    t = max(-lambda_1, lo) + 64 eps ||H||, ||H|| from the Gershgorin
+    interval, since the eigensolve and the Cholesky test agree on the edge
+    only to a multiple of eps ||H||; lambda_1 comes from one eigensolve per
+    solve, counted as a factorization. If H + t I is positive definite and
+    phi(t) <= 0, the boundary step at t ends the solve at once (at the
+    upper end instead when t passes it); otherwise t is one more iterate
+    of the loop. A bracket that collapses onto the edge ends in the
+    boundary step at its upper end, reusing that eigenpair, as does a zero
+    gradient with H not positive definite.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -378,13 +549,16 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     else:
         lam = max(0.0, -system.interval[0]) + sigma * math.sqrt(gnorm)
     rtol = min(0.5 * theta1 / sigma, 1.0e-9)
-    edge = 1.0 - 64.0 * float(np.finfo(float).eps)
-    lo, hi, x_hi = 0.0, math.inf, None
+    eps = float(np.finfo(float).eps)
+    edge = 1.0 - 64.0 * eps
+    lo, hi, x_hi, eig = 0.0, math.inf, None, None
+    test = False  # lam is an edge test shift
     for _ in range(MAX_ROOT_STEPS):
         fac = ShiftedFactorization(system, lam, counter)
         nxt = math.nan
         if not fac.positive_definite:
             lo = lam  # at or below the spectrum edge
+            at_edge = hi < math.inf and eig is None
         else:
             x = fac.solve(g)
             snorm = float(np.linalg.norm(x))
@@ -393,14 +567,30 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                 return SecularSolution(lam, -x, SecularCase.EASY)
             if phi > 0.0:
                 lo = lam
+            elif test:
+                return _spectral_fallback(g, system, sigma, counter, lam, -x,
+                                          eig)
             else:
                 hi, x_hi = lam, x
             dpsi = float(x @ fac.solve(x)) / snorm ** 3 + sigma / lam ** 2
             nxt = lam - (1.0 / snorm - sigma / lam) / dpsi
+            # left of the root Newton moves right, unless rounding stalls it
+            at_edge = phi > 0.0 and not nxt > lam
         if lo >= edge * hi:
             # the bracket is exhausted in floating point without meeting
             # the residual target: the root hugs the spectrum edge
-            return _spectral_fallback(g, system, sigma, counter, hi, -x_hi)
+            return _spectral_fallback(g, system, sigma, counter, hi, -x_hi,
+                                      eig)
+        if at_edge and not test:
+            if eig is None:
+                eig = _leftmost(system, counter)
+            lam = max(-eig[0], lo) + 64.0 * eps * max(map(abs, system.interval))
+            if lam >= hi:
+                return _spectral_fallback(g, system, sigma, counter, hi,
+                                          -x_hi, eig)
+            test = True
+            continue
+        test = False
         if not lo < nxt < hi:
             nxt = (max(2.0 * lo, lo + 1.0) if hi == math.inf
                    else lo + 0.5 * (hi - lo))

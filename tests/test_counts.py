@@ -3,14 +3,17 @@
 Performance work on the factorization and eigenvalue layers must leave every
 count unchanged. These runs pin exact (n_fact, n_nli) pairs on paths that
 exercise AR2's safeguarded Newton on the secular equation with tridiagonal
-Cholesky (ROSENBR, CUBE) and band Cholesky on 4x4 block Hessians (WOODS),
-its exit at the spectrum edge, the boundary step along the leftmost
-eigenvector (WOODS, EG2), the Newton corrector (FAR2-PK), pivoted
-indefinite solves of shifts that are not positive definite (FAR2-RK on
-INDEF: rational expansions and corrector steps), and FAR2-SO on a sparse
-Hessian above DENSE_EIG_CUTOFF (EDENSCH-5000: curvature tests and the
-iterative smallest-eigenvalue termination test) and on the dense
-eigensolve path below it (EG2, INDEF and CUBE at n = 100: the model
+Cholesky (ROSENBR, CUBE), band Cholesky on 4x4 block Hessians (WOODS) and
+the bordered factorization of a hub Hessian (EG2: a diagonal plus one hub
+row, Cholesky of the diagonal and of the 1 x 1 Schur complement), its
+early exit at the spectrum edge after one eigensolve and one test shift
+(ROSENBR, WOODS, EG2), the bracket's exhaustion there, the boundary step
+along the leftmost eigenvector (WOODS, EG2), the Newton corrector
+(FAR2-PK), pivoted indefinite solves of shifts that are not positive
+definite (FAR2-RK on INDEF: rational expansions and corrector steps), and
+FAR2-SO on a sparse Hessian above DENSE_EIG_CUTOFF (EDENSCH-5000: curvature
+tests and the iterative smallest-eigenvalue termination test) and on the
+dense eigensolve path below it (EG2, INDEF and CUBE at n = 100: the model
 curvature tests, the positive-definite corrector gate and the dense
 termination test). FAR2-SO on the classification losses of
 experiments/second-order.cfg also pins how many loss Hessians it forms:
@@ -24,15 +27,15 @@ from far2 import problems
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
 
 PINNED = [
-    ("AR2", "ROSENBR", 100, 2634, 415),
-    ("AR2", "WOODS", 100, 614, 99),
-    ("AR2", "WOODS", 500, 666, 107),
+    ("AR2", "ROSENBR", 100, 2630, 415),
+    ("AR2", "WOODS", 100, 605, 99),
+    ("AR2", "WOODS", 500, 655, 107),
     ("AR2", "CUBE", 100, 712, 110),
-    ("AR2", "EG2", 100, 172, 13),
+    ("AR2", "EG2", 100, 83, 13),
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
     ("FAR2-RK", "INDEF", 100, 37, 101),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),
-    ("FAR2-SO", "EG2", 100, 105, 15),
+    ("FAR2-SO", "EG2", 100, 16, 15),
     ("FAR2-SO", "INDEF", 100, 3, 17),
     ("FAR2-SO", "CUBE", 100, 95, 96),
 ]

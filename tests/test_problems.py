@@ -63,9 +63,13 @@ class TestRegistry:
 
     @pytest.mark.parametrize("n", [8, 500])
     def test_hessian_storage(self, n):
-        # the oracle decides the storage, the same at every n
+        # the oracle decides the storage, the same at every n: CSR but for
+        # HILBERT and INDEF (INDEF stays dense: a CSR INDEF's products move
+        # its chaotic FAR2 runs). The hub Hessians of ARWHEAD, NONDIA and
+        # EG2 are a diagonal plus one full hub row and column.
         banded = {"ROSENBR", "TRIDIA", "ENGVAL1", "EDENSCH", "CUBE", "QUAD",
                   "DQRTIC", "WOODS", "POWELLSG", "BDARWHD"}
+        hubs = {"ARWHEAD": -1, "NONDIA": 0, "EG2": 0}
         for name in registry_names():
             entry = REGISTRY[name]
             m = max(n, entry.min_n)
@@ -76,10 +80,16 @@ class TestRegistry:
                 # no hub coupling at its start point: a CSR diagonal there
                 assert sp.issparse(H) and H.nnz == m
                 H = p.eval(p.x0 + 0.1, 2)[2]
-            if name in banded:
+            if name in banded or name in hubs:
                 assert sp.issparse(H) and H.format == "csr", name
+                assert H.has_canonical_format, name
             else:
                 assert isinstance(H, np.ndarray), name
+            if name in hubs:
+                hub = hubs[name] % m
+                rows = np.diff(H.indptr)
+                assert rows[hub] == m and H.nnz == 3 * m - 2, name
+                assert (H != H.T).nnz == 0, name
             assert H.shape == (m, m)
 
     @pytest.mark.parametrize("name", ["ROSENBR", "EG2", "INDEF", "CUBE", "NONDIA"])

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from conftest import random_symmetric
 from far2.config import SolverConfig
 from far2.driver import far2_solve
+from far2 import problems
 from far2.problems import (ObjectiveProblem, get_problem, logistic_objective,
                            synth_classification)
 from far2 import far2so_solve
@@ -87,6 +88,33 @@ class TestMinEig:
         pairs = [min_eig(system, want_vector=True) for _ in range(4)]
         assert len({lam for lam, _ in pairs}) == 1
         assert len({v.tobytes() for _, v in pairs}) == 1
+
+    def test_iterative_path_on_a_clustered_hub_hessian(self):
+        # above DENSE_EIG_CUTOFF: a hub row of sum n widens the Gershgorin
+        # interval to [1, n], while the leftmost eigenvalue, 3.3e-12 below
+        # the least diagonal entry, heads a cluster 3.3e-7 apart. Anchored
+        # just below the edge, Lanczos separates it (anchored 3 below the
+        # interval, it meets neither bound); the reference is the smallest
+        # root of the arrowhead's secular equation
+        # d_0 - lam - sum_i b_i^2 / (d_i - lam)
+        n = 3000
+        d = 1.0 + 1e-3 * np.linspace(0.0, 1.0, n)
+        d[0] = float(n)
+        b = np.full(n, 1e-4)
+        H = problems._arrow(d, 0, b)
+        system = ShiftedSystem(H)
+        assert list(system.border.rows) == [0]
+        lam, v = min_eig(system, want_vector=True)
+
+        def secular(mu):
+            return d[0] - mu - float(np.sum(b[1:] ** 2 / (d[1:] - mu)))
+
+        lo, hi = 0.0, d[1]
+        while hi - lo > 4e-16 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if secular(mid) > 0.0 else (lo, mid)
+        assert lam == pytest.approx(lo, abs=1e-15)
+        assert np.linalg.norm(H @ v - lam * v) < 1e-14
 
     def test_gershgorin_contains_spectrum(self, rng):
         H = random_symmetric(rng, 12)

@@ -256,17 +256,42 @@ class TestSolveSecularFullSecant:
     def test_hard_case_at_the_spectrum_edge(self, n):
         # g orthogonal to the leftmost eigenvector of a diagonal H, with
         # min_eig dense at n = 7 and iterative above DENSE_EIG_CUTOFF: the
-        # boundary step at the bracket's upper end
+        # Cholesky at 2 fails below the shift 4 where phi < 0, and the
+        # eigensolve and one test shift just above 3 give the boundary step
+        # (the bracket took 49 factorizations to exhaust itself)
         d = np.full(n, 2.0)
         d[0] = -3.0
         H = sp.diags([d], [0], format="csr")
         g = np.zeros(n)
         g[1:] = 1.0 / math.sqrt(n - 1)
-        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1)
+        c = FactorizationCounter()
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1, c)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
         np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
+        assert c.count <= 4
+
+    def test_newton_stall_at_the_spectrum_edge(self):
+        # a near-hard case: g's weight 1e-13 on v1 puts the root about
+        # 3.3e-14 above the pole at 3, closer than the residual target can
+        # resolve. From the left, Newton reaches 3 + 3.3e-14 and stalls
+        # there; the stall tests the edge at once, where the solve jumped
+        # to 2 lo and bisected back (51 factorizations)
+        n = 7
+        d = np.full(n, 2.0)
+        d[0] = -3.0
+        g = np.full(n, 1.0 / math.sqrt(n - 1))
+        g[0] = 1e-13
+        c = FactorizationCounter()
+        sol = solve_secular_full_secant(
+            g, ShiftedSystem(sp.diags([d], [0], format="csr")), 1.0, 0.1, c,
+            warm_lambda=3.0 + 4 * 2.0**-51)
+        assert sol.case is SecularCase.HARD
+        assert sol.lam == pytest.approx(3.0, rel=1e-12)
+        assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
+        np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
+        assert c.count <= 4
 
     @pytest.mark.parametrize("n", [7, 2001])
     def test_zero_gradient_indefinite(self, n):

@@ -1,7 +1,8 @@
 """ShiftedFactorization against independent dense references.
 
 For every storage H's class selects (a sparse H in its band: diagonal and
-tridiagonal, kd = 2-4, 4x4 blocks, full width; a dense H dense),
+tridiagonal, kd = 2-4, 4x4 blocks, full width; a sparse H with hub rows in
+border form; a dense H dense),
 `positive_definite` must agree with eigvalsh on H + lam I for shifts at
 least 1e-8 ||H|| from the spectrum, and solve() must match
 numpy.linalg.solve to a relative residual of 1e-10, at positive definite
@@ -11,6 +12,7 @@ definite is factored again, with pivoting, each time a caller solves with
 it.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 
 import far2.secular as secular
 from far2.errors import SingularShiftError
+from far2.harness import ProblemSpec, SuiteConfig, run_suite
 from far2.model import ModelContext, model_curvature_bound
-from far2.problems import GramHessian
+from far2.problems import GramHessian, get_problem, registry_names
 from far2.secular import (FactorizationCounter, ShiftedFactorization,
                           ShiftedSystem, solve_secular_full_secant)
 
@@ -400,3 +403,108 @@ class TestAnalyseOnce:
             fac.solve(rhs)
             assert stored.tobytes() == before.tobytes()
             assert H.tobytes() == H_before.tobytes()
+
+
+def _hubbed(rng, n, hubs, tridiagonal):
+    """Random symmetric H: a diagonal or tridiagonal rest plus a full hub
+    row and column at each index in `hubs`."""
+    H = np.diag(rng.standard_normal(n) * 3.0)
+    if tridiagonal:
+        e = rng.standard_normal(n - 1)
+        H += np.diag(e, -1) + np.diag(e, 1)
+    for h in hubs:
+        H[h, :] = H[:, h] = rng.standard_normal(n)
+    return H
+
+
+HUBS = st.sampled_from([("first",), ("last",), ("middle",), ("first", "last"),
+                        ("first", "middle"), ("middle", "last")])
+
+
+class TestBordered:
+    """Hub rows go to a border: Cholesky of the rest's band and of the
+    k x k Schur complement when H + lam I is positive definite, LU on
+    both when it is not, and never a dense H."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 60),
+           where=HUBS, tridiagonal=st.booleans(),
+           shift=st.sampled_from(["definite", "random", "above", "below"]))
+    def test_against_reference(self, seed, n, where, tridiagonal, shift):
+        rng = np.random.default_rng(seed)
+        hubs = sorted({"first": 0, "middle": n // 2, "last": n - 1}[w]
+                      for w in where)
+        T = _hubbed(rng, n, hubs, tridiagonal)
+        w = np.linalg.eigvalsh(T)
+        if shift == "definite":
+            lam = -float(w[0]) + float(rng.uniform(0.0, 2.0))
+        else:
+            lam = _shift(rng, w, shift)
+        assume(_far(w, lam))
+        # an indefinite shift is solved through A + lam I, the rest, which
+        # must then be as far from singular as H + lam I is
+        rest = np.delete(np.delete(T, hubs, 0), hubs, 1)
+        assume(_far(np.linalg.eigvalsh(rest), lam))
+        system = ShiftedSystem(sp.csr_matrix(T))
+        assert list(system.border.rows) == hubs
+        _check(system.H, lam, rng.standard_normal(n), rows=2)
+        ShiftedFactorization(system, lam).solve(rng.standard_normal(n))
+        assert "dense" not in vars(system)
+
+    @pytest.mark.parametrize("singular", ["schur", "rest"])
+    def test_exact_zero_pivot_raises(self, singular):
+        # a hub over ones: S = C - Bt A^{-1} Bt^T = (n - 1) - (n - 1) = 0
+        # at lam = 0, or a zero row in the rest, which the hub skips
+        n = 8
+        H = np.eye(n)
+        H[0, 1:] = H[1:, 0] = 1.0
+        H[0, 0] = n - 1.0
+        if singular == "rest":
+            H[0, 0] = 1.0
+            H[3, :] = H[:, 3] = 0.0
+        system = ShiftedSystem(sp.csr_matrix(H))
+        assert list(system.border.rows) == [0]
+        fac = ShiftedFactorization(system, 0.0)
+        assert not fac.positive_definite
+        with pytest.raises(SingularShiftError):
+            fac.solve(np.ones(n))
+        assert "dense" not in vars(system)
+
+    @pytest.mark.parametrize("n", [8, 500])
+    def test_registry_storage(self, n, monkeypatch):
+        # read from the CSR arrays: banded Hessians keep k = 0 and their
+        # band, diagonal by diagonal; the hub Hessians border their hub
+        def no_coo(*args, **kwargs):
+            raise AssertionError("the band is read without tocoo")
+
+        monkeypatch.setattr(sp.csr_matrix, "tocoo", no_coo)
+        hubs = {"ARWHEAD": n - 1, "NONDIA": 0, "EG2": 0}
+        for name in registry_names():
+            p = get_problem(name, n)
+            H = p.eval(p.x0 + 0.1, 2)[2]
+            if not sp.issparse(H):
+                continue
+            band, border = secular._lower_band(H)
+            if name in hubs:
+                assert list(border.rows) == [hubs[name]], name
+                assert band.shape == (2, n - 1), name
+                continue
+            assert border is None, name
+            for k in range(band.shape[0]):
+                np.testing.assert_array_equal(band[k, : n - k],
+                                              H.diagonal(-k))
+
+    def test_hub_problems_in_linear_memory(self):
+        # n = 20000: a dense H would take 3.2 GB, a bordered one O(n)
+        tracemalloc.start()
+        try:
+            for name in ("ARWHEAD", "NONDIA", "EG2"):
+                spec = ProblemSpec(kind="registry", name=name, n=20000)
+                for report in run_suite(SuiteConfig(
+                        solvers=["AR2", "FAR2-PK"], problems=[spec])):
+                    assert report.converged, (report.solver, name)
+                    assert report.violations == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6

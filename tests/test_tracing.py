@@ -32,7 +32,7 @@ def test_every_layer_target_exists_and_is_traced():
         assert far2.driver.solve_secular_full_secant.__wrapped__ is original
         ar2_solve(get_problem("ROSENBR", 10))
         far2_solve(get_problem("ROSENBR", 10))
-        # EG2's bracket collapses onto the spectrum edge: the boundary step
+        # EG2's solve reaches the spectrum edge: the boundary step
         ar2_solve(get_problem("EG2", 30))
     finally:
         tracer.uninstall()
