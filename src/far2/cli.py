@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import harness, krylov, problems, secular
 from .config import POLYNOMIAL
-from .errors import ConfigError
+from .errors import ConfigError, ProfileError
 
 
 def cmd_run(args) -> int:
@@ -185,6 +185,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ProfileError as exc:
+        print(f"profile: {exc}", file=sys.stderr)
         return 2
 
 

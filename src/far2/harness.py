@@ -271,14 +271,19 @@ def write_reports_json(reports: list[RunReport], path) -> None:
 
 
 def read_reports_json(path) -> list[RunReport]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """The reports write_reports_json stored at `path`, for profiles;
+    raises ProfileError when the file holds anything else."""
     out = []
-    for d in payload["reports"]:
-        d = dict(d)
-        d["trace"] = [IterationRecord(**t) for t in d.get("trace", [])]
-        d["x_final"] = np.asarray(d["x_final"], dtype=float)
-        out.append(RunReport(**d))
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for d in json.load(fh)["reports"]:
+                d = dict(d)
+                d["trace"] = [IterationRecord(**t) for t in d.get("trace", [])]
+                d["x_final"] = np.asarray(d["x_final"], dtype=float)
+                out.append(RunReport(**d))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProfileError(f"{path} is not a reports file "
+                               f"({type(exc).__name__}: {exc})") from exc
     return out
 
 

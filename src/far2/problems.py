@@ -19,6 +19,7 @@ matrix once, when a factorization or an eigensolve first reads H's entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -651,6 +652,8 @@ class ClassificationData:
             raise ValueError("A must be N x n with one label per row")
         if not np.all(np.isfinite(self.A)):
             raise ValueError("non-finite feature entries")
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("non-finite labels")
 
     @property
     def N(self) -> int:
@@ -770,9 +773,12 @@ def load_libsvm(path, n_features: int | None = None,
                 continue
             parts = line.split()
             try:
-                targets.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError as exc:
                 raise LibsvmParseError(f"line {lineno}: bad label {parts[0]!r}") from exc
+            if not math.isfinite(label):
+                raise LibsvmParseError(f"line {lineno}: non-finite label {parts[0]!r}")
+            targets.append(label)
             entries = []
             for tok in parts[1:]:
                 try:
@@ -783,6 +789,8 @@ def load_libsvm(path, n_features: int | None = None,
                     raise LibsvmParseError(f"line {lineno}: bad entry {tok!r}") from exc
                 if idx < 1:
                     raise LibsvmParseError(f"line {lineno}: index {idx} not 1-based")
+                if not math.isfinite(val):
+                    raise LibsvmParseError(f"line {lineno}: non-finite entry {tok!r}")
                 entries.append((idx, val))
                 max_idx = max(max_idx, idx)
             rows.append(entries)

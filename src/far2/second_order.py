@@ -1,11 +1,12 @@
 """Second-order optimality support.
 
 Holds the smallest-eigenvalue routine used for the curvature tests and the
-hard case, the spectral interval estimate, the one accessor through which
-every reader takes a Hessian's entries (hessian_matrix), and the extended
+hard case, the Gershgorin interval estimate, and the extended
 configuration with the curvature constant theta2 and the Hessian tolerance
 eps_H that puts the nonlinear loop (driver.far2so_solve) in second-order
-mode.
+mode. min_eig reads H's entries only through the iterate's
+secular.ShiftedSystem, the one reader of a Hessian's entries, which hands
+gershgorin_interval a sparse H or its own dense array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import secular
@@ -37,17 +37,9 @@ class SecondOrderConfig(SolverConfig):
             raise ValueError("eps_H must lie in (0, 1)")
 
 
-def hessian_matrix(H):
-    """H's entries: a sparse or dense matrix as it is, an operator H (such as
-    problems.GramHessian) as np.asarray gives it, which forms its matrix
-    once. Every reader of a Hessian's entries takes them from here, but for
-    secular._lower_band, which reads only a sparse H's band and hub rows."""
-    return H if sp.issparse(H) else np.asarray(H, dtype=float)
-
-
 def gershgorin_interval(H) -> tuple[float, float]:
-    """Gershgorin bounds (lower, upper) on the spectrum of symmetric H, any storage."""
-    H = hessian_matrix(H)
+    """Gershgorin bounds (lower, upper) on the spectrum of symmetric H, a
+    sparse or a dense array (ShiftedSystem.interval gives it one)."""
     d = H.diagonal()
     radii = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))

@@ -8,18 +8,20 @@ pseudoinverse solve with an eigenvector component whose weight restores
 ||s|| = lambda/sigma.
 
 Full-space solves go through ShiftedFactorization, the one place that
-factors H + lambda I, so the run can count them. It tests positive
-definiteness by Cholesky in the storage the oracle chose for H (a sparse
-H in its band, tridiagonal when that band is one wide, with any hub rows
-in a border over a k x k Schur complement; any other H dense) and solves
-with those factors; a shift that is not positive definite is solved by
-one pivoted factorization (sytrf, or LU on the band and the Schur
-complement). It factors a ShiftedSystem, which the nonlinear loop makes
-once per oracle Hessian: the full-space solve, the Newton corrector, the
-rational Krylov expansions and the eigensolves (second_order.min_eig) of
-an iterate all read that one storage, made when the first of them asks
-for it. Reduced (small, dense) solves use a spectral decomposition, after
-which each residual evaluation costs O(m). The full-space solve is safeguarded
+factors H + lambda I, so the run can count them. One function (_factor)
+factors it in the storage the oracle chose for H: a sparse H in its band,
+tridiagonal when that band is one wide, with any hub rows in a border over
+a k x k Schur complement; any other H dense. It tests positive
+definiteness by Cholesky and solves with those factors; a shift that is
+not positive definite is solved by one pivoted factorization in the same
+storage (LU on the band, sytrf on a dense H and on the Schur complement).
+It factors a ShiftedSystem, which the nonlinear loop makes once per oracle
+Hessian: the full-space solve, the Newton corrector, the rational Krylov
+expansions and the eigensolves (second_order.min_eig) of an iterate all
+read that one storage, made when the first of them asks for it.
+
+Reduced (small, dense) solves use a spectral decomposition, after which
+each residual evaluation costs O(m). The full-space solve is safeguarded
 Newton on the secular equation, the direct solver baseline of adaptive
 cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1): each
 shift costs one Cholesky factorization and two solves with it. When the
@@ -46,13 +48,13 @@ from scipy.linalg.lapack import (_compute_lwork, dpbtrf, dpbtrs, dpotrf,
                                  dpotrs, dpttrf, dpttrs)
 
 from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
-from .second_order import gershgorin_interval, hessian_matrix, min_eig
+from .second_order import gershgorin_interval, min_eig
 
 MAX_ROOT_STEPS = 200
 
 # through get_lapack_funcs, which tags the lwork query with its integer type
-_sytrf, _sytrf_lwork, _sytrs, _gesv = sla.get_lapack_funcs(
-    ("sytrf", "sytrf_lwork", "sytrs", "gesv"), dtype=np.float64)
+_sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
+    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
 
 
 class SecularCase(Enum):
@@ -104,14 +106,16 @@ class ShiftedSystem:
     the diagonal and the subdiagonal, when it is tridiagonal or
     diagonal). Without hubs `border` is None and `band` is H's own band.
     Both are None for any other H, and for n < 3.
-    `dense` holds H as a float array (a sparse H densified once, an
-    operator H formed through second_order.hessian_matrix); it is the one
-    place that forms an operator H, and factorizations read it only when
-    `band` is None.
-    `interval` holds H's Gershgorin bounds (lower, upper). Each is made on
-    first use, so an iterate that no reader asks for costs nothing. The
-    nonlinear loop keeps one per oracle Hessian on its IterateState, and
-    factorizations only read it.
+    `dense` holds H as a float array: a sparse H through toarray(), an
+    operator through np.asarray, which forms its matrix once, and a dense
+    H as it is. It is the one place that densifies H, and factorizations
+    read it only when `band` is None.
+    `interval` holds H's Gershgorin bounds (lower, upper), read from a
+    sparse H as it is and from `dense` otherwise. Each is made on first
+    use, so an iterate that no reader asks for costs nothing. Every reader
+    of H's entries (the factorizations, min_eig, the Gershgorin bounds)
+    goes through the iterate's ShiftedSystem: the nonlinear loop keeps one
+    per oracle Hessian on its IterateState, and factorizations only read it.
     """
 
     H: object
@@ -130,12 +134,13 @@ class ShiftedSystem:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        A = hessian_matrix(self.H)
-        return A.toarray() if sp.issparse(A) else A
+        if sp.issparse(self.H):
+            return self.H.toarray()
+        return np.asarray(self.H, dtype=float)
 
     @cached_property
     def interval(self) -> tuple[float, float]:
-        return gershgorin_interval(self.H)
+        return gershgorin_interval(self.H if sp.issparse(self.H) else self.dense)
 
 
 def _lower_band(H) -> tuple[np.ndarray | None, Border | None]:
@@ -204,16 +209,16 @@ def _stored(n: int, k: int, kd: int) -> int:
     return m * (kd + 1) - kd * (kd + 1) // 2 + 2 * k * m + k * (k + 1) // 2
 
 
-def _shifted_dense(A: np.ndarray, lam: float) -> np.ndarray:
-    """A + lam*I as a new Fortran-ordered array, for LAPACK to overwrite."""
-    B = A.copy(order="F")
-    B.flat[:: B.shape[0] + 1] += lam
-    return B
+def _checked(info: int, trs, name: str):
+    """The solve through the factors a LAPACK factorization returned with
+    `info` (a ?trs call with its factors bound), raising on a failed
+    back-substitution, or None when the factorization failed."""
+    if info < 0:
+        raise ValueError(f"{name}: illegal argument {-info}")
+    if info > 0:
+        # a failed factorization leaves no usable factor: its storage goes now
+        return None
 
-
-def _checked(trs):
-    """A solve through stored Cholesky factors (a ?trs call with its
-    factors bound) that raises on a failed back-substitution."""
     def solve(rhs):
         x, info = trs(rhs)
         if info != 0:
@@ -222,64 +227,21 @@ def _checked(trs):
     return solve
 
 
-def _cholesky(ab: np.ndarray | None, dense, lam: float):
-    """Cholesky of a lower band (pttrf when it is two rows, else pbtrf) or,
-    when ab is None, of dense() (potrf), plus lam I: a solve function, or
-    None when the shifted matrix is not positive definite."""
-    if ab is None:
-        c, info = dpotrf(_shifted_dense(dense(), lam), lower=1, clean=0,
-                         overwrite_a=1)
-        solve = partial(dpotrs, c, lower=1)
-    elif ab.shape[0] == 2:
-        d, e, info = dpttrf(ab[0] + lam, ab[1, :-1])
-        solve = partial(dpttrs, d, e)
-    else:
-        B = ab.copy(order="F")
-        B[0] += lam
-        c, info = dpbtrf(B, lower=1, overwrite_ab=1)
-        solve = partial(dpbtrs, c, lower=1)
-    if info < 0:
-        raise ValueError(f"Cholesky: illegal argument {-info}")
-    # a failed Cholesky leaves no usable factor: its storage goes now
-    return _checked(solve) if info == 0 else None
-
-
-def _bordered(border: Border, solve_rest, lam: float, solve_schur):
-    """The solve of H + lam I in border form, from a solve with A + lam I
-    (A the block of the rows outside the border) and `solve_schur`, which
-    factors the Schur complement S = C + lam I - Bt (A + lam I)^{-1} Bt^T
-    and returns its solve (None when that fails). Each solve costs one
-    solve with A + lam I and O(n k)."""
-    rows, rest, Bt = border.rows, border.rest, border.Bt
-    W = solve_rest(Bt.T)
-    S = border.C - Bt @ W
-    S.flat[:: S.shape[0] + 1] += lam
-    schur = solve_schur(S)
-    if schur is None:
-        return None
-
-    def solve(rhs):
-        y = solve_rest(rhs[rest])
-        x = np.empty_like(rhs)
-        x[rows] = schur(rhs[rows] - Bt @ y)
-        x[rest] = y - W @ x[rows]
-        return x
-    return solve
-
-
-def _schur_cholesky(S):
-    return _cholesky(None, lambda: S, 0.0)
-
-
-def _schur_lu(S):
-    """S's solve by LU (gesv), raising on an exact zero pivot."""
-    def solve(rhs):
-        _, _, x, info = _gesv(S, rhs.reshape(S.shape[0], -1))
-        if info > 0:
-            raise SingularShiftError("Schur complement is singular "
-                                     "(exact zero pivot)")
-        return x.reshape(rhs.shape)
-    return solve
+def _factor_dense(A: np.ndarray, lam: float, pivoted: bool):
+    """The solve of a dense symmetric A + lam I, of which LAPACK reads the
+    lower triangle of a Fortran-ordered copy: Cholesky (potrf), None when
+    it is not positive definite, or pivoted (sytrf), which raises
+    SingularShiftError on an exact zero pivot."""
+    B = A.copy(order="F")
+    B.flat[:: B.shape[0] + 1] += lam
+    if not pivoted:
+        c, info = dpotrf(B, lower=1, clean=0, overwrite_a=1)
+        return _checked(info, partial(dpotrs, c, lower=1), "potrf")
+    lwork = _compute_lwork(_sytrf_lwork, B.shape[0], lower=1)
+    ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork, overwrite_a=1)
+    if info > 0:
+        raise SingularShiftError(f"H + {lam!r} I is singular (exact zero pivot)")
+    return _checked(info, partial(_sytrs, ldu, ipiv, lower=1), "sytrf")
 
 
 def _band_lu(ab: np.ndarray, lam: float):
@@ -303,23 +265,63 @@ def _band_lu(ab: np.ndarray, lam: float):
     return solve
 
 
+def _factor(system: ShiftedSystem, lam: float, pivoted: bool):
+    """The solve of B = H + lam I in the storage of H's ShiftedSystem.
+
+    Unpivoted, B is factored by Cholesky: pttrf on a tridiagonal band,
+    pbtrf on a wider one and potrf on a dense H; the result is None when B
+    is not positive definite. Pivoted, for a shift that is not, B is
+    factored by LU on the full band (_band_lu) or by sytrf on a dense H,
+    and an exact zero pivot raises SingularShiftError. With a border of k
+    hub rows (Border: A the other rows' block, Bt the hubs' coupling to
+    them, C their own block) the band is A's, and the k x k Schur
+    complement S = C + lam I - Bt (A + lam I)^{-1} Bt^T is factored dense
+    by the same pair (potrf or sytrf): B is positive definite if and only
+    if A + lam I and S are, each solve costs O(n k) beyond the band's, and
+    a bordered H is never densified.
+    """
+    ab = system.band
+    if ab is None:
+        return _factor_dense(system.dense, lam, pivoted)
+    if pivoted:
+        solve = _band_lu(ab, lam)
+    elif ab.shape[0] == 2:
+        d, e, info = dpttrf(ab[0] + lam, ab[1, :-1])
+        solve = _checked(info, partial(dpttrs, d, e), "pttrf")
+    else:
+        B = ab.copy(order="F")
+        B[0] += lam
+        c, info = dpbtrf(B, lower=1, overwrite_ab=1)
+        solve = _checked(info, partial(dpbtrs, c, lower=1), "pbtrf")
+    border = system.border
+    if solve is None or border is None:
+        return solve
+    rows, rest, Bt = border.rows, border.rest, border.Bt
+    W = solve(Bt.T)
+    schur = _factor_dense(border.C - Bt @ W, lam, pivoted)
+    if schur is None:
+        return None
+
+    def bordered(rhs):
+        y = solve(rhs[rest])
+        x = np.empty_like(rhs)
+        x[rows] = schur(rhs[rows] - Bt @ y)
+        x[rest] = y - W @ x[rows]
+        return x
+    return bordered
+
+
 class ShiftedFactorization:
     """Cholesky factorization of B = H + lambda*I, with solve().
 
     `system` is H's ShiftedSystem, stored once for every shift of an
     iterate and never written into. B is factored by Cholesky in H's
-    storage: pttrf for a tridiagonal band, pbtrf for a wider one and
-    potrf for dense H. With a border of k hub rows (Border: A the other
-    rows' block, Bt the hubs' coupling to them, C their own block), A's
-    band is factored so, and then the k x k Schur complement
-    S = C + lam I - Bt (A + lam I)^{-1} Bt^T by potrf: B is positive
-    definite if and only if A + lam I and S are, and each solve costs
-    O(n k) beyond the band's (_bordered). `positive_definite` is that
-    factorization's success, and solve() uses its factors. If B is not
-    positive definite, solve() instead makes one pivoted factorization and
-    solve (_pivoted_solve), raising SingularShiftError on an exact zero
-    pivot. Each construction adds one to `counter`, if given; the Lanczos
-    path of min_eig factors without one.
+    storage (_factor): `positive_definite` is that factorization's
+    success, and solve() uses its factors. If B is not positive definite,
+    solve() instead makes one pivoted factorization in the same storage
+    (_factor again), raising SingularShiftError on an exact zero pivot.
+    Each construction adds one to `counter`, if given; the Lanczos path of
+    min_eig factors without one.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,
@@ -328,42 +330,17 @@ class ShiftedFactorization:
             raise ValueError("shift must be finite")
         self._system = system
         self._lam = lam
-        solve = _cholesky(system.band, lambda: system.dense, lam)
-        if solve is not None and system.border is not None:
-            solve = _bordered(system.border, solve, lam, _schur_cholesky)
-        self.positive_definite = solve is not None
-        self._solve = solve
+        self._solve = _factor(system, lam, pivoted=False)
+        self.positive_definite = self._solve is not None
         if counter is not None:
             counter.count += 1
-
-    def _pivoted_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve B x = rhs by one pivoted factorization of B, for a shift
-        that is not positive definite: sytrf and sytrs on dense storage,
-        LU on the full band (_band_lu), and with a border LU on the rest's
-        band and then on the Schur complement (getrf), so that a bordered
-        H is never densified."""
-        system, lam = self._system, self._lam
-        if system.band is not None:
-            solve = _band_lu(system.band, lam)
-            if system.border is not None:
-                solve = _bordered(system.border, solve, lam, _schur_lu)
-            return solve(rhs)
-        B = _shifted_dense(system.dense, lam)
-        lwork = _compute_lwork(_sytrf_lwork, B.shape[0], lower=1)
-        ldu, ipiv, info = _sytrf(B, lower=1, lwork=lwork, overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"sytrf: illegal argument {-info}")
-        if info > 0:
-            raise SingularShiftError(
-                f"H + {lam!r} I is singular (exact zero pivot)")
-        return _sytrs(ldu, ipiv, rhs, lower=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (H + lambda I) x = rhs, through the Cholesky factors when
         B is positive definite."""
         rhs = np.asarray(rhs, dtype=float)
         if not self.positive_definite:
-            return self._pivoted_solve(rhs)
+            return _factor(self._system, self._lam, pivoted=True)(rhs)
         return self._solve(rhs)
 
 

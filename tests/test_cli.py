@@ -96,6 +96,27 @@ def test_profile_without_reports(tmp_path):
     assert main(["profile", "--out", str(tmp_path)]) == 2
 
 
+def test_profile_of_one_solver(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE.replace("[solver]\nname = FAR2-PK\n", "", 1))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "profile: profiles need at least two solvers\n"
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]", "{\"reports\": [{}]}",
+                                  "not json"])
+def test_profile_of_a_file_that_is_not_reports(tmp_path, capsys, text):
+    (tmp_path / "reports.json").write_text(text)
+    assert main(["profile", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("profile: ") and "is not a reports file" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.slow
 def test_check_self_test(capsys):
     assert main(["check"]) == 0

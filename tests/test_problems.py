@@ -305,6 +305,21 @@ class TestLibsvm:
         with pytest.raises(LibsvmParseError, match="line 2"):
             load_libsvm(path)
 
+    @pytest.mark.parametrize("line", ["nan 2:1", "inf 2:1", "-inf 2:1",
+                                      "-1 2:nan", "+1 1:inf"])
+    def test_non_finite_value_reports_number(self, tmp_path, line):
+        # float() parses these, and remap_labels would put a nan label in
+        # the negative class and an inf one in the positive class
+        path = tmp_path / "bad.txt"
+        path.write_text(f"+1 1:0.5\n{line}\n-1 1:1\n")
+        with pytest.raises(LibsvmParseError, match="line 2: non-finite"):
+            load_libsvm(path, labels="pm1")
+
+    def test_non_finite_labels_rejected(self):
+        for label in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="labels"):
+                ClassificationData(A=np.ones((2, 2)), b=np.array([1.0, label]))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

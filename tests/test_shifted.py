@@ -423,8 +423,9 @@ HUBS = st.sampled_from([("first",), ("last",), ("middle",), ("first", "last"),
 
 class TestBordered:
     """Hub rows go to a border: Cholesky of the rest's band and of the
-    k x k Schur complement when H + lam I is positive definite, LU on
-    both when it is not, and never a dense H."""
+    k x k Schur complement when H + lam I is positive definite, LU on the
+    band and sytrf on the Schur complement when it is not, and never a
+    dense H."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 60),
@@ -495,13 +496,15 @@ class TestBordered:
                                               H.diagonal(-k))
 
     def test_hub_problems_in_linear_memory(self):
-        # n = 20000: a dense H would take 3.2 GB, a bordered one O(n)
+        # n = 20000: a dense H would take 3.2 GB, a bordered one O(n);
+        # FAR2-RK's rational expansions factor that bordered storage too
         tracemalloc.start()
         try:
             for name in ("ARWHEAD", "NONDIA", "EG2"):
                 spec = ProblemSpec(kind="registry", name=name, n=20000)
                 for report in run_suite(SuiteConfig(
-                        solvers=["AR2", "FAR2-PK"], problems=[spec])):
+                        solvers=["AR2", "FAR2-PK", "FAR2-RK"],
+                        problems=[spec])):
                     assert report.converged, (report.solver, name)
                     assert report.violations == []
             peak = tracemalloc.get_traced_memory()[1]
