@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Replay of the reduced secular solve on one benchmark round's inputs.
+
+Runs one round of a benchmark workload (perfbench/workloads.py; by default
+registry-far2 with seed 1) on one BLAS thread, with a wrapper around
+far2.secular.solve_secular_reduced that records the (g_r, H_r, sigma) of
+every call. It then times solve_secular_reduced alone on the recorded
+inputs, best of --repeat passes, and prints the call count, the mean and
+maximum dimension and the microseconds per call:
+
+    python3 scripts/reduced_replay.py [--workload registry-far2] [--seed 1]
+"""
+
+import os
+import sys
+
+# One BLAS/OpenMP thread, set before numpy loads, as the benchmark does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import far2.secular  # noqa: E402
+from workloads import WORKLOADS, build_round  # noqa: E402
+
+
+def record(workload: str, seed: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The inputs of every reduced solve in one round of `workload`."""
+    original = far2.secular.solve_secular_reduced
+    calls = []
+
+    def recording(g_r, H_r, sigma):
+        calls.append((np.array(g_r, dtype=float), np.array(H_r, dtype=float),
+                      float(sigma)))
+        return original(g_r, H_r, sigma)
+
+    # far2.driver imports the function by name: patch every module holding it
+    holders = [m for name, m in sys.modules.items()
+               if (name == "far2" or name.startswith("far2."))
+               and m.__dict__.get("solve_secular_reduced") is original]
+    for m in holders:
+        m.solve_secular_reduced = recording
+    try:
+        for inst in build_round(workload, seed):
+            inst.solve(inst.build())
+    finally:
+        for m in holders:
+            m.solve_secular_reduced = original
+    return calls
+
+
+def best_pass_s(calls, repeat: int) -> float:
+    """The shortest of `repeat` timed passes over all recorded calls."""
+    solve = far2.secular.solve_secular_reduced
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for g_r, H_r, sigma in calls:
+            solve(g_r, H_r, sigma)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", default="registry-far2", choices=WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+
+    calls = record(args.workload, args.seed)
+    if not calls:
+        print(f"{args.workload}: no reduced solves in a round")
+        return
+    dims = [g_r.size for g_r, _, _ in calls]
+    best = best_pass_s(calls, args.repeat)
+    print(f"{args.workload} seed {args.seed}: {len(calls)} reduced solves, "
+          f"dimension mean {np.mean(dims):.1f} max {max(dims)}")
+    print(f"best of {args.repeat}: {best:.3f} s, "
+          f"{1e6 * best / len(calls):.1f} us a call")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,6 +55,9 @@ MAX_ROOT_STEPS = 200
 # through get_lapack_funcs, which tags the lwork query with its integer type
 _sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
     ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
+# scipy.linalg.eigh's default driver for a standard symmetric problem
+_syevr, _syevr_lwork = sla.get_lapack_funcs(
+    ("syevr", "syevr_lwork"), dtype=np.float64)
 
 
 class SecularCase(Enum):
@@ -353,49 +356,53 @@ def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
     contract. converged = False means the bracket collapsed to
     floating-point resolution against the spectrum edge (a hard or
     near-hard instance) and lambda is its upper end, where phi <= 0.
+    The whole solve runs in one np.errstate. It silences division by zero
+    at the edge, 0/0 there (g_r with no weight on v1, when lam_S + 1000
+    rounds to lam_S) and overflow: phi is then taken as +inf, left of the
+    root, by tests of Python floats with math.isfinite.
     """
     lam_S = max(0.0, -float(eigs[0]))
 
     def phi_terms(lam):
-        with np.errstate(divide="ignore", over="ignore"):
-            den = eigs + lam
-            q = c / den
-            r2 = float(q @ q)
-            r = math.sqrt(r2) if np.isfinite(r2) else math.inf
-            if not np.isfinite(r):
-                return math.inf, -math.inf, math.inf
-            dr = -float((q * q / den).sum()) / r if r > 0.0 else 0.0
-            return r - lam / sigma, dr - 1.0 / sigma, r
+        den = eigs + lam
+        q = c / den
+        r2 = float(q @ q)
+        r = math.sqrt(r2) if math.isfinite(r2) else math.inf
+        if not math.isfinite(r):
+            return math.inf, -math.inf, math.inf
+        dr = -float((q * q / den).sum()) / r if r > 0.0 else 0.0
+        return r - lam / sigma, dr - 1.0 / sigma, r
 
-    lo = lam_S
-    hi = lam_S + 1000.0
-    steps = 0
-    val_hi, _, _ = phi_terms(hi)
-    while val_hi > 0.0:
-        lo = hi
-        hi = 2.0 * hi + 1.0
-        steps += 1
-        if steps > MAX_ROOT_STEPS:
-            raise ReducedSolveError("could not bracket the secular root")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = lam_S
+        hi = lam_S + 1000.0
+        steps = 0
         val_hi, _, _ = phi_terms(hi)
+        while val_hi > 0.0:
+            lo = hi
+            hi = 2.0 * hi + 1.0
+            steps += 1
+            if steps > MAX_ROOT_STEPS:
+                raise ReducedSolveError("could not bracket the secular root")
+            val_hi, _, _ = phi_terms(hi)
 
-    eps = float(np.finfo(float).eps)
-    lam = lo + 0.5 * (hi - lo)
-    for _ in range(MAX_ROOT_STEPS):
-        val, dval, r = phi_terms(lam)
-        scale = max(r, lam / sigma)
-        if np.isfinite(val) and abs(val) <= 1.0e-13 * max(scale, 1.0e-300):
-            return lam, True
-        if val > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 8.0 * eps * max(hi, 1.0e-300):
-            return hi, False
-        nxt = lam - val / dval if dval != 0.0 and np.isfinite(val) else math.nan
-        if not np.isfinite(nxt) or not (lo < nxt < hi):
-            nxt = lo + 0.5 * (hi - lo)
-        lam = nxt
+        eps = float(np.finfo(float).eps)
+        lam = lo + 0.5 * (hi - lo)
+        for _ in range(MAX_ROOT_STEPS):
+            val, dval, r = phi_terms(lam)
+            scale = max(r, lam / sigma)
+            if math.isfinite(val) and abs(val) <= 1.0e-13 * max(scale, 1.0e-300):
+                return lam, True
+            if val > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            if hi - lo <= 8.0 * eps * max(hi, 1.0e-300):
+                return hi, False
+            nxt = lam - val / dval if dval != 0.0 and math.isfinite(val) else math.nan
+            if not math.isfinite(nxt) or not (lo < nxt < hi):
+                nxt = lo + 0.5 * (hi - lo)
+            lam = nxt
     raise ReducedSolveError("secular root iteration exhausted its budget")
 
 
@@ -417,11 +424,33 @@ def _boundary_step(g, H, p, v1, radius: float) -> tuple[np.ndarray, float]:
     return p + alpha * v1, alpha
 
 
+@cache
+def _syevr_work(n: int) -> tuple[int, int]:
+    """dsyevr's workspace sizes (lwork, liwork) at dimension n."""
+    return _compute_lwork(_syevr_lwork, n=n, lower=1)
+
+
+def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a finite symmetric A.
+
+    One dsyevr call with the arguments scipy.linalg.eigh passes it by
+    default (all eigenpairs, lower triangle), so the results are eigh's
+    bit for bit, without its validation and workspace query per call.
+    """
+    lwork, liwork = _syevr_work(A.shape[0])
+    eigs, Q, _, _, info = _syevr(A, compute_v=1, lower=1, lwork=lwork,
+                                 liwork=liwork)
+    if info != 0:
+        raise ReducedSolveError(f"dsyevr failed with info = {info}")
+    return eigs, Q
+
+
 def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     """Solve the projected secular equation on a small dense matrix.
 
-    The spectral form of phi is solved by safeguarded Newton
-    (_spectrum_root). Easy case: the root and step -(H_r + lam I)^{-1} g_r.
+    H_r is diagonalized by one dsyevr call (_eigh), and the spectral form
+    of phi is solved by safeguarded Newton (_spectrum_root) inside one
+    np.errstate. Easy case: the root and step -(H_r + lam I)^{-1} g_r.
     When the bracket collapses onto the spectrum edge with lambda_1 < 0
     (the hard and near-hard cases, a zero g_r included), the step is the
     boundary step at the bracket's upper end, as in the full-space solve:
@@ -429,8 +458,8 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     the multiple of v1 that restores ||s|| = lam/sigma, the root of lower
     model value. A zero g_r with H_r positive semidefinite gives the zero
     step. H_r must be exactly symmetric (H_r == H_r.T bit for bit), as the
-    oracle contract says of H (driver._project builds it so). No
-    full-space factorizations.
+    oracle contract says of H (driver._project builds it so). A failed
+    eigensolve raises ReducedSolveError. No full-space factorizations.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -438,7 +467,7 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     H_r = np.asarray(H_r, dtype=float)
     if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
         raise ValueError("non-finite entries in reduced problem")
-    eigs, Q = sla.eigh(H_r)
+    eigs, Q = _eigh(H_r)
     if eigs[0] >= 0.0 and not g_r.any():
         return SecularSolution(0.0, np.zeros(g_r.size), SecularCase.EASY)
     c = Q.T @ g_r

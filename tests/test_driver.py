@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from far2 import secular
 from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
 from far2.driver import (IterateState, IterationRecord, Status, StepKind,
                          _warm_start, acceptance_and_sigma_update, ar2_solve,
@@ -562,6 +563,24 @@ def test_reduced_solve_failure_ends_the_run_at_its_last_iterate(monkeypatch):
         return solve_secular_reduced(*args, **kwargs)
 
     monkeypatch.setattr("far2.driver.solve_secular_reduced", reduced)
+    problem = get_problem("ROSENBR", 20)
+    rep = far2_solve(problem, SolverConfig())
+    assert_ends_at_last_iterate(rep, problem, "ReducedSolveError")
+    assert len(calls) == 20 and rep.n_nli == 9
+
+
+def test_reduced_eigensolve_failure_ends_the_run_at_its_last_iterate(monkeypatch):
+    # dsyevr reports failure (info != 0) in the 20th projected solve: a
+    # ReducedSolveError, which ends the run like any other solver error
+    calls = []
+
+    def syevr(*args, **kwargs):
+        calls.append(1)
+        *out, info = real(*args, **kwargs)
+        return (*out, 1 if len(calls) == 20 else info)
+
+    real = secular._syevr
+    monkeypatch.setattr(secular, "_syevr", syevr)
     problem = get_problem("ROSENBR", 20)
     rep = far2_solve(problem, SolverConfig())
     assert_ends_at_last_iterate(rep, problem, "ReducedSolveError")

@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_cubic_min, cubic_model_value, random_symmetric
-from far2.errors import SingularShiftError
+from far2 import secular
+from far2.errors import ReducedSolveError, SingularShiftError
 from far2.secular import (FactorizationCounter, SecularCase,
                           ShiftedFactorization, ShiftedSystem,
                           solve_secular_full_secant, solve_secular_reduced)
@@ -145,6 +148,83 @@ class TestSolveSecularReduced:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             solve_secular_reduced(np.array([np.nan]), np.array([[1.0]]), 1.0)
+
+
+def _repeated_eigenvalues(n):
+    # Q diag(1, 1, 1, 2, 2, ...) Q^T with a seeded orthogonal Q, exactly
+    # symmetric
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    A = (Q * np.where(np.arange(n) < n // 2, 1.0, 2.0)) @ Q.T
+    return np.tril(A) + np.tril(A, -1).T
+
+
+class TestEigh:
+    """secular._eigh is scipy.linalg.eigh's default path, bit for bit: a
+    scipy whose eigh picks another driver or other arguments fails here."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_random_symmetric(self, n):
+        A = random_symmetric(np.random.default_rng(n), n)
+        self.assert_is_eigh(A)
+
+    @pytest.mark.parametrize("A", [np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0, 2.0]),
+                                   _repeated_eigenvalues(6), _repeated_eigenvalues(9)],
+                             ids=["zero", "diagonal", "repeated-6", "repeated-9"])
+    def test_structured(self, A):
+        self.assert_is_eigh(A)
+
+    @staticmethod
+    def assert_is_eigh(A):
+        eigs, Q = secular._eigh(A)
+        ref_eigs, ref_Q = sla.eigh(A)
+        assert np.array_equal(eigs, ref_eigs)
+        assert np.array_equal(Q, ref_Q)
+
+
+class TestRootErrorState:
+    """The root loop silences division by zero, 0/0 and overflow in one
+    np.errstate per solve: no RuntimeWarning escapes it, and the caller's
+    error state is the same after it returns and after it raises."""
+
+    @staticmethod
+    def cases():
+        Hh = np.diag([-1.0, 1.0, 2.0])
+        yield np.array([0.0, 1.0, -2.0]), Hh, 1.0          # hard case
+        yield np.zeros(3), Hh, 0.5                          # pure eigenvector step
+        # hard cases at both scales, sigma scaled with H so that ||s|| ~ 1
+        # (at 1e150, lam_S + 1000 rounds to lam_S: phi is 0/0 there)
+        for scale in (1e150, 1e-150):
+            yield np.array([0.0, scale, scale]), scale * Hh, scale
+        rng = np.random.default_rng(3)
+        A, B = random_symmetric(rng, 4), rng.standard_normal((4, 4))
+        for scale in (1e150, 1e-150):
+            yield np.full(4, scale), scale * A, scale
+            # g and H at opposite extremes, H positive definite
+            yield np.full(4, 1.0 / scale), scale * (B @ B.T + np.eye(4)), 1.0
+        yield np.array([1e200]), np.array([[1.0]]), 1.0     # overflows, cannot bracket
+
+    def test_no_warning_and_state_kept(self):
+        before = np.geterr()
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, H, sigma in self.cases():
+                try:
+                    sol = solve_secular_reduced(g, H, sigma)
+                    outcomes.add(sol.case)
+                except ReducedSolveError:
+                    outcomes.add("raised")
+                assert np.geterr() == before
+        assert outcomes == {SecularCase.EASY, SecularCase.HARD, "raised"}
+
+    def test_state_kept_when_the_bracket_fails(self, monkeypatch):
+        # no doubling allowed: the bracket search raises inside np.errstate
+        monkeypatch.setattr(secular, "MAX_ROOT_STEPS", 0)
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            with pytest.raises(ReducedSolveError, match="bracket"):
+                solve_secular_reduced(np.array([1e8]), np.array([[1.0]]), 1.0)
+            assert np.geterr() == before
 
 
 class TestSolveSecularFullSecant:
