@@ -23,8 +23,6 @@ def saddle(n=8):
         if order == 0:
             return f, None, None
         g = D * x
-        if order == 1:
-            return f, g, None
         return f, g, np.diag(D)
 
     return ObjectiveProblem("saddle-quadratic", n, np.zeros(n), ev)

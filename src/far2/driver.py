@@ -258,17 +258,17 @@ def step_ratio_ok(s: np.ndarray, s_hat: np.ndarray, cfg: SolverConfig) -> bool:
 
 def acceptance_and_sigma_update(state: IterateState, s: np.ndarray,
                                 cfg: SolverConfig, f_trial: float,
-                                Hs: np.ndarray | None = None):
+                                Hs: np.ndarray):
     """Acceptance ratio and regularization update.
 
-    rho = (f - f_trial) / (T(0) - T(s)); accepted iff rho >= eta1. The next
+    rho = (f - f_trial) / (T(0) - T(s)), with the Taylor decrease read from
+    Hs = H @ s, which the caller has (the subspace solve's lifted product,
+    or one product for any other step). Accepted iff rho >= eta1. The next
     sigma is max(sigma_min, gamma1*sigma) when rho >= eta2, unchanged on
     [eta1, eta2), and gamma2*sigma otherwise. A nonpositive Taylor decrease
     contradicts the decrease guarantee and aborts. Returns (accepted,
     sigma_next, rho, Taylor decrease).
     """
-    if Hs is None:
-        Hs = np.asarray(state.system.H @ s).ravel()
     t_dec = -(float(s @ state.g) + 0.5 * float(s @ Hs))
     if not t_dec > 0.0:
         raise InternalInvariantError(

@@ -25,6 +25,11 @@ class EigenSolveError(SolverError):
     """The smallest-eigenvalue routine did not converge."""
 
 
+class NonFiniteHessianError(SolverError):
+    """The entries of H that a factorization or an eigensolve reads are not
+    all finite."""
+
+
 class InternalInvariantError(AssertionError):
     """A quantity the decrease theory guarantees was violated; aborts the run."""
 

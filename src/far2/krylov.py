@@ -121,13 +121,14 @@ def _next_shift(prev_shifts: list[float], interval: tuple[float, float]) -> floa
 
 
 def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
-                    spectral_interval: tuple[float, float],
-                    shift: float | None = None) -> KrylovBasis:
+                    spectral_interval: tuple[float, float]) -> KrylovBasis:
     """Append the next rational direction (H + xi I)^{-1} v.
 
     `system` is H's secular.ShiftedSystem, analysed once for every
     expansion. The source vector is the stored seed for an empty basis and
-    the last column afterwards. A singular shift is perturbed by
+    the last column afterwards. The shift xi is the greedy choice on
+    `spectral_interval` against the basis's earlier shifts (_next_shift);
+    it is appended to `basis.shifts`. A singular shift is perturbed by
     1e-8*(1+|xi|) and retried once before raising ShiftFailureError.
     """
     if basis.kind != RATIONAL:
@@ -135,8 +136,7 @@ def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
     if basis.invariant:
         return basis
     source = basis.seed if basis.dim == 0 else basis.V[:, -1]
-    xi = float(shift) if shift is not None else _next_shift(basis.shifts,
-                                                            spectral_interval)
+    xi = _next_shift(basis.shifts, spectral_interval)
     for attempt in range(2):
         try:
             x = ShiftedFactorization(system, xi).solve(source)

@@ -5,6 +5,10 @@ algebraic definitions (CUTEst-style names and starting points), logistic and
 sigmoid classification losses, synthetic data generation, LIBSVM-format
 ingestion, and a finite-difference derivative checker.
 
+Every oracle evaluates f alone (order 0) or f, g and H (order 2), the two
+orders the solvers ask for; ObjectiveProblem.eval serves order 1 from
+order 2.
+
 The banded registry problems (tridiagonal, diagonal or 4 x 4 blocks) and
 the hub-coupled ARWHEAD, NONDIA and EG2 (a diagonal plus one full hub row
 and column, or for EG2 a diagonal where its hub couplings vanish) return a
@@ -37,6 +41,10 @@ class ObjectiveProblem:
     eval(x, order) returns (f, g, H) with g/H set for order >= 1 / order 2;
     n_f, n_g, n_H count the calls of each order. H is exactly symmetric,
     H == H.T bit for bit, so callers use it without symmetrizing.
+    raw_eval(x, order) evaluates order 0, (f, None, None), or order 2,
+    (f, g, H): the solvers ask for f alone at trial points and for all
+    three at accepted points, never for g alone. eval(x, 1), which the
+    derivative checks ask for, evaluates order 2 and drops H.
     """
 
     def __init__(self, name, n, x0, raw_eval):
@@ -54,13 +62,15 @@ class ObjectiveProblem:
             raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
         if order == 0:
             self.n_f += 1
-        elif order == 1:
+            return self._raw(x, 0)
+        if order == 1:
             self.n_g += 1
-        elif order == 2:
-            self.n_H += 1
-        else:
+            f, g, _ = self._raw(x, 2)
+            return f, g, None
+        if order != 2:
             raise ValueError("order must be 0, 1 or 2")
-        return self._raw(x, order)
+        self.n_H += 1
+        return self._raw(x, 2)
 
     def __repr__(self):
         return f"ObjectiveProblem({self.name!r}, n={self.n})"
@@ -145,8 +155,6 @@ def _rosenbr(n):
         g = np.zeros_like(x)
         g[:-1] = -400.0 * x[:-1] * d - 2.0 * e
         g[1:] += 200.0 * d
-        if order == 1:
-            return f, g, None
         main = np.zeros(n)
         main[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         main[1:] += 200.0
@@ -164,8 +172,6 @@ def _quad(n):
         if order == 0:
             return f, None, None
         g = diag * x
-        if order == 1:
-            return f, g, None
         return f, g, _diagonal(diag)
     return np.ones(n), ev
 
@@ -181,8 +187,6 @@ def _arwhead(n):
         g = np.zeros_like(x)
         g[:-1] = 4.0 * x[:-1] * t - 4.0
         g[-1] = float(4.0 * xn * t.sum())
-        if order == 1:
-            return f, g, None
         d = np.empty(n)
         d[:-1] = 4.0 * t + 8.0 * x[:-1] ** 2
         d[-1] = float((4.0 * t + 8.0 * xn ** 2).sum())
@@ -203,8 +207,6 @@ def _bdarwhd(n):
         G[:, :3] = 4.0 * y[:, :3] * t - 4.0
         G[:, 3] = (4.0 * hub * t).sum(axis=1)
         g = G.ravel()
-        if order == 1:
-            return f, g, None
         entries = {(j, 3): 8.0 * y[:, j] * y[:, 3] for j in range(3)}
         entries.update({(j, j): 4.0 * t[:, j] + 8.0 * y[:, j] ** 2
                         for j in range(3)})
@@ -222,8 +224,6 @@ def _dqrtic(n):
         if order == 0:
             return f, None, None
         g = 4.0 * r ** 3
-        if order == 1:
-            return f, g, None
         return f, g, _diagonal(12.0 * r ** 2)
     return 2.0 * np.ones(n), ev
 
@@ -240,8 +240,6 @@ def _tridia(n):
         g[0] = 2.0 * (x[0] - 1.0)
         g[1:] += 4.0 * w * r
         g[:-1] += -2.0 * w * r
-        if order == 1:
-            return f, g, None
         main = np.zeros(n)
         main[0] = 2.0
         main[1:] += 8.0 * w
@@ -261,8 +259,6 @@ def _engval1(n):
         g = np.zeros_like(x)
         g[:-1] += 4.0 * x[:-1] * t - 4.0
         g[1:] += 4.0 * x[1:] * t
-        if order == 1:
-            return f, g, None
         main = np.zeros(n)
         main[:-1] += 4.0 * t + 8.0 * x[:-1] ** 2
         main[1:] += 4.0 * t + 8.0 * x[1:] ** 2
@@ -281,8 +277,6 @@ def _nondia(n):
         g = np.zeros_like(x)
         g[0] = 2.0 * (x[0] - 1.0) + 200.0 * r.sum()
         g[1:] = -400.0 * x[1:] * r
-        if order == 1:
-            return f, g, None
         d = np.empty(n)
         d[0] = 2.0 + 200.0 * (n - 1)
         d[1:] = -400.0 * r + 800.0 * x[1:] ** 2
@@ -309,8 +303,6 @@ def _woods(n):
         G[:, 2] = -360.0 * x3 * b - 2.0 * (1.0 - x3)
         G[:, 3] = 180.0 * b + 20.0 * c - 0.2 * d
         g = G.ravel()
-        if order == 1:
-            return f, g, None
         return f, g, _block_diag4(n // 4, {
             (0, 0): 1200.0 * x1 ** 2 - 400.0 * x2 + 2.0, (0, 1): -400.0 * x1,
             (1, 1): 220.2, (1, 3): 19.8,
@@ -337,8 +329,6 @@ def _powellsg(n):
         G[:, 2] = 10.0 * b - 8.0 * c ** 3
         G[:, 3] = -10.0 * b - 40.0 * d ** 3
         g = G.ravel()
-        if order == 1:
-            return f, g, None
         dd = 120.0 * d ** 2
         cc = 12.0 * c ** 2
         return f, g, _block_diag4(n // 4, {
@@ -360,8 +350,6 @@ def _edensch(n):
         g = np.zeros_like(x)
         g[:-1] += 4.0 * a ** 3 + 2.0 * t * x[1:]
         g[1:] += 2.0 * t * a + 2.0 * u
-        if order == 1:
-            return f, g, None
         main = np.zeros(n)
         main[:-1] += 12.0 * a ** 2 + 2.0 * x[1:] ** 2
         main[1:] += 2.0 * a ** 2 + 2.0
@@ -381,8 +369,6 @@ def _cube(n):
         g[0] = 2.0 * (x[0] - 1.0)
         g[1:] += 200.0 * r
         g[:-1] += -600.0 * x[:-1] ** 2 * r
-        if order == 1:
-            return f, g, None
         main = np.zeros(n)
         main[0] = 2.0
         main[1:] += 200.0
@@ -406,8 +392,6 @@ def _eg2(n):
         g[0] += cu.sum()
         g[: n - 1] += 2.0 * x[: n - 1] * cu
         g[-1] += xn * np.cos(xn * xn)
-        if order == 1:
-            return f, g, None
         su = np.sin(u)
         # each term: -sin(u_j) v_j v_j^T + 2 cos(u_j) e_j e_j^T,
         # with v_j = e_0 + 2 x_j e_j (both hit x_0 when j = 0); x_n is
@@ -443,8 +427,6 @@ def _hilbert(n):
         f = 0.5 * float(x @ Ax)
         if order == 0:
             return f, None, None
-        if order == 1:
-            return f, Ax, None
         return f, Ax, A
     return -3.0 * np.ones(n), ev
 
@@ -464,8 +446,6 @@ def _indef(n):
         g[1:-1] += -su
         g[0] += 0.5 * su.sum()
         g[-1] += 0.5 * su.sum()
-        if order == 1:
-            return f, g, None
         cu = np.cos(u)
         H = np.zeros((n, n))
         d = -0.01 * np.sin(0.01 * x)
@@ -700,8 +680,6 @@ def logistic_objective(data: ClassificationData) -> ObjectiveProblem:
             return f, None, None
         sig = expit(t)
         g = A.T @ ((sig - 1.0) * b) / N + x / N
-        if order == 1:
-            return f, g, None
         return f, g, GramHessian(A, sig * (1.0 - sig), N, 1.0 / N, row_sq=row_sq)
 
     return ObjectiveProblem(f"logistic[N={N}]", n, np.zeros(n), ev)
@@ -730,8 +708,6 @@ def sigmoid_objective(data: ClassificationData) -> ObjectiveProblem:
             return f, None, None
         q = p * (1.0 - p)
         g = A.T @ (-2.0 * r * q) / N
-        if order == 1:
-            return f, g, None
         return f, g, GramHessian(A, 2.0 * (q * q - r * q * (1.0 - 2.0 * p)), N,
                                  row_sq=row_sq)
 

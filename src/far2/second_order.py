@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from . import secular
 from .config import SolverConfig
-from .errors import EigenSolveError
+from .errors import EigenSolveError, NonFiniteHessianError
 
 DENSE_EIG_CUTOFF = 2000
 
@@ -63,45 +63,46 @@ def _edge_anchor(system, shift: float, lo: float, hi: float) -> float:
     return lo
 
 
-def min_eig(system, want_vector: bool = False, shift: float = 0.0,
+def min_eig(system, shift: float = 0.0,
             rank_one: tuple[float, np.ndarray] | None = None):
-    """Smallest eigenvalue of H + shift I (+ c u u^T), optionally with a
-    unit eigenvector.
+    """Smallest eigenvalue of H + shift I (+ c u u^T) and a unit
+    eigenvector, as (lambda, v).
 
     `system` is H's secular.ShiftedSystem; H must be
     exactly symmetric (H == H.T bit for bit, as every oracle returns it).
     rank_one = (c, u) with c >= 0 adds c u u^T. Up to DENSE_EIG_CUTOFF the
-    matrix is formed densely and the dense symmetric eigensolver returns
-    its leftmost eigenvalue alone. Above that, a shift-and-invert Lanczos
+    matrix is formed densely and one call of the dense symmetric
+    eigensolver (dsyevr) returns its leftmost pair; the eigenvalue is
+    found by bisection whether or not the vector is asked for, so it is
+    eigvalsh's bit for bit. Above that, a shift-and-invert Lanczos
     iteration anchored below H's Gershgorin interval (system.interval), or
     for a bordered H just below its spectrum (_edge_anchor), inverts the
     anchored matrix by Sherman-Morrison over one
     ShiftedFactorization of H (not counted as a factorization of the run),
-    from a fixed start vector, so that repeated calls agree bit for bit. Raises EigenSolveError if the
-    iterative path does not converge.
+    from a fixed start vector, so that repeated calls agree bit for bit.
+    Raises EigenSolveError if either eigensolver fails; an error of H's
+    own storage (NonFiniteHessianError) keeps its type.
     """
     H = system.H
     n = H.shape[0]
     c, u = rank_one if rank_one is not None else (0.0, np.zeros(n))
-    if n <= DENSE_EIG_CUTOFF:
-        A = system.dense
-        if shift:
-            # equals H + shift * eye(n) bit for bit: off the diagonal -0.0 + 0.0
-            A = A + shift * 0.0
-            A.flat[:: n + 1] += shift
-        if rank_one is not None:
-            A = A + c * np.outer(u, u)
-        if want_vector:
+    try:
+        if n <= DENSE_EIG_CUTOFF:
+            A = system.dense
+            if shift:
+                # equals H + shift * eye(n) bit for bit: off the diagonal -0.0 + 0.0
+                A = A + shift * 0.0
+                A.flat[:: n + 1] += shift
+            if rank_one is not None:
+                A = A + c * np.outer(u, u)
             w, v = sla.eigh(A, subset_by_index=[0, 0])
             return float(w[0]), v[:, 0]
-        return float(sla.eigvalsh(A, subset_by_index=[0, 0])[0]), None
 
-    lo, hi = system.interval
-    lo, hi = lo + shift, hi + shift + c * float(u @ u)
-    anchor = lo - 1.0e-3 * max(1.0, abs(lo), abs(hi))
-    if system.border is not None:
-        anchor = _edge_anchor(system, shift, anchor, hi)
-    try:
+        lo, hi = system.interval
+        lo, hi = lo + shift, hi + shift + c * float(u @ u)
+        anchor = lo - 1.0e-3 * max(1.0, abs(lo), abs(hi))
+        if system.border is not None:
+            anchor = _edge_anchor(system, shift, anchor, hi)
         # K = H + (shift - anchor) I is positive definite, so
         # 1 + c u^T K^{-1} u >= 1
         fac = secular.ShiftedFactorization(system, shift - anchor)
@@ -119,7 +120,9 @@ def min_eig(system, want_vector: bool = False, shift: float = 0.0,
         v0 = np.random.default_rng(0).standard_normal(n)
         vals, vecs = spla.eigsh(opinv, k=1, sigma=anchor, which="LM",
                                 OPinv=opinv, v0=v0, maxiter=10000)
-    except Exception as exc:  # ArpackNoConvergence, factorization trouble
+    except NonFiniteHessianError:
+        raise
+    except Exception as exc:  # LinAlgError, ArpackNoConvergence, a failed solve
         raise EigenSolveError(f"smallest-eigenvalue iteration failed: {exc}") from exc
     v = vecs[:, 0]
     return float(vals[0]), v / np.linalg.norm(v)

@@ -47,7 +47,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import (_compute_lwork, dpbtrf, dpbtrs, dpotrf,
                                  dpotrs, dpttrf, dpttrs)
 
-from .errors import ReducedSolveError, SecantFailureError, SingularShiftError
+from .errors import (NonFiniteHessianError, ReducedSolveError,
+                     SecantFailureError, SingularShiftError)
 from .second_order import gershgorin_interval, min_eig
 
 MAX_ROOT_STEPS = 200
@@ -115,7 +116,10 @@ class ShiftedSystem:
     read it only when `band` is None.
     `interval` holds H's Gershgorin bounds (lower, upper), read from a
     sparse H as it is and from `dense` otherwise. Each is made on first
-    use, so an iterate that no reader asks for costs nothing. Every reader
+    use, so an iterate that no reader asks for costs nothing. Each raises
+    NonFiniteHessianError when the entries it reads are not all finite
+    (for `interval` on a sparse H: when a bound is not), so that no
+    factorization or eigensolve starts on them. Every reader
     of H's entries (the factorizations, min_eig, the Gershgorin bounds)
     goes through the iterate's ShiftedSystem: the nonlinear loop keeps one
     per oracle Hessian on its IterateState, and factorizations only read it.
@@ -138,12 +142,22 @@ class ShiftedSystem:
     @cached_property
     def dense(self) -> np.ndarray:
         if sp.issparse(self.H):
-            return self.H.toarray()
-        return np.asarray(self.H, dtype=float)
+            return _finite(self.H.toarray())
+        return _finite(np.asarray(self.H, dtype=float))
 
     @cached_property
     def interval(self) -> tuple[float, float]:
-        return gershgorin_interval(self.H if sp.issparse(self.H) else self.dense)
+        lo, hi = gershgorin_interval(self.H if sp.issparse(self.H) else self.dense)
+        # a non-finite entry of a sparse H makes a bound non-finite
+        _finite(np.array([lo, hi]))
+        return lo, hi
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, once all its entries are finite; else NonFiniteHessianError."""
+    if not np.isfinite(a).all():
+        raise NonFiniteHessianError("H has non-finite entries")
+    return a
 
 
 def _lower_band(H) -> tuple[np.ndarray | None, Border | None]:
@@ -165,6 +179,7 @@ def _lower_band(H) -> tuple[np.ndarray | None, Border | None]:
     H = H.tocsr()
     if not H.has_sorted_indices:
         H = H.sorted_indices()
+    _finite(H.data)
     n, indptr, cols = H.shape[0], H.indptr, H.indices
     deg = np.diff(indptr)
     full = np.flatnonzero(deg)
@@ -410,17 +425,25 @@ def _boundary_step(g, H, p, v1, radius: float) -> tuple[np.ndarray, float]:
     """The boundary step p + alpha*v1 with ||p + alpha*v1|| = radius.
 
     Of the two roots alpha, the one of lower model value g^T s + s^T H s / 2
-    (the cubic term is the same at both). ||p|| <= radius, since p is the
+    (the cubic term is the same at both), the first on a tie. Where a value
+    overflows, both are compared at the unit steps s / radius, as
+    t g^T u + u^T H u / 2 with u = t s and t = 1/radius: the model values
+    times t^2, which keep their order. ||p|| <= radius, since p is the
     solve at a shift where phi <= 0. Returns (step, alpha).
     """
     pv = float(v1 @ p)
     root = math.sqrt(max(pv * pv + radius * radius - float(p @ p), 0.0))
 
-    def model_value(alpha):
-        s = p + alpha * v1
-        return float(g @ s) + 0.5 * float(s @ (H @ s))
+    def model_value(alpha, t=1.0):
+        u = t * (p + alpha * v1)
+        return t * float(g @ u) + 0.5 * float(u @ (H @ u))
 
-    alpha = min((-pv - root, -pv + root), key=model_value)
+    roots = (-pv - root, -pv + root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [model_value(alpha) for alpha in roots]
+        if not all(map(math.isfinite, values)):
+            values = [model_value(alpha, 1.0 / radius) for alpha in roots]
+    alpha = roots[values[1] < values[0]]
     return p + alpha * v1, alpha
 
 
@@ -458,15 +481,16 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     the multiple of v1 that restores ||s|| = lam/sigma, the root of lower
     model value. A zero g_r with H_r positive semidefinite gives the zero
     step. H_r must be exactly symmetric (H_r == H_r.T bit for bit), as the
-    oracle contract says of H (driver._project builds it so). A failed
-    eigensolve raises ReducedSolveError. No full-space factorizations.
+    oracle contract says of H (driver._project builds it so). Non-finite
+    entries in g_r or H_r (products with a non-finite H) and a failed
+    eigensolve raise ReducedSolveError. No full-space factorizations.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     g_r = np.asarray(g_r, dtype=float)
     H_r = np.asarray(H_r, dtype=float)
     if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
-        raise ValueError("non-finite entries in reduced problem")
+        raise ReducedSolveError("non-finite entries in reduced problem")
     eigs, Q = _eigh(H_r)
     if eigs[0] >= 0.0 and not g_r.any():
         return SecularSolution(0.0, np.zeros(g_r.size), SecularCase.EASY)
@@ -481,7 +505,7 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
 
 def _leftmost(system: ShiftedSystem, counter) -> tuple[float, np.ndarray]:
     """H's leftmost eigenpair, counted as one factorization."""
-    eig = min_eig(system, want_vector=True)
+    eig = min_eig(system)
     if counter is not None:
         counter.count += 1
     return eig

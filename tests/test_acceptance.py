@@ -189,8 +189,6 @@ def _strict_saddle(n=8, quartic=0.0):
             return f, None, None
         g = D * x
         g[0] += 4.0 * quartic * x[0] ** 3
-        if order == 1:
-            return f, g, None
         h = D.copy()
         h[0] += 12.0 * quartic * x[0] ** 2
         return f, g, np.diag(h)

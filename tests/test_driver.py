@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from far2 import secular
 from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
@@ -37,8 +38,6 @@ def quadratic_problem(diag, x0=None, name="quad-fixture"):
         if order == 0:
             return f, None, None
         g = diag * x
-        if order == 1:
-            return f, g, None
         return f, g, np.diag(diag)
 
     return ObjectiveProblem(name, n, x0, ev)
@@ -71,7 +70,7 @@ class TestAcceptanceAndSigmaUpdate:
         s = -np.linalg.solve(H + 0.1 * np.eye(2), g)
         f_trial = 0.5 * float((x + s) @ H @ (x + s))
         accepted, sigma_next, rho, _ = acceptance_and_sigma_update(
-            state, s, SolverConfig(sigma0=0.5), f_trial)
+            state, s, SolverConfig(sigma0=0.5), f_trial, H @ s)
         assert rho == pytest.approx(1.0, rel=1e-12)
         assert accepted
         assert sigma_next == pytest.approx(max(1e-8, 0.1 * 0.5))
@@ -83,7 +82,7 @@ class TestAcceptanceAndSigmaUpdate:
         t_dec = 1.0
         f_trial = state.f - 0.5 * t_dec
         accepted, sigma_next, rho, t_dec_out = acceptance_and_sigma_update(
-            state, s, SolverConfig(), f_trial)
+            state, s, SolverConfig(), f_trial, np.zeros(1))
         assert t_dec_out == t_dec
         assert rho == pytest.approx(0.5)
         assert accepted
@@ -94,7 +93,7 @@ class TestAcceptanceAndSigmaUpdate:
         s = np.array([-1.0])
         f_trial = state.f - 0.05
         accepted, sigma_next, rho, _ = acceptance_and_sigma_update(
-            state, s, SolverConfig(), f_trial)
+            state, s, SolverConfig(), f_trial, np.zeros(1))
         assert rho == pytest.approx(0.05)
         assert not accepted
         assert sigma_next == pytest.approx(6.0)
@@ -102,7 +101,8 @@ class TestAcceptanceAndSigmaUpdate:
     def test_nonpositive_decrease_aborts(self):
         state = make_state(np.array([1.0]), np.array([[0.0]]), f=1.0)
         with pytest.raises(InternalInvariantError):
-            acceptance_and_sigma_update(state, np.array([1.0]), SolverConfig(), 0.0)
+            acceptance_and_sigma_update(state, np.array([1.0]), SolverConfig(),
+                                        0.0, np.zeros(1))
 
 
 class TestRegularizedNewtonStep:
@@ -335,8 +335,6 @@ class TestFar2Solve:
             if order == 0:
                 return f, None, None
             g = diag * x
-            if order == 1:
-                return f, g, None
             return f, g, sp.diags(diag, format="csr")
 
         p = ObjectiveProblem("sparse-quad", n, np.ones(n), ev)
@@ -626,3 +624,60 @@ def test_warm_start_reads_the_last_step_taken():
     assert _warm_start(2.0, [taken, refused]) == 0.7
     assert _warm_start(2.0, [refused, taken, frozen_rejection]) == 2.0 * 0.2
     assert _warm_start(2.0, [frozen_rejection]) is None
+
+
+@pytest.mark.parametrize("bad", [1, 3], ids=["1st-hessian", "3rd-hessian"])
+@pytest.mark.parametrize("solve,error", [(ar2_solve, "NonFiniteHessianError"),
+                                         (far2_solve, "ReducedSolveError")],
+                         ids=["AR2", "FAR2-PK"])
+def test_nonfinite_hessian_ends_the_run_at_its_iterate(solve, error, bad,
+                                                       monkeypatch):
+    # ROSENBR-20 whose bad-th Hessian has a NaN diagonal entry, f and g
+    # finite: AR2's first reader of H's entries (the iterate's
+    # ShiftedSystem) and FAR2's projected problem (made of products with
+    # H) raise a solver error, and the run ends there with the trace so
+    # far; no factorization is made at that iterate
+    problem = get_problem("ROSENBR", 20)
+    raw = problem._raw
+
+    def ev(x, order):
+        f, g, H = raw(x, order)
+        if order == 2 and problem.n_H == bad:
+            H = H.copy()
+            H.data[0] = math.nan
+        return f, g, H
+
+    problem._raw = ev
+    factored_at = []
+    factor = secular._factor
+
+    def counted(*args, **kwargs):
+        solve = factor(*args, **kwargs)
+        factored_at.append(problem.n_H)
+        return solve
+
+    monkeypatch.setattr(secular, "_factor", counted)
+    rep = solve(problem)
+    assert rep.status == Status.SOLVE_FAILURE.value
+    assert rep.message.startswith(f"{error} at iteration {rep.n_nli}: ")
+    assert problem.n_H == bad and rep.n_nli == len(rep.trace)
+    assert sum(t.accepted for t in rep.trace) == bad - 1
+    assert bad not in factored_at
+    assert problem.eval(rep.x_final, 0)[0] == rep.f_final
+    assert not rep.violations
+
+
+def test_dense_eigensolve_failure_ends_the_run(monkeypatch):
+    # a LinAlgError of min_eig's dense eigensolver is an EigenSolveError,
+    # which ends the run like any other solver error
+    def fail(*args, **kwargs):
+        raise sla.LinAlgError("dsyevr did not converge")
+
+    monkeypatch.setattr("far2.second_order.sla.eigh", fail)
+    problem = get_problem("ROSENBR", 2)
+    rep = far2so_solve(problem, SecondOrderConfig())
+    assert rep.status == Status.SOLVE_FAILURE.value
+    assert rep.message.startswith(f"EigenSolveError at iteration {rep.n_nli}: ")
+    assert rep.message.endswith("dsyevr did not converge")
+    assert rep.n_nli == len(rep.trace)
+    assert problem.eval(rep.x_final, 0)[0] == rep.f_final

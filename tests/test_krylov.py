@@ -72,22 +72,24 @@ class TestRationalExpand:
         H = np.diag([1.0, 2.0])
         g = np.array([1.0, 1.0]) / np.sqrt(2.0)
         basis = KrylovBasis.fresh(g, RATIONAL)
-        rational_expand(ShiftedSystem(H), basis, (1.0, 2.0), shift=1.0)
-        expected = np.array([0.5, 1.0 / 3.0])
+        rational_expand(ShiftedSystem(H), basis, (1.0, 2.0))
+        # the first pole is the square root of the interval's scale
+        assert basis.shifts == [np.sqrt(2.0)]
+        expected = g / (np.diag(H) + basis.shifts[0])
         expected /= np.linalg.norm(expected)
         assert np.allclose(np.abs(basis.V[:, 0]), expected, atol=1e-12)
-        assert basis.shifts == [1.0]
         assert basis.dim == 1
 
     def test_happy_breakdown_identity(self, rng):
         g = rng.standard_normal(5)
         basis = KrylovBasis.fresh(g, RATIONAL)
         system = ShiftedSystem(np.eye(5))
-        rational_expand(system, basis, (1.0, 1.0), shift=2.0)
+        rational_expand(system, basis, (1.0, 1.0))
         assert basis.dim == 1
-        rational_expand(system, basis, (1.0, 1.0), shift=0.7)
+        rational_expand(system, basis, (1.0, 1.0))
         assert basis.dim == 1
         assert basis.invariant
+        assert len(basis.shifts) == 2 and basis.shifts[0] != basis.shifts[1]
 
     def test_rational_beats_polynomial_on_inverse_action(self, rng):
         n = 50

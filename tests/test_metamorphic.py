@@ -37,8 +37,6 @@ def _rotated(problem: ObjectiveProblem, Q: np.ndarray) -> ObjectiveProblem:
         f, g, H = problem.eval(Q @ y, order)
         if order == 0:
             return f, None, None
-        if order == 1:
-            return f, Q.T @ g, None
         H = Q.T @ (H.toarray() if sp.issparse(H) else H) @ Q
         return f, Q.T @ g, 0.5 * (H + H.T)
     return ObjectiveProblem(problem.name, problem.n, Q.T @ problem.x0, ev)

@@ -5,12 +5,49 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from far2 import problems
+from far2 import ar2_solve, far2_solve, problems
 from far2.errors import LibsvmParseError
 from far2.problems import (REGISTRY, ClassificationData, check_derivatives,
                            fd_gradient, fd_hessian, get_problem, load_libsvm,
                            logistic_objective, registry_names, remap_labels,
                            save_libsvm, sigmoid_objective, synth_classification)
+
+
+def _sized(name: str, n: int):
+    entry = REGISTRY[name]
+    n = max(entry.min_n, n)
+    return get_problem(name, n + (-n) % entry.multiple_of)
+
+
+_LOSS_DATA = synth_classification(80, 6, seed=3)
+# (label, factory of a fresh oracle): every registry problem at its
+# smallest valid n and at n = 100, and both classification losses
+ORACLES = [(f"{name}-{n}", lambda name=name, n=n: _sized(name, n))
+           for name in registry_names() for n in (1, 100)] + [
+    ("logistic", lambda: logistic_objective(_LOSS_DATA)),
+    ("sigmoid", lambda: sigmoid_objective(remap_labels(_LOSS_DATA, "01")))]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLES],
+                         ids=[label for label, _ in ORACLES])
+def test_solvers_and_checks_ask_the_oracle_for_orders_0_and_2(make):
+    # the raw evaluator of an oracle implements orders 0 and 2 only: an AR2
+    # solve, a FAR2-PK solve and the derivative check ask for no other
+    asked = set()
+
+    def wrapped(problem):
+        raw = problem._raw
+
+        def ev(x, order):
+            asked.add(order)
+            return raw(x, order)
+        problem._raw = ev
+        return problem
+
+    ar2_solve(wrapped(make()))
+    far2_solve(wrapped(make()))
+    check_derivatives(wrapped(make()), n_points=1)
+    assert asked == {0, 2}
 
 
 class TestRegistry:
@@ -53,13 +90,20 @@ class TestRegistry:
         H = H.toarray()
         assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
 
-    def test_counters_track_orders(self):
-        p = get_problem("QUAD", 4)
-        p.eval(p.x0, 0)
-        p.eval(p.x0, 0)
-        p.eval(p.x0, 1)
-        p.eval(p.x0, 2)
-        assert (p.n_f, p.n_g, p.n_H) == (2, 1, 1)
+    def test_counters_track_orders(self, rng):
+        # every oracle: eval(x, 1) is eval(x, 2)'s f and g, bit for bit,
+        # without H, and is counted as a gradient evaluation
+        for label, make in ORACLES:
+            p = make()
+            for x in (p.x0, p.x0 + 0.1 * rng.standard_normal(p.n)):
+                p.eval(x, 0)
+                f1, g1, H1 = p.eval(x, 1)
+                f2, g2, _ = p.eval(x, 2)
+                assert f1 == f2 and np.array_equal(g1, g2), label
+                assert H1 is None, label
+            assert (p.n_f, p.n_g, p.n_H) == (2, 2, 2), label
+        with pytest.raises(ValueError):
+            p.eval(p.x0, 3)
 
     @pytest.mark.parametrize("n", [8, 500])
     def test_hessian_storage(self, n):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_symmetric
@@ -21,8 +22,6 @@ def quadratic_oracle(D, x0, name):
         if order == 0:
             return f, None, None
         g = D * x
-        if order == 1:
-            return f, g, None
         return f, g, np.diag(D)
 
     return ObjectiveProblem(name, D.size, np.asarray(x0, float), ev)
@@ -30,19 +29,28 @@ def quadratic_oracle(D, x0, name):
 
 class TestMinEig:
     def test_diagonal(self):
-        lam, v = min_eig(ShiftedSystem(np.diag([3.0, -2.0, 5.0])),
-                         want_vector=True)
+        lam, v = min_eig(ShiftedSystem(np.diag([3.0, -2.0, 5.0])))
         assert lam == pytest.approx(-2.0)
         np.testing.assert_allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_identity(self):
         lam, v = min_eig(ShiftedSystem(np.eye(7)))
         assert lam == pytest.approx(1.0)
-        assert v is None
+        assert v.shape == (7,)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 17, 120])
+    def test_dense_eigenvalue_is_eigvalsh_bit_for_bit(self, rng, n):
+        # dsyevr finds one eigenvalue by bisection, with or without its
+        # vector
+        for _ in range(5):
+            H = random_symmetric(rng, n)
+            lam, _ = min_eig(ShiftedSystem(H))
+            assert lam == sla.eigvalsh(H, subset_by_index=[0, 0])[0]
 
     def test_matches_dense_oracle(self, rng):
         H = random_symmetric(rng, 20)
-        lam, v = min_eig(ShiftedSystem(H), want_vector=True)
+        lam, v = min_eig(ShiftedSystem(H))
         w, V = np.linalg.eigh(H)
         assert lam == pytest.approx(w[0], rel=1e-8, abs=1e-10)
         assert abs(abs(v @ V[:, 0]) - 1.0) < 1e-8
@@ -85,7 +93,7 @@ class TestMinEig:
         # vector, so repeated calls return the same pair to the last bit
         p = get_problem("TRIDIA", 2100)
         system = ShiftedSystem(p.eval(p.x0 + 0.1, 2)[2])
-        pairs = [min_eig(system, want_vector=True) for _ in range(4)]
+        pairs = [min_eig(system) for _ in range(4)]
         assert len({lam for lam, _ in pairs}) == 1
         assert len({v.tobytes() for _, v in pairs}) == 1
 
@@ -104,7 +112,7 @@ class TestMinEig:
         H = problems._arrow(d, 0, b)
         system = ShiftedSystem(H)
         assert list(system.border.rows) == [0]
-        lam, v = min_eig(system, want_vector=True)
+        lam, v = min_eig(system)
 
         def secular(mu):
             return d[0] - mu - float(np.sum(b[1:] ** 2 / (d[1:] - mu)))

@@ -146,7 +146,7 @@ class TestSolveSecularReduced:
         assert cubic_model_value(sol.step, g, H, 1.0) <= ref + 1e-6
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReducedSolveError):
             solve_secular_reduced(np.array([np.nan]), np.array([[1.0]]), 1.0)
 
 
@@ -225,6 +225,47 @@ class TestRootErrorState:
             with pytest.raises(ReducedSolveError, match="bracket"):
                 solve_secular_reduced(np.array([1e8]), np.array([[1.0]]), 1.0)
             assert np.geterr() == before
+
+
+class TestBoundaryStepScale:
+    """Where the two roots' model values overflow, the boundary step
+    compares them at the unit steps s / radius, without a warning."""
+
+    def test_reduced_hard_case_at_1e150(self):
+        # sigma = 1: ||s|| = lam ~ 1e150, and s^T H s overflows
+        H = 1e150 * np.diag([-1.0, 1.0, 2.0])
+        g = np.array([0.0, 1e150, 1e150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_secular_reduced(g, H, 1.0)
+        assert sol.case is SecularCase.HARD
+        assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_root_of_lower_scaled_value(self, sign):
+        # ||p + alpha e1|| = r at s_1 = -r and at s_1 = +r; at the unit
+        # steps the model values are -sign * 1e150 - 5e149 and
+        # sign * 1e150 - 5e149, while unscaled g^T s and s^T H s overflow to
+        # infinities of opposite sign at one of them
+        r = 1e150
+        H = r * np.diag([-1.0, 1.0, 2.0])
+        g = np.array([sign * 1e300, 0.0, 0.0])
+        p = np.array([0.5 * sign * r, 0.0, 0.0])
+        e1 = np.eye(3)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, alpha = secular._boundary_step(g, H, p, e1, r)
+        np.testing.assert_array_equal(step, p + alpha * e1)
+        assert np.linalg.norm(step) == pytest.approx(r, rel=1e-15)
+        assert step[0] == pytest.approx(-sign * r, rel=1e-15)
+
+        def scaled(s):
+            u = s / r
+            return float(g @ u) / r + 0.5 * float(u @ H @ u)
+
+        other = step.copy()
+        other[0] = -other[0]
+        assert scaled(step) < scaled(other)
 
 
 class TestSolveSecularFullSecant:
