@@ -122,9 +122,10 @@ class RunReport:
 
 @dataclass
 class SubspaceResult:
-    """Outputs of one projected minimization. `passed` is its verdict: the
-    lifted step meets the stationarity test, and in second-order mode the
-    model-curvature test too."""
+    """Outputs of one projected minimization over a space of dimension
+    s_hat.size. `passed` is its verdict: the lifted step meets the
+    stationarity test, and in second-order mode the model-curvature test
+    too."""
 
     lambda_hat: float
     s_hat: np.ndarray
@@ -133,7 +134,6 @@ class SubspaceResult:
     hess_step: np.ndarray
     model_grad_norm: float
     passed: bool
-    dim: int
 
 
 def _ritz_interval(H_r: np.ndarray, system: ShiftedSystem) -> tuple[float, float]:
@@ -166,11 +166,11 @@ def _project(state: IterateState, cfg: SolverConfig, ctx,
     return SubspaceResult(
         lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r,
         step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
-        passed=passed, dim=W.shape[1])
+        passed=passed)
 
 
 def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
-    """One pass of the projected-minimization routine.
+    """One pass of the projected-minimization routine, at a nonzero gradient.
 
     Refreshing: rebuilds the space from the gradient, stores it on the
     iterate (state.basis) before expanding it, and solves the projected
@@ -185,8 +185,6 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     the iterate.
     """
     g = state.g
-    if float(np.linalg.norm(g)) == 0.0:
-        raise ValueError("subspace_minimize requires a nonzero gradient")
     H = state.system.H
     ctx = (ModelContext(state.system, state.sigma)
            if isinstance(cfg, SecondOrderConfig) else None)
@@ -224,27 +222,26 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
 
 def regularized_newton_step(state: IterateState, lambda_hat: float,
                             counter: FactorizationCounter | None = None,
-                            require_positive_definite: bool = False):
-    """Corrector step -(H + lambda_hat I)^{-1} g from one counted factorization.
+                            require_positive_definite: bool = False
+                            ) -> np.ndarray | None:
+    """Corrector step s = -(H + lambda_hat I)^{-1} g from one counted
+    factorization, or None when the step is refused.
 
-    The curvature flag is s^T (H + lambda_hat I) s > 0, evaluated as
-    s^T g < 0 (identical for the solved system, no extra product). Under
-    require_positive_definite the flag instead demands a successful
-    Cholesky factorization, and a shift that is not positive definite is
-    not solved. A singular shift reports curvature_ok = False.
+    It is refused on a singular shift and when s^T (H + lambda_hat I) s
+    <= 0, evaluated as s^T g >= 0 (identical for the solved system, no
+    extra product). Under require_positive_definite a shift whose Cholesky
+    factorization fails is refused before any solve.
     """
     if lambda_hat < 0.0 or not np.isfinite(lambda_hat):
         raise ValueError("lambda_hat must be finite and nonnegative")
     fac = ShiftedFactorization(state.system, lambda_hat, counter)
-    if require_positive_definite:
-        if not fac.positive_definite:
-            return np.zeros_like(state.g), False
-        return -fac.solve(state.g), True
+    if require_positive_definite and not fac.positive_definite:
+        return None
     try:
         s = -fac.solve(state.g)
     except SingularShiftError:
-        return np.zeros_like(state.g), False
-    return s, float(s @ state.g) < 0.0
+        return None
+    return s if float(s @ state.g) < 0.0 else None
 
 
 def step_ratio_ok(s: np.ndarray, s_hat: np.ndarray, cfg: SolverConfig) -> bool:
@@ -285,20 +282,33 @@ def acceptance_and_sigma_update(state: IterateState, s: np.ndarray,
 
 
 class _Monitors:
-    """Always-on checks of the per-step guarantees, with round-off slack."""
+    """Always-on checks of the per-step guarantees, with round-off slack.
+
+    check() reads the step's IterationRecord (its iteration k, f and sigma
+    at the iterate, step kind, verdict, multiplier and step norm) and
+    appends a "k=...: name: detail" line to `violations` for each
+    guarantee the step breaks.
+    """
 
     REL = 1.0e-8
 
-    def __init__(self, f0: float):
+    def __init__(self, f0: float, cfg: SolverConfig):
         self.violations: list[str] = []
         self.atol = 1.0e-13 * (1.0 + abs(f0))
+        self.cfg = cfg
 
     def _fail(self, k, name, detail):
         self.violations.append(f"k={k}: {name}: {detail}")
 
-    def check_step(self, k, kind, sigma, sigma_min, s_norm, shat_norm,
-                   lambda_hat, t_dec, f, f_trial, accepted, eta1):
-        if kind is StepKind.REG_NEWTON:
+    def check(self, rec: IterationRecord, shat_norm: float, t_dec: float,
+              f_trial: float, model_grad_norm: float | None = None) -> None:
+        """Check one step: shat_norm is the norm of the step its multiplier
+        came from, t_dec its Taylor decrease, f_trial f at the trial point,
+        and model_grad_norm, given for a subspace step, the norm of its
+        lifted model gradient."""
+        k, f, sigma, s_norm = rec.k, rec.f, rec.sigma, rec.step_norm
+        lambda_hat, cfg = rec.lambda_hat, self.cfg
+        if rec.step_kind == StepKind.REG_NEWTON.value:
             bound = 0.5 * sigma * shat_norm * s_norm ** 2
             name = "taylor decrease >= (sigma/2)||s_hat|| ||s||^2"
         else:
@@ -311,25 +321,24 @@ class _Monitors:
             if abs(lambda_hat - target) > self.REL * max(abs(lambda_hat), target):
                 self._fail(k, "lambda_hat = sigma*||s_hat||",
                            f"{lambda_hat!r} vs {target!r}")
-        if accepted:
-            if f - f_trial < eta1 * t_dec * (1.0 - self.REL) - self.atol:
+        if rec.accepted:
+            if f - f_trial < cfg.eta1 * t_dec * (1.0 - self.REL) - self.atol:
                 self._fail(k, "eta1-sufficient decrease",
                            f"{f - f_trial!r} < eta1*{t_dec!r}")
             if f_trial > f + self.atol:
                 self._fail(k, "monotone f on successful steps",
                            f"{f_trial!r} > {f!r}")
-        if sigma < sigma_min * (1.0 - 1.0e-12):
+        if sigma < cfg.sigma_min * (1.0 - 1.0e-12):
             self._fail(k, "sigma >= sigma_min", f"{sigma!r}")
-
-    def check_subspace_accept(self, k, model_grad_norm, shat_norm, theta1,
-                              cubic_dec):
-        bound = 0.5 * theta1 * shat_norm ** 2
-        if model_grad_norm > bound * (1.0 + self.REL) + self.atol:
-            self._fail(k, "stationarity bound on accepted subspace step",
-                       f"{model_grad_norm!r} > {bound!r}")
-        if cubic_dec < -self.atol:
-            self._fail(k, "cubic model decrease on accepted subspace step",
-                       f"{cubic_dec!r}")
+        if rec.accepted and model_grad_norm is not None:
+            bound = 0.5 * cfg.theta1 * shat_norm ** 2
+            if model_grad_norm > bound * (1.0 + self.REL) + self.atol:
+                self._fail(k, "stationarity bound on accepted subspace step",
+                           f"{model_grad_norm!r} > {bound!r}")
+            cubic_dec = t_dec - sigma * s_norm ** 3 / 3.0
+            if cubic_dec < -self.atol:
+                self._fail(k, "cubic model decrease on accepted subspace step",
+                           f"{cubic_dec!r}")
 
 
 def _warm_start(sigma, trace: list[IterationRecord]):
@@ -347,12 +356,13 @@ def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
                counter: FactorizationCounter, so: bool) -> np.ndarray | None:
     """The regularized Newton step at the subspace multiplier, if it passes.
 
-    It must pass the curvature gate (strict positive definiteness in
-    second-order mode) and the step-ratio test against s_hat.
+    regularized_newton_step must not refuse it (in second-order mode the
+    shift must also be positive definite), and it must pass the step-ratio
+    test against s_hat.
     """
-    s, ok = regularized_newton_step(state, sub.lambda_hat, counter,
-                                    require_positive_definite=so)
-    return s if ok and step_ratio_ok(s, sub.s_hat, cfg) else None
+    s = regularized_newton_step(state, sub.lambda_hat, counter,
+                                require_positive_definite=so)
+    return s if s is not None and step_ratio_ok(s, sub.s_hat, cfg) else None
 
 
 def _curvature_ok(ctx: ModelContext, s: np.ndarray, floor: float) -> bool:
@@ -379,7 +389,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                          system=ShiftedSystem(H), sigma=cfg.sigma0)
     eps = max(cfg.eps_rel * float(np.linalg.norm(g)),
               1.0e-14 * (1.0 + abs(state.f)))
-    mon = _Monitors(state.f)
+    mon = _Monitors(state.f, cfg)
     trace: list[IterationRecord] = []
     n_refresh = n_rat = 0
     status, message = None, ""
@@ -420,7 +430,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                     n_refresh += 1
                     n_rat += len(state.basis.shifts) if state.basis else 0
                 sub = subspace_minimize(state, cfg)
-                dim = sub.dim
+                dim = sub.s_hat.size
                 shat_norm = float(np.linalg.norm(sub.s_hat))
                 usable = shat_norm > 0.0
 
@@ -455,18 +465,13 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
             f_trial = problem.eval(state.x + step, 0)[0]
             accepted, sigma_next, rho, t_dec = acceptance_and_sigma_update(
                 state, step, cfg, f_trial, Hs=hess_step)
-            s_norm = float(np.linalg.norm(step))
-            mon.check_step(state.k, kind, state.sigma, cfg.sigma_min, s_norm,
-                           shat_norm, lambda_hat, t_dec, state.f, f_trial,
-                           accepted, cfg.eta1)
-            if accepted and kind is StepKind.SUBSPACE:
-                cubic_dec = t_dec - state.sigma * s_norm ** 3 / 3.0
-                mon.check_subspace_accept(state.k, sub.model_grad_norm,
-                                          shat_norm, cfg.theta1, cubic_dec)
-
-            trace.append(IterationRecord(
+            rec = IterationRecord(
                 state.k, state.f, gnorm, state.sigma, kind.value, dim,
-                bool(accepted), float(rho), float(lambda_hat), s_norm))
+                bool(accepted), float(rho), float(lambda_hat),
+                float(np.linalg.norm(step)))
+            mon.check(rec, shat_norm, t_dec, f_trial,
+                      sub.model_grad_norm if kind is StepKind.SUBSPACE else None)
+            trace.append(rec)
             state.k += 1
             if accepted:
                 x_new = state.x + step

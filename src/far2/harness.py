@@ -69,8 +69,10 @@ class ProblemSpec:
     def label(self) -> str:
         if self.kind == "registry":
             return self.name
-        src = "synth" if self.source == "synth" else os.path.basename(self.source)
-        return f"{self.kind}:{src}[N={self.N},n={self.n},seed={self.seed}]"
+        if self.source == "synth":
+            return f"{self.kind}:synth[N={self.N},n={self.n},seed={self.seed}]"
+        width = f"[n={self.n}]" if self.n else ""
+        return f"{self.kind}:{os.path.basename(self.source)}{width}"
 
 
 @dataclass
@@ -103,25 +105,29 @@ class SuiteConfig:
         if stray:
             raise ConfigError(f"overrides for solvers the suite does not run: {stray}")
         for p in self.problems:
+            # each kind of problem rejects the keys it does not read
             if p.kind == "registry":
                 try:
                     registry_entry(p.name, p.n)
                 except (KeyError, ValueError) as exc:
                     raise ConfigError(exc.args[0]) from None
-                stray = [k for k in ("N", "seed", "source")
-                         if getattr(p, k) != getattr(ProblemSpec, k)]
-                if stray:
-                    raise ConfigError(f"{p.label}: a registry problem takes "
-                                      f"no {', '.join(stray)}")
+                what, unread = "registry", ("N", "seed", "source")
             elif p.kind not in ("logistic", "sigmoid"):
                 raise ConfigError(f"unknown problem kind {p.kind!r}")
             elif p.source == "synth":
-                # a LIBSVM file gives its own N and n, and takes no seed
                 if min(p.N, p.n) < 1:
                     raise ConfigError(f"{p.label}: N and n must be positive")
                 if p.seed + self.seed < 0:
                     raise ConfigError(f"{p.label}: seed {p.seed} plus suite "
                                       f"seed {self.seed} is negative")
+                what, unread = "classification", ("name",)
+            else:
+                # a LIBSVM file gives its own N, and its n unless n is set
+                what, unread = "LIBSVM-file", ("name", "N", "seed")
+            stray = [k for k in unread if getattr(p, k) != getattr(ProblemSpec, k)]
+            if stray:
+                raise ConfigError(f"{p.label}: a {what} problem takes "
+                                  f"no {', '.join(stray)}")
 
 
 def build_problem(spec: ProblemSpec, base_seed: int = 0):

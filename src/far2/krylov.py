@@ -33,15 +33,16 @@ def _reorthogonalize(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
 class KrylovBasis:
     """Orthonormal basis of the current approximation space.
 
-    Owned by a single solver run; expansions mutate it in place. `seed`
-    holds the raw generating vector for a rational basis that has not been
-    expanded yet (the rational space does not contain the gradient itself).
-    `shifts` holds the shift of each rational solve, the last one included
-    when it ends in happy breakdown (after which no shift is chosen).
+    Owned by a single solver run; expansions mutate it in place, and the
+    caller, which chose the space's kind, picks the expansion that fits it
+    (poly_expand or rational_expand) and stops once `invariant` is set.
+    `seed` holds the raw generating vector for a rational basis that has
+    not been expanded yet (the rational space does not contain the
+    gradient itself). `shifts` holds the shift of each rational solve, the
+    last one included when it ends in happy breakdown.
     """
 
     V: np.ndarray
-    kind: str
     shifts: list[float] = field(default_factory=list)
     seed_norm: float = 0.0
     seed: np.ndarray | None = None
@@ -62,9 +63,8 @@ class KrylovBasis:
         if nrm == 0.0:
             raise ValueError("cannot seed a Krylov space with a zero vector")
         if kind == POLYNOMIAL:
-            return cls(V=(g / nrm).reshape(-1, 1), kind=kind, seed_norm=nrm)
-        return cls(V=np.empty((g.size, 0)), kind=kind, seed_norm=nrm,
-                   seed=g.copy())
+            return cls(V=(g / nrm).reshape(-1, 1), seed_norm=nrm)
+        return cls(V=np.empty((g.size, 0)), seed_norm=nrm, seed=g.copy())
 
 
 def _append(basis: KrylovBasis, w) -> None:
@@ -78,19 +78,15 @@ def _append(basis: KrylovBasis, w) -> None:
         basis.V = np.hstack([basis.V, (w / nrm).reshape(-1, 1)])
 
 
-def poly_expand(H, basis: KrylovBasis, hv=None) -> KrylovBasis:
-    """Append the next Lanczos direction, fully reorthogonalized.
+def poly_expand(H, basis: KrylovBasis, hv=None) -> None:
+    """Append the next Lanczos direction of a polynomial basis that is not
+    yet invariant, fully reorthogonalized.
 
     On happy breakdown (the new direction collapses below the relative
-    tolerance) the basis is returned unchanged with `invariant` set. Pass a
+    tolerance) the basis keeps its columns and `invariant` is set. Pass a
     precomputed hv = H @ V[:, -1] to reuse a product the caller already has.
     """
-    if basis.kind != POLYNOMIAL:
-        raise ValueError("poly_expand requires a polynomial basis")
-    if basis.invariant:
-        return basis
     _append(basis, hv if hv is not None else H @ basis.V[:, -1])
-    return basis
 
 
 def _next_shift(prev_shifts: list[float], interval: tuple[float, float]) -> float:
@@ -121,20 +117,18 @@ def _next_shift(prev_shifts: list[float], interval: tuple[float, float]) -> floa
 
 
 def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
-                    spectral_interval: tuple[float, float]) -> KrylovBasis:
-    """Append the next rational direction (H + xi I)^{-1} v.
+                    spectral_interval: tuple[float, float]) -> None:
+    """Append the next rational direction (H + xi I)^{-1} v to a rational
+    basis that is not yet invariant.
 
     `system` is H's secular.ShiftedSystem, analysed once for every
     expansion. The source vector is the stored seed for an empty basis and
     the last column afterwards. The shift xi is the greedy choice on
     `spectral_interval` against the basis's earlier shifts (_next_shift);
     it is appended to `basis.shifts`. A singular shift is perturbed by
-    1e-8*(1+|xi|) and retried once before raising ShiftFailureError.
+    1e-8*(1+|xi|) and retried once before raising ShiftFailureError. On
+    happy breakdown `invariant` is set, as in poly_expand.
     """
-    if basis.kind != RATIONAL:
-        raise ValueError("rational_expand requires a rational basis")
-    if basis.invariant:
-        return basis
     source = basis.seed if basis.dim == 0 else basis.V[:, -1]
     xi = _next_shift(basis.shifts, spectral_interval)
     for attempt in range(2):
@@ -147,7 +141,6 @@ def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
             xi = xi + 1.0e-8 * (1.0 + abs(xi))
     basis.shifts.append(xi)
     _append(basis, x)
-    return basis
 
 
 def orth_augment(basis: KrylovBasis, g) -> np.ndarray:

@@ -647,9 +647,15 @@ class ClassificationData:
 def remap_labels(data: ClassificationData, convention: str) -> ClassificationData:
     """The data with labels in {-1,+1} ('pm1') or {0,1} ('01').
 
-    The feature matrix is shared with `data`, not copied.
+    A positive label goes to the positive class, any other to the negative
+    one; two distinct labels in one class are a ValueError (the data is
+    not two-class as labelled). The feature matrix is shared with `data`,
+    not copied.
     """
     b = data.b
+    if np.unique(b[b > 0.0]).size > 1 or np.unique(b[b <= 0.0]).size > 1:
+        raise ValueError(f"labels {np.unique(b).tolist()} do not form two "
+                         "classes, positive and not")
     if convention == "pm1":
         nb = np.where(b > 0.0, 1.0, -1.0)
     elif convention == "01":
@@ -736,8 +742,9 @@ def load_libsvm(path, n_features: int | None = None,
                 labels: str | None = None) -> ClassificationData:
     """Read sparse 'label idx:val ...' lines with 1-based indices.
 
-    Feature dimension defaults to the largest index seen. `labels` may remap
-    to 'pm1' or '01'.
+    Feature dimension defaults to the largest index seen; an index beyond
+    a given n_features is a LibsvmParseError. `labels` may remap to 'pm1'
+    or '01'.
     """
     rows = []
     targets = []
@@ -765,6 +772,9 @@ def load_libsvm(path, n_features: int | None = None,
                     raise LibsvmParseError(f"line {lineno}: bad entry {tok!r}") from exc
                 if idx < 1:
                     raise LibsvmParseError(f"line {lineno}: index {idx} not 1-based")
+                if n_features is not None and idx > n_features:
+                    raise LibsvmParseError(f"line {lineno}: index {idx} beyond "
+                                           f"n_features = {n_features}")
                 if not math.isfinite(val):
                     raise LibsvmParseError(f"line {lineno}: non-finite entry {tok!r}")
                 entries.append((idx, val))
@@ -776,8 +786,7 @@ def load_libsvm(path, n_features: int | None = None,
     A = np.zeros((len(rows), n))
     for r, entries in enumerate(rows):
         for idx, val in entries:
-            if idx <= n:
-                A[r, idx - 1] = val
+            A[r, idx - 1] = val
     data = ClassificationData(A=A, b=np.asarray(targets))
     if labels is not None:
         data = remap_labels(data, labels)

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 
 import pytest
@@ -40,6 +42,30 @@ def test_run_then_profile(tmp_path, capsys):
     assert "FAR2-PK" in text
     dat = [f for f in os.listdir(out) if f.endswith(".dat")]
     assert len(dat) == 2
+
+
+@pytest.mark.parametrize("timing", [True, False], ids=["timing", "no-timing"])
+def test_run_writes_wall_time_only_with_timing(tmp_path, capsys, timing):
+    # ROSENBR at n = 100 takes well over a millisecond per run, so a
+    # measured wall time reads positive at the CSV's three decimals
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SUITE.replace("n = 2", "n = 100"))
+    out = tmp_path / "results"
+    argv = ["run", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + ["--timing"] * timing) == 0
+    capsys.readouterr()
+    with open(out / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "reports.json") as fh:
+        reports = json.load(fh)["reports"]
+    assert len(rows) == len(reports) == 4
+    for row, report in zip(rows, reports):
+        assert report["wall_s"] > 0.0
+        if timing:
+            assert row["wall_s"] == f"{report['wall_s']:.3f}"
+            assert float(row["wall_s"]) > 0.0
+        else:
+            assert row["wall_s"] == "0.000"
 
 
 def test_run_requires_config(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,8 @@ import scipy.linalg as sla
 from far2 import secular
 from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
 from far2.driver import (IterateState, IterationRecord, Status, StepKind,
-                         _warm_start, acceptance_and_sigma_update, ar2_solve,
+                         _Monitors, _warm_start, acceptance_and_sigma_update,
+                         ar2_solve,
                          far2_solve, far2so_solve, regularized_newton_step,
                          step_ratio_ok, subspace_minimize)
 from far2.errors import (EigenSolveError, InternalInvariantError,
@@ -108,27 +110,24 @@ class TestAcceptanceAndSigmaUpdate:
 class TestRegularizedNewtonStep:
     def test_direct_solve(self):
         state = make_state(np.array([3.0, 5.0]), np.diag([2.0, 4.0]))
-        s, ok = regularized_newton_step(state, 1.0)
+        s = regularized_newton_step(state, 1.0)
         np.testing.assert_allclose(s, [-1.0, -1.0], atol=1e-12)
-        assert ok
 
     def test_negative_curvature_flagged(self):
+        # s = -(H + I)^{-1} g = (1, 0) climbs: s^T g > 0
         state = make_state(np.array([1.0, 0.0]), np.diag([-2.0, 1.0]))
-        s, ok = regularized_newton_step(state, 1.0)
-        np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-12)
-        assert not ok
+        assert regularized_newton_step(state, 1.0) is None
 
     def test_strict_pd_gate(self):
         state = make_state(np.array([0.0, 1.0]), np.diag([-2.0, 1.0]))
-        _, ok = regularized_newton_step(state, 3.0, require_positive_definite=True)
-        assert ok
-        _, ok = regularized_newton_step(state, 1.0, require_positive_definite=True)
-        assert not ok
+        s = regularized_newton_step(state, 3.0, require_positive_definite=True)
+        np.testing.assert_allclose(s, [0.0, -0.25], atol=1e-12)
+        assert regularized_newton_step(
+            state, 1.0, require_positive_definite=True) is None
 
     def test_singular_shift_reports_failure(self):
         state = make_state(np.array([0.0, 1.0]), np.diag([-1.0, 1.0]))
-        s, ok = regularized_newton_step(state, 1.0)
-        assert not ok
+        assert regularized_newton_step(state, 1.0) is None
 
 
 class TestSubspaceMinimize:
@@ -137,7 +136,7 @@ class TestSubspaceMinimize:
         g[0] = 1.0
         state = make_state(g, np.eye(5), sigma=1.0, refresh=True)
         res = subspace_minimize(state, SolverConfig())
-        assert res.dim == 1
+        assert res.s_hat.size == 1
         assert res.passed
         assert res.lambda_hat == pytest.approx(GOLDEN, rel=1e-8)
         np.testing.assert_allclose(res.step_full, -GOLDEN * g, atol=1e-8)
@@ -148,7 +147,7 @@ class TestSubspaceMinimize:
         state = make_state(g, np.diag([1.0, 2.0, 3.0]), refresh=False, basis=basis)
         res = subspace_minimize(state, SolverConfig())
         assert state.basis is basis
-        assert res.dim == 2
+        assert res.s_hat.size == 2
         np.testing.assert_allclose(res.H_r, np.diag([1.0, 3.0]), atol=1e-12)
 
     def test_zero_gradient_contract(self):
@@ -173,9 +172,9 @@ class TestSubspaceMinimize:
         H = 0.5 * (A + A.T)
         Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         state = make_state(rng.standard_normal(8), H, refresh=False,
-                           basis=KrylovBasis(V=Q, kind=POLYNOMIAL))
+                           basis=KrylovBasis(V=Q))
         res = subspace_minimize(state, SolverConfig())
-        assert res.dim == 4
+        assert res.s_hat.size == 4
         inner = np.linalg.eigvalsh(res.H_r)
         outer = np.linalg.eigvalsh(H)
         assert inner[0] >= outer[0] - 1e-10
@@ -197,7 +196,7 @@ class TestSubspaceMinimize:
                              system=ShiftedSystem(H), sigma=1.0)
         res = subspace_minimize(state, SolverConfig(j_max=5, theta1=1e-300))
         assert not res.passed
-        assert (res.dim, state.basis.dim, H.products) == (4, 5, 4)
+        assert (res.s_hat.size, state.basis.dim, H.products) == (4, 5, 4)
 
     def test_polynomial_refresh_memory(self):
         # V and H @ V grow a column at a time and nothing else of size n x j
@@ -214,7 +213,7 @@ class TestSubspaceMinimize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.dim == 49
+        assert res.s_hat.size == 49
         assert peak < 28e6
 
 
@@ -681,3 +680,59 @@ def test_dense_eigensolve_failure_ends_the_run(monkeypatch):
     assert rep.message.endswith("dsyevr did not converge")
     assert rep.n_nli == len(rep.trace)
     assert problem.eval(rep.x_final, 0)[0] == rep.f_final
+
+
+# An accepted secant step that meets every monitored guarantee under the
+# default SolverConfig: at iteration 3, f = 1, sigma = 1 and lambda_hat =
+# sigma*||s_hat|| = 1 with ||s|| = ||s_hat|| = 1, a Taylor decrease of 1
+# and f_trial = 0.
+GOOD_STEP = IterationRecord(k=3, f=1.0, gnorm=1.0, sigma=1.0,
+                            step_kind="secant", dim=1, accepted=True, rho=1.0,
+                            lambda_hat=1.0, step_norm=1.0)
+GOOD_CHECK = dict(shat_norm=1.0, t_dec=1.0, f_trial=0.0, model_grad_norm=None)
+
+
+@pytest.mark.parametrize("record,check,line", [
+    ({}, {"t_dec": 0.25},
+     "k=3: taylor decrease >= (sigma/3)||s||^3: 0.25 < 0.3333333333333333"),
+    ({"step_kind": "newton"}, {"t_dec": 0.375},
+     "k=3: taylor decrease >= (sigma/2)||s_hat|| ||s||^2: 0.375 < 0.5"),
+    ({"lambda_hat": 1.5}, {}, "k=3: lambda_hat = sigma*||s_hat||: 1.5 vs 1.0"),
+    ({}, {"f_trial": 0.96875},
+     "k=3: eta1-sufficient decrease: 0.03125 < eta1*1.0"),
+    # f rises by more than atol = 1e-13; only a Taylor decrease in
+    # [-atol, 0) keeps the eta1 test (its bar now about -1.05e-13) quiet
+    ({"f": 0.0, "lambda_hat": 0.0, "step_norm": 0.0},
+     {"shat_norm": 0.0, "t_dec": -5e-14, "f_trial": 1.02e-13},
+     "k=3: monotone f on successful steps: 1.02e-13 > 0.0"),
+    ({"step_kind": "subspace"}, {"model_grad_norm": 0.25},
+     "k=3: stationarity bound on accepted subspace step: 0.25 > 0.05"),
+    # sigma = 3 puts the cubic term at 1: a decrease of 1 - 2^-30 keeps the
+    # Taylor bound within its 1e-8 relative slack but not the cubic one
+    ({"step_kind": "subspace", "sigma": 3.0, "lambda_hat": 3.0},
+     {"t_dec": 1.0 - 2.0 ** -30, "model_grad_norm": 0.0},
+     "k=3: cubic model decrease on accepted subspace step: "
+     "-9.313225746154785e-10"),
+    ({"sigma": 5e-9, "lambda_hat": 5e-9}, {},
+     "k=3: sigma >= sigma_min: 5e-09"),
+], ids=["taylor-cubic", "taylor-corrector", "lambda-hat", "eta1", "monotone",
+        "stationarity", "cubic-decrease", "sigma-floor"])
+def test_each_monitor_reports_its_violation(record, check, line):
+    rec = dataclasses.replace(GOOD_STEP, **record)
+    mon = _Monitors(rec.f, SolverConfig())
+    mon.check(rec, **{**GOOD_CHECK, **check})
+    assert mon.violations == [line]
+
+
+def test_a_wrong_multiplier_is_reported(monkeypatch):
+    # a reduced solve whose multiplier is 1e-6 too large breaks
+    # lambda_hat = sigma*||s_hat|| on the subspace steps of a FAR2-PK run
+    reduced = solve_secular_reduced
+
+    def skewed(*args):
+        sol = reduced(*args)
+        return dataclasses.replace(sol, lam=sol.lam * (1.0 + 1e-6))
+
+    monkeypatch.setattr("far2.driver.solve_secular_reduced", skewed)
+    rep = far2_solve(get_problem("ROSENBR", 20), SolverConfig())
+    assert any(": lambda_hat = sigma*||s_hat||: " in v for v in rep.violations)

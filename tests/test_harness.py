@@ -80,6 +80,27 @@ class TestSuiteConfig:
                            match=f"ROSENBR: a registry problem takes no {key}"):
             SuiteConfig(solvers=["AR2"], problems=[problem])
 
+    @pytest.mark.parametrize("problem,match", [
+        (ProblemSpec(kind="logistic", source="x.svm", N=999, seed=7),
+         r"logistic:x.svm: a LIBSVM-file problem takes no N, seed"),
+        (ProblemSpec(kind="sigmoid", source="x.svm", n=5, name="FOO"),
+         r"sigmoid:x.svm\[n=5\]: a LIBSVM-file problem takes no name"),
+        (ProblemSpec(kind="logistic", N=50, n=5, name="FOO"),
+         r"logistic:synth\[N=50,n=5,seed=0\]: a classification problem "
+         r"takes no name"),
+    ], ids=["file-N-seed", "file-name", "synth-name"])
+    def test_classification_problem_takes_only_the_keys_it_reads(self, problem,
+                                                                 match):
+        # a LIBSVM file gives its own N and takes no seed, and no
+        # classification problem reads a name: each would be ignored
+        with pytest.raises(ConfigError, match=match):
+            SuiteConfig(solvers=["AR2"], problems=[problem])
+
+    def test_file_problem_label_names_what_its_spec_sets(self):
+        assert ProblemSpec(kind="logistic", source="d/x.svm").label == "logistic:x.svm"
+        assert (ProblemSpec(kind="sigmoid", source="d/x.svm", n=5).label
+                == "sigmoid:x.svm[n=5]")
+
     def test_seeds_that_sum_to_a_valid_one(self):
         SuiteConfig(solvers=["AR2"], seed=-2,
                     problems=[ProblemSpec(kind="logistic", N=50, n=5, seed=2),

@@ -71,6 +71,6 @@ def test_full_dimension_refresh_is_the_full_space_step(seed, sigma):
     state = IterateState(k=0, x=np.zeros(n), f=0.0, g=g,
                          system=ShiftedSystem(H), sigma=sigma)
     sub = subspace_minimize(state, cfg)
-    assert sub.dim == n
+    assert sub.s_hat.size == n
     np.testing.assert_allclose(sub.step_full, full.step,
                                rtol=0, atol=1e-8 * np.linalg.norm(full.step))

@@ -370,6 +370,40 @@ class TestLibsvm:
         with pytest.raises(LibsvmParseError):
             load_libsvm(path)
 
+    def test_index_beyond_n_features_rejected(self, tmp_path):
+        # a narrower n_features does not truncate the rows
+        path = tmp_path / "wide.txt"
+        path.write_text("1 1:0.5 3:2.0\n-1 2:1.0 5:4.0\n1 4:1.5\n")
+        with pytest.raises(LibsvmParseError,
+                           match="line 1: index 3 beyond n_features = 2"):
+            load_libsvm(path, n_features=2)
+        assert load_libsvm(path, n_features=5).A.shape == (3, 5)
+
+
+class TestRemapLabels:
+    @pytest.mark.parametrize("labels,pm1,zero_one", [
+        ([1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 0.0, 1.0]),
+        ([0.0, 1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, 1.0, 0.0]),
+        ([3.0], [1.0], [1.0]),
+    ], ids=["pm1", "01", "one-sample"])
+    def test_two_classes_map(self, labels, pm1, zero_one):
+        data = ClassificationData(A=np.ones((len(labels), 2)),
+                                  b=np.array(labels))
+        np.testing.assert_array_equal(remap_labels(data, "pm1").b, pm1)
+        np.testing.assert_array_equal(remap_labels(data, "01").b, zero_one)
+
+    @pytest.mark.parametrize("labels", [[1.0, 2.0, 1.0], [-1.0, 0.0, 1.0]],
+                             ids=["1-2", "three-classes"])
+    def test_two_labels_in_one_class_rejected(self, labels):
+        data = ClassificationData(A=np.ones((3, 2)), b=np.array(labels))
+        for convention in ("pm1", "01"):
+            with pytest.raises(ValueError, match="two classes"):
+                remap_labels(data, convention)
+
+    def test_synthetic_data_keeps_its_labels(self):
+        data = synth_classification(50, 3, seed=8)
+        np.testing.assert_array_equal(remap_labels(data, "pm1").b, data.b)
+
 
 class TestSynthClassification:
     def test_deterministic(self):
