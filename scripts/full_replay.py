@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Replay of the full-space secular solve on one benchmark round's inputs.
+
+Runs one round of a benchmark workload (perfbench/workloads.py; by default
+registry-ar2 with seed 1) on one BLAS thread, with a wrapper around
+far2.secular.solve_secular_full_secant that records the
+(g, system, sigma, theta1, warm_lambda) of every call. It then replays the
+recorded calls and prints:
+
+- the call count and the factorizations they make (FactorizationCounter),
+  with a histogram of factorizations per call;
+- where the warm start lies relative to the root the call returns, as the
+  ratio warm_lambda / lambda over the calls that have one, for the whole
+  round and for the three solves that factor most;
+- the microseconds per call, best of --repeat timed passes. Each pass
+  gives every call a fresh ShiftedSystem of the recorded H, so the time
+  includes reading H's storage, as the first factorization of an iterate
+  does in a run.
+
+    python3 scripts/full_replay.py [--workload registry-ar2] [--seed 1]
+"""
+
+import os
+import sys
+
+# One BLAS/OpenMP thread, set before numpy loads, as the benchmark does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import argparse  # noqa: E402
+import time  # noqa: E402
+from collections import Counter, defaultdict  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+# reduced_replay puts src/ and perfbench/ on the path
+from reduced_replay import record_calls  # noqa: E402
+from far2.secular import (FactorizationCounter, ShiftedSystem,  # noqa: E402
+                          solve_secular_full_secant)
+from workloads import WORKLOADS  # noqa: E402
+
+TOP = 3  # solves listed by their factorizations
+
+
+def record(workload: str, seed: int) -> list[tuple]:
+    """(label, g, H, sigma, theta1, warm_lambda) of every full-space solve
+    in one round of `workload`."""
+    def capture(label, g, system, sigma, theta1, counter=None,
+                warm_lambda=None):
+        return (label, np.array(g, dtype=float), system.H, float(sigma),
+                float(theta1), warm_lambda)
+    return record_calls("solve_secular_full_secant", workload, seed, capture)
+
+
+def replay(calls) -> list[tuple[int, float]]:
+    """(factorizations, returned lambda) of every recorded call."""
+    out = []
+    for _, g, H, sigma, theta1, warm in calls:
+        c = FactorizationCounter()
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, theta1, c,
+                                        warm_lambda=warm)
+        out.append((c.count, sol.lam))
+    return out
+
+
+def best_pass_s(calls, repeat: int) -> float:
+    """The shortest of `repeat` timed passes over all recorded calls."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _, g, H, sigma, theta1, warm in calls:
+            solve_secular_full_secant(g, ShiftedSystem(H), sigma, theta1,
+                                      warm_lambda=warm)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def ratio_summary(ratios) -> str:
+    """Quartiles of warm_lambda / lambda and the share started left of it."""
+    if not ratios:
+        return "no warm starts"
+    q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+    left = sum(r < 1.0 for r in ratios) / len(ratios)
+    return (f"warm/root median {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+            f"{100 * left:.0f}% start left of the root")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", default="registry-ar2", choices=WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+
+    calls = record(args.workload, args.seed)
+    if not calls:
+        print(f"{args.workload}: no full-space solves in a round")
+        return
+    results = replay(calls)
+    facts = [k for k, _ in results]
+    print(f"{args.workload} seed {args.seed}: {len(calls)} full-space solves, "
+          f"{sum(facts)} factorizations ({sum(facts) / len(calls):.2f} a call)")
+    hist = Counter(facts)
+    print("factorizations per call: " + ", ".join(
+        f"{k}: {hist[k]}" for k in sorted(hist)))
+
+    by_label = defaultdict(lambda: [0, []])
+    for (label, *_, warm), (k, lam) in zip(calls, results):
+        by_label[label][0] += k
+        if warm is not None and warm > 0.0 and lam > 0.0:
+            by_label[label][1].append(warm / lam)
+    print("all solves: " + ratio_summary(
+        [r for _, ratios in by_label.values() for r in ratios]))
+    top = sorted(by_label.items(), key=lambda kv: -kv[1][0])[:TOP]
+    for label, (k, ratios) in top:
+        print(f"{label}: {k} factorizations, {ratio_summary(ratios)}")
+
+    best = best_pass_s(calls, args.repeat)
+    print(f"best of {args.repeat}: {best:.3f} s, "
+          f"{1e6 * best / len(calls):.1f} us a call")
+
+
+if __name__ == "__main__":
+    main()

@@ -30,29 +30,39 @@ import far2.secular  # noqa: E402
 from workloads import WORKLOADS, build_round  # noqa: E402
 
 
-def record(workload: str, seed: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """The inputs of every reduced solve in one round of `workload`."""
-    original = far2.secular.solve_secular_reduced
-    calls = []
+def record_calls(name: str, workload: str, seed: int, capture) -> list:
+    """capture(label, *args, **kwargs) of every call of far2.secular.<name>
+    in one round of `workload`, `label` naming the solve that made it."""
+    original = getattr(far2.secular, name)
+    calls, label = [], [None]
 
-    def recording(g_r, H_r, sigma):
-        calls.append((np.array(g_r, dtype=float), np.array(H_r, dtype=float),
-                      float(sigma)))
-        return original(g_r, H_r, sigma)
+    def recording(*args, **kwargs):
+        calls.append(capture(label[0], *args, **kwargs))
+        return original(*args, **kwargs)
 
     # far2.driver imports the function by name: patch every module holding it
-    holders = [m for name, m in sys.modules.items()
-               if (name == "far2" or name.startswith("far2."))
-               and m.__dict__.get("solve_secular_reduced") is original]
+    holders = [m for mod, m in sys.modules.items()
+               if (mod == "far2" or mod.startswith("far2."))
+               and m.__dict__.get(name) is original]
     for m in holders:
-        m.solve_secular_reduced = recording
+        setattr(m, name, recording)
     try:
         for inst in build_round(workload, seed):
+            label[0] = inst.label
             inst.solve(inst.build())
     finally:
         for m in holders:
-            m.solve_secular_reduced = original
+            setattr(m, name, original)
     return calls
+
+
+def record(workload: str, seed: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The inputs of every reduced solve in one round of `workload`."""
+    return record_calls(
+        "solve_secular_reduced", workload, seed,
+        lambda label, g_r, H_r, sigma: (np.array(g_r, dtype=float),
+                                        np.array(H_r, dtype=float),
+                                        float(sigma)))
 
 
 def best_pass_s(calls, repeat: int) -> float:

@@ -7,8 +7,8 @@ regularized Newton corrector with the multiplier inherited from the
 subspace solve, then a full-space secular solve (only on an iteration that
 rebuilt the subspace), and otherwise a rejection that rebuilds the subspace
 next time. ar2_solve is the chain without its first two links, so every
-step comes from the full-space solve: safeguarded Newton on the secular
-equation, one Cholesky factorization per shift, as in the direct-solver
+step comes from the full-space solve: safeguarded Halley iteration on the
+secular equation, one Cholesky factorization per shift, as in the direct-solver
 implementations of adaptive cubic regularization. far2_solve runs the
 whole chain; under a SecondOrderConfig (far2so_solve) the loop also
 demands positive curvature of every step and of the final Hessian. Reports

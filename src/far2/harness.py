@@ -130,12 +130,12 @@ class SuiteConfig:
                                   f"no {', '.join(stray)}")
 
 
-def build_problem(spec: ProblemSpec, base_seed: int = 0):
+def build_problem(spec: ProblemSpec):
     """Fresh oracle instance for one run (counters start at zero)."""
     if spec.kind == "registry":
         return get_problem(spec.name, spec.n)
     if spec.source == "synth":
-        data = synth_classification(spec.N, spec.n, spec.seed + base_seed)
+        data = synth_classification(spec.N, spec.n, spec.seed)
     else:
         data = load_libsvm(spec.source, n_features=spec.n or None)
     if spec.kind == "logistic":
@@ -154,10 +154,10 @@ def build_solver_config(solver: str, spec: ProblemSpec,
 
 
 def _run_one(task) -> RunReport:
-    solver, spec, solver_overrides, base_seed = task
+    solver, spec, solver_overrides = task
     problem = None
     try:
-        problem = build_problem(spec, base_seed)
+        problem = build_problem(spec)
         cfg = build_solver_config(solver, spec, solver_overrides)
         report = SOLVERS[solver].solve(problem, cfg)
     except Exception as exc:  # one failed run must not end the suite
@@ -174,9 +174,16 @@ def _run_one(task) -> RunReport:
 
 
 def run_suite(cfg: SuiteConfig) -> list[RunReport]:
-    """One RunReport per (solver, problem), in configuration order."""
-    tasks = [(solver, spec, cfg.solver_overrides, cfg.seed)
-             for spec in cfg.problems for solver in cfg.solvers]
+    """One RunReport per (solver, problem), in configuration order.
+
+    A synthetic problem draws its data from its own seed plus the suite's;
+    that sum is folded into its spec here, so its label names the data drawn.
+    """
+    specs = [dataclasses.replace(spec, seed=spec.seed + cfg.seed)
+             if spec.kind != "registry" and spec.source == "synth" else spec
+             for spec in cfg.problems]
+    tasks = [(solver, spec, cfg.solver_overrides)
+             for spec in specs for solver in cfg.solvers]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             reports = list(pool.map(_run_one, tasks))

@@ -21,10 +21,10 @@ expansions and the eigensolves (second_order.min_eig) of an iterate all
 read that one storage, made when the first of them asks for it.
 
 Reduced (small, dense) solves use a spectral decomposition, after which
-each residual evaluation costs O(m). The full-space solve is safeguarded
-Newton on the secular equation, the direct solver baseline of adaptive
-cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1): each
-shift costs one Cholesky factorization and two solves with it. When the
+each residual evaluation costs O(m). The full-space solve is a safeguarded
+Halley iteration on the secular equation, the direct solver baseline of
+adaptive cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1):
+each shift costs one Cholesky factorization and two solves with it. When the
 root of either solve hugs the spectrum edge (the hard and near-hard
 cases) it returns the same boundary step (_boundary_step): the solve at a
 shift just above the edge plus the multiple of the leftmost eigenvector
@@ -529,30 +529,52 @@ def _spectral_fallback(g, system: ShiftedSystem, sigma, counter, hi=None,
     return SecularSolution(hi, step, SecularCase.HARD, alpha=alpha)
 
 
+def _psi_derivatives(x, y, snorm: float, lam: float,
+                     sigma: float) -> tuple[float, float, float]:
+    """psi(lambda) = 1/||x|| - sigma/lambda and its first two derivatives.
+
+    x = (H + lambda I)^{-1} g with ||x|| = snorm and y = (H + lambda I)^{-1} x.
+    With pi = ||x||^2, pi' = -2 x^T y and pi'' = 6 y^T y, so the two solves
+    the secular iteration makes at every shift give psi'' as well as psi'.
+    """
+    xy = float(x @ y)
+    psi = 1.0 / snorm - sigma / lam
+    dpsi = xy / snorm ** 3 + sigma / lam ** 2
+    d2psi = (3.0 * xy ** 2 / snorm ** 5 - 3.0 * float(y @ y) / snorm ** 3
+             - 2.0 * sigma / lam ** 3)
+    return psi, dpsi, d2psi
+
+
 def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                               theta1: float,
                               counter: FactorizationCounter | None = None,
                               warm_lambda: float | None = None) -> SecularSolution:
-    """Safeguarded Newton on the secular equation for the full-space subproblem.
+    """Safeguarded Halley iteration on the secular equation, full space.
 
-    `system` is the iterate's analysed H, factored at every shift. Newton
-    runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which shares its
-    root with phi and is concave and increasing, from the warm start or
-    the Gershgorin-safeguarded lambda_0. Each shift costs one
+    `system` is the iterate's analysed H, factored at every shift. The
+    iteration runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which
+    shares its root with phi and is concave and increasing, from the warm
+    start or the Gershgorin-safeguarded lambda_0. Each shift costs one
     Cholesky factorization of H + lambda I (`counter` gains one) and two
-    solves with it, s(lambda) and (H + lambda I)^{-1} s for psi'. The
+    solves with it, x = s(lambda) and y = (H + lambda I)^{-1} x, which give
+    both psi' and psi'' (_psi_derivatives). The next shift is Halley's
+    lambda - 2 psi psi' / (2 psi'^2 - psi psi'') where that denominator is
+    positive, and Newton's lambda - psi/psi' otherwise; the third-order
+    step costs no factorization or solve beyond Newton's (the high-order
+    root finding of GALAHAD's RQS, Gould, Robinson & Thorne 2010). The
     bracket starts at [0, inf), since the root is sigma*||s*|| > 0: a
     failed Cholesky or phi > 0 raises its lower end, phi < 0 lowers its
-    upper end, and a Newton step outside it becomes bisection, or
-    max(2 lo, lo + 1) while the upper end is infinite. The residual is
-    driven to ~1e-10 of the step norm, which makes the returned step, the
-    solve at the shift that converged, satisfy both the model decrease and
-    the (theta1/2)||s||^2 stationarity bound.
+    upper end, and a step outside it becomes bisection, or
+    max(2 lo, lo + 1) while the upper end is infinite. The residual |phi|
+    is driven below min(theta1/(2 sigma), 1e-9) of the step norm, which
+    makes the returned step, the solve at the shift that converged,
+    satisfy both the model decrease and the (theta1/2)||s||^2
+    stationarity bound.
 
     The hard and near-hard cases end in the boundary step of
     _spectral_fallback. Two signs say that the root may hug the spectrum
     edge: the first Cholesky that fails below a shift with phi < 0, and a
-    Newton step from the left of the root that rounding stalls at `lo`.
+    step from the left of the root that rounding stalls at `lo`.
     Either makes the next shift a test shift
     t = max(-lambda_1, lo) + 64 eps ||H||, ||H|| from the Gershgorin
     interval, since the eigensolve and the Cholesky test agree on the edge
@@ -602,9 +624,13 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                                           eig)
             else:
                 hi, x_hi = lam, x
-            dpsi = float(x @ fac.solve(x)) / snorm ** 3 + sigma / lam ** 2
-            nxt = lam - (1.0 / snorm - sigma / lam) / dpsi
-            # left of the root Newton moves right, unless rounding stalls it
+            psi, dpsi, d2psi = _psi_derivatives(x, fac.solve(x), snorm, lam,
+                                                sigma)
+            den = 2.0 * dpsi ** 2 - psi * d2psi
+            # Halley's step where its denominator is positive, else Newton's
+            nxt = lam - (2.0 * psi * dpsi / den if den > 0.0 else psi / dpsi)
+            # left of the root either step moves right, unless rounding
+            # stalls it
             at_edge = phi > 0.0 and not nxt > lam
         if lo >= edge * hi:
             # the bracket is exhausted in floating point without meeting
@@ -626,4 +652,5 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                    else lo + 0.5 * (hi - lo))
         lam = nxt
     raise SecantFailureError(
-        f"secular Newton iteration exceeded {MAX_ROOT_STEPS} safeguarded steps")
+        f"secular Halley iteration exceeded {MAX_ROOT_STEPS} safeguarded "
+        "steps")

@@ -2,7 +2,8 @@
 
 Performance work on the factorization and eigenvalue layers must leave every
 count unchanged. These runs pin exact (n_fact, n_nli) pairs on paths that
-exercise AR2's safeguarded Newton on the secular equation with tridiagonal
+exercise AR2's safeguarded Halley iteration on the secular equation (Newton's
+step where Halley's denominator is not positive) with tridiagonal
 Cholesky (ROSENBR, CUBE), band Cholesky on 4x4 block Hessians (WOODS) and
 the bordered factorization of a hub Hessian (EG2: a diagonal plus one hub
 row, Cholesky of the diagonal and of the 1 x 1 Schur complement), its
@@ -27,11 +28,11 @@ from far2 import problems
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
 
 PINNED = [
-    ("AR2", "ROSENBR", 100, 2630, 415),
-    ("AR2", "WOODS", 100, 605, 99),
-    ("AR2", "WOODS", 500, 655, 107),
-    ("AR2", "CUBE", 100, 712, 110),
-    ("AR2", "EG2", 100, 83, 13),
+    ("AR2", "ROSENBR", 100, 1599, 415),
+    ("AR2", "WOODS", 100, 532, 99),
+    ("AR2", "WOODS", 500, 421, 107),
+    ("AR2", "CUBE", 100, 434, 110),
+    ("AR2", "EG2", 100, 48, 13),
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
     ("FAR2-RK", "INDEF", 100, 37, 101),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),

@@ -205,6 +205,20 @@ class TestRunSuite:
             assert type(built) is SOLVERS[name].config
             assert built.space_kind == space_kind
 
+    def test_synthetic_label_names_the_data_drawn(self):
+        # the data come from the problem's seed plus the suite's, and so
+        # does the label: two suite seeds give two labels
+        problem = ProblemSpec(kind="logistic", N=50, n=4, seed=3)
+        [a] = run_suite(SuiteConfig(solvers=["AR2"], problems=[problem]))
+        [b] = run_suite(SuiteConfig(solvers=["AR2"], problems=[problem], seed=7))
+        assert a.problem == "logistic:synth[N=50,n=4,seed=3]"
+        assert b.problem == "logistic:synth[N=50,n=4,seed=10]"
+        assert a.f_final != b.f_final
+        [c] = run_suite(SuiteConfig(solvers=["AR2"], problems=[
+            ProblemSpec(kind="logistic", N=50, n=4, seed=10)]))
+        assert (c.problem, c.f_final, c.n_fact) == (b.problem, b.f_final,
+                                                    b.n_fact)
+
     def test_parallel_matches_serial(self):
         problems = [spec("QUAD", 5), spec("TRIDIA", 5)]
         serial = run_suite(SuiteConfig(solvers=["FAR2-PK"], problems=problems))

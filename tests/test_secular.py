@@ -297,7 +297,7 @@ class TestSolveSecularFullSecant:
         g = np.ones(6)
         H = np.diag(np.arange(1.0, 7.0)) + 0.1
         solve_secular_full_secant(g, ShiftedSystem(H), 2.0, 0.1, counter=c)
-        # the Gershgorin start is not the root: at least one Newton step
+        # the Gershgorin start is not the root: at least one root step
         assert c.count >= 2
 
     def test_hard_case_full_space(self):
@@ -361,7 +361,7 @@ class TestSolveSecularFullSecant:
         assert c_warm.count <= c_cold.count
 
     def test_warm_start_at_the_root_factors_once(self):
-        # Newton meets the residual target at its first shift, whose solve
+        # the solve meets the residual target at its first shift, whose solve
         # is the step returned
         H = np.diag([-1.0, 2.0, 3.0, 10.0])
         g = np.array([1.0, -2.0, 0.5, 0.3])
@@ -396,7 +396,7 @@ class TestSolveSecularFullSecant:
     def test_newton_stall_at_the_spectrum_edge(self):
         # a near-hard case: g's weight 1e-13 on v1 puts the root about
         # 3.3e-14 above the pole at 3, closer than the residual target can
-        # resolve. From the left, Newton reaches 3 + 3.3e-14 and stalls
+        # resolve. From the left, the root step reaches 3 + 3.3e-14 and stalls
         # there; the stall tests the edge at once, where the solve jumped
         # to 2 lo and bisected back (51 factorizations)
         n = 7
@@ -441,7 +441,7 @@ def _stored(kind, rng, n):
 
 
 class TestFullSpaceMatchesSpectral:
-    """The Newton solve against the spectral solve of the same easy instance.
+    """The full-space solve against the spectral solve of the same easy instance.
 
     Every storage runs both solves with its own factor (pttrs, pbtrs,
     potrs): one for the step and one for psi's derivative.
@@ -472,9 +472,9 @@ class TestFullSpaceMatchesSpectral:
         c = FactorizationCounter()
         sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1, counter=c)
         assert sol.case is SecularCase.EASY
-        # with a right derivative solve Newton needs a handful of shifts:
-        # at most 6 on 300 seeds per storage, against about 100 when psi'
-        # is computed without that solve
+        # with a right derivative solve the root steps need a handful of
+        # shifts (Newton's took at most 6 on 300 seeds per storage), against
+        # about 100 when psi' is computed without that solve
         assert c.count <= 10
         assert sol.lam == pytest.approx(ref.lam, rel=1e-8)
         assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
@@ -484,7 +484,7 @@ class TestFullSpaceMatchesSpectral:
 
 
 class TestFullSpaceHardCases:
-    """The Newton solve on hard and near-hard instances (Cartis, Gould &
+    """The full-space solve on hard and near-hard instances (Cartis, Gould &
     Toint 2011, §6) against the spectral solve of the same dense H.
 
     H has a negative leftmost eigenvalue and g carries a weight of 0, 1e-9
@@ -518,3 +518,89 @@ class TestFullSpaceHardCases:
         m_ref = cubic_model_value(ref.step, g, A, sigma)
         m_sol = cubic_model_value(sol.step, g, A, sigma)
         assert abs(m_sol - m_ref) <= 1e-8 * abs(m_ref)
+
+
+def _arrowhead(rng, n):
+    """A random symmetric CSR H: a diagonal plus one full hub row at 0."""
+    H = np.diag(rng.standard_normal(n) * 3.0)
+    H[0, :] = H[:, 0] = rng.standard_normal(n)
+    return sp.csr_matrix(H)
+
+
+class TestHalleyStep:
+    """The full-space solve's root step: Halley's on psi, whose psi'' comes
+    from the same two solves as psi'."""
+
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "bordered"])
+    def test_second_derivative_matches_central_difference(self, kind, rng):
+        n = 12
+        H = _arrowhead(rng, n) if kind == "bordered" else _stored(kind, rng, n)
+        system = ShiftedSystem(H)
+        assert (system.border is not None) == (kind == "bordered")
+        assert (system.band is None) == (kind == "dense")
+        g = rng.standard_normal(n)
+        sigma = 0.7
+        lam = -system.interval[0] + 1.0
+
+        def terms(lam):
+            fac = ShiftedFactorization(system, lam)
+            x = fac.solve(g)
+            return secular._psi_derivatives(x, fac.solve(x),
+                                            float(np.linalg.norm(x)), lam,
+                                            sigma)
+
+        h = 1e-4 * lam
+        (p_lo, d_lo, _), (p_hi, d_hi, _) = terms(lam - h), terms(lam + h)
+        _, dpsi, d2psi = terms(lam)
+        assert dpsi == pytest.approx((p_hi - p_lo) / (2.0 * h), rel=1e-6)
+        assert d2psi == pytest.approx((d_hi - d_lo) / (2.0 * h), rel=1e-6)
+
+    def test_same_root_in_fewer_factorizations(self):
+        # an easy case from the Gershgorin start: Newton's step on psi
+        # returned lam = 4.400913671274441 after 10 factorizations; the
+        # spectral solve's root is 4.400913671292303
+        H = np.diag([-1.0, 0.5, 2.0, 4.0, 8.0, 16.0])
+        g = np.array([1.0, -1.0, 0.5, 2.0, -0.25, 1.0])
+        sigma = 10.0
+        rtol = min(0.5 * 0.1 / sigma, 1e-9)
+        c = FactorizationCounter()
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1,
+                                        counter=c)
+        assert sol.case is SecularCase.EASY
+        assert sol.lam == pytest.approx(4.400913671274441, rel=rtol)
+        assert sol.lam == pytest.approx(solve_secular_reduced(g, H, sigma).lam,
+                                        rel=rtol)
+        assert c.count == 5
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    @pytest.mark.parametrize("weight", [1e-12, 1e-10, 1e-8])
+    @pytest.mark.parametrize("start", [None, 0.25, 0.9])
+    def test_near_hard_case_ends_in_the_boundary_step(self, kind, weight,
+                                                      start):
+        # g's weight on v1 puts the root within 4e-9 of the pole at 3;
+        # from the Gershgorin start (None) or from a warm start that far
+        # of the way from the pole to the root (left of it), the solve
+        # still ends in the boundary step
+        n = 7
+        d = np.full(n, 2.0)
+        d[0] = -3.0
+        g = np.full(n, 1.0 / math.sqrt(n - 1))
+        g[0] = weight
+        if kind == "tridiagonal":
+            H = sp.diags([d], [0], format="csr")
+            A = H.toarray()
+        else:
+            Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+            A = (Q * d) @ Q.T
+            H = A = 0.5 * (A + A.T)
+            g = Q @ g
+        ref = solve_secular_reduced(g, A, 1.0)
+        warm = None if start is None else 3.0 + start * (ref.lam - 3.0)
+        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1,
+                                        warm_lambda=warm)
+        assert sol.case is SecularCase.HARD
+        assert sol.lam == pytest.approx(ref.lam, rel=1e-12)
+        assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
+        m_ref = cubic_model_value(ref.step, g, A, 1.0)
+        assert cubic_model_value(sol.step, g, A, 1.0) == pytest.approx(
+            m_ref, rel=1e-10)
