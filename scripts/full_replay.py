@@ -4,16 +4,21 @@
 Runs one round of a benchmark workload (perfbench/workloads.py; by default
 registry-ar2 with seed 1) on one BLAS thread, with a wrapper around
 far2.secular.solve_secular_full_secant that records the
-(g, system, sigma, theta1, warm_lambda) of every call. It then replays the
-recorded calls and prints:
+(g, system, sigma, theta1, warm_lambda) of every call. Calls that shared a
+ShiftedSystem in the run (the solves at one iterate, before and after its
+rejected steps) share one in each replay pass, made fresh for that pass,
+so the replay reuses what the run reused. It then replays the recorded
+calls and prints:
 
 - the call count and the factorizations they make (FactorizationCounter),
-  with a histogram of factorizations per call;
+  with a histogram of factorizations per call, the factorizations and
+  leftmost eigenpairs reused from an earlier call on the same system, and
+  the round's own n_fact, which the replay's total equals when the
+  full-space solve is the round's only factoring caller (registry-ar2);
 - where the warm start lies relative to the root the call returns, as the
   ratio warm_lambda / lambda over the calls that have one, for the whole
   round and for the three solves that factor most;
-- the microseconds per call, best of --repeat timed passes. Each pass
-  gives every call a fresh ShiftedSystem of the recorded H, so the time
+- the microseconds per call, best of --repeat timed passes. The time
   includes reading H's storage, as the first factorization of an iterate
   does in a run.
 
@@ -30,39 +35,85 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import time  # noqa: E402
+import weakref  # noqa: E402
 from collections import Counter, defaultdict  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 # reduced_replay puts src/ and perfbench/ on the path
 from reduced_replay import record_calls  # noqa: E402
-from far2.secular import (FactorizationCounter, ShiftedSystem,  # noqa: E402
-                          solve_secular_full_secant)
+import far2.secular as secular  # noqa: E402
+from far2.secular import (FactorizationCounter, ShiftedFactorization,  # noqa: E402
+                          ShiftedSystem, solve_secular_full_secant)
 from workloads import WORKLOADS  # noqa: E402
 
 TOP = 3  # solves listed by their factorizations
 
 
-def record(workload: str, seed: int) -> list[tuple]:
-    """(label, g, H, sigma, theta1, warm_lambda) of every full-space solve
-    in one round of `workload`."""
+def record(workload: str, seed: int) -> tuple[list[tuple], int]:
+    """(label, g, H, sigma, theta1, warm_lambda, system number) of every
+    full-space solve in one round of `workload`, the calls on one
+    ShiftedSystem sharing its number, and the round's total n_fact."""
+    numbers, fresh = weakref.WeakKeyDictionary(), itertools.count()
+
     def capture(label, g, system, sigma, theta1, counter=None,
                 warm_lambda=None):
+        if system not in numbers:
+            numbers[system] = next(fresh)
         return (label, np.array(g, dtype=float), system.H, float(sigma),
-                float(theta1), warm_lambda)
-    return record_calls("solve_secular_full_secant", workload, seed, capture)
+                float(theta1), warm_lambda, numbers[system])
+    reports = []
+    calls = record_calls("solve_secular_full_secant", workload, seed, capture,
+                         reports)
+    return calls, sum(r.n_fact for r in reports)
 
 
 def replay(calls) -> list[tuple[int, float]]:
-    """(factorizations, returned lambda) of every recorded call."""
-    out = []
-    for _, g, H, sigma, theta1, warm in calls:
+    """(factorizations, returned lambda) of every recorded call, in one
+    pass: a fresh ShiftedSystem for each system of the run, shared by its
+    calls, which the run made one after another."""
+    out, system, current = [], None, None
+    for _, g, H, sigma, theta1, warm, number in calls:
+        if number != current:
+            system, current = ShiftedSystem(H), number
         c = FactorizationCounter()
-        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, theta1, c,
+        sol = solve_secular_full_secant(g, system, sigma, theta1, c,
                                         warm_lambda=warm)
         out.append((c.count, sol.lam))
     return out
+
+
+@contextmanager
+def calls_of(*targets):
+    """Counts the calls of each (owner, attribute) target while inside."""
+    counts, saved = Counter(), []
+    for owner, attr in targets:
+        fn = getattr(owner, attr)
+        saved.append((owner, attr, fn))
+
+        def counted(*args, _fn=fn, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _fn(*args, **kwargs)
+        setattr(owner, attr, counted)
+    try:
+        yield counts
+    finally:
+        for owner, attr, fn in reversed(saved):
+            setattr(owner, attr, fn)
+
+
+def replay_counted(calls) -> tuple[list[tuple[int, float]], int, int]:
+    """replay(calls), and the factorizations and leftmost eigenpairs it
+    reused: constructions of ShiftedFactorization that factored nothing,
+    and eigenpairs asked for (_leftmost) that made no eigensolve."""
+    with calls_of((ShiftedFactorization, "__init__"), (secular, "_factor"),
+                  (secular, "_leftmost"), (secular, "min_eig")) as n:
+        results = replay(calls)
+    return (results, n["__init__"] - n["_factor"],
+            n["_leftmost"] - n["min_eig"])
 
 
 def best_pass_s(calls, repeat: int) -> float:
@@ -70,9 +121,7 @@ def best_pass_s(calls, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for _, g, H, sigma, theta1, warm in calls:
-            solve_secular_full_secant(g, ShiftedSystem(H), sigma, theta1,
-                                      warm_lambda=warm)
+        replay(calls)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -94,20 +143,26 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    calls = record(args.workload, args.seed)
+    calls, round_n_fact = record(args.workload, args.seed)
     if not calls:
         print(f"{args.workload}: no full-space solves in a round")
         return
-    results = replay(calls)
+    results, reused_fact, reused_eig = replay_counted(calls)
     facts = [k for k, _ in results]
-    print(f"{args.workload} seed {args.seed}: {len(calls)} full-space solves, "
+    print(f"{args.workload} seed {args.seed}: {len(calls)} full-space solves "
+          f"on {len({c[-1] for c in calls})} systems, "
           f"{sum(facts)} factorizations ({sum(facts) / len(calls):.2f} a call)")
+    print(f"reused from an earlier call on the same system: {reused_fact} "
+          f"factorizations, {reused_eig} leftmost eigenpairs")
+    print(f"the round's n_fact: {round_n_fact} "
+          f"({'equal to' if round_n_fact == sum(facts) else 'not'} the "
+          "replay's)")
     hist = Counter(facts)
     print("factorizations per call: " + ", ".join(
         f"{k}: {hist[k]}" for k in sorted(hist)))
 
     by_label = defaultdict(lambda: [0, []])
-    for (label, *_, warm), (k, lam) in zip(calls, results):
+    for (label, *_, warm, _), (k, lam) in zip(calls, results):
         by_label[label][0] += k
         if warm is not None and warm > 0.0 and lam > 0.0:
             by_label[label][1].append(warm / lam)

@@ -30,9 +30,11 @@ import far2.secular  # noqa: E402
 from workloads import WORKLOADS, build_round  # noqa: E402
 
 
-def record_calls(name: str, workload: str, seed: int, capture) -> list:
+def record_calls(name: str, workload: str, seed: int, capture,
+                 reports: list | None = None) -> list:
     """capture(label, *args, **kwargs) of every call of far2.secular.<name>
-    in one round of `workload`, `label` naming the solve that made it."""
+    in one round of `workload`, `label` naming the solve that made it. The
+    round's run reports go to `reports`, if given."""
     original = getattr(far2.secular, name)
     calls, label = [], [None]
 
@@ -49,7 +51,9 @@ def record_calls(name: str, workload: str, seed: int, capture) -> list:
     try:
         for inst in build_round(workload, seed):
             label[0] = inst.label
-            inst.solve(inst.build())
+            report = inst.solve(inst.build())
+            if reports is not None:
+                reports.append(report)
     finally:
         for m in holders:
             setattr(m, name, original)

@@ -42,7 +42,7 @@ from .model import ModelContext, model_curvature_bound, model_curvature_min
 from .secular import (FactorizationCounter, ShiftedFactorization,
                       ShiftedSystem, solve_secular_full_secant,
                       solve_secular_reduced)
-from .second_order import SecondOrderConfig, min_eig
+from .second_order import SecondOrderConfig
 
 
 class Status(Enum):
@@ -64,8 +64,9 @@ class StepKind(Enum):
 class IterateState:
     """Full state of one nonlinear iteration; `system` is the oracle's H,
     analysed at most once, on first use, for every shifted factorization
-    and eigensolve at this iterate, and `basis` the subspace that the last
-    refresh built (subspace_minimize stores it here)."""
+    and eigensolve at this iterate (a rejected step keeps it, with its
+    last factorization and leftmost eigenpair), and `basis` the subspace
+    that the last refresh built (subspace_minimize stores it here)."""
 
     k: int
     x: np.ndarray
@@ -403,7 +404,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
         while status is None:
             gnorm = float(np.linalg.norm(state.g))
             if gnorm <= eps and (not so
-                                 or min_eig(state.system)[0] >= -cfg.eps_H):
+                                 or state.system.leftmost[0] >= -cfg.eps_H):
                 status = Status.SECOND_ORDER if so else Status.FIRST_ORDER
                 break
             if state.k >= cfg.max_iters:

@@ -27,9 +27,9 @@ CURVATURE_BOUND_RTOL = 1.0e-8
 class ModelContext:
     """The analysed Hessian and the regularization weight at one iterate.
 
-    `system` is the iterate's ShiftedSystem, read and never written; H is
-    used as the oracle returned it, exactly symmetric. Immutable; all model
-    operations are pure.
+    `system` is the iterate's ShiftedSystem, whose storage of H is read
+    and never written; H is used as the oracle returned it, exactly
+    symmetric. Immutable; all model operations are pure.
     """
 
     system: ShiftedSystem = field(repr=False)
@@ -53,13 +53,14 @@ def model_curvature_min(ctx: ModelContext, s) -> float:
 
     The Hessian is H + sigma ||s|| I + (sigma/||s||) s s^T for s != 0 and
     reduces to H at s = 0 (the continuous limit; the curvature test is only
-    ever applied at nonzero trial steps). min_eig applies the shift and the
+    ever applied at nonzero trial steps), whose smallest eigenvalue the
+    system keeps (ShiftedSystem.leftmost). min_eig applies the shift and the
     rank-one term, forming them only where it forms a dense matrix anyway.
     """
     s = _check_dim(ctx, s)
     snorm = float(np.linalg.norm(s))
     if snorm == 0.0:
-        return min_eig(ctx.system)[0]
+        return ctx.system.leftmost[0]
     return min_eig(ctx.system, shift=ctx.sigma * snorm,
                    rank_one=(ctx.sigma / snorm, s))[0]
 

@@ -18,7 +18,9 @@ storage (LU on the band, sytrf on a dense H and on the Schur complement).
 It factors a ShiftedSystem, which the nonlinear loop makes once per oracle
 Hessian: the full-space solve, the Newton corrector, the rational Krylov
 expansions and the eigensolves (second_order.min_eig) of an iterate all
-read that one storage, made when the first of them asks for it.
+read that one storage, made when the first of them asks for it. The
+system also keeps its last factorization and H's leftmost eigenpair, so
+that a solve after a rejected step, at the same H, makes neither again.
 
 Reduced (small, dense) solves use a spectral decomposition, after which
 each residual evaluation costs O(m). The full-space solve is a safeguarded
@@ -37,15 +39,16 @@ reduced solve reaches it when its bracket collapses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import (_compute_lwork, dpbtrf, dpbtrs, dpotrf,
-                                 dpotrs, dpttrf, dpttrs)
+from scipy.linalg.lapack import (_compute_lwork, dgbtrf, dgbtrs, dgttrf,
+                                 dgttrs, dpbtrf, dpbtrs, dpotrf, dpotrs,
+                                 dpttrf, dpttrs)
 
 from .errors import (NonFiniteHessianError, ReducedSolveError,
                      SecantFailureError, SingularShiftError)
@@ -96,9 +99,9 @@ class Border:
     C: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ShiftedSystem:
-    """H stored once for factorizations at many shifts.
+    """H stored once for factorizations at many shifts, with what they made.
 
     `H` is the oracle's Hessian, used as it is for products: a matrix, or
     an operator that forms its matrix once (problems.GramHessian). H's
@@ -122,10 +125,18 @@ class ShiftedSystem:
     factorization or eigensolve starts on them. Every reader
     of H's entries (the factorizations, min_eig, the Gershgorin bounds)
     goes through the iterate's ShiftedSystem: the nonlinear loop keeps one
-    per oracle Hessian on its IterateState, and factorizations only read it.
+    per oracle Hessian on its IterateState, and drops it when it accepts a
+    step. No reader writes into H's storage.
+
+    What depends on H alone is kept here for the iterate's later readers:
+    `leftmost`, H's leftmost eigenpair, and `last`, the last factorization
+    made on it (_Factored), which ShiftedFactorization reuses at an equal
+    shift: a rejected step leaves H unchanged, and the next full-space
+    solve starts at the root the last one factored.
     """
 
     H: object
+    last: _Factored | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def _sparse(self) -> tuple[np.ndarray | None, Border | None]:
@@ -151,6 +162,12 @@ class ShiftedSystem:
         # a non-finite entry of a sparse H makes a bound non-finite
         _finite(np.array([lo, hi]))
         return lo, hi
+
+    @cached_property
+    def leftmost(self) -> tuple[float, np.ndarray]:
+        """H's smallest eigenvalue and a unit eigenvector, by one min_eig
+        call on first use (callers must not write into the vector)."""
+        return min_eig(self)
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -263,24 +280,30 @@ def _factor_dense(A: np.ndarray, lam: float, pivoted: bool):
 
 
 def _band_lu(ab: np.ndarray, lam: float):
-    """The solve of a lower band plus lam I by LU on the full band
-    (solve_banded: gtsv when tridiagonal, else gbsv), for a shift that is
-    not positive definite; each call factors a copy of the band."""
-    # solve_banded's storage: row kd + i - j holds B[i, j]
+    """The solve of a lower band plus lam I by LU with partial pivoting on
+    the full band, for a shift that is not positive definite: factored once
+    (gttrf when tridiagonal, else gbtrf), then gttrs or gbtrs per solve,
+    which is solve_banded's gtsv or gbsv bit for bit. An exact zero pivot
+    raises SingularShiftError."""
     kd, n = ab.shape[0] - 1, ab.shape[1]
-    G = np.zeros((2 * kd + 1, n))
-    for k in range(kd + 1):
-        G[kd + k, : n - k] = ab[k, : n - k]
-        G[kd - k, k:] = ab[k, : n - k]
-    G[kd] += lam
-
-    def solve(rhs):
-        try:
-            return sla.solve_banded((kd, kd), G, rhs, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise SingularShiftError(
-                f"H + {lam!r} I is singular (exact zero pivot)") from exc
-    return solve
+    if kd == 1:
+        e = ab[1, :-1]
+        *factors, info = dgttrf(e, ab[0] + lam, e)
+        trs = partial(dgttrs, *factors)
+    else:
+        # gbtrf's storage: row 2 kd + i - j holds B[i, j], the kd rows
+        # above it the fill of the row interchanges
+        G = np.zeros((3 * kd + 1, n))
+        for k in range(kd + 1):
+            G[2 * kd + k, : n - k] = ab[k, : n - k]
+            G[2 * kd - k, k:] = ab[k, : n - k]
+        G[2 * kd] += lam
+        lu, ipiv, info = dgbtrf(G, kd, kd, overwrite_ab=1)
+        trs = partial(dgbtrs, lu, kd, kd, ipiv=ipiv)
+    if info > 0:
+        raise SingularShiftError(
+            f"H + {lam!r} I is singular (exact zero pivot)")
+    return _checked(info, trs, "gttrf" if kd == 1 else "gbtrf")
 
 
 def _factor(system: ShiftedSystem, lam: float, pivoted: bool):
@@ -329,17 +352,33 @@ def _factor(system: ShiftedSystem, lam: float, pivoted: bool):
     return bordered
 
 
+@dataclass(slots=True)
+class _Factored:
+    """One factorization of H + lam I: `cholesky`, its Cholesky solve, or
+    None when H + lam I is not positive definite, and `pivoted`, the
+    pivoted solve of such a shift once one has been made."""
+
+    lam: float
+    cholesky: object
+    pivoted: object = None
+
+
 class ShiftedFactorization:
     """Cholesky factorization of B = H + lambda*I, with solve().
 
     `system` is H's ShiftedSystem, stored once for every shift of an
-    iterate and never written into. B is factored by Cholesky in H's
-    storage (_factor): `positive_definite` is that factorization's
-    success, and solve() uses its factors. If B is not positive definite,
-    solve() instead makes one pivoted factorization in the same storage
-    (_factor again), raising SingularShiftError on an exact zero pivot.
-    Each construction adds one to `counter`, if given; the Lanczos path of
-    min_eig factors without one.
+    iterate. B is factored by Cholesky in H's storage (_factor):
+    `positive_definite` is that factorization's success, and solve() uses
+    its factors. If B is not positive definite, the first solve() makes
+    one pivoted factorization in the same storage (_factor again), kept
+    for later solves, raising SingularShiftError on an exact zero pivot.
+    The system keeps its last factorization (ShiftedSystem.last): a
+    construction at a shift equal to its shift reuses it, and any other
+    shift factors anew and replaces it. `counter`, if given, counts every
+    factorization made and none that is reused: a construction that
+    factors adds one, its pivoted solve riding on it, and a reuse adds one
+    only if it makes the pivoted solve its entry lacked. The Lanczos path
+    of min_eig and the rational Krylov expansions factor without one.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,
@@ -347,19 +386,32 @@ class ShiftedFactorization:
         if not np.isfinite(lam):
             raise ValueError("shift must be finite")
         self._system = system
-        self._lam = lam
-        self._solve = _factor(system, lam, pivoted=False)
-        self.positive_definite = self._solve is not None
-        if counter is not None:
-            counter.count += 1
+        self._counter = counter  # None once this object has counted
+        entry = system.last
+        if entry is None or entry.lam != lam:
+            system.last = None  # the old factors go before the new are made
+            entry = system.last = _Factored(
+                lam, _factor(system, lam, pivoted=False))
+            self._count()
+        self._entry = entry
+        self.positive_definite = entry.cholesky is not None
+
+    def _count(self) -> None:
+        if self._counter is not None:
+            self._counter.count += 1
+            self._counter = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (H + lambda I) x = rhs, through the Cholesky factors when
-        B is positive definite."""
+        B is positive definite, else through the pivoted ones."""
         rhs = np.asarray(rhs, dtype=float)
-        if not self.positive_definite:
-            return _factor(self._system, self._lam, pivoted=True)(rhs)
-        return self._solve(rhs)
+        entry = self._entry
+        if entry.cholesky is not None:
+            return entry.cholesky(rhs)
+        if entry.pivoted is None:
+            self._count()
+            entry.pivoted = _factor(self._system, entry.lam, pivoted=True)
+        return entry.pivoted(rhs)
 
 
 def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
@@ -504,9 +556,12 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
 
 
 def _leftmost(system: ShiftedSystem, counter) -> tuple[float, np.ndarray]:
-    """H's leftmost eigenpair, counted as one factorization."""
-    eig = min_eig(system)
-    if counter is not None:
+    """H's leftmost eigenpair (ShiftedSystem.leftmost), counted as one
+    factorization when its eigensolve is made here, and free when an
+    earlier reader of the iterate made it."""
+    made = "leftmost" not in vars(system)
+    eig = system.leftmost
+    if made and counter is not None:
         counter.count += 1
     return eig
 
@@ -555,9 +610,11 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     iteration runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which
     shares its root with phi and is concave and increasing, from the warm
     start or the Gershgorin-safeguarded lambda_0. Each shift costs one
-    Cholesky factorization of H + lambda I (`counter` gains one) and two
-    solves with it, x = s(lambda) and y = (H + lambda I)^{-1} x, which give
-    both psi' and psi'' (_psi_derivatives). The next shift is Halley's
+    Cholesky factorization of H + lambda I (`counter` gains one), none at
+    the shift the system last factored (a warm start after a rejected
+    step), and two solves with it, x = s(lambda) and
+    y = (H + lambda I)^{-1} x, which give both psi' and psi''
+    (_psi_derivatives). The next shift is Halley's
     lambda - 2 psi psi' / (2 psi'^2 - psi psi'') where that denominator is
     positive, and Newton's lambda - psi/psi' otherwise; the third-order
     step costs no factorization or solve beyond Newton's (the high-order
@@ -579,10 +636,10 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     t = max(-lambda_1, lo) + 64 eps ||H||, ||H|| from the Gershgorin
     interval, since the eigensolve and the Cholesky test agree on the edge
     only to a multiple of eps ||H||; lambda_1 comes from one eigensolve per
-    solve, counted as a factorization. If H + t I is positive definite and
-    phi(t) <= 0, the boundary step at t ends the solve at once (at the
-    upper end instead when t passes it); otherwise t is one more iterate
-    of the loop. A bracket that collapses onto the edge ends in the
+    iterate (_leftmost), counted as a factorization. If H + t I is
+    positive definite and phi(t) <= 0, the boundary step at t ends the
+    solve at once (at the upper end instead when t passes it); otherwise t
+    is one more iterate of the loop. A bracket that collapses onto the edge ends in the
     boundary step at its upper end, reusing that eigenpair, as does a zero
     gradient with H not positive definite.
     """

@@ -588,7 +588,8 @@ def test_termination_eigensolve_failure_ends_the_run(monkeypatch):
     def fail(*args, **kwargs):
         raise EigenSolveError("no convergence")
 
-    monkeypatch.setattr("far2.driver.min_eig", fail)
+    # the termination test reads the pair the iterate's system keeps
+    monkeypatch.setattr("far2.secular.min_eig", fail)
     problem = get_problem("ROSENBR", 2)
     rep = far2so_solve(problem, SecondOrderConfig())
     assert_ends_at_last_iterate(rep, problem, "EigenSolveError")

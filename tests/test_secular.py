@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_cubic_min, cubic_model_value, random_symmetric
 from far2 import secular
+from far2.driver import ar2_solve
 from far2.errors import ReducedSolveError, SingularShiftError
+from far2.model import ModelContext, model_curvature_min
+from far2.problems import get_problem
 from far2.secular import (FactorizationCounter, SecularCase,
                           ShiftedFactorization, ShiftedSystem,
                           solve_secular_full_secant, solve_secular_reduced)
@@ -414,6 +417,28 @@ class TestSolveSecularFullSecant:
         np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
         assert c.count <= 4
 
+    def test_two_hard_case_solves_make_one_eigensolve(self, monkeypatch):
+        # the system keeps H's leftmost pair: a second solve on it (as after
+        # a rejected step) makes the same shifts but no eigensolve, and the
+        # curvature at s = 0 reads the same pair
+        made = []
+        eig = secular.min_eig
+        monkeypatch.setattr(secular, "min_eig",
+                            lambda system: made.append(1) or eig(system))
+        d = np.full(7, 2.0)
+        d[0] = -3.0
+        g = np.zeros(7)
+        g[1:] = 1.0 / math.sqrt(6.0)
+        system = ShiftedSystem(sp.diags([d], [0], format="csr"))
+        first, second = FactorizationCounter(), FactorizationCounter()
+        a = solve_secular_full_secant(g, system, 1.0, 0.1, first)
+        b = solve_secular_full_secant(g, system, 1.0, 0.1, second)
+        assert a.case is b.case is SecularCase.HARD
+        np.testing.assert_array_equal(a.step, b.step)
+        assert made == [1] and second.count == first.count - 1
+        assert model_curvature_min(ModelContext(system), np.zeros(7)) == -3.0
+        assert made == [1]
+
     @pytest.mark.parametrize("n", [7, 2001])
     def test_zero_gradient_indefinite(self, n):
         d = np.full(n, 2.0)
@@ -604,3 +629,23 @@ class TestHalleyStep:
         m_ref = cubic_model_value(ref.step, g, A, 1.0)
         assert cubic_model_value(sol.step, g, A, 1.0) == pytest.approx(
             m_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["EG2", "WOODS"])
+def test_ar2_counts_what_it_makes(name, monkeypatch):
+    # n_fact is the factorizations and eigensolves made, fewer than those
+    # asked for: a rejected step's solve reuses the last factorization and
+    # the leftmost pair, uncounted
+    made, asked = [], []
+
+    def spy(log, fn):
+        return lambda *a, **k: log.append(1) or fn(*a, **k)
+
+    init = ShiftedFactorization.__init__
+    monkeypatch.setattr(ShiftedFactorization, "__init__", spy(asked, init))
+    for attr, log in (("_leftmost", asked), ("_factor", made),
+                      ("min_eig", made)):
+        monkeypatch.setattr(secular, attr, spy(log, getattr(secular, attr)))
+    report = ar2_solve(get_problem(name, 100))
+    assert report.converged and report.n_unsuccessful_rho > 0
+    assert report.n_fact == len(made) < len(asked)

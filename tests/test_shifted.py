@@ -8,8 +8,9 @@ least 1e-8 ||H|| from the spectrum, and solve() must match
 numpy.linalg.solve to a relative residual of 1e-10, at positive definite
 and indefinite shifts alike. H is stored once, by the caller, and no
 factorization writes into that storage; a shift that is not positive
-definite is factored again, with pivoting, each time a caller solves with
-it.
+definite is factored again, with pivoting, the first time a caller solves
+with it. The system keeps its last factorization, which a second
+construction at the same shift reuses without counting it.
 """
 
 import tracemalloc
@@ -22,6 +23,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_symmetric
 import far2.secular as secular
 from far2.errors import SingularShiftError
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
@@ -276,18 +278,21 @@ class TestIndefiniteSolve:
         def counted(factor):
             return lambda *a, **k: built.append(1) or factor(*a, **k)
 
-        monkeypatch.setattr(secular, "_sytrf", counted(secular._sytrf))
-        monkeypatch.setattr(secular.sla, "solve_banded",
-                            counted(sla.solve_banded))
+        for name in ("_sytrf", "dgttrf", "dgbtrf"):
+            monkeypatch.setattr(secular, name, counted(getattr(secular, name)))
         counter = FactorizationCounter()
-        fac = ShiftedFactorization(ShiftedSystem(H), 0.0, counter)
+        system = ShiftedSystem(H)
+        fac = ShiftedFactorization(system, 0.0, counter)
         assert not fac.positive_definite and built == []
         rhs = np.ones(H.shape[0])
         x = fac.solve(rhs)
         assert built == [1]
-        # no pivoted factor is kept: each solve makes its own
-        fac.solve(rhs)
-        assert built == [1, 1] and counter.count == 1
+        # the pivoted factors are kept: later solves, and a second
+        # construction at the same shift, reuse them
+        assert fac.solve(rhs).tobytes() == x.tobytes()
+        again = ShiftedFactorization(system, 0.0, counter)
+        assert again.solve(rhs).tobytes() == x.tobytes()
+        assert built == [1] and counter.count == 1
         np.testing.assert_allclose(H @ x, rhs, atol=1e-10)
 
     @pytest.mark.parametrize("H", [
@@ -511,3 +516,119 @@ class TestBordered:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+
+def _system_of(kind, rng, n=30):
+    """A ShiftedSystem of a random H in the given storage, and H dense."""
+    if kind == "tridiagonal":
+        d, e = _tridiagonal(rng, n, "random")
+        T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+    elif kind == "band":
+        T = _banded(rng, n, 3)
+    elif kind == "bordered":
+        T = _hubbed(rng, n, [0], tridiagonal=True)
+    else:
+        T = random_symmetric(rng, n, scale=2.0)
+    return ShiftedSystem(T if kind == "dense" else sp.csr_matrix(T)), T
+
+
+KINDS = ["tridiagonal", "band", "bordered", "dense"]
+
+
+class TestLastFactorization:
+    """A system keeps the last factorization made on it: a construction at
+    an equal shift reuses it and counts nothing, any other shift factors,
+    counts one and replaces it, and a reused entry makes its pivoted solve
+    once, counting it then."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        calls = []
+        factor = secular._factor
+        monkeypatch.setattr(
+            secular, "_factor",
+            lambda system, lam, pivoted: (calls.append((lam, pivoted))
+                                          or factor(system, lam, pivoted)))
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_shift_reuses(self, kind, made, rng):
+        system, T = _system_of(kind, rng)
+        lam = 1.0 - float(np.linalg.eigvalsh(T)[0])
+        rhs = rng.standard_normal(T.shape[0])
+        counter = FactorizationCounter()
+        first = ShiftedFactorization(system, lam, counter)
+        x = first.solve(rhs)
+        again = ShiftedFactorization(system, lam, counter)
+        assert again.positive_definite and first.positive_definite
+        assert again.solve(rhs).tobytes() == x.tobytes()
+        assert counter.count == 1 and made == [(lam, False)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_other_shift_replaces(self, kind, made, rng):
+        system, T = _system_of(kind, rng)
+        lam = 1.0 - float(np.linalg.eigvalsh(T)[0])
+        rhs = rng.standard_normal(T.shape[0])
+        counter = FactorizationCounter()
+        first = ShiftedFactorization(system, lam, counter)
+        x = first.solve(rhs)
+        ShiftedFactorization(system, lam + 1.0, counter)
+        assert system.last.lam == lam + 1.0 and counter.count == 2
+        # the replaced factors stay with the factorization that holds them
+        assert first.solve(rhs).tobytes() == x.tobytes()
+        again = ShiftedFactorization(system, lam, counter)
+        assert again.solve(rhs).tobytes() == x.tobytes()
+        assert counter.count == 3
+        assert made == [(lam, False), (lam + 1.0, False), (lam, False)]
+
+    def test_equal_h_in_another_system_shares_nothing(self, made, rng):
+        H = random_symmetric(rng, 20) + 10.0 * np.eye(20)
+        counter = FactorizationCounter()
+        a = ShiftedFactorization(ShiftedSystem(H), 0.5, counter)
+        b = ShiftedFactorization(ShiftedSystem(H), 0.5, counter)
+        assert counter.count == 2 and made == [(0.5, False)] * 2
+        rhs = rng.standard_normal(20)
+        assert a.solve(rhs).tobytes() == b.solve(rhs).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_failed_cholesky_is_remembered(self, kind, made, rng):
+        system, T = _system_of(kind, rng)
+        w = np.linalg.eigvalsh(T)
+        lam = -0.5 * float(w[0] + w[1])  # between the two leftmost
+        assert _far(w, lam)
+        rhs = rng.standard_normal(T.shape[0])
+        counter = FactorizationCounter()
+        first = ShiftedFactorization(system, lam, counter)
+        again = ShiftedFactorization(system, lam, counter)
+        assert not first.positive_definite and not again.positive_definite
+        assert counter.count == 1 and made == [(lam, False)]
+        # the reuse makes the pivoted solve its entry lacks, and counts it
+        x = again.solve(rhs)
+        assert counter.count == 2 and made == [(lam, False), (lam, True)]
+        assert first.solve(rhs).tobytes() == x.tobytes()
+        third = ShiftedFactorization(system, lam, counter)
+        assert third.solve(rhs).tobytes() == x.tobytes()
+        assert counter.count == 2 and len(made) == 2
+        np.testing.assert_allclose(T @ x + lam * x, rhs,
+                                   atol=1e-8 * np.linalg.norm(rhs))
+
+
+class TestBandLU:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+           kd=st.integers(1, 4), cols=st.sampled_from([None, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_solve_banded(self, seed, n, kd, cols):
+        # the pivoted band solve, factored once, is solve_banded's (gtsv
+        # or gbsv) bit for bit
+        rng = np.random.default_rng(seed)
+        kd = min(kd, n - 1)
+        ab = rng.standard_normal((kd + 1, n))
+        lam = float(rng.standard_normal())
+        rhs = rng.standard_normal(n if cols is None else (n, cols))
+        G = np.zeros((2 * kd + 1, n))
+        for k in range(kd + 1):
+            G[kd + k, : n - k] = ab[k, : n - k]
+            G[kd - k, k:] = ab[k, : n - k]
+        G[kd] += lam
+        ref = sla.solve_banded((kd, kd), G, rhs)
+        assert secular._band_lu(ab, lam)(rhs).tobytes() == ref.tobytes()
