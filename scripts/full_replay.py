@@ -10,11 +10,12 @@ rejected steps) share one in each replay pass, made fresh for that pass,
 so the replay reuses what the run reused. It then replays the recorded
 calls and prints:
 
-- the call count and the factorizations they make (FactorizationCounter),
-  with a histogram of factorizations per call, the factorizations and
-  leftmost eigenpairs reused from an earlier call on the same system, and
-  the round's own n_fact, which the replay's total equals when the
-  full-space solve is the round's only factoring caller (registry-ar2);
+- the call count and the factorizations they make (read from the ledger
+  of the call's ShiftedSystem, ShiftedSystem.counter), with a histogram
+  of factorizations per call, the factorizations and leftmost eigenpairs
+  reused from an earlier call on the same system, and the round's own
+  n_fact, which the replay's total equals when the full-space solve is
+  the round's only factoring caller (registry-ar2);
 - where the warm start lies relative to the root the call returns, as the
   ratio warm_lambda / lambda over the calls that have one, for the whole
   round and for the three solves that factor most;
@@ -46,8 +47,8 @@ import numpy as np  # noqa: E402
 # reduced_replay puts src/ and perfbench/ on the path
 from reduced_replay import record_calls  # noqa: E402
 import far2.secular as secular  # noqa: E402
-from far2.secular import (FactorizationCounter, ShiftedFactorization,  # noqa: E402
-                          ShiftedSystem, solve_secular_full_secant)
+from far2.secular import (ShiftedFactorization, ShiftedSystem,  # noqa: E402
+                          solve_secular_full_secant)
 from workloads import WORKLOADS  # noqa: E402
 
 TOP = 3  # solves listed by their factorizations
@@ -59,8 +60,7 @@ def record(workload: str, seed: int) -> tuple[list[tuple], int]:
     ShiftedSystem sharing its number, and the round's total n_fact."""
     numbers, fresh = weakref.WeakKeyDictionary(), itertools.count()
 
-    def capture(label, g, system, sigma, theta1, counter=None,
-                warm_lambda=None):
+    def capture(label, g, system, sigma, theta1, warm_lambda=None):
         if system not in numbers:
             numbers[system] = next(fresh)
         return (label, np.array(g, dtype=float), system.H, float(sigma),
@@ -71,19 +71,19 @@ def record(workload: str, seed: int) -> tuple[list[tuple], int]:
     return calls, sum(r.n_fact for r in reports)
 
 
-def replay(calls) -> list[tuple[int, float]]:
-    """(factorizations, returned lambda) of every recorded call, in one
-    pass: a fresh ShiftedSystem for each system of the run, shared by its
-    calls, which the run made one after another."""
-    out, system, current = [], None, None
+def replay(calls):
+    """(factorizations, returned lambda) of every recorded call, yielded as
+    each call returns, in one pass: a fresh ShiftedSystem for each system
+    of the run, shared by its calls, which the run made one after
+    another."""
+    system, current = None, None
     for _, g, H, sigma, theta1, warm, number in calls:
         if number != current:
             system, current = ShiftedSystem(H), number
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(g, system, sigma, theta1, c,
+        before = system.counter.count
+        sol = solve_secular_full_secant(g, system, sigma, theta1,
                                         warm_lambda=warm)
-        out.append((c.count, sol.lam))
-    return out
+        yield system.counter.count - before, sol.lam
 
 
 @contextmanager
@@ -108,12 +108,15 @@ def calls_of(*targets):
 def replay_counted(calls) -> tuple[list[tuple[int, float]], int, int]:
     """replay(calls), and the factorizations and leftmost eigenpairs it
     reused: constructions of ShiftedFactorization that factored nothing,
-    and eigenpairs asked for (_leftmost) that made no eigensolve."""
+    and calls that asked for the pair (_leftmost) and made no eigensolve."""
+    results, reused_eig, asked, made = [], 0, 0, 0
     with calls_of((ShiftedFactorization, "__init__"), (secular, "_factor"),
                   (secular, "_leftmost"), (secular, "min_eig")) as n:
-        results = replay(calls)
-    return (results, n["__init__"] - n["_factor"],
-            n["_leftmost"] - n["min_eig"])
+        for result in replay(calls):
+            results.append(result)
+            reused_eig += n["_leftmost"] > asked and n["min_eig"] == made
+            asked, made = n["_leftmost"], n["min_eig"]
+    return results, n["__init__"] - n["_factor"], reused_eig
 
 
 def best_pass_s(calls, repeat: int) -> float:
@@ -121,7 +124,8 @@ def best_pass_s(calls, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        replay(calls)
+        for _ in replay(calls):
+            pass
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -17,8 +17,9 @@ n_secant_calls).
 
 Every run records one trace record per iteration, and the report's
 tallies (nonlinear iterations, average projected dimension, subspace-only
-steps, full-space solves, rejections) are read from it; only full-space
-factorizations, refreshes and rational solves are counted beside it. A
+steps, full-space solves, rejections) are read from it; only refreshes are
+counted beside it, and full-space factorizations and rational solves on the
+run's FactorizationCounter, which every ShiftedSystem of the run carries. A
 SolverError anywhere in an iteration ends the run with solve_failure at its
 last iterate. The monitors assert the per-step decrease inequalities, the
 multiplier identity lambda_hat = sigma*||s_hat||, and the sigma floor on
@@ -65,8 +66,9 @@ class IterateState:
     """Full state of one nonlinear iteration; `system` is the oracle's H,
     analysed at most once, on first use, for every shifted factorization
     and eigensolve at this iterate (a rejected step keeps it, with its
-    last factorization and leftmost eigenpair), and `basis` the subspace
-    that the last refresh built (subspace_minimize stores it here)."""
+    last counted factorization and leftmost eigenpair), and `basis` the
+    subspace that the last refresh built (subspace_minimize stores it
+    here)."""
 
     k: int
     x: np.ndarray
@@ -222,7 +224,6 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
 
 
 def regularized_newton_step(state: IterateState, lambda_hat: float,
-                            counter: FactorizationCounter | None = None,
                             require_positive_definite: bool = False
                             ) -> np.ndarray | None:
     """Corrector step s = -(H + lambda_hat I)^{-1} g from one counted
@@ -235,7 +236,7 @@ def regularized_newton_step(state: IterateState, lambda_hat: float,
     """
     if lambda_hat < 0.0 or not np.isfinite(lambda_hat):
         raise ValueError("lambda_hat must be finite and nonnegative")
-    fac = ShiftedFactorization(state.system, lambda_hat, counter)
+    fac = ShiftedFactorization(state.system, lambda_hat, counted=True)
     if require_positive_definite and not fac.positive_definite:
         return None
     try:
@@ -354,14 +355,14 @@ def _warm_start(sigma, trace: list[IterationRecord]):
 
 
 def _corrector(state: IterateState, sub: SubspaceResult, cfg: SolverConfig,
-               counter: FactorizationCounter, so: bool) -> np.ndarray | None:
+               so: bool) -> np.ndarray | None:
     """The regularized Newton step at the subspace multiplier, if it passes.
 
     regularized_newton_step must not refuse it (in second-order mode the
     shift must also be positive definite), and it must pass the step-ratio
     test against s_hat.
     """
-    s = regularized_newton_step(state, sub.lambda_hat, counter,
+    s = regularized_newton_step(state, sub.lambda_hat,
                                 require_positive_definite=so)
     return s if s is not None and step_ratio_ok(s, sub.s_hat, cfg) else None
 
@@ -387,12 +388,12 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
     x = np.array(problem.x0, dtype=float)
     f, g, H = problem.eval(x, 2)
     state = IterateState(k=0, x=x, f=float(f), g=g,
-                         system=ShiftedSystem(H), sigma=cfg.sigma0)
+                         system=ShiftedSystem(H, counter), sigma=cfg.sigma0)
     eps = max(cfg.eps_rel * float(np.linalg.norm(g)),
               1.0e-14 * (1.0 + abs(state.f)))
     mon = _Monitors(state.f, cfg)
     trace: list[IterationRecord] = []
-    n_refresh = n_rat = 0
+    n_refresh = 0
     status, message = None, ""
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         status = Status.SOLVE_FAILURE
@@ -426,10 +427,8 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                     state.refresh = True
                 if state.refresh:
                     # counted as it starts, so that one a solver error
-                    # interrupts counts too, with the shifts of the space
-                    # it replaces (the report adds the last space's)
+                    # interrupts counts too
                     n_refresh += 1
-                    n_rat += len(state.basis.shifts) if state.basis else 0
                 sub = subspace_minimize(state, cfg)
                 dim = sub.s_hat.size
                 shat_norm = float(np.linalg.norm(sub.s_hat))
@@ -438,11 +437,11 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
             if usable and sub.passed:
                 kind, step, lambda_hat = StepKind.SUBSPACE, sub.step_full, sub.lambda_hat
                 hess_step = sub.hess_step
-            elif usable and (step := _corrector(state, sub, cfg, counter, so)) is not None:
+            elif usable and (step := _corrector(state, sub, cfg, so)) is not None:
                 kind, lambda_hat = StepKind.REG_NEWTON, sub.lambda_hat
             elif not frozen or state.refresh:
                 sol = solve_secular_full_secant(
-                    state.g, state.system, state.sigma, cfg.theta1, counter,
+                    state.g, state.system, state.sigma, cfg.theta1,
                     warm_lambda=_warm_start(state.sigma, trace))
                 shat_norm = float(np.linalg.norm(sol.step))
                 if so and not _curvature_ok(ModelContext(state.system, state.sigma),
@@ -485,7 +484,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
                     message = "oracle returned non-finite values at an accepted point"
                     break
                 state.x, state.f, state.g = x_new, float(f), g
-                state.system = ShiftedSystem(H)
+                state.system = ShiftedSystem(H, counter)
             state.sigma = sigma_next
             state.refresh = False
     except SolverError as exc:
@@ -504,8 +503,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
         n_secant_calls=kinds.count(StepKind.SECANT.value),
         n_unsuccessful_rho=sum(not t.accepted for t in trace) - n_club,
         n_unsuccessful_club=n_club,
-        # a shift per rational solve, the last, never projected on, included
-        n_rational_solves=n_rat + (len(state.basis.shifts) if state.basis else 0),
+        n_rational_solves=counter.rational,
         wall_s=time.perf_counter() - t0, trace=trace,
         violations=mon.violations, message=message)
 

@@ -125,9 +125,11 @@ def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
     expansion. The source vector is the stored seed for an empty basis and
     the last column afterwards. The shift xi is the greedy choice on
     `spectral_interval` against the basis's earlier shifts (_next_shift);
-    it is appended to `basis.shifts`. A singular shift is perturbed by
-    1e-8*(1+|xi|) and retried once before raising ShiftFailureError. On
-    happy breakdown `invariant` is set, as in poly_expand.
+    it is appended to `basis.shifts`, and the solve counted in the system's
+    `counter.rational`, not in its factorizations, and not kept. A singular
+    shift is perturbed by 1e-8*(1+|xi|) and retried once before raising
+    ShiftFailureError. On happy breakdown `invariant` is set, as in
+    poly_expand.
     """
     source = basis.seed if basis.dim == 0 else basis.V[:, -1]
     xi = _next_shift(basis.shifts, spectral_interval)
@@ -140,6 +142,7 @@ def rational_expand(system: ShiftedSystem, basis: KrylovBasis,
                 raise ShiftFailureError(f"shift {xi!r} remained singular")
             xi = xi + 1.0e-8 * (1.0 + abs(xi))
     basis.shifts.append(xi)
+    system.counter.rational += 1
     _append(basis, x)
 
 

@@ -78,8 +78,8 @@ def min_eig(system, shift: float = 0.0,
     iteration anchored below H's Gershgorin interval (system.interval), or
     for a bordered H just below its spectrum (_edge_anchor), inverts the
     anchored matrix by Sherman-Morrison over one
-    ShiftedFactorization of H (not counted as a factorization of the run;
-    it becomes the system's last factorization), from a fixed start vector,
+    ShiftedFactorization of H (not counted as a factorization of the run,
+    and so not kept on the system), from a fixed start vector,
     so that repeated calls agree bit for bit. The pair of H itself (no
     shift, no rank-one term) depends on H alone: its readers take it from
     system.leftmost, which makes this call once per iterate.

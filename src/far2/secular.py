@@ -8,19 +8,21 @@ pseudoinverse solve with an eigenvector component whose weight restores
 ||s|| = lambda/sigma.
 
 Full-space solves go through ShiftedFactorization, the one place that
-factors H + lambda I, so the run can count them. One function (_factor)
-factors it in the storage the oracle chose for H: a sparse H in its band,
-tridiagonal when that band is one wide, with any hub rows in a border over
-a k x k Schur complement; any other H dense. It tests positive
-definiteness by Cholesky and solves with those factors; a shift that is
-not positive definite is solved by one pivoted factorization in the same
-storage (LU on the band, sytrf on a dense H and on the Schur complement).
-It factors a ShiftedSystem, which the nonlinear loop makes once per oracle
-Hessian: the full-space solve, the Newton corrector, the rational Krylov
-expansions and the eigensolves (second_order.min_eig) of an iterate all
-read that one storage, made when the first of them asks for it. The
-system also keeps its last factorization and H's leftmost eigenpair, so
-that a solve after a rejected step, at the same H, makes neither again.
+factors H + lambda I. One function (_factor) factors it in the storage the
+oracle chose for H: a sparse H in its band, tridiagonal when that band is
+one wide, with any hub rows in a border over a k x k Schur complement; any
+other H dense. It tests positive definiteness by Cholesky and solves with
+those factors; a shift that is not positive definite is solved by one
+pivoted factorization in the same storage (LU on the band, sytrf on a
+dense H and on the Schur complement). It factors a ShiftedSystem, which
+the nonlinear loop makes once per oracle Hessian: the full-space solve,
+the Newton corrector, the rational Krylov expansions and the eigensolves
+(second_order.min_eig) of an iterate all read that one storage, made when
+the first of them asks for it. The system carries the run's ledger
+(FactorizationCounter), which counts the factorizations and eigensolves of
+the step chain, and keeps the last factorization it counted and H's
+leftmost eigenpair, so that a solve after a rejected step, at the same H,
+makes neither again.
 
 Reduced (small, dense) solves use a spectral decomposition, after which
 each residual evaluation costs O(m). The full-space solve is a safeguarded
@@ -71,9 +73,11 @@ class SecularCase(Enum):
 
 @dataclass
 class FactorizationCounter:
-    """Counts full-space shifted factorizations for a single run."""
+    """A run's ledger, carried by each of its ShiftedSystems: `count` is
+    its n_fact, `rational` its n_rational_solves."""
 
     count: int = 0
+    rational: int = 0
 
 
 @dataclass
@@ -128,14 +132,19 @@ class ShiftedSystem:
     per oracle Hessian on its IterateState, and drops it when it accepts a
     step. No reader writes into H's storage.
 
-    What depends on H alone is kept here for the iterate's later readers:
-    `leftmost`, H's leftmost eigenpair, and `last`, the last factorization
-    made on it (_Factored), which ShiftedFactorization reuses at an equal
-    shift: a rejected step leaves H unchanged, and the next full-space
-    solve starts at the root the last one factored.
+    `counter` is the run's ledger (FactorizationCounter): the nonlinear
+    loop gives its one counter to every system it makes, and a system made
+    alone gets a fresh one. What depends on H alone is kept here for the
+    iterate's later readers: `leftmost`, H's leftmost eigenpair, and
+    `last`, the last counted factorization made on it (_Factored), which a
+    counted ShiftedFactorization reuses at an equal shift: a rejected step
+    leaves H unchanged, and the next full-space solve starts at the root
+    the last one factored.
     """
 
     H: object
+    counter: FactorizationCounter = field(default_factory=FactorizationCounter,
+                                          repr=False)
     last: _Factored | None = field(default=None, init=False, repr=False)
 
     @cached_property
@@ -356,7 +365,10 @@ def _factor(system: ShiftedSystem, lam: float, pivoted: bool):
 class _Factored:
     """One factorization of H + lam I: `cholesky`, its Cholesky solve, or
     None when H + lam I is not positive definite, and `pivoted`, the
-    pivoted solve of such a shift once one has been made."""
+    pivoted solve of such a shift once one has been made. It holds no
+    reference to its system: the system keeps it (ShiftedSystem.last), and
+    a reference back would make a cycle that only the garbage collector
+    frees, so that an iterate's H and factors outlive the iterate."""
 
     lam: float
     cholesky: object
@@ -372,34 +384,31 @@ class ShiftedFactorization:
     its factors. If B is not positive definite, the first solve() makes
     one pivoted factorization in the same storage (_factor again), kept
     for later solves, raising SingularShiftError on an exact zero pivot.
-    The system keeps its last factorization (ShiftedSystem.last): a
-    construction at a shift equal to its shift reuses it, and any other
-    shift factors anew and replaces it. `counter`, if given, counts every
-    factorization made and none that is reused: a construction that
-    factors adds one, its pivoted solve riding on it, and a reuse adds one
-    only if it makes the pivoted solve its entry lacked. The Lanczos path
-    of min_eig and the rational Krylov expansions factor without one.
+
+    A factorization is kept if and only if it is counted. A `counted` one,
+    made by the step chain (the full-space solve's shifts, the Newton
+    corrector), reuses the system's kept entry (ShiftedSystem.last) at an
+    equal shift; at any other shift it factors, adds one to the system's
+    counter and becomes the entry. Its pivoted solve counts with it,
+    whichever construction makes it. An uncounted one (the rational Krylov
+    expansions, min_eig's Lanczos factorization and _edge_anchor's
+    bisection) frees the kept entry, factors and keeps nothing.
     """
 
     def __init__(self, system: ShiftedSystem, lam: float,
-                 counter: FactorizationCounter | None = None):
+                 counted: bool = False):
         if not np.isfinite(lam):
             raise ValueError("shift must be finite")
         self._system = system
-        self._counter = counter  # None once this object has counted
         entry = system.last
-        if entry is None or entry.lam != lam:
+        if not counted or entry is None or entry.lam != lam:
             system.last = None  # the old factors go before the new are made
-            entry = system.last = _Factored(
-                lam, _factor(system, lam, pivoted=False))
-            self._count()
+            entry = _Factored(lam, _factor(system, lam, pivoted=False))
+            if counted:
+                system.counter.count += 1
+                system.last = entry
         self._entry = entry
         self.positive_definite = entry.cholesky is not None
-
-    def _count(self) -> None:
-        if self._counter is not None:
-            self._counter.count += 1
-            self._counter = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (H + lambda I) x = rhs, through the Cholesky factors when
@@ -409,7 +418,6 @@ class ShiftedFactorization:
         if entry.cholesky is not None:
             return entry.cholesky(rhs)
         if entry.pivoted is None:
-            self._count()
             entry.pivoted = _factor(self._system, entry.lam, pivoted=True)
         return entry.pivoted(rhs)
 
@@ -555,29 +563,29 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     return SecularSolution(lam, step, SecularCase.HARD, alpha=alpha)
 
 
-def _leftmost(system: ShiftedSystem, counter) -> tuple[float, np.ndarray]:
-    """H's leftmost eigenpair (ShiftedSystem.leftmost), counted as one
-    factorization when its eigensolve is made here, and free when an
-    earlier reader of the iterate made it."""
+def _leftmost(system: ShiftedSystem) -> tuple[float, np.ndarray]:
+    """H's leftmost eigenpair (ShiftedSystem.leftmost), counted on the
+    system's counter as one factorization when its eigensolve is made
+    here, and free when an earlier reader of the iterate made it."""
     made = "leftmost" not in vars(system)
     eig = system.leftmost
-    if made and counter is not None:
-        counter.count += 1
+    if made:
+        system.counter.count += 1
     return eig
 
 
-def _spectral_fallback(g, system: ShiftedSystem, sigma, counter, hi=None,
-                       p=None, eig=None) -> SecularSolution:
+def _spectral_fallback(g, system: ShiftedSystem, sigma, hi=None,
+                       p=None) -> SecularSolution:
     """The boundary step, once the bracket collapses onto the spectrum edge.
 
     The step p solved at the bracket's upper end `hi` (||p|| < hi/sigma)
     plus the multiple of the leftmost eigenvector v1 that restores
     ||s|| = hi/sigma (_boundary_step). A zero gradient (p None) takes
-    hi = max(0, -lambda_1) and p = 0. `eig` is the leftmost pair when the
-    solve has already computed it; otherwise the eigensolve is made here,
-    counted as one factorization.
+    hi = max(0, -lambda_1) and p = 0. The leftmost pair comes from
+    _leftmost, which counts its eigensolve unless the iterate already has
+    it.
     """
-    lam1, v1 = eig if eig is not None else _leftmost(system, counter)
+    lam1, v1 = _leftmost(system)
     if p is None:
         hi, p = max(0.0, -lam1), np.zeros(g.size)
     step, alpha = _boundary_step(g, system.H, p, v1, hi / sigma)
@@ -602,7 +610,6 @@ def _psi_derivatives(x, y, snorm: float, lam: float,
 
 def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                               theta1: float,
-                              counter: FactorizationCounter | None = None,
                               warm_lambda: float | None = None) -> SecularSolution:
     """Safeguarded Halley iteration on the secular equation, full space.
 
@@ -610,9 +617,9 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     iteration runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which
     shares its root with phi and is concave and increasing, from the warm
     start or the Gershgorin-safeguarded lambda_0. Each shift costs one
-    Cholesky factorization of H + lambda I (`counter` gains one), none at
-    the shift the system last factored (a warm start after a rejected
-    step), and two solves with it, x = s(lambda) and
+    counted Cholesky factorization of H + lambda I, none at the shift the
+    system last factored (a warm start after a rejected step), and two
+    solves with it, x = s(lambda) and
     y = (H + lambda I)^{-1} x, which give both psi' and psi''
     (_psi_derivatives). The next shift is Halley's
     lambda - 2 psi psi' / (2 psi'^2 - psi psi'') where that denominator is
@@ -649,9 +656,9 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     gnorm = float(np.linalg.norm(g))
 
     if gnorm == 0.0:
-        if ShiftedFactorization(system, 0.0, counter).positive_definite:
+        if ShiftedFactorization(system, 0.0, counted=True).positive_definite:
             return SecularSolution(0.0, np.zeros(g.size), SecularCase.EASY)
-        return _spectral_fallback(g, system, sigma, counter)
+        return _spectral_fallback(g, system, sigma)
 
     if warm_lambda is not None and warm_lambda > 0.0:
         lam = warm_lambda
@@ -660,14 +667,15 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     rtol = min(0.5 * theta1 / sigma, 1.0e-9)
     eps = float(np.finfo(float).eps)
     edge = 1.0 - 64.0 * eps
-    lo, hi, x_hi, eig = 0.0, math.inf, None, None
-    test = False  # lam is an edge test shift
+    lo, hi, x_hi = 0.0, math.inf, None
+    # lam is an edge test shift; this call has made one
+    test = tested = False
     for _ in range(MAX_ROOT_STEPS):
-        fac = ShiftedFactorization(system, lam, counter)
+        fac = ShiftedFactorization(system, lam, counted=True)
         nxt = math.nan
         if not fac.positive_definite:
             lo = lam  # at or below the spectrum edge
-            at_edge = hi < math.inf and eig is None
+            at_edge = hi < math.inf and not tested
         else:
             x = fac.solve(g)
             snorm = float(np.linalg.norm(x))
@@ -677,8 +685,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
             if phi > 0.0:
                 lo = lam
             elif test:
-                return _spectral_fallback(g, system, sigma, counter, lam, -x,
-                                          eig)
+                return _spectral_fallback(g, system, sigma, lam, -x)
             else:
                 hi, x_hi = lam, x
             psi, dpsi, d2psi = _psi_derivatives(x, fac.solve(x), snorm, lam,
@@ -692,16 +699,13 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
         if lo >= edge * hi:
             # the bracket is exhausted in floating point without meeting
             # the residual target: the root hugs the spectrum edge
-            return _spectral_fallback(g, system, sigma, counter, hi, -x_hi,
-                                      eig)
+            return _spectral_fallback(g, system, sigma, hi, -x_hi)
         if at_edge and not test:
-            if eig is None:
-                eig = _leftmost(system, counter)
-            lam = max(-eig[0], lo) + 64.0 * eps * max(map(abs, system.interval))
+            lam = (max(-_leftmost(system)[0], lo)
+                   + 64.0 * eps * max(map(abs, system.interval)))
             if lam >= hi:
-                return _spectral_fallback(g, system, sigma, counter, hi,
-                                          -x_hi, eig)
-            test = True
+                return _spectral_fallback(g, system, sigma, hi, -x_hi)
+            test = tested = True
             continue
         test = False
         if not lo < nxt < hi:

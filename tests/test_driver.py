@@ -449,8 +449,10 @@ def test_each_oracle_hessian_analysed_once(monkeypatch, solver, name):
     from far2.harness import ProblemSpec, build_solver_config
 
     calls = []
-    monkeypatch.setattr(driver, "ShiftedSystem",
-                        lambda H: calls.append(1) or secular.ShiftedSystem(H))
+    def made(H, counter):
+        calls.append(1)
+        return secular.ShiftedSystem(H, counter)
+    monkeypatch.setattr(driver, "ShiftedSystem", made)
     bands = []
     lower_band = secular._lower_band
     monkeypatch.setattr(secular, "_lower_band",

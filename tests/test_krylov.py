@@ -72,7 +72,12 @@ class TestRationalExpand:
         H = np.diag([1.0, 2.0])
         g = np.array([1.0, 1.0]) / np.sqrt(2.0)
         basis = KrylovBasis.fresh(g, RATIONAL)
-        rational_expand(ShiftedSystem(H), basis, (1.0, 2.0))
+        system = ShiftedSystem(H)
+        rational_expand(system, basis, (1.0, 2.0))
+        # the solve counts as a rational solve, not as a factorization of
+        # the run, and its factorization is not kept
+        assert system.counter.rational == 1 and system.counter.count == 0
+        assert system.last is None
         # the first pole is the square root of the interval's scale
         assert basis.shifts == [np.sqrt(2.0)]
         expected = g / (np.diag(H) + basis.shifts[0])

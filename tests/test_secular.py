@@ -14,8 +14,7 @@ from far2.driver import ar2_solve
 from far2.errors import ReducedSolveError, SingularShiftError
 from far2.model import ModelContext, model_curvature_min
 from far2.problems import get_problem
-from far2.secular import (FactorizationCounter, SecularCase,
-                          ShiftedFactorization, ShiftedSystem,
+from far2.secular import (SecularCase, ShiftedFactorization, ShiftedSystem,
                           solve_secular_full_secant, solve_secular_reduced)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,11 +52,22 @@ class TestFactorizeShifted:
         assert fac.positive_definite == bool(w[0] > 0)
 
     def test_counter_only_when_supplied(self):
-        c = FactorizationCounter()
-        ShiftedFactorization(ShiftedSystem(np.eye(4)), 0.0)
-        assert c.count == 0
-        ShiftedFactorization(ShiftedSystem(np.eye(4)), 0.0, counter=c)
-        assert c.count == 1
+        # the system's counter counts a factorization only when asked to
+        system = ShiftedSystem(np.eye(4))
+        ShiftedFactorization(system, 0.0)
+        assert system.counter.count == 0
+        ShiftedFactorization(system, 0.0, counted=True)
+        assert system.counter.count == 1
+
+    def test_lanczos_factor_is_not_kept(self):
+        # above the dense cutoff min_eig factors H once for Lanczos,
+        # uncounted: the counted entry goes, and nothing takes its place
+        d = np.arange(1.0, 2002.0)
+        system = ShiftedSystem(sp.diags([d], [0], format="csr"))
+        ShiftedFactorization(system, 0.5, counted=True)
+        assert system.last.lam == 0.5
+        assert system.leftmost[0] == pytest.approx(1.0, rel=1e-10)
+        assert system.last is None and system.counter.count == 1
 
 
 class TestSolveSecularReduced:
@@ -288,20 +298,19 @@ class TestSolveSecularFullSecant:
         np.testing.assert_allclose(sol.step, -np.linalg.solve(H, g), rtol=1e-6)
 
     def test_zero_gradient_definite(self):
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(np.zeros(4), ShiftedSystem(np.eye(4)),
-                                        1.0, 0.1, counter=c)
+        system = ShiftedSystem(np.eye(4))
+        sol = solve_secular_full_secant(np.zeros(4), system, 1.0, 0.1)
         assert sol.lam == 0.0
         assert np.linalg.norm(sol.step) == 0.0
-        assert c.count == 1
+        assert system.counter.count == 1
 
     def test_counter_matches_reported(self):
-        c = FactorizationCounter()
         g = np.ones(6)
         H = np.diag(np.arange(1.0, 7.0)) + 0.1
-        solve_secular_full_secant(g, ShiftedSystem(H), 2.0, 0.1, counter=c)
+        system = ShiftedSystem(H)
+        solve_secular_full_secant(g, system, 2.0, 0.1)
         # the Gershgorin start is not the root: at least one root step
-        assert c.count >= 2
+        assert system.counter.count >= 2
 
     def test_hard_case_full_space(self):
         H = np.diag([-1.0, 1.0, 2.0, 3.0])
@@ -355,13 +364,13 @@ class TestSolveSecularFullSecant:
     def test_warm_start_converges(self):
         H = np.diag([2.0, 3.0, 10.0])
         g = np.array([1.0, -2.0, 0.5])
-        c_cold, c_warm = FactorizationCounter(), FactorizationCounter()
         system = ShiftedSystem(H)
-        cold = solve_secular_full_secant(g, system, 1.0, 0.1, counter=c_cold)
-        warm = solve_secular_full_secant(g, system, 1.0, 0.1, counter=c_warm,
+        cold = solve_secular_full_secant(g, system, 1.0, 0.1)
+        n_cold = system.counter.count
+        warm = solve_secular_full_secant(g, system, 1.0, 0.1,
                                          warm_lambda=cold.lam)
         assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
-        assert c_warm.count <= c_cold.count
+        assert system.counter.count - n_cold <= n_cold
 
     def test_warm_start_at_the_root_factors_once(self):
         # the solve meets the residual target at its first shift, whose solve
@@ -369,10 +378,10 @@ class TestSolveSecularFullSecant:
         H = np.diag([-1.0, 2.0, 3.0, 10.0])
         g = np.array([1.0, -2.0, 0.5, 0.3])
         cold = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1)
-        c = FactorizationCounter()
-        warm = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1, counter=c,
+        system = ShiftedSystem(H)
+        warm = solve_secular_full_secant(g, system, 1.0, 0.1,
                                          warm_lambda=cold.lam)
-        assert c.count == 1
+        assert system.counter.count == 1
         assert warm.lam == cold.lam
         np.testing.assert_array_equal(warm.step, cold.step)
 
@@ -388,13 +397,13 @@ class TestSolveSecularFullSecant:
         H = sp.diags([d], [0], format="csr")
         g = np.zeros(n)
         g[1:] = 1.0 / math.sqrt(n - 1)
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(g, ShiftedSystem(H), 1.0, 0.1, c)
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(g, system, 1.0, 0.1)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
         np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
-        assert c.count <= 4
+        assert system.counter.count <= 4
 
     def test_newton_stall_at_the_spectrum_edge(self):
         # a near-hard case: g's weight 1e-13 on v1 puts the root about
@@ -407,15 +416,14 @@ class TestSolveSecularFullSecant:
         d[0] = -3.0
         g = np.full(n, 1.0 / math.sqrt(n - 1))
         g[0] = 1e-13
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(
-            g, ShiftedSystem(sp.diags([d], [0], format="csr")), 1.0, 0.1, c,
-            warm_lambda=3.0 + 4 * 2.0**-51)
+        system = ShiftedSystem(sp.diags([d], [0], format="csr"))
+        sol = solve_secular_full_secant(g, system, 1.0, 0.1,
+                                        warm_lambda=3.0 + 4 * 2.0**-51)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
         assert np.linalg.norm(sol.step) == pytest.approx(sol.lam, rel=1e-10)
         np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
-        assert c.count <= 4
+        assert system.counter.count <= 4
 
     def test_two_hard_case_solves_make_one_eigensolve(self, monkeypatch):
         # the system keeps H's leftmost pair: a second solve on it (as after
@@ -430,12 +438,12 @@ class TestSolveSecularFullSecant:
         g = np.zeros(7)
         g[1:] = 1.0 / math.sqrt(6.0)
         system = ShiftedSystem(sp.diags([d], [0], format="csr"))
-        first, second = FactorizationCounter(), FactorizationCounter()
-        a = solve_secular_full_secant(g, system, 1.0, 0.1, first)
-        b = solve_secular_full_secant(g, system, 1.0, 0.1, second)
+        a = solve_secular_full_secant(g, system, 1.0, 0.1)
+        first = system.counter.count
+        b = solve_secular_full_secant(g, system, 1.0, 0.1)
         assert a.case is b.case is SecularCase.HARD
         np.testing.assert_array_equal(a.step, b.step)
-        assert made == [1] and second.count == first.count - 1
+        assert made == [1] and system.counter.count - first == first - 1
         assert model_curvature_min(ModelContext(system), np.zeros(7)) == -3.0
         assert made == [1]
 
@@ -444,15 +452,14 @@ class TestSolveSecularFullSecant:
         d = np.full(n, 2.0)
         d[0] = -3.0
         H = sp.diags([d], [0], format="csr")
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(np.zeros(n), ShiftedSystem(H), 0.5,
-                                        0.1, counter=c)
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(np.zeros(n), system, 0.5, 0.1)
         assert sol.case is SecularCase.HARD
         assert sol.lam == pytest.approx(3.0, rel=1e-12)
         assert abs(sol.step[0]) == pytest.approx(6.0, rel=1e-10)
         assert np.linalg.norm(sol.step[1:]) <= 1e-10
         # the failed Cholesky at lambda = 0 and the eigensolve
-        assert c.count == 2
+        assert system.counter.count == 2
 
 
 def _stored(kind, rng, n):
@@ -494,13 +501,13 @@ class TestFullSpaceMatchesSpectral:
         ref = solve_secular_reduced(g, A, sigma)
         assume(ref.case is SecularCase.EASY
                and ref.lam + eigs[0] >= 0.2 * ref.lam)
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1, counter=c)
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(g, system, sigma, 0.1)
         assert sol.case is SecularCase.EASY
         # with a right derivative solve the root steps need a handful of
         # shifts (Newton's took at most 6 on 300 seeds per storage), against
         # about 100 when psi' is computed without that solve
-        assert c.count <= 10
+        assert system.counter.count <= 10
         assert sol.lam == pytest.approx(ref.lam, rel=1e-8)
         assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
                                                                  rel=1e-8)
@@ -588,14 +595,13 @@ class TestHalleyStep:
         g = np.array([1.0, -1.0, 0.5, 2.0, -0.25, 1.0])
         sigma = 10.0
         rtol = min(0.5 * 0.1 / sigma, 1e-9)
-        c = FactorizationCounter()
-        sol = solve_secular_full_secant(g, ShiftedSystem(H), sigma, 0.1,
-                                        counter=c)
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(g, system, sigma, 0.1)
         assert sol.case is SecularCase.EASY
         assert sol.lam == pytest.approx(4.400913671274441, rel=rtol)
         assert sol.lam == pytest.approx(solve_secular_reduced(g, H, sigma).lam,
                                         rel=rtol)
-        assert c.count == 5
+        assert system.counter.count == 5
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
     @pytest.mark.parametrize("weight", [1e-12, 1e-10, 1e-8])

@@ -9,12 +9,16 @@ numpy.linalg.solve to a relative residual of 1e-10, at positive definite
 and indefinite shifts alike. H is stored once, by the caller, and no
 factorization writes into that storage; a shift that is not positive
 definite is factored again, with pivoting, the first time a caller solves
-with it. The system keeps its last factorization, which a second
-construction at the same shift reuses without counting it.
+with it. The system keeps its last counted factorization, which a second
+counted construction at the same shift reuses without counting it; an
+uncounted one keeps nothing. No kept factorization refers back to its
+system.
 """
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,8 +33,8 @@ from far2.errors import SingularShiftError
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
 from far2.model import ModelContext, model_curvature_bound
 from far2.problems import GramHessian, get_problem, registry_names
-from far2.secular import (FactorizationCounter, ShiftedFactorization,
-                          ShiftedSystem, solve_secular_full_secant)
+from far2.secular import (ShiftedFactorization, ShiftedSystem,
+                          solve_secular_full_secant)
 
 GAP = 1.0e-8        # shifts at least GAP * ||H|| from the spectrum
 RESIDUAL = 1.0e-10  # relative residual of solve()
@@ -280,9 +284,8 @@ class TestIndefiniteSolve:
 
         for name in ("_sytrf", "dgttrf", "dgbtrf"):
             monkeypatch.setattr(secular, name, counted(getattr(secular, name)))
-        counter = FactorizationCounter()
         system = ShiftedSystem(H)
-        fac = ShiftedFactorization(system, 0.0, counter)
+        fac = ShiftedFactorization(system, 0.0, counted=True)
         assert not fac.positive_definite and built == []
         rhs = np.ones(H.shape[0])
         x = fac.solve(rhs)
@@ -290,9 +293,9 @@ class TestIndefiniteSolve:
         # the pivoted factors are kept: later solves, and a second
         # construction at the same shift, reuse them
         assert fac.solve(rhs).tobytes() == x.tobytes()
-        again = ShiftedFactorization(system, 0.0, counter)
+        again = ShiftedFactorization(system, 0.0, counted=True)
         assert again.solve(rhs).tobytes() == x.tobytes()
-        assert built == [1] and counter.count == 1
+        assert built == [1] and system.counter.count == 1
         np.testing.assert_allclose(H @ x, rhs, atol=1e-10)
 
     @pytest.mark.parametrize("H", [
@@ -359,10 +362,10 @@ class TestAnalyseOnce:
         for H in (sp.diags([e, d, e], [-1, 0, 1], format="csr"),
                   sp.csr_matrix(_banded(rng, n, 3)), A + A.T):
             calls.clear()
-            counter = FactorizationCounter()
-            solve_secular_full_secant(rng.standard_normal(n),
-                                      ShiftedSystem(H), 1.0, 0.1, counter)
-            assert counter.count >= 3
+            system = ShiftedSystem(H)
+            solve_secular_full_secant(rng.standard_normal(n), system, 1.0,
+                                      0.1)
+            assert system.counter.count >= 3
             assert len(calls) == 1
 
     def test_interval_computed_once_for_every_reader(self, monkeypatch):
@@ -536,10 +539,11 @@ KINDS = ["tridiagonal", "band", "bordered", "dense"]
 
 
 class TestLastFactorization:
-    """A system keeps the last factorization made on it: a construction at
-    an equal shift reuses it and counts nothing, any other shift factors,
-    counts one and replaces it, and a reused entry makes its pivoted solve
-    once, counting it then."""
+    """A system keeps the last counted factorization made on it: a counted
+    construction at an equal shift reuses it and counts nothing, any other
+    shift factors, counts one and replaces it, and the pivoted solve of a
+    counted shift counts with it, whichever construction makes it. An
+    uncounted construction frees the entry, factors and keeps nothing."""
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -556,37 +560,36 @@ class TestLastFactorization:
         system, T = _system_of(kind, rng)
         lam = 1.0 - float(np.linalg.eigvalsh(T)[0])
         rhs = rng.standard_normal(T.shape[0])
-        counter = FactorizationCounter()
-        first = ShiftedFactorization(system, lam, counter)
+        first = ShiftedFactorization(system, lam, counted=True)
         x = first.solve(rhs)
-        again = ShiftedFactorization(system, lam, counter)
+        again = ShiftedFactorization(system, lam, counted=True)
         assert again.positive_definite and first.positive_definite
         assert again.solve(rhs).tobytes() == x.tobytes()
-        assert counter.count == 1 and made == [(lam, False)]
+        assert system.counter.count == 1 and made == [(lam, False)]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_other_shift_replaces(self, kind, made, rng):
         system, T = _system_of(kind, rng)
         lam = 1.0 - float(np.linalg.eigvalsh(T)[0])
         rhs = rng.standard_normal(T.shape[0])
-        counter = FactorizationCounter()
-        first = ShiftedFactorization(system, lam, counter)
+        first = ShiftedFactorization(system, lam, counted=True)
         x = first.solve(rhs)
-        ShiftedFactorization(system, lam + 1.0, counter)
-        assert system.last.lam == lam + 1.0 and counter.count == 2
+        ShiftedFactorization(system, lam + 1.0, counted=True)
+        assert system.last.lam == lam + 1.0 and system.counter.count == 2
         # the replaced factors stay with the factorization that holds them
         assert first.solve(rhs).tobytes() == x.tobytes()
-        again = ShiftedFactorization(system, lam, counter)
+        again = ShiftedFactorization(system, lam, counted=True)
         assert again.solve(rhs).tobytes() == x.tobytes()
-        assert counter.count == 3
+        assert system.counter.count == 3
         assert made == [(lam, False), (lam + 1.0, False), (lam, False)]
 
     def test_equal_h_in_another_system_shares_nothing(self, made, rng):
         H = random_symmetric(rng, 20) + 10.0 * np.eye(20)
-        counter = FactorizationCounter()
-        a = ShiftedFactorization(ShiftedSystem(H), 0.5, counter)
-        b = ShiftedFactorization(ShiftedSystem(H), 0.5, counter)
-        assert counter.count == 2 and made == [(0.5, False)] * 2
+        a_system, b_system = ShiftedSystem(H), ShiftedSystem(H)
+        a = ShiftedFactorization(a_system, 0.5, counted=True)
+        b = ShiftedFactorization(b_system, 0.5, counted=True)
+        assert a_system.counter.count == b_system.counter.count == 1
+        assert made == [(0.5, False)] * 2
         rhs = rng.standard_normal(20)
         assert a.solve(rhs).tobytes() == b.solve(rhs).tobytes()
 
@@ -597,20 +600,66 @@ class TestLastFactorization:
         lam = -0.5 * float(w[0] + w[1])  # between the two leftmost
         assert _far(w, lam)
         rhs = rng.standard_normal(T.shape[0])
-        counter = FactorizationCounter()
-        first = ShiftedFactorization(system, lam, counter)
-        again = ShiftedFactorization(system, lam, counter)
+        first = ShiftedFactorization(system, lam, counted=True)
+        again = ShiftedFactorization(system, lam, counted=True)
         assert not first.positive_definite and not again.positive_definite
-        assert counter.count == 1 and made == [(lam, False)]
-        # the reuse makes the pivoted solve its entry lacks, and counts it
+        assert system.counter.count == 1 and made == [(lam, False)]
+        # the reuse makes the pivoted solve its entry lacks, which counts
+        # with the shift's one factorization
         x = again.solve(rhs)
-        assert counter.count == 2 and made == [(lam, False), (lam, True)]
+        assert system.counter.count == 1
+        assert made == [(lam, False), (lam, True)]
         assert first.solve(rhs).tobytes() == x.tobytes()
-        third = ShiftedFactorization(system, lam, counter)
+        third = ShiftedFactorization(system, lam, counted=True)
         assert third.solve(rhs).tobytes() == x.tobytes()
-        assert counter.count == 2 and len(made) == 2
+        assert system.counter.count == 1 and len(made) == 2
         np.testing.assert_allclose(T @ x + lam * x, rhs,
                                    atol=1e-8 * np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_uncounted_at_the_kept_shift_factors_anew(self, kind, made, rng):
+        system, T = _system_of(kind, rng)
+        lam = 1.0 - float(np.linalg.eigvalsh(T)[0])
+        rhs = rng.standard_normal(T.shape[0])
+        x = ShiftedFactorization(system, lam, counted=True).solve(rhs)
+        fac = ShiftedFactorization(system, lam)
+        assert fac.solve(rhs).tobytes() == x.tobytes()
+        assert made == [(lam, False)] * 2
+        assert system.last is None and system.counter.count == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_uncounted_elsewhere_drops_the_entry(self, kind, made, rng):
+        system, T = _system_of(kind, rng)
+        lam = 1.0 - float(np.linalg.eigvalsh(T)[0])
+        ShiftedFactorization(system, lam, counted=True)
+        assert system.last.lam == lam
+        fac = ShiftedFactorization(system, lam + 1.0)
+        assert fac.positive_definite and system.last is None
+        # a counted construction at either shift factors and counts anew
+        ShiftedFactorization(system, lam + 1.0, counted=True)
+        assert system.counter.count == 2 and system.last.lam == lam + 1.0
+        assert made == [(lam, False), (lam + 1.0, False), (lam + 1.0, False)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_system_dies_with_its_last_reference(kind, rng):
+    # the kept factorization refers to no system: without the garbage
+    # collector, a system and its factors go with its last reference
+    system, T = _system_of(kind, rng)
+    w = np.linalg.eigvalsh(T)
+    lam = -0.5 * float(w[0] + w[1])  # not positive definite: pivoted too
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fac = ShiftedFactorization(system, lam, counted=True)
+        fac.solve(rng.standard_normal(T.shape[0]))
+        assert system.last.pivoted is not None
+        dead = weakref.ref(system)
+        del fac, system
+        assert dead() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestBandLU:
