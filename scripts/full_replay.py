@@ -19,6 +19,9 @@ calls and prints:
 - where the warm start lies relative to the root the call returns, as the
   ratio warm_lambda / lambda over the calls that have one, for the whole
   round and for the three solves that factor most;
+- the three costliest single calls, each with its solve's label, sigma,
+  warm start, returned root and factorizations, so that a call that
+  stalls (at the spectrum edge, say) shows by itself;
 - the microseconds per call, best of --repeat timed passes. The time
   includes reading H's storage, as the first factorization of an iterate
   does in a run.
@@ -51,7 +54,7 @@ from far2.secular import (ShiftedFactorization, ShiftedSystem,  # noqa: E402
                           solve_secular_full_secant)
 from workloads import WORKLOADS  # noqa: E402
 
-TOP = 3  # solves listed by their factorizations
+TOP = 3  # solves, and single calls, listed by their factorizations
 
 
 def record(workload: str, seed: int) -> tuple[list[tuple], int]:
@@ -175,6 +178,12 @@ def main():
     top = sorted(by_label.items(), key=lambda kv: -kv[1][0])[:TOP]
     for label, (k, ratios) in top:
         print(f"{label}: {k} factorizations, {ratio_summary(ratios)}")
+    print(f"the {TOP} costliest calls:")
+    costliest = sorted(zip(calls, results), key=lambda cr: -cr[1][0])[:TOP]
+    for (label, _, _, sigma, _, warm, _), (k, lam) in costliest:
+        start = "none" if warm is None else f"{warm:.11g}"
+        print(f"  {label}: {k} factorizations, sigma {sigma:.6g}, "
+              f"warm start {start}, root {lam:.11g}")
 
     best = best_pass_s(calls, args.repeat)
     print(f"best of {args.repeat}: {best:.3f} s, "

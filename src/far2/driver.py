@@ -7,13 +7,14 @@ regularized Newton corrector with the multiplier inherited from the
 subspace solve, then a full-space secular solve (only on an iteration that
 rebuilt the subspace), and otherwise a rejection that rebuilds the subspace
 next time. ar2_solve is the chain without its first two links, so every
-step comes from the full-space solve: safeguarded Halley iteration on the
-secular equation, one Cholesky factorization per shift, as in the direct-solver
-implementations of adaptive cubic regularization. far2_solve runs the
-whole chain; under a SecondOrderConfig (far2so_solve) the loop also
-demands positive curvature of every step and of the final Hessian. Reports
-keep the historical name "secant" for a full-space step (StepKind.SECANT,
-n_secant_calls).
+step comes from the full-space solve: a safeguarded root iteration on the
+secular equation, one Cholesky factorization per shift, whose next shift is
+the root of the equation with 1/||s|| replaced by its second-order model, as
+in the direct-solver implementations of adaptive cubic regularization.
+far2_solve runs the whole chain; under a SecondOrderConfig (far2so_solve)
+the loop also demands positive curvature of every step and of the final
+Hessian. Reports keep the historical name "secant" for a full-space step
+(StepKind.SECANT, n_secant_calls).
 
 Every run records one trace record per iteration, and the report's
 tallies (nonlinear iterations, average projected dimension, subspace-only

@@ -26,9 +26,12 @@ makes neither again.
 
 Reduced (small, dense) solves use a spectral decomposition, after which
 each residual evaluation costs O(m). The full-space solve is a safeguarded
-Halley iteration on the secular equation, the direct solver baseline of
+root iteration on the secular equation, the direct solver baseline of
 adaptive cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1):
-each shift costs one Cholesky factorization and two solves with it. When the
+each shift costs one Cholesky factorization and two solves with it, which
+give 1/||s|| and its first two derivatives, and the next shift is the root
+of the secular equation with 1/||s|| replaced by its second-order Taylor
+model and sigma/lambda kept exact. When the
 root of either solve hugs the spectrum edge (the hard and near-hard
 cases) it returns the same boundary step (_boundary_step): the solve at a
 shift just above the edge plus the multiple of the leftmost eigenvector
@@ -57,6 +60,9 @@ from .errors import (NonFiniteHessianError, ReducedSolveError,
 from .second_order import gershgorin_interval, min_eig
 
 MAX_ROOT_STEPS = 200
+# Newton steps on the cubic model of the secular equation per shift
+MODEL_NEWTON_STEPS = 8
+EPS = float(np.finfo(float).eps)
 
 # through get_lapack_funcs, which tags the lwork query with its integer type
 _sytrf, _sytrf_lwork, _sytrs = sla.get_lapack_funcs(
@@ -592,40 +598,76 @@ def _spectral_fallback(g, system: ShiftedSystem, sigma, hi=None,
     return SecularSolution(hi, step, SecularCase.HARD, alpha=alpha)
 
 
-def _psi_derivatives(x, y, snorm: float, lam: float,
-                     sigma: float) -> tuple[float, float, float]:
-    """psi(lambda) = 1/||x|| - sigma/lambda and its first two derivatives.
+def _inverse_norm_derivatives(x, y,
+                              snorm: float) -> tuple[float, float, float]:
+    """r(lambda) = 1/||s(lambda)|| and its first two derivatives.
 
     x = (H + lambda I)^{-1} g with ||x|| = snorm and y = (H + lambda I)^{-1} x.
     With pi = ||x||^2, pi' = -2 x^T y and pi'' = 6 y^T y, so the two solves
-    the secular iteration makes at every shift give psi'' as well as psi'.
+    the secular iteration makes at every shift give r'' as well as r':
+    r' = x^T y/||x||^3 > 0 and r'' = 3((x^T y)^2 - ||x||^2 ||y||^2)/||x||^5,
+    which Cauchy-Schwarz makes <= 0 (r is concave).
     """
     xy = float(x @ y)
-    psi = 1.0 / snorm - sigma / lam
-    dpsi = xy / snorm ** 3 + sigma / lam ** 2
-    d2psi = (3.0 * xy ** 2 / snorm ** 5 - 3.0 * float(y @ y) / snorm ** 3
-             - 2.0 * sigma / lam ** 3)
-    return psi, dpsi, d2psi
+    r = 1.0 / snorm
+    return (r, xy * r ** 3,
+            3.0 * (xy * xy * r * r - float(y @ y)) * r ** 3)
+
+
+def _first_order_root(lam: float, sigma: float, r: float, dr: float) -> float:
+    """The positive root mu of mu (r + r' (mu - lam)) = sigma, r' > 0.
+
+    It is the root of r' mu^2 + b mu - sigma with b = r - r' lam, taken in
+    the form without cancellation. r is concave, so r + r' (mu - lam) >= r(mu)
+    and the root lies left of the secular root.
+    """
+    b = r - dr * lam
+    disc = math.sqrt(b * b + 4.0 * dr * sigma)
+    return 2.0 * sigma / (b + disc) if b > 0.0 else (disc - b) / (2.0 * dr)
+
+
+def _model_root(lam: float, sigma: float, r: float, dr: float,
+                d2r: float) -> float:
+    """The root mu of mu (r + r' d + r'' d^2/2) = sigma, d = mu - lam.
+
+    The model keeps the secular equation's sigma/mu exact and replaces only
+    r = 1/||s|| by its second-order Taylor model at lam (Gould, Robinson &
+    Thorne 2010). Newton's steps on this cubic start at the first-order
+    model's root (_first_order_root); where the cubic's slope is not
+    positive (its model of r turns over before reaching sigma/mu), that
+    first-order root comes back.
+    """
+    first = mu = _first_order_root(lam, sigma, r, dr)
+    for _ in range(MODEL_NEWTON_STEPS):
+        d = mu - lam
+        m = r + d * (dr + 0.5 * d2r * d)
+        slope = m + mu * (dr + d2r * d)
+        if not slope > 0.0:
+            return first
+        step = (mu * m - sigma) / slope
+        mu -= step
+        if not abs(step) > 4.0 * EPS * mu:
+            break
+    return mu
 
 
 def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                               theta1: float,
                               warm_lambda: float | None = None) -> SecularSolution:
-    """Safeguarded Halley iteration on the secular equation, full space.
+    """Safeguarded root iteration on the secular equation, full space.
 
     `system` is the iterate's analysed H, factored at every shift. The
-    iteration runs on psi(lambda) = 1/||s(lambda)|| - sigma/lambda, which
-    shares its root with phi and is concave and increasing, from the warm
-    start or the Gershgorin-safeguarded lambda_0. Each shift costs one
-    counted Cholesky factorization of H + lambda I, none at the shift the
-    system last factored (a warm start after a rejected step), and two
-    solves with it, x = s(lambda) and
-    y = (H + lambda I)^{-1} x, which give both psi' and psi''
-    (_psi_derivatives). The next shift is Halley's
-    lambda - 2 psi psi' / (2 psi'^2 - psi psi'') where that denominator is
-    positive, and Newton's lambda - psi/psi' otherwise; the third-order
-    step costs no factorization or solve beyond Newton's (the high-order
-    root finding of GALAHAD's RQS, Gould, Robinson & Thorne 2010). The
+    iteration solves lambda r(lambda) = sigma, r(lambda) = 1/||s(lambda)||,
+    which shares its root with phi, from the warm start or the
+    Gershgorin-safeguarded lambda_0. Each shift costs one counted Cholesky
+    factorization of H + lambda I, none at the shift the system last
+    factored (a warm start after a rejected step), and two solves with it,
+    x = s(lambda) and y = (H + lambda I)^{-1} x, which give r' and r''
+    (_inverse_norm_derivatives). The next shift is the root of
+    mu (r + r' d + r'' d^2/2) = sigma, d = mu - lambda (_model_root): only
+    r is modelled, sigma/mu is kept exact, and the step costs no
+    factorization or solve beyond Newton's (the high-order root finding of
+    GALAHAD's RQS, Gould, Robinson & Thorne 2010). The
     bracket starts at [0, inf), since the root is sigma*||s*|| > 0: a
     failed Cholesky or phi > 0 raises its lower end, phi < 0 lowers its
     upper end, and a step outside it becomes bisection, or
@@ -638,8 +680,9 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     The hard and near-hard cases end in the boundary step of
     _spectral_fallback. Two signs say that the root may hug the spectrum
     edge: the first Cholesky that fails below a shift with phi < 0, and a
-    step from the left of the root that rounding stalls at `lo`.
-    Either makes the next shift a test shift
+    step that rounding stalls: from the left of the root one that does not
+    move right, from the right one that moves left by less than 64 eps
+    relative. Either makes the next shift a test shift
     t = max(-lambda_1, lo) + 64 eps ||H||, ||H|| from the Gershgorin
     interval, since the eigensolve and the Cholesky test agree on the edge
     only to a multiple of eps ||H||; lambda_1 comes from one eigensolve per
@@ -665,8 +708,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     else:
         lam = max(0.0, -system.interval[0]) + sigma * math.sqrt(gnorm)
     rtol = min(0.5 * theta1 / sigma, 1.0e-9)
-    eps = float(np.finfo(float).eps)
-    edge = 1.0 - 64.0 * eps
+    edge = 1.0 - 64.0 * EPS
     lo, hi, x_hi = 0.0, math.inf, None
     # lam is an edge test shift; this call has made one
     test = tested = False
@@ -688,21 +730,18 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                 return _spectral_fallback(g, system, sigma, lam, -x)
             else:
                 hi, x_hi = lam, x
-            psi, dpsi, d2psi = _psi_derivatives(x, fac.solve(x), snorm, lam,
-                                                sigma)
-            den = 2.0 * dpsi ** 2 - psi * d2psi
-            # Halley's step where its denominator is positive, else Newton's
-            nxt = lam - (2.0 * psi * dpsi / den if den > 0.0 else psi / dpsi)
-            # left of the root either step moves right, unless rounding
-            # stalls it
-            at_edge = phi > 0.0 and not nxt > lam
+            nxt = _model_root(lam, sigma, *_inverse_norm_derivatives(
+                x, fac.solve(x), snorm))
+            # a step that rounding stalls: left of the root it must move
+            # right, and right of it left by more than 64 eps relative
+            at_edge = (not nxt > lam) if phi > 0.0 else (not nxt < edge * lam)
         if lo >= edge * hi:
             # the bracket is exhausted in floating point without meeting
             # the residual target: the root hugs the spectrum edge
             return _spectral_fallback(g, system, sigma, hi, -x_hi)
         if at_edge and not test:
             lam = (max(-_leftmost(system)[0], lo)
-                   + 64.0 * eps * max(map(abs, system.interval)))
+                   + 64.0 * EPS * max(map(abs, system.interval)))
             if lam >= hi:
                 return _spectral_fallback(g, system, sigma, hi, -x_hi)
             test = tested = True
@@ -713,5 +752,5 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                    else lo + 0.5 * (hi - lo))
         lam = nxt
     raise SecantFailureError(
-        f"secular Halley iteration exceeded {MAX_ROOT_STEPS} safeguarded "
+        f"secular root iteration exceeded {MAX_ROOT_STEPS} safeguarded "
         "steps")

@@ -425,6 +425,33 @@ class TestSolveSecularFullSecant:
         np.testing.assert_allclose(sol.step[1:], -g[1:] / 5.0, rtol=1e-10)
         assert system.counter.count <= 4
 
+    def test_stall_from_the_right_at_the_spectrum_edge(self):
+        # the leftmost eigenvector (1, -1)/sqrt(2) lives on diagonal entries
+        # of 500, where adding lambda ~ 0.1 rounds to their ulp (1.1e-13),
+        # so phi is a staircase in lambda. The root, 2.2e-8 above the edge
+        # at 0.1, falls between two of its steps, and phi on the step right
+        # of it is -2.7e-8 of ||s||. From that side each root step moves
+        # lambda by about 1e-15 and leaves phi as it was; without the stall
+        # test from the right the solve crept for 50 factorizations until
+        # the bracket collapsed. The stall test tests the edge at once.
+        a, sigma = 500.0, 1e-3
+        H = np.diag([a, a, 1.0, 2.0, 3.0])
+        H[0, 1] = H[1, 0] = a + 0.1
+        eigs, Q = np.linalg.eigh(H)
+        c = np.ones(5)
+        c[0] = 22e-9 * (22e-9 - eigs[0]) / sigma
+        g = Q @ c
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(g, system, sigma, 0.1,
+                                        warm_lambda=1.0)
+        assert sol.case is SecularCase.HARD
+        assert system.counter.count == 7
+        assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
+                                                                 rel=1e-12)
+        ref = solve_secular_reduced(g, H, sigma)
+        assert cubic_model_value(sol.step, g, H, sigma) == pytest.approx(
+            cubic_model_value(ref.step, g, H, sigma), rel=1e-10)
+
     def test_two_hard_case_solves_make_one_eigensolve(self, monkeypatch):
         # the system keeps H's leftmost pair: a second solve on it (as after
         # a rejected step) makes the same shifts but no eigensolve, and the
@@ -560,8 +587,9 @@ def _arrowhead(rng, n):
 
 
 class TestHalleyStep:
-    """The full-space solve's root step: Halley's on psi, whose psi'' comes
-    from the same two solves as psi'."""
+    """The full-space solve's root step (Halley's on psi before it): the
+    root of mu (r + r' d + r'' d^2/2) = sigma, whose model of
+    r = 1/||s|| takes r' and r'' from the same two solves."""
 
     @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "bordered"])
     def test_second_derivative_matches_central_difference(self, kind, rng):
@@ -571,26 +599,49 @@ class TestHalleyStep:
         assert (system.border is not None) == (kind == "bordered")
         assert (system.band is None) == (kind == "dense")
         g = rng.standard_normal(n)
-        sigma = 0.7
         lam = -system.interval[0] + 1.0
 
         def terms(lam):
             fac = ShiftedFactorization(system, lam)
             x = fac.solve(g)
-            return secular._psi_derivatives(x, fac.solve(x),
-                                            float(np.linalg.norm(x)), lam,
-                                            sigma)
+            return secular._inverse_norm_derivatives(
+                x, fac.solve(x), float(np.linalg.norm(x)))
 
         h = 1e-4 * lam
-        (p_lo, d_lo, _), (p_hi, d_hi, _) = terms(lam - h), terms(lam + h)
-        _, dpsi, d2psi = terms(lam)
-        assert dpsi == pytest.approx((p_hi - p_lo) / (2.0 * h), rel=1e-6)
-        assert d2psi == pytest.approx((d_hi - d_lo) / (2.0 * h), rel=1e-6)
+        (r_lo, d_lo, _), (r_hi, d_hi, _) = terms(lam - h), terms(lam + h)
+        _, dr, d2r = terms(lam)
+        assert dr == pytest.approx((r_hi - r_lo) / (2.0 * h), rel=1e-6)
+        assert d2r == pytest.approx((d_hi - d_lo) / (2.0 * h), rel=1e-6)
+        # r is increasing and concave
+        assert dr > 0.0 >= d2r
+
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.1, 10.0),
+           offset=st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_first_order_root_is_left_of_the_root(self, seed, sigma, offset):
+        # r concave: its tangent at any positive definite shift lies above
+        # it, so mu (r + r' d) = sigma is met before mu r(mu) = sigma is
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        H = random_symmetric(rng, n, scale=2.0)
+        eigs, Q = np.linalg.eigh(H)
+        g = rng.standard_normal(n)
+        g += 3.0 * np.linalg.norm(g) * Q[:, 0]
+        ref = solve_secular_reduced(g, H, sigma)
+        assume(ref.case is SecularCase.EASY)
+        lam = max(0.0, -eigs[0]) + offset
+        fac = ShiftedFactorization(ShiftedSystem(H), lam)
+        assert fac.positive_definite
+        x = fac.solve(g)
+        r, dr, _ = secular._inverse_norm_derivatives(
+            x, fac.solve(x), float(np.linalg.norm(x)))
+        mu = secular._first_order_root(lam, sigma, r, dr)
+        assert 0.0 < mu <= ref.lam * (1.0 + 1e-10)
 
     def test_same_root_in_fewer_factorizations(self):
         # an easy case from the Gershgorin start: Newton's step on psi
-        # returned lam = 4.400913671274441 after 10 factorizations; the
-        # spectral solve's root is 4.400913671292303
+        # returned lam = 4.400913671274441 after 10 factorizations and
+        # Halley's after 5; the spectral solve's root is 4.400913671292303
         H = np.diag([-1.0, 0.5, 2.0, 4.0, 8.0, 16.0])
         g = np.array([1.0, -1.0, 0.5, 2.0, -0.25, 1.0])
         sigma = 10.0
@@ -601,7 +652,7 @@ class TestHalleyStep:
         assert sol.lam == pytest.approx(4.400913671274441, rel=rtol)
         assert sol.lam == pytest.approx(solve_secular_reduced(g, H, sigma).lam,
                                         rel=rtol)
-        assert system.counter.count == 5
+        assert system.counter.count == 4
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
     @pytest.mark.parametrize("weight", [1e-12, 1e-10, 1e-8])
