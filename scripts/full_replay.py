@@ -11,8 +11,10 @@ so the replay reuses what the run reused. It then replays the recorded
 calls and prints:
 
 - the call count and the factorizations they make (read from the ledger
-  of the call's ShiftedSystem, ShiftedSystem.counter), with a histogram
-  of factorizations per call, the factorizations and leftmost eigenpairs
+  of the call's ShiftedSystem, ShiftedSystem.counter), with histograms
+  of factorizations per call by how the call starts (warm-started on the
+  factorization its system kept, whose first shift is free, or on a
+  fresh system), the factorizations and leftmost eigenpairs
   reused from an earlier call on the same system, and the round's own
   n_fact, which the replay's total equals when the full-space solve is
   the round's only factoring caller (registry-ar2);
@@ -55,6 +57,9 @@ from far2.secular import (ShiftedFactorization, ShiftedSystem,  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 TOP = 3  # solves, and single calls, listed by their factorizations
+START = {"kept": "warm-started on the kept factorization",
+         "fresh": "on a fresh system",
+         "other": "on a used system at another shift"}
 
 
 def record(workload: str, seed: int) -> tuple[list[tuple], int]:
@@ -75,18 +80,25 @@ def record(workload: str, seed: int) -> tuple[list[tuple], int]:
 
 
 def replay(calls):
-    """(factorizations, returned lambda) of every recorded call, yielded as
-    each call returns, in one pass: a fresh ShiftedSystem for each system
-    of the run, shared by its calls, which the run made one after
-    another."""
+    """(factorizations, returned lambda, start) of every recorded call,
+    yielded as each call returns, in one pass: a fresh ShiftedSystem for
+    each system of the run, shared by its calls, which the run made one
+    after another. `start` is "kept" for a call warm-started at the shift
+    its system last factored (after a rejected step: the first shift is
+    free), "fresh" for the first call on a system, and "other" else."""
     system, current = None, None
     for _, g, H, sigma, theta1, warm, number in calls:
         if number != current:
             system, current = ShiftedSystem(H), number
+            start = "fresh"
+        elif system.last is not None and system.last.lam == warm:
+            start = "kept"
+        else:
+            start = "other"
         before = system.counter.count
         sol = solve_secular_full_secant(g, system, sigma, theta1,
                                         warm_lambda=warm)
-        yield system.counter.count - before, sol.lam
+        yield system.counter.count - before, sol.lam, start
 
 
 @contextmanager
@@ -155,7 +167,7 @@ def main():
         print(f"{args.workload}: no full-space solves in a round")
         return
     results, reused_fact, reused_eig = replay_counted(calls)
-    facts = [k for k, _ in results]
+    facts = [k for k, _, _ in results]
     print(f"{args.workload} seed {args.seed}: {len(calls)} full-space solves "
           f"on {len({c[-1] for c in calls})} systems, "
           f"{sum(facts)} factorizations ({sum(facts) / len(calls):.2f} a call)")
@@ -164,12 +176,15 @@ def main():
     print(f"the round's n_fact: {round_n_fact} "
           f"({'equal to' if round_n_fact == sum(facts) else 'not'} the "
           "replay's)")
-    hist = Counter(facts)
-    print("factorizations per call: " + ", ".join(
-        f"{k}: {hist[k]}" for k in sorted(hist)))
+    for start, how in START.items():
+        hist = Counter(k for k, _, s in results if s == start)
+        if hist:
+            print(f"factorizations per call, {how} "
+                  f"({hist.total()} calls): "
+                  + ", ".join(f"{k}: {hist[k]}" for k in sorted(hist)))
 
     by_label = defaultdict(lambda: [0, []])
-    for (label, *_, warm, _), (k, lam) in zip(calls, results):
+    for (label, *_, warm, _), (k, lam, _) in zip(calls, results):
         by_label[label][0] += k
         if warm is not None and warm > 0.0 and lam > 0.0:
             by_label[label][1].append(warm / lam)
@@ -180,7 +195,7 @@ def main():
         print(f"{label}: {k} factorizations, {ratio_summary(ratios)}")
     print(f"the {TOP} costliest calls:")
     costliest = sorted(zip(calls, results), key=lambda cr: -cr[1][0])[:TOP]
-    for (label, _, _, sigma, _, warm, _), (k, lam) in costliest:
+    for (label, _, _, sigma, _, warm, _), (k, lam, _) in costliest:
         start = "none" if warm is None else f"{warm:.11g}"
         print(f"  {label}: {k} factorizations, sigma {sigma:.6g}, "
               f"warm start {start}, root {lam:.11g}")

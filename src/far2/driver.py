@@ -9,7 +9,7 @@ rebuilt the subspace), and otherwise a rejection that rebuilds the subspace
 next time. ar2_solve is the chain without its first two links, so every
 step comes from the full-space solve: a safeguarded root iteration on the
 secular equation, one Cholesky factorization per shift, whose next shift is
-the root of the equation with 1/||s|| replaced by its second-order model, as
+the root of the equation with 1/||s|| replaced by its third-order model, as
 in the direct-solver implementations of adaptive cubic regularization.
 far2_solve runs the whole chain; under a SecondOrderConfig (far2so_solve)
 the loop also demands positive curvature of every step and of the final

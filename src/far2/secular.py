@@ -28,10 +28,10 @@ Reduced (small, dense) solves use a spectral decomposition, after which
 each residual evaluation costs O(m). The full-space solve is a safeguarded
 root iteration on the secular equation, the direct solver baseline of
 adaptive cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1):
-each shift costs one Cholesky factorization and two solves with it, which
-give 1/||s|| and its first two derivatives, and the next shift is the root
-of the secular equation with 1/||s|| replaced by its second-order Taylor
-model and sigma/lambda kept exact. When the
+each shift costs one Cholesky factorization and three solves with it,
+which give 1/||s|| and its first three derivatives, and the next shift is
+the root of the secular equation with 1/||s|| replaced by its third-order
+Taylor model and sigma/lambda kept exact. When the
 root of either solve hugs the spectrum edge (the hard and near-hard
 cases) it returns the same boundary step (_boundary_step): the solve at a
 shift just above the edge plus the multiple of the leftmost eigenvector
@@ -598,20 +598,21 @@ def _spectral_fallback(g, system: ShiftedSystem, sigma, hi=None,
     return SecularSolution(hi, step, SecularCase.HARD, alpha=alpha)
 
 
-def _inverse_norm_derivatives(x, y,
-                              snorm: float) -> tuple[float, float, float]:
-    """r(lambda) = 1/||s(lambda)|| and its first two derivatives.
+def _inverse_norm_derivatives(x, y, z, snorm: float) -> tuple[float, ...]:
+    """r(lambda) = 1/||s(lambda)|| and its first three derivatives.
 
-    x = (H + lambda I)^{-1} g with ||x|| = snorm and y = (H + lambda I)^{-1} x.
-    With pi = ||x||^2, pi' = -2 x^T y and pi'' = 6 y^T y, so the two solves
-    the secular iteration makes at every shift give r'' as well as r':
-    r' = x^T y/||x||^3 > 0 and r'' = 3((x^T y)^2 - ||x||^2 ||y||^2)/||x||^5,
-    which Cauchy-Schwarz makes <= 0 (r is concave).
+    x = B^{-1} g with ||x|| = snorm = p, y = B^{-1} x and z = B^{-1} y, for
+    a positive definite B = H + lambda I. With a = x^T y, b = y^T y and
+    c = y^T z, pi = p^2 has pi' = -2a, pi'' = 6b and pi''' = -24c, so the
+    three solves the secular iteration makes at every shift give
+    r' = a/p^3 > 0, r'' = 3(a^2/p^2 - b)/p^3, which Cauchy-Schwarz makes
+    <= 0 (r is concave), and r''' = 15a^3/p^7 - 27ab/p^5 + 12c/p^3.
     """
-    xy = float(x @ y)
+    a, b, c = float(x @ y), float(y @ y), float(y @ z)
     r = 1.0 / snorm
-    return (r, xy * r ** 3,
-            3.0 * (xy * xy * r * r - float(y @ y)) * r ** 3)
+    r3, q = r ** 3, a * r * r
+    return (r, a * r3, 3.0 * (a * q - b) * r3,
+            (q * (15.0 * a * q - 27.0 * b) + 12.0 * c) * r3)
 
 
 def _first_order_root(lam: float, sigma: float, r: float, dr: float) -> float:
@@ -626,28 +627,46 @@ def _first_order_root(lam: float, sigma: float, r: float, dr: float) -> float:
     return 2.0 * sigma / (b + disc) if b > 0.0 else (disc - b) / (2.0 * dr)
 
 
-def _model_root(lam: float, sigma: float, r: float, dr: float,
-                d2r: float) -> float:
-    """The root mu of mu (r + r' d + r'' d^2/2) = sigma, d = mu - lam.
+def _model_root(lam: float, sigma: float, r: float, dr: float, d2r: float,
+                d3r: float = 0.0) -> float:
+    """The root mu of mu (r + r' d + r'' d^2/2 + r''' d^3/6) = sigma,
+    d = mu - lam: of the third-order model, or of the second-order one
+    when d3r is 0.
 
     The model keeps the secular equation's sigma/mu exact and replaces only
-    r = 1/||s|| by its second-order Taylor model at lam (Gould, Robinson &
-    Thorne 2010). Newton's steps on this cubic start at the first-order
-    model's root (_first_order_root); where the cubic's slope is not
-    positive (its model of r turns over before reaching sigma/mu), that
-    first-order root comes back.
+    r = 1/||s|| by its Taylor model at lam (Gould, Robinson & Thorne 2010).
+    Newton's steps on it start at the first-order model's root
+    (_first_order_root); where the model's slope is not positive (its
+    model of r turns over before reaching sigma/mu), that first-order root
+    comes back.
     """
     first = mu = _first_order_root(lam, sigma, r, dr)
+    c2, c3 = 0.5 * d2r, d3r / 6.0
     for _ in range(MODEL_NEWTON_STEPS):
         d = mu - lam
-        m = r + d * (dr + 0.5 * d2r * d)
-        slope = m + mu * (dr + d2r * d)
+        m = r + d * (dr + d * (c2 + d * c3))
+        slope = m + mu * (dr + d * (d2r + 3.0 * c3 * d))
         if not slope > 0.0:
             return first
         step = (mu * m - sigma) / slope
         mu -= step
         if not abs(step) > 4.0 * EPS * mu:
             break
+    return mu
+
+
+def _bracketed_root(lam: float, sigma: float, derivs: tuple[float, ...],
+                    lo: float, hi: float) -> float:
+    """The next shift from r's derivatives `derivs` at lam: the root of
+    the third-order model (_model_root) or, where the bracket (lo, hi)
+    does not hold it, of the second-order model, then of the first-order
+    one, the first that it holds. When it holds none, the first-order root
+    comes back and the caller bisects."""
+    mu = _model_root(lam, sigma, *derivs)
+    if not lo < mu < hi:
+        mu = _model_root(lam, sigma, *derivs[:3])
+    if not lo < mu < hi:
+        mu = _first_order_root(lam, sigma, *derivs[:2])
     return mu
 
 
@@ -661,28 +680,33 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     which shares its root with phi, from the warm start or the
     Gershgorin-safeguarded lambda_0. Each shift costs one counted Cholesky
     factorization of H + lambda I, none at the shift the system last
-    factored (a warm start after a rejected step), and two solves with it,
-    x = s(lambda) and y = (H + lambda I)^{-1} x, which give r' and r''
+    factored (a warm start after a rejected step), and three solves with
+    it, x = s(lambda), y = (H + lambda I)^{-1} x and
+    z = (H + lambda I)^{-1} y, which give r', r'' and r'''
     (_inverse_norm_derivatives). The next shift is the root of
-    mu (r + r' d + r'' d^2/2) = sigma, d = mu - lambda (_model_root): only
-    r is modelled, sigma/mu is kept exact, and the step costs no
-    factorization or solve beyond Newton's (the high-order root finding of
-    GALAHAD's RQS, Gould, Robinson & Thorne 2010). The
-    bracket starts at [0, inf), since the root is sigma*||s*|| > 0: a
-    failed Cholesky or phi > 0 raises its lower end, phi < 0 lowers its
-    upper end, and a step outside it becomes bisection, or
-    max(2 lo, lo + 1) while the upper end is infinite. The residual |phi|
-    is driven below min(theta1/(2 sigma), 1e-9) of the step norm, which
-    makes the returned step, the solve at the shift that converged,
-    satisfy both the model decrease and the (theta1/2)||s||^2
+    mu (r + r' d + r'' d^2/2 + r''' d^3/6) = sigma, d = mu - lambda
+    (_model_root): only r is modelled, sigma/mu is kept exact, and the step
+    costs one back-solve and no factorization beyond Newton's (the
+    high-order root finding of GALAHAD's RQS, Gould, Robinson & Thorne
+    2010). The bracket starts at [0, inf), since the root is
+    sigma*||s*|| > 0: a failed Cholesky or phi > 0 raises its lower end,
+    phi < 0 lowers its upper end. A root outside it gives way to the
+    second-order model's root, then to the first-order one
+    (_bracketed_root), and where the bracket holds none of them the step
+    is bisection, or max(2 lo, lo + 1) while the upper end is infinite.
+    The residual |phi| is driven below min(theta1/(2 sigma), 1e-9) of the
+    step norm, which makes the returned step, the solve at the shift that
+    converged, satisfy both the model decrease and the (theta1/2)||s||^2
     stationarity bound.
 
     The hard and near-hard cases end in the boundary step of
     _spectral_fallback. Two signs say that the root may hug the spectrum
     edge: the first Cholesky that fails below a shift with phi < 0, and a
-    step that rounding stalls: from the left of the root one that does not
-    move right, from the right one that moves left by less than 64 eps
-    relative. Either makes the next shift a test shift
+    step that rounding stalls, one that moves lambda toward the root by
+    less than 64 eps relative. The first such step from the right of the
+    root is a probe instead: the next shift is 64 eps below the upper end,
+    and where phi > 0 there the bracket has collapsed (below). Otherwise
+    either sign makes the next shift a test shift
     t = max(-lambda_1, lo) + 64 eps ||H||, ||H|| from the Gershgorin
     interval, since the eigensolve and the Cholesky test agree on the edge
     only to a multiple of eps ||H||; lambda_1 comes from one eigensolve per
@@ -710,8 +734,9 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     rtol = min(0.5 * theta1 / sigma, 1.0e-9)
     edge = 1.0 - 64.0 * EPS
     lo, hi, x_hi = 0.0, math.inf, None
-    # lam is an edge test shift; this call has made one
-    test = tested = False
+    # lam is an edge test shift; this call has made one; it has probed
+    # the bracket's upper end
+    test = tested = probed = False
     for _ in range(MAX_ROOT_STEPS):
         fac = ShiftedFactorization(system, lam, counted=True)
         nxt = math.nan
@@ -730,11 +755,18 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                 return _spectral_fallback(g, system, sigma, lam, -x)
             else:
                 hi, x_hi = lam, x
-            nxt = _model_root(lam, sigma, *_inverse_norm_derivatives(
-                x, fac.solve(x), snorm))
-            # a step that rounding stalls: left of the root it must move
-            # right, and right of it left by more than 64 eps relative
-            at_edge = (not nxt > lam) if phi > 0.0 else (not nxt < edge * lam)
+            y = fac.solve(x)
+            derivs = _inverse_norm_derivatives(x, y, fac.solve(y), snorm)
+            nxt = _bracketed_root(lam, sigma, derivs, lo, hi)
+            # a step that rounding stalls: one that moves lambda toward
+            # the root by less than 64 eps relative
+            at_edge = not (edge * nxt > lam if phi > 0.0
+                           else nxt < edge * lam)
+            if at_edge and phi < 0.0 and not probed:
+                # the first such step from the right probes 64 eps below
+                # the upper end: a root closer to it than that collapses
+                # the bracket there
+                nxt, at_edge, probed = edge * lam, False, True
         if lo >= edge * hi:
             # the bracket is exhausted in floating point without meeting
             # the residual target: the root hugs the spectrum edge

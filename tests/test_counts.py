@@ -3,8 +3,9 @@
 Performance work on the factorization and eigenvalue layers must leave every
 count unchanged. These runs pin exact (n_fact, n_nli) pairs on paths that
 exercise AR2's safeguarded root iteration on the secular equation (each
-next shift the root of a second-order model of 1/||s|| with sigma/lambda
-kept exact, and the tests of a stall on either side of the root) with
+next shift the root of a third-order model of 1/||s|| with sigma/lambda
+kept exact, and the tests of a stall on either side of the root, with the
+probe below the bracket's upper end on INDEF's near-hard solves) with
 tridiagonal Cholesky (ROSENBR, CUBE), band Cholesky on 4x4 block Hessians
 (WOODS) and the bordered factorization of a hub Hessian (EG2: a diagonal
 plus one hub row, Cholesky of the diagonal and of the 1 x 1 Schur
@@ -32,11 +33,12 @@ from far2 import problems
 from far2.harness import ProblemSpec, SuiteConfig, run_suite
 
 PINNED = [
-    ("AR2", "ROSENBR", 100, 939, 415),
-    ("AR2", "WOODS", 100, 257, 99),
-    ("AR2", "WOODS", 500, 239, 107),
-    ("AR2", "CUBE", 100, 244, 110),
-    ("AR2", "EG2", 100, 33, 13),
+    ("AR2", "ROSENBR", 100, 779, 415),
+    ("AR2", "WOODS", 100, 236, 99),
+    ("AR2", "WOODS", 500, 218, 107),
+    ("AR2", "CUBE", 100, 177, 110),
+    ("AR2", "EG2", 100, 32, 13),
+    ("AR2", "INDEF", 100, 47, 16),
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
     ("FAR2-RK", "INDEF", 100, 37, 101),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -452,6 +453,34 @@ class TestSolveSecularFullSecant:
         assert cubic_model_value(sol.step, g, H, sigma) == pytest.approx(
             cubic_model_value(ref.step, g, H, sigma), rel=1e-10)
 
+    @pytest.mark.parametrize("a,delta", [(289.12, 9.02e-8),
+                                         (531.99, 3.09e-8)])
+    def test_stall_from_the_left_at_the_spectrum_edge(self, a, delta):
+        # the H of the test above with other diagonal entries a, and the
+        # root about delta above the edge at 0.1. From the left, phi stays
+        # at a few 1e-9 of ||s|| while each root step moves lambda by a
+        # few ulps: without the stall test from the left the solve crept
+        # for over 100 factorizations (a = 289.12) or exceeded
+        # MAX_ROOT_STEPS (a = 531.99). A step of less than 64 eps relative
+        # tests the edge.
+        sigma = 1e-3
+        H = np.diag([a, a, 1.0, 2.0, 3.0])
+        H[0, 1] = H[1, 0] = a + 0.1
+        eigs, Q = np.linalg.eigh(H)
+        c = np.ones(5)
+        c[0] = delta * (delta - eigs[0]) / sigma
+        g = Q @ c
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(g, system, sigma, 0.1,
+                                        warm_lambda=0.2)
+        assert sol.case is SecularCase.HARD
+        assert system.counter.count <= 10
+        assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
+                                                                 rel=1e-12)
+        ref = solve_secular_reduced(g, H, sigma)
+        assert cubic_model_value(sol.step, g, H, sigma) == pytest.approx(
+            cubic_model_value(ref.step, g, H, sigma), rel=1e-10)
+
     def test_two_hard_case_solves_make_one_eigensolve(self, monkeypatch):
         # the system keeps H's leftmost pair: a second solve on it (as after
         # a rejected step) makes the same shifts but no eigensolve, and the
@@ -588,8 +617,9 @@ def _arrowhead(rng, n):
 
 class TestHalleyStep:
     """The full-space solve's root step (Halley's on psi before it): the
-    root of mu (r + r' d + r'' d^2/2) = sigma, whose model of
-    r = 1/||s|| takes r' and r'' from the same two solves."""
+    root of mu (r + r' d + r'' d^2/2 + r''' d^3/6) = sigma, whose model of
+    r = 1/||s|| takes r', r'' and r''' from three solves with one
+    factorization."""
 
     @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "bordered"])
     def test_second_derivative_matches_central_difference(self, kind, rng):
@@ -604,16 +634,143 @@ class TestHalleyStep:
         def terms(lam):
             fac = ShiftedFactorization(system, lam)
             x = fac.solve(g)
+            y = fac.solve(x)
             return secular._inverse_norm_derivatives(
-                x, fac.solve(x), float(np.linalg.norm(x)))
+                x, y, fac.solve(y), float(np.linalg.norm(x)))
 
         h = 1e-4 * lam
-        (r_lo, d_lo, _), (r_hi, d_hi, _) = terms(lam - h), terms(lam + h)
-        _, dr, d2r = terms(lam)
-        assert dr == pytest.approx((r_hi - r_lo) / (2.0 * h), rel=1e-6)
-        assert d2r == pytest.approx((d_hi - d_lo) / (2.0 * h), rel=1e-6)
+        lo, hi = terms(lam - h), terms(lam + h)
+        _, dr, d2r, d3r = terms(lam)
+        for k, dk in ((1, dr), (2, d2r), (3, d3r)):
+            assert dk == pytest.approx((hi[k - 1] - lo[k - 1]) / (2.0 * h),
+                                       rel=1e-6)
         # r is increasing and concave
         assert dr > 0.0 >= d2r
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_derivatives_match_spectral_sums(self, definite):
+        # against pi = sum c^2/(e + lam)^2, c = Q^T g, and its derivatives
+        # pi^(k) = (-1)^k (k + 1)! sum c^2/(e + lam)^(k + 2), taken through
+        # r = pi^(-1/2) by the chain rule, on seeds 0-39: an SPD H at
+        # lam >= 0, or an indefinite one at lam > -lambda_1
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            if definite:
+                B = rng.standard_normal((n, n))
+                H = B @ B.T / n + 0.1 * np.eye(n)
+            else:
+                H = random_symmetric(rng, n, scale=2.0)
+            eigs, Q = np.linalg.eigh(H)
+            lam = max(0.0, -eigs[0]) + float(rng.uniform(0.1, 2.0))
+            g = rng.standard_normal(n)
+            w, t = (Q.T @ g) ** 2, eigs + lam
+            p0, p1, p2, p3 = (k * np.sum(w / t ** (i + 2)) for i, k in
+                              enumerate((1.0, -2.0, 6.0, -24.0)))
+            spectral = (p0 ** -0.5,
+                        -0.5 * p1 * p0 ** -1.5,
+                        0.75 * p1 * p1 * p0 ** -2.5 - 0.5 * p2 * p0 ** -1.5,
+                        -1.875 * p1 ** 3 * p0 ** -3.5
+                        + 2.25 * p1 * p2 * p0 ** -2.5 - 0.5 * p3 * p0 ** -1.5)
+            fac = ShiftedFactorization(ShiftedSystem(H), lam)
+            x = fac.solve(g)
+            y = fac.solve(x)
+            got = secular._inverse_norm_derivatives(
+                x, y, fac.solve(y), float(np.linalg.norm(x)))
+            assert got == pytest.approx(spectral, rel=1e-8)
+
+    def test_model_root_is_a_newton_fixed_point(self):
+        # where _model_root returns another root than the first-order one,
+        # Newton's next step from it on the model it solved (of second or
+        # third order) is within the 4 eps mu that ends its steps. The
+        # residual mu m(mu) - sigma itself is not within a few eps sigma:
+        # m's terms cancel, up to 2,500 eps sigma on these seeds.
+        newton = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            H = random_symmetric(rng, n, scale=2.0)
+            lam = max(0.0, -np.linalg.eigvalsh(H)[0]) + float(
+                rng.uniform(0.1, 2.0))
+            fac = ShiftedFactorization(ShiftedSystem(H), lam)
+            x = fac.solve(rng.standard_normal(n))
+            y = fac.solve(x)
+            derivs = secular._inverse_norm_derivatives(
+                x, y, fac.solve(y), float(np.linalg.norm(x)))
+            for sigma, order in itertools.product((0.1, 1.0, 10.0), (2, 3)):
+                r, dr, d2r, d3r = derivs[:order + 1] + (0.0,) * (3 - order)
+                mu = secular._model_root(lam, sigma, r, dr, d2r, d3r)
+                if mu == secular._first_order_root(lam, sigma, r, dr):
+                    continue
+                newton += 1
+                d = mu - lam
+                m = r + d * (dr + d * (0.5 * d2r + d * d3r / 6.0))
+                slope = m + mu * (dr + d * (d2r + 0.5 * d3r * d))
+                assert abs(mu * m - sigma) <= 4.0 * secular.EPS * mu * slope
+        assert newton >= 200
+
+    def test_lower_order_root_inside_the_bracket(self, monkeypatch):
+        # a near-hard instance of TestFullSpaceHardCases' family (dense,
+        # n = 38, g's weight 1e-9 on v1, the root 1e-10 above the edge),
+        # warm-started left of the edge: close to the edge the root of the
+        # third-order model leaves the bracket, and bisection takes 15
+        # factorizations. A lower-order root inside the bracket takes 8.
+        rng = np.random.default_rng(385)
+        n = int(rng.integers(5, 41))
+        A = _stored("dense", rng, n)
+        eigs, Q = np.linalg.eigh(A)
+        A = A - (eigs[0] + rng.uniform(0.1, 2.0)) * np.eye(n)
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 0.0)
+        g -= (Q[:, 0] @ g) * Q[:, 0]
+        g += 1e-9 * np.linalg.norm(g) * Q[:, 0]
+        sigma = float(rng.uniform(0.1, 10.0))
+        ref = solve_secular_reduced(g, A, sigma)
+        m_ref = cubic_model_value(ref.step, g, A, sigma)
+
+        def solve():
+            system = ShiftedSystem(A)
+            sol = solve_secular_full_secant(g, system, sigma, 0.1,
+                                            warm_lambda=0.575 * ref.lam)
+            assert cubic_model_value(sol.step, g, A, sigma) == pytest.approx(
+                m_ref, rel=1e-10)
+            return system.counter.count
+
+        lower = solve()
+        monkeypatch.setattr(
+            secular, "_bracketed_root",
+            lambda lam, sigma, derivs, lo, hi: secular._model_root(
+                lam, sigma, *derivs))
+        assert lower < solve()
+
+    def test_stall_from_the_right_probes_the_upper_end(self):
+        # the leading 4 x 4 block of a registry-ar2 CUBE-500 call (sigma
+        # 4e-5, warm start 97.597455670 left of its root 97.597456974,
+        # 1.3e-6 above the edge): the root of the third-order model lands
+        # within ulps right of the root, where rounding keeps |phi| above
+        # the residual target, and the next step is a few ulps. Bisecting
+        # towards that upper end took 24 factorizations, and the roots of
+        # lower order 11. The probe 64 eps below it finds phi > 0 there,
+        # and the collapsed bracket ends in the boundary step.
+        H = sp.diags([[-92.23030671893729, 238.50385449356762,
+                       199.99954740256712, 200.00000184522946],
+                      [-41.384630650677046, -71.11841132024388,
+                       -0.04669660296310426]], [0, 1], format="csr")
+        H = (H + sp.triu(H, 1).T).tocsr()
+        g = np.array([-14.973088164292117, 67.50842579748227,
+                      -6.39721879343326, 0.008756524136510034])
+        sigma = 4.000000000000002e-05
+        system = ShiftedSystem(H)
+        sol = solve_secular_full_secant(g, system, sigma, 0.1,
+                                        warm_lambda=97.59745567034128)
+        assert sol.case is SecularCase.HARD
+        assert system.counter.count <= 4
+        assert sol.lam == pytest.approx(97.597456974, rel=1e-11)
+        assert sigma * np.linalg.norm(sol.step) == pytest.approx(sol.lam,
+                                                                 rel=1e-12)
+        A = H.toarray()
+        ref = solve_secular_reduced(g, A, sigma)
+        assert cubic_model_value(sol.step, g, A, sigma) == pytest.approx(
+            cubic_model_value(ref.step, g, A, sigma), rel=1e-10)
 
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.1, 10.0),
            offset=st.floats(1e-3, 1e3))
@@ -633,8 +790,9 @@ class TestHalleyStep:
         fac = ShiftedFactorization(ShiftedSystem(H), lam)
         assert fac.positive_definite
         x = fac.solve(g)
-        r, dr, _ = secular._inverse_norm_derivatives(
-            x, fac.solve(x), float(np.linalg.norm(x)))
+        y = fac.solve(x)
+        r, dr, *_ = secular._inverse_norm_derivatives(
+            x, y, fac.solve(y), float(np.linalg.norm(x)))
         mu = secular._first_order_root(lam, sigma, r, dr)
         assert 0.0 < mu <= ref.lam * (1.0 + 1e-10)
 
