@@ -628,10 +628,9 @@ def _first_order_root(lam: float, sigma: float, r: float, dr: float) -> float:
 
 
 def _model_root(lam: float, sigma: float, r: float, dr: float, d2r: float,
-                d3r: float = 0.0) -> float:
+                d3r: float) -> float:
     """The root mu of mu (r + r' d + r'' d^2/2 + r''' d^3/6) = sigma,
-    d = mu - lam: of the third-order model, or of the second-order one
-    when d3r is 0.
+    d = mu - lam.
 
     The model keeps the secular equation's sigma/mu exact and replaces only
     r = 1/||s|| by its Taylor model at lam (Gould, Robinson & Thorne 2010).
@@ -655,21 +654,6 @@ def _model_root(lam: float, sigma: float, r: float, dr: float, d2r: float,
     return mu
 
 
-def _bracketed_root(lam: float, sigma: float, derivs: tuple[float, ...],
-                    lo: float, hi: float) -> float:
-    """The next shift from r's derivatives `derivs` at lam: the root of
-    the third-order model (_model_root) or, where the bracket (lo, hi)
-    does not hold it, of the second-order model, then of the first-order
-    one, the first that it holds. When it holds none, the first-order root
-    comes back and the caller bisects."""
-    mu = _model_root(lam, sigma, *derivs)
-    if not lo < mu < hi:
-        mu = _model_root(lam, sigma, *derivs[:3])
-    if not lo < mu < hi:
-        mu = _first_order_root(lam, sigma, *derivs[:2])
-    return mu
-
-
 def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                               theta1: float,
                               warm_lambda: float | None = None) -> SecularSolution:
@@ -690,10 +674,9 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
     high-order root finding of GALAHAD's RQS, Gould, Robinson & Thorne
     2010). The bracket starts at [0, inf), since the root is
     sigma*||s*|| > 0: a failed Cholesky or phi > 0 raises its lower end,
-    phi < 0 lowers its upper end. A root outside it gives way to the
-    second-order model's root, then to the first-order one
-    (_bracketed_root), and where the bracket holds none of them the step
-    is bisection, or max(2 lo, lo + 1) while the upper end is infinite.
+    phi < 0 lowers its upper end. Where it does not hold the model's root,
+    the step is bisection, or max(2 lo, lo + 1) while the upper end is
+    infinite.
     The residual |phi| is driven below min(theta1/(2 sigma), 1e-9) of the
     step norm, which makes the returned step, the solve at the shift that
     converged, satisfy both the model decrease and the (theta1/2)||s||^2
@@ -757,7 +740,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                 hi, x_hi = lam, x
             y = fac.solve(x)
             derivs = _inverse_norm_derivatives(x, y, fac.solve(y), snorm)
-            nxt = _bracketed_root(lam, sigma, derivs, lo, hi)
+            nxt = _model_root(lam, sigma, *derivs)
             # a step that rounding stalls: one that moves lambda toward
             # the root by less than 64 eps relative
             at_edge = not (edge * nxt > lam if phi > 0.0

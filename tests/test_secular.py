@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -681,8 +680,8 @@ class TestHalleyStep:
 
     def test_model_root_is_a_newton_fixed_point(self):
         # where _model_root returns another root than the first-order one,
-        # Newton's next step from it on the model it solved (of second or
-        # third order) is within the 4 eps mu that ends its steps. The
+        # Newton's next step from it on the model it solved is within the
+        # 4 eps mu that ends its steps. The
         # residual mu m(mu) - sigma itself is not within a few eps sigma:
         # m's terms cancel, up to 2,500 eps sigma on these seeds.
         newton = 0
@@ -695,10 +694,9 @@ class TestHalleyStep:
             fac = ShiftedFactorization(ShiftedSystem(H), lam)
             x = fac.solve(rng.standard_normal(n))
             y = fac.solve(x)
-            derivs = secular._inverse_norm_derivatives(
+            r, dr, d2r, d3r = secular._inverse_norm_derivatives(
                 x, y, fac.solve(y), float(np.linalg.norm(x)))
-            for sigma, order in itertools.product((0.1, 1.0, 10.0), (2, 3)):
-                r, dr, d2r, d3r = derivs[:order + 1] + (0.0,) * (3 - order)
+            for sigma in (0.1, 1.0, 10.0):
                 mu = secular._model_root(lam, sigma, r, dr, d2r, d3r)
                 if mu == secular._first_order_root(lam, sigma, r, dr):
                     continue
@@ -707,40 +705,7 @@ class TestHalleyStep:
                 m = r + d * (dr + d * (0.5 * d2r + d * d3r / 6.0))
                 slope = m + mu * (dr + d * (d2r + 0.5 * d3r * d))
                 assert abs(mu * m - sigma) <= 4.0 * secular.EPS * mu * slope
-        assert newton >= 200
-
-    def test_lower_order_root_inside_the_bracket(self, monkeypatch):
-        # a near-hard instance of TestFullSpaceHardCases' family (dense,
-        # n = 38, g's weight 1e-9 on v1, the root 1e-10 above the edge),
-        # warm-started left of the edge: close to the edge the root of the
-        # third-order model leaves the bracket, and bisection takes 15
-        # factorizations. A lower-order root inside the bracket takes 8.
-        rng = np.random.default_rng(385)
-        n = int(rng.integers(5, 41))
-        A = _stored("dense", rng, n)
-        eigs, Q = np.linalg.eigh(A)
-        A = A - (eigs[0] + rng.uniform(0.1, 2.0)) * np.eye(n)
-        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 0.0)
-        g -= (Q[:, 0] @ g) * Q[:, 0]
-        g += 1e-9 * np.linalg.norm(g) * Q[:, 0]
-        sigma = float(rng.uniform(0.1, 10.0))
-        ref = solve_secular_reduced(g, A, sigma)
-        m_ref = cubic_model_value(ref.step, g, A, sigma)
-
-        def solve():
-            system = ShiftedSystem(A)
-            sol = solve_secular_full_secant(g, system, sigma, 0.1,
-                                            warm_lambda=0.575 * ref.lam)
-            assert cubic_model_value(sol.step, g, A, sigma) == pytest.approx(
-                m_ref, rel=1e-10)
-            return system.counter.count
-
-        lower = solve()
-        monkeypatch.setattr(
-            secular, "_bracketed_root",
-            lambda lam, sigma, derivs, lo, hi: secular._model_root(
-                lam, sigma, *derivs))
-        assert lower < solve()
+        assert newton >= 100
 
     def test_stall_from_the_right_probes_the_upper_end(self):
         # the leading 4 x 4 block of a registry-ar2 CUBE-500 call (sigma
@@ -748,9 +713,9 @@ class TestHalleyStep:
         # 1.3e-6 above the edge): the root of the third-order model lands
         # within ulps right of the root, where rounding keeps |phi| above
         # the residual target, and the next step is a few ulps. Bisecting
-        # towards that upper end took 24 factorizations, and the roots of
-        # lower order 11. The probe 64 eps below it finds phi > 0 there,
-        # and the collapsed bracket ends in the boundary step.
+        # towards that upper end took 24 factorizations. The probe 64 eps
+        # below it finds phi > 0 there, and the collapsed bracket ends in
+        # the boundary step.
         H = sp.diags([[-92.23030671893729, 238.50385449356762,
                        199.99954740256712, 200.00000184522946],
                       [-41.384630650677046, -71.11841132024388,
