@@ -14,7 +14,9 @@ calls and prints:
   of the call's ShiftedSystem, ShiftedSystem.counter), with histograms
   of factorizations per call by how the call starts (warm-started on the
   factorization its system kept, whose first shift is free, or on a
-  fresh system), the factorizations and leftmost eigenpairs
+  fresh system), a histogram of the calls whose first shift fails
+  Cholesky (a warm start below the spectrum edge, whose next shift is the
+  edge test), the factorizations and leftmost eigenpairs
   reused from an earlier call on the same system, and the round's own
   n_fact, which the replay's total equals when the full-space solve is
   the round's only factoring caller (registry-ar2);
@@ -120,15 +122,36 @@ def calls_of(*targets):
             setattr(owner, attr, fn)
 
 
-def replay_counted(calls) -> tuple[list[tuple[int, float]], int, int]:
-    """replay(calls), and the factorizations and leftmost eigenpairs it
+@contextmanager
+def first_shifts():
+    """The positive_definite of every ShiftedFactorization made while
+    inside, in order."""
+    verdicts, init = [], ShiftedFactorization.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        verdicts.append(self.positive_definite)
+    ShiftedFactorization.__init__ = recording
+    try:
+        yield verdicts
+    finally:
+        ShiftedFactorization.__init__ = init
+
+
+def replay_counted(calls) -> tuple[list[tuple[int, float, str, bool]],
+                                   int, int]:
+    """replay(calls), each result with whether the call's first shift
+    failed Cholesky, and the factorizations and leftmost eigenpairs it
     reused: constructions of ShiftedFactorization that factored nothing,
     and calls that asked for the pair (_leftmost) and made no eigensolve."""
     results, reused_eig, asked, made = [], 0, 0, 0
-    with calls_of((ShiftedFactorization, "__init__"), (secular, "_factor"),
-                  (secular, "_leftmost"), (secular, "min_eig")) as n:
+    with first_shifts() as verdicts, \
+            calls_of((ShiftedFactorization, "__init__"), (secular, "_factor"),
+                     (secular, "_leftmost"), (secular, "min_eig")) as n:
+        first = 0  # the index of the next call's first verdict
         for result in replay(calls):
-            results.append(result)
+            results.append((*result, not verdicts[first]))
+            first = len(verdicts)
             reused_eig += n["_leftmost"] > asked and n["min_eig"] == made
             asked, made = n["_leftmost"], n["min_eig"]
     return results, n["__init__"] - n["_factor"], reused_eig
@@ -167,7 +190,7 @@ def main():
         print(f"{args.workload}: no full-space solves in a round")
         return
     results, reused_fact, reused_eig = replay_counted(calls)
-    facts = [k for k, _, _ in results]
+    facts = [k for k, *_ in results]
     print(f"{args.workload} seed {args.seed}: {len(calls)} full-space solves "
           f"on {len({c[-1] for c in calls})} systems, "
           f"{sum(facts)} factorizations ({sum(facts) / len(calls):.2f} a call)")
@@ -177,14 +200,19 @@ def main():
           f"({'equal to' if round_n_fact == sum(facts) else 'not'} the "
           "replay's)")
     for start, how in START.items():
-        hist = Counter(k for k, _, s in results if s == start)
+        hist = Counter(k for k, _, s, _ in results if s == start)
         if hist:
             print(f"factorizations per call, {how} "
                   f"({hist.total()} calls): "
                   + ", ".join(f"{k}: {hist[k]}" for k in sorted(hist)))
+    hist = Counter(k for k, _, _, failed in results if failed)
+    if hist:
+        print(f"factorizations per call, first shift not positive definite "
+              f"({hist.total()} calls): "
+              + ", ".join(f"{k}: {hist[k]}" for k in sorted(hist)))
 
     by_label = defaultdict(lambda: [0, []])
-    for (label, *_, warm, _), (k, lam, _) in zip(calls, results):
+    for (label, *_, warm, _), (k, lam, *_) in zip(calls, results):
         by_label[label][0] += k
         if warm is not None and warm > 0.0 and lam > 0.0:
             by_label[label][1].append(warm / lam)
@@ -195,7 +223,7 @@ def main():
         print(f"{label}: {k} factorizations, {ratio_summary(ratios)}")
     print(f"the {TOP} costliest calls:")
     costliest = sorted(zip(calls, results), key=lambda cr: -cr[1][0])[:TOP]
-    for (label, _, _, sigma, _, warm, _), (k, lam, _) in costliest:
+    for (label, _, _, sigma, _, warm, _), (k, lam, *_) in costliest:
         start = "none" if warm is None else f"{warm:.11g}"
         print(f"  {label}: {k} factorizations, sigma {sigma:.6g}, "
               f"warm start {start}, root {lam:.11g}")

@@ -3,10 +3,13 @@
 
 Runs one round of a benchmark workload (perfbench/workloads.py; by default
 registry-far2 with seed 1) on one BLAS thread, with a wrapper around
-far2.secular.solve_secular_reduced that records the (g_r, H_r, sigma) of
-every call. It then times solve_secular_reduced alone on the recorded
-inputs, best of --repeat passes, and prints the call count, the mean and
-maximum dimension and the microseconds per call:
+far2.secular.solve_secular_reduced that records the (g_r, H_r, sigma,
+spectrum) of every call: a solve after a rejected FAR2 step is given the
+spectrum its iterate kept, and re-roots on it without an eigensolve. It
+then times solve_secular_reduced alone on the recorded inputs, best of
+--repeat passes, and prints the call count, the mean and maximum
+dimension, how many calls were given a kept spectrum, and the
+microseconds per call over all calls and for each kind:
 
     python3 scripts/reduced_replay.py [--workload registry-far2] [--seed 1]
 """
@@ -60,23 +63,25 @@ def record_calls(name: str, workload: str, seed: int, capture,
     return calls
 
 
-def record(workload: str, seed: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """The inputs of every reduced solve in one round of `workload`."""
+def record(workload: str, seed: int) -> list[tuple]:
+    """The inputs (g_r, H_r, sigma, spectrum) of every reduced solve in one
+    round of `workload`; spectrum is the kept one the solve was given, or
+    None (a ReducedSpectrum is immutable and is kept as it is)."""
     return record_calls(
         "solve_secular_reduced", workload, seed,
-        lambda label, g_r, H_r, sigma: (np.array(g_r, dtype=float),
-                                        np.array(H_r, dtype=float),
-                                        float(sigma)))
+        lambda label, g_r, H_r, sigma, spectrum=None: (
+            np.array(g_r, dtype=float), np.array(H_r, dtype=float),
+            float(sigma), spectrum))
 
 
 def best_pass_s(calls, repeat: int) -> float:
-    """The shortest of `repeat` timed passes over all recorded calls."""
+    """The shortest of `repeat` timed passes over the recorded calls."""
     solve = far2.secular.solve_secular_reduced
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for g_r, H_r, sigma in calls:
-            solve(g_r, H_r, sigma)
+        for g_r, H_r, sigma, spectrum in calls:
+            solve(g_r, H_r, sigma, spectrum=spectrum)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -92,12 +97,19 @@ def main():
     if not calls:
         print(f"{args.workload}: no reduced solves in a round")
         return
-    dims = [g_r.size for g_r, _, _ in calls]
-    best = best_pass_s(calls, args.repeat)
+    dims = [call[0].size for call in calls]
+    kept = [call for call in calls if call[3] is not None]
     print(f"{args.workload} seed {args.seed}: {len(calls)} reduced solves, "
-          f"dimension mean {np.mean(dims):.1f} max {max(dims)}")
-    print(f"best of {args.repeat}: {best:.3f} s, "
-          f"{1e6 * best / len(calls):.1f} us a call")
+          f"dimension mean {np.mean(dims):.1f} max {max(dims)}, "
+          f"{len(kept)} given a kept spectrum")
+    kinds = [("all calls", calls), ("with an eigensolve",
+                                   [c for c in calls if c[3] is None]),
+             ("on a kept spectrum", kept)]
+    for kind, group in kinds:
+        if group:
+            best = best_pass_s(group, args.repeat)
+            print(f"{kind}: best of {args.repeat}: {best:.3f} s, "
+                  f"{1e6 * best / len(group):.1f} us a call")
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ from .config import RATIONAL, SolverConfig
 from .errors import InternalInvariantError, SingularShiftError, SolverError
 from .krylov import KrylovBasis, orth_augment, poly_expand, rational_expand
 from .model import ModelContext, model_curvature_bound, model_curvature_min
-from .secular import (FactorizationCounter, ShiftedFactorization,
-                      ShiftedSystem, solve_secular_full_secant,
-                      solve_secular_reduced)
+from .secular import (FactorizationCounter, ReducedSpectrum,
+                      ShiftedFactorization, ShiftedSystem,
+                      solve_secular_full_secant, solve_secular_reduced)
 from .second_order import SecondOrderConfig
 
 
@@ -62,14 +62,32 @@ class StepKind(Enum):
     REJECTED = "rejected"
 
 
+@dataclass(eq=False)
+class Projection:
+    """The cubic model's data on range(W), W orthonormal: HW = H @ W,
+    H_r = W^T H W, made exactly symmetric as the reduced solve needs, and
+    g_r = W^T g, with `spectrum`, H_r's eigendecomposition, once a reduced
+    solve has made it (secular.ReducedSpectrum)."""
+
+    W: np.ndarray
+    HW: np.ndarray
+    H_r: np.ndarray
+    g_r: np.ndarray
+    spectrum: ReducedSpectrum | None = None
+
+
 @dataclass
 class IterateState:
     """Full state of one nonlinear iteration; `system` is the oracle's H,
     analysed at most once, on first use, for every shifted factorization
     and eigensolve at this iterate (a rejected step keeps it, with its
-    last counted factorization and leftmost eigenpair), and `basis` the
+    last counted factorization and leftmost eigenpair), `basis` the
     subspace that the last refresh built (subspace_minimize stores it
-    here)."""
+    here), and `projection` the frozen space's projection at this iterate
+    with its spectrum. A rejected step changes only sigma, so the next
+    frozen solve reuses that projection and re-roots on its spectrum; the
+    loop drops it with `system` when it accepts a step, and a refresh
+    drops it when it replaces the basis."""
 
     k: int
     x: np.ndarray
@@ -79,6 +97,7 @@ class IterateState:
     sigma: float
     refresh: bool = True
     basis: KrylovBasis | None = None
+    projection: Projection | None = None
 
 
 @dataclass(slots=True)  # a run holds one per iteration
@@ -152,23 +171,34 @@ def _append_product(HV: np.ndarray, H, v: np.ndarray) -> np.ndarray:
     return np.hstack([HV, np.asarray(H @ v, dtype=float).reshape(-1, 1)])
 
 
-def _project(state: IterateState, cfg: SolverConfig, ctx,
-             W: np.ndarray, HW: np.ndarray) -> SubspaceResult:
-    """Minimize the cubic model over range(W), given HW = H @ W; ctx is the
-    model context in second-order mode, else None."""
-    g, sigma = state.g, state.sigma
+def _projection(state: IterateState, W: np.ndarray,
+                HW: np.ndarray | None = None) -> Projection:
+    """The projection of the iterate's model onto range(W), given HW =
+    H @ W or else by one product with H."""
+    if HW is None:
+        HW = np.asarray(state.system.H @ W)
     H_r = W.T @ HW
-    H_r = 0.5 * (H_r + H_r.T)  # exactly symmetric, as the reduced solve needs
-    sol = solve_secular_reduced(W.T @ g, H_r, sigma)
-    step_full = W @ sol.step
-    hess_step = HW @ sol.step
+    return Projection(W, HW, 0.5 * (H_r + H_r.T), W.T @ state.g)
+
+
+def _project(state: IterateState, cfg: SolverConfig, ctx,
+             proj: Projection) -> SubspaceResult:
+    """Minimize the cubic model over range(proj.W) at the iterate's sigma,
+    keeping the spectrum of the reduced solve on proj; ctx is the model
+    context in second-order mode, else None."""
+    g, sigma = state.g, state.sigma
+    sol = solve_secular_reduced(proj.g_r, proj.H_r, sigma,
+                                spectrum=proj.spectrum)
+    proj.spectrum = sol.spectrum
+    step_full = proj.W @ sol.step
+    hess_step = proj.HW @ sol.step
     shat_norm = float(np.linalg.norm(sol.step))
     mgn = float(np.linalg.norm(g + hess_step + sigma * shat_norm * step_full))
     passed = (mgn <= 0.5 * cfg.theta1 * shat_norm ** 2  # stationarity test
               and (ctx is None or _curvature_ok(ctx, step_full,
                                                 -cfg.theta2 * shat_norm)))
     return SubspaceResult(
-        lambda_hat=sol.lam, s_hat=sol.step, H_r=H_r,
+        lambda_hat=sol.lam, s_hat=sol.step, H_r=proj.H_r,
         step_full=step_full, hess_step=hess_step, model_grad_norm=mgn,
         passed=passed)
 
@@ -183,10 +213,13 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
     and H @ V grow by one column, one H·v, per expansion, the product made
     by the iteration that projects on it: the polynomial space holds g
     and is never re-augmented, the rational space is augmented with g (one
-    more H·v) before each projection. Frozen: one augmentation, projection
-    and reduced solve against the stored basis, which is carried over
-    unchanged. A solver error propagates, with the space built so far on
-    the iterate.
+    more H·v) before each projection, and each projection serves one
+    reduced solve. Frozen: one reduced solve on the iterate's projection
+    onto the stored basis augmented with g, which the iterate's first
+    frozen solve makes (one augmentation and H @ W) and keeps
+    (state.projection); the solves after its rejected steps re-root on
+    its spectrum. A solver error propagates, with the space built so far
+    on the iterate.
     """
     g = state.g
     H = state.system.H
@@ -194,10 +227,12 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
            if isinstance(cfg, SecondOrderConfig) else None)
 
     if not state.refresh:
-        W = orth_augment(state.basis, g)
-        return _project(state, cfg, ctx, W, np.asarray(H @ W))
+        if state.projection is None:
+            state.projection = _projection(state, orth_augment(state.basis, g))
+        return _project(state, cfg, ctx, state.projection)
 
     rational = cfg.space_kind == RATIONAL
+    state.projection = None
     state.basis = basis = KrylovBasis.fresh(g, cfg.space_kind)
     HV = np.empty((g.size, 0))
     for _ in range(max(1, cfg.j_max - 1)):
@@ -208,7 +243,7 @@ def subspace_minimize(state: IterateState, cfg: SolverConfig) -> SubspaceResult:
             HW = HV if W.shape[1] == basis.dim else _append_product(HV, H, W[:, -1])
         else:
             W, HW = basis.V, HV  # g is V's first direction
-        res = _project(state, cfg, ctx, W, HW)
+        res = _project(state, cfg, ctx, _projection(state, W, HW))
         del W, HW  # hold no extra n x j array across the expansion
         if res.passed:
             return res
@@ -477,7 +512,7 @@ def _minimize(problem, cfg: SolverConfig, solver_label: str,
             if accepted:
                 x_new = state.x + step
                 # not held through the oracle's memory peak
-                state.system = None
+                state.system = state.projection = None
                 f, g, H = problem.eval(x_new, 2)
                 if not (np.isfinite(f) and np.all(np.isfinite(g))):
                     # the report keeps the last iterate with finite values

@@ -86,12 +86,26 @@ class FactorizationCounter:
     rational: int = 0
 
 
+@dataclass(frozen=True, slots=True)
+class ReducedSpectrum:
+    """A reduced problem's H_r = Q diag(eigs) Q^T (eigs ascending) and
+    c = Q^T g_r: all that its secular solve reads besides sigma."""
+
+    eigs: np.ndarray
+    Q: np.ndarray
+    c: np.ndarray
+
+
 @dataclass
 class SecularSolution:
+    """A secular solve's root `lam` and step; a reduced solve also
+    returns the spectrum it rooted on (`spectrum`)."""
+
     lam: float
     step: np.ndarray
     case: SecularCase
     alpha: float | None = None
+    spectrum: ReducedSpectrum | None = None
 
 
 @dataclass(frozen=True)
@@ -534,12 +548,18 @@ def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs, Q
 
 
-def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
+def solve_secular_reduced(g_r, H_r, sigma: float,
+                          spectrum: ReducedSpectrum | None = None
+                          ) -> SecularSolution:
     """Solve the projected secular equation on a small dense matrix.
 
     H_r is diagonalized by one dsyevr call (_eigh), and the spectral form
     of phi is solved by safeguarded Newton (_spectrum_root) inside one
-    np.errstate. Easy case: the root and step -(H_r + lam I)^{-1} g_r.
+    np.errstate. `spectrum`, when given, is that diagonalization of this
+    g_r and H_r, returned by an earlier solve (SecularSolution.spectrum):
+    the solve then makes no eigensolve and only re-roots, as after a
+    rejected step, where only sigma has changed. Easy case: the root and
+    step -(H_r + lam I)^{-1} g_r.
     When the bracket collapses onto the spectrum edge with lambda_1 < 0
     (the hard and near-hard cases, a zero g_r included), the step is the
     boundary step at the bracket's upper end, as in the full-space solve:
@@ -547,7 +567,7 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
     the multiple of v1 that restores ||s|| = lam/sigma, the root of lower
     model value. A zero g_r with H_r positive semidefinite gives the zero
     step. H_r must be exactly symmetric (H_r == H_r.T bit for bit), as the
-    oracle contract says of H (driver._project builds it so). Non-finite
+    oracle contract says of H (driver._projection builds it so). Non-finite
     entries in g_r or H_r (products with a non-finite H) and a failed
     eigensolve raise ReducedSolveError. No full-space factorizations.
     """
@@ -555,18 +575,22 @@ def solve_secular_reduced(g_r, H_r, sigma: float) -> SecularSolution:
         raise ValueError("sigma must be positive")
     g_r = np.asarray(g_r, dtype=float)
     H_r = np.asarray(H_r, dtype=float)
-    if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
-        raise ReducedSolveError("non-finite entries in reduced problem")
-    eigs, Q = _eigh(H_r)
+    if spectrum is None:
+        if not (np.all(np.isfinite(g_r)) and np.all(np.isfinite(H_r))):
+            raise ReducedSolveError("non-finite entries in reduced problem")
+        eigs, Q = _eigh(H_r)
+        spectrum = ReducedSpectrum(eigs, Q, Q.T @ g_r)
+    eigs, Q, c = spectrum.eigs, spectrum.Q, spectrum.c
     if eigs[0] >= 0.0 and not g_r.any():
-        return SecularSolution(0.0, np.zeros(g_r.size), SecularCase.EASY)
-    c = Q.T @ g_r
+        return SecularSolution(0.0, np.zeros(g_r.size), SecularCase.EASY,
+                               spectrum=spectrum)
     lam, converged = _spectrum_root(eigs, c, sigma)
     step = -(Q @ (c / (eigs + lam)))
     if converged or eigs[0] >= 0.0:
-        return SecularSolution(lam, step, SecularCase.EASY)
+        return SecularSolution(lam, step, SecularCase.EASY, spectrum=spectrum)
     step, alpha = _boundary_step(g_r, H_r, step, Q[:, 0], lam / sigma)
-    return SecularSolution(lam, step, SecularCase.HARD, alpha=alpha)
+    return SecularSolution(lam, step, SecularCase.HARD, alpha=alpha,
+                           spectrum=spectrum)
 
 
 def _leftmost(system: ShiftedSystem) -> tuple[float, np.ndarray]:
@@ -684,8 +708,9 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
 
     The hard and near-hard cases end in the boundary step of
     _spectral_fallback. Two signs say that the root may hug the spectrum
-    edge: the first Cholesky that fails below a shift with phi < 0, and a
-    step that rounding stalls, one that moves lambda toward the root by
+    edge: a failed Cholesky before the call's first test shift, wherever
+    the bracket's upper end is (a warm start below the edge included), and
+    a step that rounding stalls, one that moves lambda toward the root by
     less than 64 eps relative. The first such step from the right of the
     root is a probe instead: the next shift is 64 eps below the upper end,
     and where phi > 0 there the bracket has collapsed (below). Otherwise
@@ -725,7 +750,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
         nxt = math.nan
         if not fac.positive_definite:
             lo = lam  # at or below the spectrum edge
-            at_edge = hi < math.inf and not tested
+            at_edge = not tested
         else:
             x = fac.solve(g)
             snorm = float(np.linalg.norm(x))

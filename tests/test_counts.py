@@ -13,7 +13,8 @@ complement), the
 reuse after a rejected step of the iterate's last factorization and of its
 leftmost eigenpair (counted once each, when made), its
 early exit at the spectrum edge after one eigensolve and one test shift
-(ROSENBR, WOODS, EG2), the bracket's exhaustion there, the boundary step
+(ROSENBR, WOODS, EG2), which a warm start below the edge goes to at once
+(WOODS-500, EG2), the bracket's exhaustion there, the boundary step
 along the leftmost eigenvector (WOODS, EG2), the Newton corrector
 (FAR2-PK), pivoted indefinite solves of shifts that are not positive
 definite (FAR2-RK on INDEF: rational expansions and corrector steps), and
@@ -35,14 +36,14 @@ from far2.harness import ProblemSpec, SuiteConfig, run_suite
 PINNED = [
     ("AR2", "ROSENBR", 100, 779, 415),
     ("AR2", "WOODS", 100, 236, 99),
-    ("AR2", "WOODS", 500, 218, 107),
+    ("AR2", "WOODS", 500, 212, 107),
     ("AR2", "CUBE", 100, 177, 110),
-    ("AR2", "EG2", 100, 32, 13),
+    ("AR2", "EG2", 100, 26, 13),
     ("AR2", "INDEF", 100, 47, 16),
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
     ("FAR2-RK", "INDEF", 100, 37, 101),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),
-    ("FAR2-SO", "EG2", 100, 13, 15),
+    ("FAR2-SO", "EG2", 100, 7, 15),
     ("FAR2-SO", "INDEF", 100, 3, 17),
     ("FAR2-SO", "CUBE", 100, 95, 96),
 ]

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from far2 import secular
+from far2 import driver, secular
 from far2.config import POLYNOMIAL, RATIONAL, SolverConfig
 from far2.driver import (IterateState, IterationRecord, Status, StepKind,
                          _Monitors, _warm_start, acceptance_and_sigma_update,
@@ -569,8 +570,10 @@ def test_reduced_solve_failure_ends_the_run_at_its_last_iterate(monkeypatch):
 
 
 def test_reduced_eigensolve_failure_ends_the_run_at_its_last_iterate(monkeypatch):
-    # dsyevr reports failure (info != 0) in the 20th projected solve: a
-    # ReducedSolveError, which ends the run like any other solver error
+    # dsyevr reports failure (info != 0) in its 20th call: a
+    # ReducedSolveError, which ends the run like any other solver error.
+    # A solve after a rejected step re-roots on its kept spectrum and
+    # makes no dsyevr call, so the 20th call comes at iteration 23
     calls = []
 
     def syevr(*args, **kwargs):
@@ -583,7 +586,7 @@ def test_reduced_eigensolve_failure_ends_the_run_at_its_last_iterate(monkeypatch
     problem = get_problem("ROSENBR", 20)
     rep = far2_solve(problem, SolverConfig())
     assert_ends_at_last_iterate(rep, problem, "ReducedSolveError")
-    assert len(calls) == 20 and rep.n_nli == 9
+    assert len(calls) == 20 and rep.n_nli == 23
 
 
 def test_termination_eigensolve_failure_ends_the_run(monkeypatch):
@@ -732,10 +735,108 @@ def test_a_wrong_multiplier_is_reported(monkeypatch):
     # lambda_hat = sigma*||s_hat|| on the subspace steps of a FAR2-PK run
     reduced = solve_secular_reduced
 
-    def skewed(*args):
-        sol = reduced(*args)
+    def skewed(*args, **kwargs):
+        sol = reduced(*args, **kwargs)
         return dataclasses.replace(sol, lam=sol.lam * (1.0 + 1e-6))
 
     monkeypatch.setattr("far2.driver.solve_secular_reduced", skewed)
     rep = far2_solve(get_problem("ROSENBR", 20), SolverConfig())
     assert any(": lambda_hat = sigma*||s_hat||: " in v for v in rep.violations)
+
+
+def _report_bits(rep):
+    """What two runs that take the same steps agree on bit for bit."""
+    return (rep.status, rep.n_nli, rep.n_fact, rep.n_rational_solves,
+            [repr(dataclasses.astuple(t)) for t in rep.trace],
+            rep.x_final.tobytes())
+
+
+@pytest.mark.parametrize("kind", [POLYNOMIAL, RATIONAL])
+@pytest.mark.parametrize("name,n", [("ROSENBR", 20), ("INDEF", 30),
+                                    ("WOODS", 20)])
+def test_kept_projection_changes_no_bit(monkeypatch, kind, name, n):
+    # a solve after a rejected step re-roots on the kept projection; a run
+    # that drops it before every subspace solve rebuilds it from the same
+    # basis, g and H, and takes the same steps
+    cfg = SolverConfig(space_kind=kind)
+    reused = []
+    real_reduced = driver.solve_secular_reduced
+
+    def reduced(*args, spectrum=None):
+        reused.append(spectrum is not None)
+        return real_reduced(*args, spectrum=spectrum)
+
+    monkeypatch.setattr(driver, "solve_secular_reduced", reduced)
+    kept = far2_solve(get_problem(name, n), cfg)
+    assert kept.converged and any(reused)
+    real_subspace = driver.subspace_minimize
+
+    def dropping(state, cfg):
+        state.projection = None
+        return real_subspace(state, cfg)
+
+    monkeypatch.setattr(driver, "subspace_minimize", dropping)
+    reused.clear()
+    dropped = far2_solve(get_problem(name, n), cfg)
+    assert not any(reused)
+    assert _report_bits(kept) == _report_bits(dropped)
+
+
+@pytest.mark.parametrize("kind", [POLYNOMIAL, RATIONAL])
+def test_one_augmentation_per_frozen_iterate(monkeypatch, kind):
+    # the first frozen solve at an iterate augments the basis with g and
+    # projects; the solves after its rejected steps augment nothing
+    frozen, augmented, refreshes, inside = [], [], [0], [False]
+    real_subspace, real_augment = (driver.subspace_minimize,
+                                   driver.orth_augment)
+
+    def subspace(state, cfg):
+        if state.refresh:
+            refreshes[0] += 1
+            return real_subspace(state, cfg)
+        frozen.append((state.x.tobytes(), refreshes[0]))
+        inside[0] = True
+        try:
+            return real_subspace(state, cfg)
+        finally:
+            inside[0] = False
+
+    def augment(*args):
+        augmented.append(inside[0])
+        return real_augment(*args)
+
+    monkeypatch.setattr(driver, "subspace_minimize", subspace)
+    monkeypatch.setattr(driver, "orth_augment", augment)
+    rep = far2_solve(get_problem("ROSENBR", 20), SolverConfig(space_kind=kind))
+    assert rep.converged
+    iterates = len(set(frozen))
+    assert sum(augmented) == iterates < len(frozen)
+
+
+def test_no_kept_projection_outlives_an_accepted_step(monkeypatch):
+    # the loop drops the kept projection, with the iterate's system, before
+    # the oracle evaluates an accepted point
+    alive, checked = [], []
+    real_projection = driver._projection
+
+    def projection(state, W, HW=None):
+        proj = real_projection(state, W, HW)
+        # a polynomial refresh projects onto V itself, which the basis holds
+        arrays = [proj, proj.HW] + ([] if W is state.basis.V else [proj.W])
+        alive.extend(weakref.ref(a) for a in arrays)
+        return proj
+
+    problem = get_problem("ROSENBR", 20)
+    real_eval = problem.eval
+
+    def evaluate(x, order=2):
+        if order == 2:
+            checked.append(len(alive))
+            assert all(ref() is None for ref in alive)
+        return real_eval(x, order)
+
+    monkeypatch.setattr(driver, "_projection", projection)
+    monkeypatch.setattr(problem, "eval", evaluate)
+    rep = far2_solve(problem, SolverConfig())
+    assert rep.converged and rep.n_unsuccessful_rho > 0
+    assert len(checked) > 2 and checked[-1] > 0

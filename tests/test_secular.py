@@ -502,6 +502,40 @@ class TestSolveSecularFullSecant:
         assert model_curvature_min(ModelContext(system), np.zeros(7)) == -3.0
         assert made == [1]
 
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 100.0])
+    def test_failed_warm_start_tests_the_edge(self, monkeypatch, scale):
+        # an 8 x 8 H with lambda_1 = -0.01 scale and the rest of its
+        # spectrum in scale [0, 0.4], rotated (Gershgorin bounds about
+        # scale (-0.2, 0.6)), and a warm start a tenth of the way to the
+        # edge, below it. The failed Cholesky there sends the next shift
+        # to the edge test (one eigensolve) in place of lo + 1, which
+        # assumes a spectrum of scale 1: from there the solve bisected
+        # back down, up to 16 factorizations at scale 0.1 and 13 at 1.
+        # Where the root lies far right of the edge (scale 1e-3), the
+        # test costs one or two more than that step did (5).
+        made = []
+        eig = secular.min_eig
+        monkeypatch.setattr(secular, "min_eig",
+                            lambda system: made.append(1) or eig(system))
+        sigma = 1e-3
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            eigs = scale * np.concatenate([[-0.01], rng.uniform(0.0, 0.4, 7)])
+            Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+            H = (Q * eigs) @ Q.T
+            H = 0.5 * (H + H.T)
+            g = 0.01 * scale * rng.standard_normal(8)
+            warm = 0.1 * 0.01 * scale
+            assert not ShiftedFactorization(ShiftedSystem(H),
+                                            warm).positive_definite
+            system = ShiftedSystem(H)
+            made.clear()
+            sol = solve_secular_full_secant(g, system, sigma, 0.1,
+                                            warm_lambda=warm)
+            assert system.counter.count <= 8 and made == [1]
+            assert sol.lam == pytest.approx(
+                solve_secular_reduced(g, H, sigma).lam, rel=1e-9)
+
     @pytest.mark.parametrize("n", [7, 2001])
     def test_zero_gradient_indefinite(self, n):
         d = np.full(n, 2.0)
