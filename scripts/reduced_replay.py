@@ -8,8 +8,11 @@ spectrum) of every call: a solve after a rejected FAR2 step is given the
 spectrum its iterate kept, and re-roots on it without an eigensolve. It
 then times solve_secular_reduced alone on the recorded inputs, best of
 --repeat passes, and prints the call count, the mean and maximum
-dimension, how many calls were given a kept spectrum, and the
-microseconds per call over all calls and for each kind:
+dimension, how many calls were given a kept spectrum, the model steps
+per call (calls of far2.secular._inverse_norm_derivatives in one
+untimed pass; a call evaluates phi once more than it steps), split by the
+case the call returns (EASY or HARD), and the microseconds per call over
+all calls and for each kind:
 
     python3 scripts/reduced_replay.py [--workload registry-far2] [--seed 1]
 """
@@ -86,6 +89,30 @@ def best_pass_s(calls, repeat: int) -> float:
     return best
 
 
+def model_steps(calls) -> dict:
+    """{case: model steps of each call returning it}, from one pass over
+    the recorded calls with far2.secular._inverse_norm_derivatives
+    counted."""
+    original = far2.secular._inverse_norm_derivatives
+    steps = [0]
+
+    def counting(*args):
+        steps[0] += 1
+        return original(*args)
+
+    by_case = {}
+    far2.secular._inverse_norm_derivatives = counting
+    try:
+        for g_r, H_r, sigma, spectrum in calls:
+            steps[0] = 0
+            sol = far2.secular.solve_secular_reduced(g_r, H_r, sigma,
+                                                     spectrum=spectrum)
+            by_case.setdefault(sol.case.name, []).append(steps[0])
+    finally:
+        far2.secular._inverse_norm_derivatives = original
+    return by_case
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="registry-far2", choices=WORKLOADS)
@@ -102,6 +129,12 @@ def main():
     print(f"{args.workload} seed {args.seed}: {len(calls)} reduced solves, "
           f"dimension mean {np.mean(dims):.1f} max {max(dims)}, "
           f"{len(kept)} given a kept spectrum")
+    by_case = model_steps(calls)
+    total = sum(map(sum, by_case.values()))
+    print(f"model steps: {total / len(calls):.2f} a call")
+    for case, steps in sorted(by_case.items()):
+        print(f"  {case}: {len(steps)} calls, {np.mean(steps):.2f} a call, "
+              f"max {max(steps)}")
     kinds = [("all calls", calls), ("with an eigensolve",
                                    [c for c in calls if c[3] is None]),
              ("on a kept spectrum", kept)]

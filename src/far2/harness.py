@@ -403,6 +403,11 @@ def parse_config(path) -> SuiteConfig:
             if section is None:
                 raise ConfigError(f"line {lineno}: key outside a section")
             key, value = (t.strip() for t in line.split("=", 1))
+            # a [solver] key names its field in any case (_solver_param)
+            same = str.lower if section == "solver" else str
+            if any(same(k) == same(key) for k in current):
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} given twice in [{section}]")
             current[key] = value
     close_section()
 

@@ -743,8 +743,8 @@ def load_libsvm(path, n_features: int | None = None,
     """Read sparse 'label idx:val ...' lines with 1-based indices.
 
     Feature dimension defaults to the largest index seen; an index beyond
-    a given n_features is a LibsvmParseError. `labels` may remap to 'pm1'
-    or '01'.
+    a given n_features, or given twice in one line, is a LibsvmParseError.
+    `labels` may remap to 'pm1' or '01'.
     """
     rows = []
     targets = []
@@ -762,7 +762,7 @@ def load_libsvm(path, n_features: int | None = None,
             if not math.isfinite(label):
                 raise LibsvmParseError(f"line {lineno}: non-finite label {parts[0]!r}")
             targets.append(label)
-            entries = []
+            entries = {}
             for tok in parts[1:]:
                 try:
                     idx_s, val_s = tok.split(":")
@@ -777,7 +777,9 @@ def load_libsvm(path, n_features: int | None = None,
                                            f"n_features = {n_features}")
                 if not math.isfinite(val):
                     raise LibsvmParseError(f"line {lineno}: non-finite entry {tok!r}")
-                entries.append((idx, val))
+                if idx in entries:
+                    raise LibsvmParseError(f"line {lineno}: index {idx} repeated")
+                entries[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append(entries)
     if not rows:
@@ -785,7 +787,7 @@ def load_libsvm(path, n_features: int | None = None,
     n = n_features if n_features is not None else max_idx
     A = np.zeros((len(rows), n))
     for r, entries in enumerate(rows):
-        for idx, val in entries:
+        for idx, val in entries.items():
             A[r, idx - 1] = val
     data = ClassificationData(A=A, b=np.asarray(targets))
     if labels is not None:

@@ -24,14 +24,17 @@ the step chain, and keeps the last factorization it counted and H's
 leftmost eigenpair, so that a solve after a rejected step, at the same H,
 makes neither again.
 
-Reduced (small, dense) solves use a spectral decomposition, after which
-each residual evaluation costs O(m). The full-space solve is a safeguarded
-root iteration on the secular equation, the direct solver baseline of
+Both secular solves are safeguarded root iterations with one step: the
+next shift is the root of the secular equation with 1/||s|| replaced by
+its third-order Taylor model and sigma/lambda kept exact (_model_root), and
+where that root leaves the bracket the step doubles or bisects
+(_in_bracket). The full-space solve is the direct solver baseline of
 adaptive cubic regularization (Cartis, Gould & Toint 2011, Algorithm 6.1):
 each shift costs one Cholesky factorization and three solves with it,
-which give 1/||s|| and its first three derivatives, and the next shift is
-the root of the secular equation with 1/||s|| replaced by its third-order
-Taylor model and sigma/lambda kept exact. When the
+which give 1/||s|| and its first three derivatives. Reduced (small, dense)
+solves use a spectral decomposition, after which each shift costs O(m).
+The two share only the step; the full-space solve's warm start, stall
+tests, probe and edge test are its own. When the
 root of either solve hugs the spectrum edge (the hard and near-hard
 cases) it returns the same boundary step (_boundary_step): the solve at a
 shift just above the edge plus the multiple of the leftmost eigenvector
@@ -444,60 +447,56 @@ class ShiftedFactorization:
 
 def _spectrum_root(eigs: np.ndarray, c: np.ndarray,
                    sigma: float) -> tuple[float, bool]:
-    """Safeguarded Newton for the spectral form of phi on (lam_S, inf).
+    """The full-space solve's model-root step on the spectral form of phi.
 
-    Returns (lambda, converged). The residual is driven to ~1e-13 relative
-    to the step norm so lambda = sigma*||s|| holds far inside the 1e-8
-    contract. converged = False means the bracket collapsed to
-    floating-point resolution against the spectrum edge (a hard or
-    near-hard instance) and lambda is its upper end, where phi <= 0.
+    Returns (lambda, converged). Each lambda costs O(m): with d = eigs +
+    lambda, x = c/d (minus the step, in the eigenbasis), y = x/d and
+    z = y/d give 1/||s|| and its first three derivatives
+    (_inverse_norm_derivatives),
+    and the next lambda is the root of the third-order model of 1/||s||
+    with sigma/lambda kept exact (_model_root). The bracket starts at
+    (lam_S, inf), lam_S = max(0, -lambda_1), and the first lambda is
+    lam_S + sigma ||c||^(1/2), as in the full-space solve; where the
+    model's root leaves the bracket the step is _in_bracket's. The
+    residual is driven to ~1e-13 relative to the step norm so lambda =
+    sigma*||s|| holds far inside the 1e-8 contract. converged = False
+    means the bracket collapsed to floating-point resolution against the
+    spectrum edge (a hard or near-hard instance) and lambda is its upper
+    end, where phi <= 0.
     The whole solve runs in one np.errstate. It silences division by zero
-    at the edge, 0/0 there (g_r with no weight on v1, when lam_S + 1000
-    rounds to lam_S) and overflow: phi is then taken as +inf, left of the
-    root, by tests of Python floats with math.isfinite.
+    at the edge, 0/0 there (g_r with no weight on v1) and overflow: phi is
+    then taken as +inf, left of the root, by tests of Python floats with
+    math.isfinite. Where 1/||s|| has no derivatives in floating point (a
+    zero step, or 1/||s|| cubed past the largest float) the step is
+    _in_bracket's too.
     """
-    lam_S = max(0.0, -float(eigs[0]))
-
-    def phi_terms(lam):
-        den = eigs + lam
-        q = c / den
-        r2 = float(q @ q)
-        r = math.sqrt(r2) if math.isfinite(r2) else math.inf
-        if not math.isfinite(r):
-            return math.inf, -math.inf, math.inf
-        dr = -float((q * q / den).sum()) / r if r > 0.0 else 0.0
-        return r - lam / sigma, dr - 1.0 / sigma, r
-
+    lo, hi = max(0.0, -float(eigs[0])), math.inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo = lam_S
-        hi = lam_S + 1000.0
-        steps = 0
-        val_hi, _, _ = phi_terms(hi)
-        while val_hi > 0.0:
-            lo = hi
-            hi = 2.0 * hi + 1.0
-            steps += 1
-            if steps > MAX_ROOT_STEPS:
-                raise ReducedSolveError("could not bracket the secular root")
-            val_hi, _, _ = phi_terms(hi)
-
-        eps = float(np.finfo(float).eps)
-        lam = lo + 0.5 * (hi - lo)
+        lam = lo + sigma * math.sqrt(math.hypot(*c))
         for _ in range(MAX_ROOT_STEPS):
-            val, dval, r = phi_terms(lam)
-            scale = max(r, lam / sigma)
-            if math.isfinite(val) and abs(val) <= 1.0e-13 * max(scale, 1.0e-300):
+            d = eigs + lam
+            x = c / d
+            y = x / d
+            snorm = math.sqrt(float(x @ x))
+            phi = snorm - lam / sigma
+            if not math.isfinite(phi):
+                phi = math.inf
+            elif abs(phi) <= 1.0e-13 * max(snorm, lam / sigma, 1.0e-300):
                 return lam, True
-            if val > 0.0:
+            if phi > 0.0:
                 lo = lam
             else:
                 hi = lam
-            if hi - lo <= 8.0 * eps * max(hi, 1.0e-300):
+            if hi < math.inf and hi - lo <= 8.0 * EPS * max(hi, 1.0e-300):
                 return hi, False
-            nxt = lam - val / dval if dval != 0.0 and math.isfinite(val) else math.nan
-            if not math.isfinite(nxt) or not (lo < nxt < hi):
-                nxt = lo + 0.5 * (hi - lo)
-            lam = nxt
+            try:
+                mu = _model_root(lam, sigma, *_inverse_norm_derivatives(
+                    x, y, y / d, snorm))
+            except (OverflowError, ZeroDivisionError):
+                mu = math.nan
+            lam = _in_bracket(mu, lo, hi)
+    if hi == math.inf:
+        raise ReducedSolveError("could not bracket the secular root")
     raise ReducedSolveError("secular root iteration exhausted its budget")
 
 
@@ -554,12 +553,12 @@ def solve_secular_reduced(g_r, H_r, sigma: float,
     """Solve the projected secular equation on a small dense matrix.
 
     H_r is diagonalized by one dsyevr call (_eigh), and the spectral form
-    of phi is solved by safeguarded Newton (_spectrum_root) inside one
-    np.errstate. `spectrum`, when given, is that diagonalization of this
-    g_r and H_r, returned by an earlier solve (SecularSolution.spectrum):
-    the solve then makes no eigensolve and only re-roots, as after a
-    rejected step, where only sigma has changed. Easy case: the root and
-    step -(H_r + lam I)^{-1} g_r.
+    of phi is solved by the full-space solve's model-root step
+    (_spectrum_root) inside one np.errstate. `spectrum`, when given, is
+    that diagonalization of this g_r and H_r, returned by an earlier solve
+    (SecularSolution.spectrum): the solve then makes no eigensolve and only
+    re-roots, as after a rejected step, where only sigma has changed. Easy
+    case: the root and step -(H_r + lam I)^{-1} g_r.
     When the bracket collapses onto the spectrum edge with lambda_1 < 0
     (the hard and near-hard cases, a zero g_r included), the step is the
     boundary step at the bracket's upper end, as in the full-space solve:
@@ -678,6 +677,14 @@ def _model_root(lam: float, sigma: float, r: float, dr: float, d2r: float,
     return mu
 
 
+def _in_bracket(mu: float, lo: float, hi: float) -> float:
+    """mu where lo < mu < hi; else max(2 lo, lo + 1) while hi is infinite,
+    and bisection otherwise: the safeguard of both secular solves."""
+    if lo < mu < hi:
+        return mu
+    return max(2.0 * lo, lo + 1.0) if hi == math.inf else lo + 0.5 * (hi - lo)
+
+
 def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
                               theta1: float,
                               warm_lambda: float | None = None) -> SecularSolution:
@@ -787,10 +794,7 @@ def solve_secular_full_secant(g, system: ShiftedSystem, sigma: float,
             test = tested = True
             continue
         test = False
-        if not lo < nxt < hi:
-            nxt = (max(2.0 * lo, lo + 1.0) if hi == math.inf
-                   else lo + 0.5 * (hi - lo))
-        lam = nxt
+        lam = _in_bracket(nxt, lo, hi)
     raise SecantFailureError(
         f"secular root iteration exceeded {MAX_ROOT_STEPS} safeguarded "
         "steps")

@@ -41,7 +41,7 @@ PINNED = [
     ("AR2", "EG2", 100, 26, 13),
     ("AR2", "INDEF", 100, 47, 16),
     ("FAR2-PK", "ROSENBR", 100, 486, 507),
-    ("FAR2-RK", "INDEF", 100, 37, 101),
+    ("FAR2-RK", "INDEF", 100, 15, 39),
     ("FAR2-SO", "EDENSCH", 5000, 3, 6),
     ("FAR2-SO", "EG2", 100, 7, 15),
     ("FAR2-SO", "INDEF", 100, 3, 17),

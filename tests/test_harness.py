@@ -460,6 +460,28 @@ seed = 9
         with pytest.raises(ConfigError, match="FAR2-PK"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text,line,key", [
+        ("[problem]\nname = QUAD\nn = 10\nn = 20\n", 4, "n"),
+        ("[solver]\nname = AR2\nsigma0 = 1.0\nSIGMA0 = 2.0\n"
+         "[problem]\nname = QUAD\nn = 4\n", 4, "SIGMA0"),
+        ("[suite]\nseed = 1\nseed = 2\n[solver]\nname = AR2\n"
+         "[problem]\nname = QUAD\nn = 4\n", 3, "seed"),
+    ], ids=["problem", "solver-any-case", "suite"])
+    def test_key_given_twice(self, tmp_path, text, line, key):
+        # the last value used to win silently
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError,
+                           match=f"line {line}: key '{key}' given twice"):
+            parse_config(path)
+
+    def test_problem_keys_keep_their_case(self, tmp_path):
+        # N (samples) and n (features) are two keys
+        path = tmp_path / "case.cfg"
+        path.write_text("[solver]\nname = AR2\n"
+                        "[problem]\nkind = logistic\nN = 50\nn = 4\n")
+        assert parse_config(path).problems[0].N == 50
+
     def test_name_fixes_the_space(self, tmp_path):
         path = tmp_path / "space.cfg"
         path.write_text("[solver]\nname = FAR2-PK\nspace_kind = rational\n"

@@ -379,6 +379,14 @@ class TestLibsvm:
             load_libsvm(path, n_features=2)
         assert load_libsvm(path, n_features=5).A.shape == (3, 5)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        # the last value of a repeated index used to win silently
+        path = tmp_path / "twice.txt"
+        path.write_text("1 1:2 2:1\n-1 2:1 1:2 2:3\n")
+        with pytest.raises(LibsvmParseError,
+                           match="line 2: index 2 repeated"):
+            load_libsvm(path)
+
 
 class TestRemapLabels:
     @pytest.mark.parametrize("labels,pm1,zero_one", [

@@ -162,6 +162,30 @@ class TestSolveSecularReduced:
         with pytest.raises(ReducedSolveError):
             solve_secular_reduced(np.array([np.nan]), np.array([[1.0]]), 1.0)
 
+    def test_model_root_steps_on_easy_instances(self, monkeypatch):
+        # m in [2, 40], a rotated spectrum in scale [-1, 1] and g's
+        # coordinates of size scale [0.5, 1] in its eigenbasis, scale in
+        # [1e-3, 1e3] (sigma too): every step is the full-space solve's
+        # model root, one call of _inverse_norm_derivatives. Over seeds
+        # 0-2999 the solve takes 2 to 4 of them.
+        steps = []
+        derivatives = secular._inverse_norm_derivatives
+        monkeypatch.setattr(secular, "_inverse_norm_derivatives",
+                            lambda *a: steps.append(1) or derivatives(*a))
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            m, scale = int(rng.integers(2, 41)), 10.0 ** rng.uniform(-3, 3)
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            H = (Q * (scale * rng.uniform(-1.0, 1.0, m))) @ Q.T
+            H = 0.5 * (H + H.T)
+            c = scale * rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 1.0, m)
+            steps.clear()
+            sol = solve_secular_reduced(Q @ c, H, scale)
+            assert sol.case is SecularCase.EASY
+            assert 1 <= len(steps) <= 4
+            assert np.linalg.norm(sol.step) == pytest.approx(sol.lam / scale,
+                                                             rel=1e-12)
+
 
 def _repeated_eigenvalues(n):
     # Q diag(1, 1, 1, 2, 2, ...) Q^T with a seeded orthogonal Q, exactly
@@ -205,7 +229,6 @@ class TestRootErrorState:
         yield np.array([0.0, 1.0, -2.0]), Hh, 1.0          # hard case
         yield np.zeros(3), Hh, 0.5                          # pure eigenvector step
         # hard cases at both scales, sigma scaled with H so that ||s|| ~ 1
-        # (at 1e150, lam_S + 1000 rounds to lam_S: phi is 0/0 there)
         for scale in (1e150, 1e-150):
             yield np.array([0.0, scale, scale]), scale * Hh, scale
         rng = np.random.default_rng(3)
@@ -214,7 +237,8 @@ class TestRootErrorState:
             yield np.full(4, scale), scale * A, scale
             # g and H at opposite extremes, H positive definite
             yield np.full(4, 1.0 / scale), scale * (B @ B.T + np.eye(4)), 1.0
-        yield np.array([1e200]), np.array([[1.0]]), 1.0     # overflows, cannot bracket
+        # ||g|| overflows: the first lambda is inf, and no bracket closes
+        yield np.full(2, 1.5e308), np.eye(2), 1.0
 
     def test_no_warning_and_state_kept(self):
         before = np.geterr()
@@ -231,12 +255,24 @@ class TestRootErrorState:
         assert outcomes == {SecularCase.EASY, SecularCase.HARD, "raised"}
 
     def test_state_kept_when_the_bracket_fails(self, monkeypatch):
-        # no doubling allowed: the bracket search raises inside np.errstate
+        # no step allowed: the bracket's upper end stays infinite, and the
+        # solve raises inside np.errstate
         monkeypatch.setattr(secular, "MAX_ROOT_STEPS", 0)
         with np.errstate(all="raise"):
             before = np.geterr()
-            with pytest.raises(ReducedSolveError, match="bracket"):
+            with pytest.raises(ReducedSolveError, match="could not bracket"):
                 solve_secular_reduced(np.array([1e8]), np.array([[1.0]]), 1.0)
+            assert np.geterr() == before
+
+    def test_state_kept_when_the_budget_runs_out(self, monkeypatch):
+        # three steps bracket the root of a hard case but do not collapse
+        # the bracket onto its edge
+        monkeypatch.setattr(secular, "MAX_ROOT_STEPS", 3)
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            with pytest.raises(ReducedSolveError, match="exhausted its budget"):
+                solve_secular_reduced(np.array([0.0, 1.0, -2.0]),
+                                      np.diag([-1.0, 1.0, 2.0]), 1.0)
             assert np.geterr() == before
 
 
